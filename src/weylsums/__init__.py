@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``phasecore``: exact fixed-point phases mod 1, compensated accumulation
+- ``phasecore``: exact fixed-point phases mod 1, vectorized term kernels
 - ``complete_sums``: T(a) over F_p^d, identities, moments, cached tables
 - ``weyl_sums``: streaming S(x;N), traces, growth-exponent scans
 - ``large_values``: L_p sets, beta/kappa exponents, amplification checks
@@ -13,13 +13,6 @@ Subpackage map:
 
 __version__ = "0.1.0"
 
-from .phasecore import (  # noqa: F401
-    ComplexAcc,
-    Phase,
-    RationalPoint,
-    e_eval,
-    phase_from_rational,
-    poly_phase,
-)
+from .phasecore import Phase, RationalPoint, phase_from_rational  # noqa: F401
 from .weyl_sums import monomial_sum, weyl_sum, weyl_sum_trace  # noqa: F401
 from .complete_sums import complete_sum, build_table  # noqa: F401

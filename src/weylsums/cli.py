@@ -178,7 +178,7 @@ def _run_enumerate_lp(args, out: Path) -> None:
             "gamma": float(args.gamma),
             "count": len(lp.members),
             "density": lp.density,
-            "members": [list(m) for m in lp.members] if len(lp.members) <= args.emit_limit else None,
+            "members": lp.members.tolist() if len(lp.members) <= args.emit_limit else None,
         },
     )
 
@@ -343,7 +343,6 @@ def _run_discrepancy_scan(args, out: Path) -> None:
 def _add_common(sp, *, d=None, p=False, seed=True):
     sp.add_argument("--out", default="out", help="output directory")
     sp.add_argument("--cap", type=int, default=cs.DEFAULT_CAP, help="max table entries")
-    sp.add_argument("--threads", type=int, default=1, help="worker count (outputs are independent of it)")
     sp.add_argument("--force", action="store_true", help="override the resource cap")
     sp.add_argument("--cache", action="store_true", help="cache complete-sum tables under OUT/cache")
     if seed:

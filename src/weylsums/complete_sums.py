@@ -34,6 +34,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
+from .phasecore import residue_array
+from .weyl_sums import CHUNK
 
 DEFAULT_CAP = 10**7
 
@@ -69,26 +71,26 @@ def _require_prime(p: int) -> None:
         raise InvalidFieldError(f"{p} is not prime")
 
 
-class PrimeField:
-    """F_p with a cached table of e_p(k) = e(k/p) for k in [0, p)."""
-
-    def __init__(self, p: int):
-        _require_prime(p)
-        if p == 2:
-            raise InvalidFieldError("need an odd prime")
-        self.p = p
-        self.char_table = np.exp((2j * np.pi / p) * np.arange(p))
-
-    def e(self, k: int) -> complex:
-        return complex(self.char_table[k % self.p])
-
-
 def _check_cap(entries: int, cap: int, override: bool) -> None:
     if entries > cap and not override:
         raise ResourceLimitError(
             f"table of {entries} entries exceeds the cap of {cap}; "
             "raise the cap or pass override=True"
         )
+
+
+def _unit_root_sum(a, q: int, exponents) -> complex:
+    """sum_{n=1}^{q} e((a_1 n^{m_1} + ... + a_k n^{m_k}) / q) by direct summation.
+
+    Residues come from `residue_array` (exact, with its int64 guard) in CHUNK
+    slices, so memory stays bounded whatever q is.
+    """
+    parts = []
+    for lo in range(1, q + 1, CHUNK):
+        r = residue_array(a, q, exponents, lo, min(lo + CHUNK, q + 1))
+        parts.append(np.exp((2j * np.pi / q) * r).sum())
+    # start from the first part, not 0j, so a one-chunk sum keeps its exact bits
+    return complex(sum(parts[1:], parts[0]))
 
 
 def complete_sum(d: int, p: int, a) -> complex:
@@ -99,13 +101,7 @@ def complete_sum(d: int, p: int, a) -> complex:
     a = tuple(int(ai) % p for ai in a)
     if len(a) != d:
         raise PreconditionError(f"coefficient vector must have length {d}")
-    n = np.arange(1, p + 1, dtype=np.int64)
-    r = np.zeros(p, dtype=np.int64)
-    pw = np.ones(p, dtype=np.int64)
-    for aj in a:
-        pw = (pw * n) % p
-        r = (r + aj * pw) % p
-    return complex(np.exp((2j * np.pi / p) * r).sum())
+    return _unit_root_sum(a, p, range(1, d + 1))
 
 
 @dataclass(frozen=True)
@@ -118,16 +114,6 @@ class CompleteSumTable:
 
     def mag(self, a) -> float:
         return float(self.mags[tuple(int(ai) % self.p for ai in a)])
-
-    def top_nonzero_mask(self) -> np.ndarray:
-        """Boolean mask of the a_d != 0 layers.
-
-        The a_d = 0 slab is kept in the table but flagged: the large-value
-        density results and the moment main terms treat it separately.
-        """
-        mask = np.zeros(self.mags.shape, dtype=bool)
-        mask[(slice(None),) * (self.d - 1) + (slice(1, None),)] = True
-        return mask
 
 
 def build_table(d: int, p: int, cap: int = DEFAULT_CAP, override: bool = False) -> CompleteSumTable:
@@ -183,13 +169,7 @@ def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> com
     if gcd(a, p) != 1:
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")
     _check_cap(p**d, cap, override=False)
-    m = p**d
-    n = np.arange(1, m + 1, dtype=np.int64)
-    r = np.ones(m, dtype=np.int64)
-    for _ in range(d):
-        r = (r * n) % m
-    r = (r * (a % m)) % m
-    value = complex(np.exp((2j * np.pi / m) * r).sum())
+    value = _unit_root_sum((a,), p**d, (d,))
     expected = float(p ** (d - 1))
     if abs(value - expected) > 1e-6 * expected:
         raise LemmaCheckFailureError(
@@ -223,11 +203,7 @@ def weil_check(coeffs, p: int) -> WeilReport:
         raise PreconditionError("f must be nonconstant mod p")
     if deg >= p:
         raise PreconditionError("need deg f < p")
-    x = np.arange(p, dtype=np.int64)
-    r = np.zeros(p, dtype=np.int64)
-    for cj in reversed(c):  # Horner in F_p
-        r = (r * x + cj) % p
-    value = abs(complex(np.exp((2j * np.pi / p) * r).sum()))
+    value = abs(complete_sum(deg, p, c[1:]))  # e(c_0/p) is a unit factor
     bound = (deg - 1) * sqrt(p)
     if value > bound + 1e-9:
         raise LemmaCheckFailureError(

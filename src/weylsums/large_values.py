@@ -128,11 +128,8 @@ class LargeSumSet:
     d: int
     p: int
     gamma: float
-    members: tuple[tuple[int, ...], ...]
+    members: np.ndarray  # (count, d) int64 rows, lexicographic order
     density: float  # #L_p / p^d, the empirical c_d
-
-    def member_set(self) -> set[tuple[int, ...]]:
-        return set(self.members)
 
 
 def threshold(p: int, gamma: float) -> float:
@@ -150,10 +147,8 @@ def enumerate_Lp(
     """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p), plus the achieved density."""
     if table is None:
         table = build_table(d, p, cap=cap, override=override)
-    mask = np.zeros(table.mags.shape, dtype=bool)
-    sl = (slice(None),) * (d - 1) + (slice(1, None),)
-    mask[sl] = table.mags[sl] >= threshold(p, gamma)
-    members = tuple(tuple(int(v) for v in idx) for idx in np.argwhere(mask))
+    members = np.argwhere(table.mags[..., 1:] >= threshold(p, gamma)).astype(np.int64, copy=False)
+    members[:, -1] += 1  # undo the a_d >= 1 slice offset
     return LargeSumSet(
         d=d, p=p, gamma=gamma, members=members, density=len(members) / p**d
     )
@@ -196,6 +191,16 @@ class OrbitCountReport:
         return self.count >= self.reference
 
 
+def _axis_masks(box: DiscreteBox, p: int) -> list[np.ndarray]:
+    """Per-axis boolean masks over F_p of the box's residue intervals."""
+    masks = []
+    for vals in box.axis_values(p):
+        mask = np.zeros(p, dtype=bool)
+        mask[vals] = True
+        masks.append(mask)
+    return masks
+
+
 def orbit_in_box_count(a: Sequence[int], p: int, box: DiscreteBox) -> OrbitCountReport:
     """#{lambda in F_p^*: (a_1 lambda, ..., a_k lambda^k) in B} vs 0.5 L^k p^{1-k}."""
     if not is_prime(p):
@@ -206,9 +211,7 @@ def orbit_in_box_count(a: Sequence[int], p: int, box: DiscreteBox) -> OrbitCount
         raise PreconditionError("box dimension must match the coefficient prefix")
     if any(ai == 0 for ai in a):
         raise PreconditionError("all prefix coefficients must be nonzero")
-    axis_sets = [np.zeros(p, dtype=bool) for _ in range(k)]
-    for j, vals in enumerate(box.axis_values(p)):
-        axis_sets[j][vals] = True
+    axis_sets = _axis_masks(box, p)
     lam = np.arange(1, p, dtype=np.int64)
     inside = np.ones(p - 1, dtype=bool)
     pw = np.ones(p - 1, dtype=np.int64)
@@ -223,36 +226,28 @@ def box_density_check(lp: LargeSumSet, box: DiscreteBox) -> tuple[int, ...] | No
     """Some a in B intersect L_p, or None; first hit in lexicographic order."""
     if box.dim != lp.d:
         raise PreconditionError("box dimension must equal d")
-    members = lp.member_set()
-    axes = [np.sort(v) for v in box.axis_values(lp.p)]
-    if box.side**lp.d <= len(members):
-        for idx in np.ndindex(*(box.side,) * lp.d):
-            cand = tuple(int(axes[j][i]) for j, i in enumerate(idx))
-            if cand in members:
-                return cand
-        return None
-    allowed = [set(v.tolist()) for v in axes]
-    for cand in sorted(members):
-        if all(cand[j] in allowed[j] for j in range(lp.d)):
-            return cand
-    return None
+    inside = np.ones(len(lp.members), dtype=bool)
+    for j, mask in enumerate(_axis_masks(box, lp.p)):
+        inside &= mask[lp.members[:, j]]
+    hits = np.flatnonzero(inside)
+    return tuple(int(v) for v in lp.members[hits[0]]) if hits.size else None
 
 
-def minimal_witness_side(lp: LargeSumSet, start: int | None = None) -> dict:
-    """Sweep origin-cornered boxes downward to the smallest side with a witness.
+def minimal_witness_side(lp: LargeSumSet) -> dict:
+    """Smallest side L such that the origin-cornered box {1..L}^d meets L_p.
 
-    Measures the empirical density threshold to compare against
-    p^{1-kappa_d} log p (the lemma's unknown constant C).
+    The boxes are nested and the side-p box is all of F_p^d, so the answer is
+    the least max-coordinate over members with no zero coordinate; p when
+    every member has a zero coordinate, and None when L_p is empty.  Measures
+    the empirical density threshold to compare against p^{1-kappa_d} log p
+    (the lemma's unknown constant C).
     """
     p, d = lp.p, lp.d
-    side = start if start is not None else p
-    found = None
-    while side >= 1:
-        w = box_density_check(lp, DiscreteBox(starts=(0,) * d, side=side))
-        if w is None:
-            break
-        found = side
-        side -= 1
+    zero_free = lp.members[(lp.members != 0).all(axis=1)]
+    if zero_free.size:
+        found = int(zero_free.max(axis=1).min())
+    else:
+        found = p if len(lp.members) else None
     reference = float(p) ** (1 - float(kappa(d))) * log(p) if d >= 3 else float("nan")
     return {
         "minimal_side": found,

@@ -1,4 +1,4 @@
-"""Exact arithmetic on phases mod 1 and compensated complex accumulation.
+"""Exact arithmetic on phases mod 1 and the vectorized term kernels.
 
 A phase is stored as an unsigned 64-bit fraction of a full turn: the integer
 ``frac`` represents ``frac / 2^64``.  Addition and multiplication by an
@@ -10,18 +10,16 @@ the form a/q with zero quantization error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDenominatorError, PreconditionError
+from .errors import InvalidDenominatorError
 
 TURN_BITS = 64
 TURN = 1 << TURN_BITS
 _MASK = TURN - 1
-_TWO_PI = 2.0 * math.pi
 _INV_TURN = 2.0 ** -64
 
 
@@ -69,29 +67,6 @@ def phase_from_float(x: float) -> Phase:
     return Phase(round((x % 1.0) * TURN))
 
 
-def poly_phase(x: Sequence[Phase], n: int, exponents: Sequence[int] | None = None) -> Phase:
-    """x_1*n^{m_1} + ... + x_d*n^{m_d} mod 1, exact for the quantized inputs.
-
-    Default exponents are (1, ..., d).  Each power n^{m_j} is reduced mod 2^64
-    before multiplying the coefficient word, so the result is independent of
-    association order.
-    """
-    if len(x) < 1:
-        raise PreconditionError("need at least one coordinate")
-    if exponents is None:
-        exponents = range(1, len(x) + 1)
-    acc = 0
-    for xj, mj in zip(x, exponents, strict=True):
-        acc = (acc + xj.frac * pow(n, mj, TURN)) & _MASK
-    return Phase(acc)
-
-
-def e_eval(t: Phase) -> complex:
-    """exp(2*pi*i*t), principal value; modulus within 1e-12 of 1."""
-    ang = _TWO_PI * t.to_float()
-    return complex(math.cos(ang), math.sin(ang))
-
-
 @dataclass(frozen=True, slots=True)
 class RationalPoint:
     """x = a/q in T_d held exactly as a residue vector mod q."""
@@ -110,40 +85,6 @@ class RationalPoint:
 
     def to_phases(self) -> tuple[Phase, ...]:
         return tuple(phase_from_rational(ai, self.q) for ai in self.a)
-
-
-class ComplexAcc:
-    """Neumaier-compensated complex accumulator.
-
-    After N additions of unit-modulus terms the accumulated rounding error is
-    at most 2*u*N per component (u = 2^-53), i.e. well inside the 4*N*ulp
-    budget the evaluators rely on.
-    """
-
-    __slots__ = ("re", "im", "_cre", "_cim")
-
-    def __init__(self):
-        self.re = 0.0
-        self.im = 0.0
-        self._cre = 0.0
-        self._cim = 0.0
-
-    def add(self, re: float, im: float) -> None:
-        s = self.re + re
-        if abs(self.re) >= abs(re):
-            self._cre += (self.re - s) + re
-        else:
-            self._cre += (re - s) + self.re
-        self.re = s
-        s = self.im + im
-        if abs(self.im) >= abs(im):
-            self._cim += (self.im - s) + im
-        else:
-            self._cim += (im - s) + self.im
-        self.im = s
-
-    def value(self) -> complex:
-        return complex(self.re + self._cre, self.im + self._cim)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +119,14 @@ def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, h
     total = np.zeros(hi - lo, dtype=np.int64)
     for aj, m in zip(a, exponents, strict=True):
         pw = np.ones(hi - lo, dtype=np.int64)
-        base = n.copy()
+        base = n
         e = int(m)
         while e:
             if e & 1:
                 pw = (pw * base) % q
-            base = (base * base) % q
             e >>= 1
+            if e:  # no square is needed past the top bit
+                base = (base * base) % q
         total = (total + (aj % q) * pw) % q
     return total
 

@@ -1,15 +1,43 @@
 """Independent oracles shared by the module tests and the acceptance suite.
 
 Everything here recomputes results by a route different from the library:
+scalar big-integer phases and their exponential for the vectorized kernels,
 direct term-by-term summation for complete sums, and an O(N^2) sweep over the
 endpoint grid with all four one-sided-limit combinations for the discrepancy.
 """
 
 import bisect
+import math
 
 import numpy as np
 
+from weylsums.errors import PreconditionError
+from weylsums.phasecore import TURN, Phase
+
 TWO64 = 1 << 64
+
+
+def poly_phase(x, n, exponents=None):
+    """x_1*n^{m_1} + ... + x_d*n^{m_d} mod 1, exact for the quantized inputs.
+
+    Default exponents are (1, ..., d).  Each power n^{m_j} is reduced mod 2^64
+    before multiplying the coefficient word, so the result is independent of
+    association order.
+    """
+    if len(x) < 1:
+        raise PreconditionError("need at least one coordinate")
+    if exponents is None:
+        exponents = range(1, len(x) + 1)
+    acc = 0
+    for xj, mj in zip(x, exponents, strict=True):
+        acc = (acc + xj.frac * pow(n, mj, TURN)) % TURN
+    return Phase(acc)
+
+
+def e_eval(t):
+    """exp(2*pi*i*t) for a Phase, principal value; modulus within 1e-12 of 1."""
+    ang = 2.0 * math.pi * t.to_float()
+    return complex(math.cos(ang), math.sin(ang))
 
 
 def direct_complete_sum(d, p, a):

@@ -181,7 +181,7 @@ def test_large_sum_cantor_k1_matches_box_density_search():
     # check finds in the central 2/5 of each chart cell
     res = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)
     lp = lv.enumerate_Lp(3, 31, gamma=1.0)
-    members = lp.member_set()
+    members = set(map(tuple, lp.members.tolist()))
     for cert in res.certificates:
         assert cert.anchor in members
         # anchor lattice point lies inside the cell's central window

@@ -1,5 +1,6 @@
 """Complete-sum identities, moments, tables and the cache format."""
 
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -37,18 +38,22 @@ def test_complete_sum_rejects_composite():
         cs.complete_sum(2, 9, (1, 1))
 
 
+def test_complete_sum_rejects_int64_overflow_before_allocating():
+    # p^2 >= 2^62 would overflow the int64 residue path
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int64"):
+            cs.complete_sum(2, 2147483659, (1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_is_prime():
     assert [n for n in range(2, 30) if cs.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert cs.is_prime(4099) and cs.is_prime(2**31 - 1)
     assert not cs.is_prime(4097) and not cs.is_prime(1)
-
-
-def test_prime_field_table():
-    f = cs.PrimeField(7)
-    assert np.allclose(np.abs(f.char_table), 1.0, atol=1e-12)
-    assert abs(f.e(3) - np.exp(2j * np.pi * 3 / 7)) < 1e-12
-    with pytest.raises(InvalidFieldError):
-        cs.PrimeField(2)
 
 
 def test_table_matches_direct_sums():
@@ -75,6 +80,7 @@ def test_gauss_magnitude_check():
 def test_monomial_complete_sum():
     assert abs(cs.monomial_complete_sum(2, 3, 1) - 3) < 1e-6 * 3
     assert abs(cs.monomial_complete_sum(3, 2, 1) - 4) < 1e-6 * 4
+    assert abs(cs.monomial_complete_sum(3, 43, 5) - 43**2) < 1e-9 * 43**2  # two chunks
     with pytest.raises(InvalidNumeratorError):
         cs.monomial_complete_sum(2, 3, 3)
 
@@ -84,6 +90,8 @@ def test_weil_check():
     assert rep.value < 1e-9 and rep.bound == 0.0
     rep = cs.weil_check([0, 0, 1], 5)  # f = X^2: Gauss equality
     assert abs(rep.value - sqrt(5)) < 1e-9 and abs(rep.bound - sqrt(5)) < 1e-12
+    rep = cs.weil_check([3, 0, 1], 5)  # a constant term only rotates the sum
+    assert abs(rep.value - sqrt(5)) < 1e-9
     rep = cs.weil_check([0, 1, 0, 1], 7)  # f = X^3 + X
     assert rep.value <= 2 * sqrt(7) + 1e-9
     with pytest.raises(PreconditionError):
@@ -146,9 +154,9 @@ def test_degree2_fourth_moment_closed_form():
 def test_weil_layer_bound_in_tables():
     for d, p in [(2, 13), (3, 11)]:
         table = cs.build_table(d, p)
-        mask = table.top_nonzero_mask()
-        assert mask.sum() == p ** (d - 1) * (p - 1)
-        assert float(table.mags[mask].max()) <= (d - 1) * sqrt(p) + 1e-9
+        top = table.mags[..., 1:]  # the a_d != 0 layers
+        assert top.size == p ** (d - 1) * (p - 1)
+        assert float(top.max()) <= (d - 1) * sqrt(p) + 1e-9
 
 
 def test_orbit_invariance_exhaustive():

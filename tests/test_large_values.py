@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import sqrt
 
+import numpy as np
 import pytest
 
 from helpers import direct_complete_sum
@@ -57,7 +58,7 @@ def test_enumerate_lp_members_reverify():
 
 def test_enumerate_lp_orbit_closure_exhaustive():
     for d, p in [(2, 5), (2, 13), (3, 11), (3, 13)]:
-        members = lv.enumerate_Lp(d, p, gamma=1.0).member_set()
+        members = set(map(tuple, lv.enumerate_Lp(d, p, gamma=1.0).members.tolist()))
         for a in members:
             for lam in range(2, p):
                 assert cs.lambda_orbit(a, lam, p) in members
@@ -65,7 +66,7 @@ def test_enumerate_lp_orbit_closure_exhaustive():
 
 def test_enumerate_lp_possibly_empty_at_large_gamma():
     lp = lv.enumerate_Lp(2, 5, gamma=2.0)  # threshold 2 sqrt(5) > sqrt(5)
-    assert lp.members == ()
+    assert lp.members.shape == (0, 2)
     assert lp.density == 0.0
 
 
@@ -123,7 +124,8 @@ def test_orbit_counts_partition_to_p_minus_1():
 def test_box_density_check_full_cube():
     lp = lv.enumerate_Lp(3, 31, gamma=1.0)
     w = lv.box_density_check(lp, cs.full_box(3, 31))
-    assert w is not None and w in lp.member_set()
+    assert w is not None and w in set(map(tuple, lp.members.tolist()))
+    assert w == tuple(lp.members[0])  # lexicographically first member
 
 
 def test_box_density_check_single_miss():
@@ -138,6 +140,30 @@ def test_minimal_witness_side_reports():
     assert sweep["minimal_side"] is not None
     assert 1 <= sweep["minimal_side"] <= 31
     assert sweep["ratio"] > 0
+
+
+def _swept_side(lp):
+    """Reference: sweep origin-cornered boxes down from side p while they meet L_p."""
+    swept = None
+    for side in range(lp.p, 0, -1):
+        if lv.box_density_check(lp, cs.DiscreteBox(starts=(0,) * lp.d, side=side)) is None:
+            break
+        swept = side
+    return swept
+
+
+@pytest.mark.parametrize("d, p, gamma", [(3, 31, 1), (3, 37, 1.5), (2, 31, 1), (3, 31, 5)])
+def test_minimal_witness_side_matches_box_sweep(d, p, gamma):
+    lp = lv.enumerate_Lp(d, p, gamma=gamma)
+    swept = _swept_side(lp)
+    assert lv.minimal_witness_side(lp)["minimal_side"] == swept
+    assert (swept is None) == (gamma == 5)  # gamma=5 at (3, 31) leaves L_p empty
+
+
+def test_minimal_witness_side_zero_coordinate_members_only():
+    # no member lies in any {1..L}^d, so only the side-p box (all of F_p^d) meets L_p
+    lp = lv.LargeSumSet(d=2, p=5, gamma=1.0, members=np.array([[0, 3]], dtype=np.int64), density=0.04)
+    assert lv.minimal_witness_side(lp)["minimal_side"] == _swept_side(lp) == 5
 
 
 def test_amplification_plan_examples():

@@ -3,21 +3,18 @@
 import cmath
 import random
 from fractions import Fraction
-from math import fsum
 
 import numpy as np
 import pytest
 
+from helpers import e_eval, poly_phase
 from weylsums.errors import InvalidDenominatorError
 from weylsums.phasecore import (
     TURN,
-    ComplexAcc,
     Phase,
     RationalPoint,
-    e_eval,
     frac_array,
     phase_from_rational,
-    poly_phase,
     residue_array,
 )
 
@@ -120,19 +117,6 @@ def test_frac_array_matches_scalar_poly_phase():
     arr = frac_array(fr, (1, 2, 3), 1, 50)
     for i, n in enumerate(range(1, 50)):
         assert int(arr[i]) == poly_phase([Phase(f) for f in fr], n).frac
-
-
-def test_complex_acc_error_bound():
-    rng = np.random.default_rng(3)
-    ang = rng.uniform(0, 2 * np.pi, size=10**5)
-    re, im = np.cos(ang), np.sin(ang)
-    acc = ComplexAcc()
-    for r, i in zip(re, im):
-        acc.add(float(r), float(i))
-    exact = complex(fsum(re), fsum(im))
-    err = abs(acc.value() - exact)
-    ulp = 2.0**-52
-    assert err <= 4 * len(ang) * ulp
 
 
 def test_rational_point_normalizes():
