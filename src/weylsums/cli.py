@@ -112,7 +112,7 @@ def _run_gauss_check(args, out: Path) -> None:
 
 
 def _run_monomial_check(args, out: Path) -> None:
-    value = cs.monomial_complete_sum(args.d, args.p, args.a)
+    value = cs.monomial_complete_sum(args.d, args.p, args.a, cap=args.cap)
     _write_json(
         out / "monomial_check.json",
         {
@@ -134,7 +134,7 @@ def _run_weil_check(args, out: Path) -> None:
 
 def _table(args):
     cache = Path(args.out) / "cache" if args.cache else None
-    return cs.cached_table(args.d, args.p, cache_dir=cache, cap=args.cap, override=args.force)
+    return cs.cached_table(args.d, args.p, cache_dir=cache, cap=args.cap)
 
 
 def _run_moments(args, out: Path) -> None:
@@ -340,11 +340,13 @@ def _run_discrepancy_scan(args, out: Path) -> None:
 # argument wiring
 
 
-def _add_common(sp, *, d=None, p=False, seed=True):
+def _add_common(sp, *, d=None, p=False, seed=False, cap=False, cache=False):
+    """--out everywhere; --seed, --cap and --cache only where the command reads them."""
     sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--cap", type=int, default=cs.DEFAULT_CAP, help="max table entries")
-    sp.add_argument("--force", action="store_true", help="override the resource cap")
-    sp.add_argument("--cache", action="store_true", help="cache complete-sum tables under OUT/cache")
+    if cap:
+        sp.add_argument("--cap", type=int, default=cs.DEFAULT_CAP, help="max table entries")
+    if cache:
+        sp.add_argument("--cache", action="store_true", help="cache complete-sum tables under OUT/cache")
     if seed:
         sp.add_argument("--seed", type=_uint64, default=0)
     if d is not None:
@@ -359,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gauss-check", help="Gauss magnitude law over all (a, b), b != 0")
-    _add_common(sp, p=False)
+    _add_common(sp, cap=True)
     sp.add_argument("--p", type=int)
     sp.add_argument("--primes", type=_primes_list, help="comma list; overrides --p")
     sp.set_defaults(func=_run_gauss_check)
 
     sp = sub.add_parser("monomial-check", help="complete monomial sum = p^(d-1)")
-    _add_common(sp, d=2, p=True)
+    _add_common(sp, d=2, p=True, cap=True)
     sp.add_argument("--a", type=int, default=1)
     sp.set_defaults(func=_run_monomial_check)
 
@@ -375,18 +377,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_weil_check)
 
     sp = sub.add_parser("moments", help="power moments of |T| over F_p^d")
-    _add_common(sp, d=2, p=True)
+    _add_common(sp, d=2, p=True, cap=True, cache=True)
     sp.add_argument("--nu", type=int, default=2)
     sp.set_defaults(func=_run_moments)
 
     sp = sub.add_parser("box-moments", help="moments over random sub-boxes vs the main term")
-    _add_common(sp, d=2, p=True)
+    _add_common(sp, d=2, p=True, seed=True, cap=True, cache=True)
     sp.add_argument("--nu", type=int, default=1)
     sp.add_argument("--count", type=int, default=50)
     sp.set_defaults(func=_run_box_moments)
 
     sp = sub.add_parser("enumerate-lp", help="the large-sum set L_p and its density")
-    _add_common(sp, d=2, p=True)
+    _add_common(sp, d=2, p=True, cap=True, cache=True)
     sp.add_argument("--gamma", type=_fraction, default=Fraction(1))
     sp.add_argument("--emit-limit", type=int, default=10000)
     sp.set_defaults(func=_run_enumerate_lp)
@@ -398,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_orbit_count)
 
     sp = sub.add_parser("box-density", help="minimal box side containing an L_p witness")
-    _add_common(sp, d=3, p=True)
+    _add_common(sp, d=3, p=True, cap=True, cache=True)
     sp.add_argument("--gamma", type=_fraction, default=Fraction(1))
     sp.set_defaults(func=_run_box_density)
 
     sp = sub.add_parser("amplify", help="neighborhood large-sum checks in all 2d directions")
-    _add_common(sp, d=2, p=True)
+    _add_common(sp, d=2, p=True, seed=True)
     sp.add_argument("--tau", type=_fraction, required=True)
     sp.add_argument("--gamma", type=_fraction, default=Fraction(1))
     sp.set_defaults(func=_run_amplify)
@@ -415,27 +417,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_amplify_mono)
 
     sp = sub.add_parser("weyl-trace", help="streaming |S| trace over the checkpoint grid")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--x", help="exact rational point 'a1/q1,a2/q2,...'")
     sp.add_argument("--m", type=_primes_list, default=None, help="sparse exponents")
     sp.add_argument("--N-max", dest="n_max", type=int, default=4096)
     sp.set_defaults(func=_run_weyl_trace)
 
     sp = sub.add_parser("mr-scan", help="dyadic |S| / (sqrt(N) log^1.5 N) ratios, random points")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--N-max", dest="n_max", type=int, default=10**5)
     sp.set_defaults(func=_run_mr_scan)
 
     sp = sub.add_parser("sigma-scan", help="finite-scale growth exponent over a dyadic trace")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--x", help="exact rational point")
     sp.add_argument("--m", type=_primes_list, default=None)
     sp.add_argument("--N-max", dest="n_max", type=int, default=2**16)
     sp.set_defaults(func=_run_sigma_scan)
 
     sp = sub.add_parser("exceptional-scan", help="checkpoints with |S| >= N^alpha")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--x", help="exact rational point")
     sp.add_argument("--m", type=_primes_list, default=None)
     sp.add_argument("--alpha", type=float, required=True)
@@ -443,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_exceptional_scan)
 
     sp = sub.add_parser("measure-estimate", help="Monte Carlo measure of {|S(x;i)| >= i^alpha}")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--samples", type=int, default=10**4)
     sp.set_defaults(func=_run_measure_estimate)
 
     sp = sub.add_parser("cantor-build", help="large-sum-guided Cantor construction + certificates")
-    _add_common(sp, d=3)
+    _add_common(sp, d=3, cap=True)
     sp.add_argument("--tau", type=_fraction, required=True)
     sp.add_argument("--epsilon", type=_fraction, default=Fraction(1, 20))
     sp.add_argument("--primes", type=_primes_list, required=True)
@@ -459,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_cantor_build)
 
     sp = sub.add_parser("cantor-dim", help="dimension formula vs box counting on a geometric schedule")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--cells", type=int, default=2, help="cells per axis per level")
     sp.add_argument("--shrink", type=int, default=4, help="delta_{k-1}/delta_k")
     sp.add_argument("--depth", type=int, default=4)
@@ -467,27 +469,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_cantor_dim)
 
     sp = sub.add_parser("pattern-demo", help="a single (1, 1/m, c)-pattern as JSONL")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--cells", type=int, default=3)
     sp.add_argument("--c", type=_fraction, default=Fraction(1, 10))
     sp.add_argument("--rule", default="centered", choices=("corner", "centered", "seeded-random"))
     sp.set_defaults(func=_run_pattern_demo)
 
     sp = sub.add_parser("discrepancy", help="N, D_N, D*_N, |S| rows over the checkpoint grid")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--x", help="exact rational point")
     sp.add_argument("--m", type=_primes_list, default=None)
     sp.add_argument("--N-max", dest="n_max", type=int, default=1024)
     sp.set_defaults(func=_run_discrepancy)
 
     sp = sub.add_parser("koksma-check", help="|S| <= 2 pi D*_N over random evaluations")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--N-max", dest="n_max", type=int, default=1000)
     sp.set_defaults(func=_run_koksma_check)
 
     sp = sub.add_parser("discrepancy-scan", help="checkpoints with D_N >= N^alpha")
-    _add_common(sp, d=2)
+    _add_common(sp, d=2, seed=True)
     sp.add_argument("--x", help="exact rational point")
     sp.add_argument("--m", type=_primes_list, default=None)
     sp.add_argument("--alpha", type=float, required=True)
@@ -532,3 +534,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -71,12 +71,9 @@ def _require_prime(p: int) -> None:
         raise InvalidFieldError(f"{p} is not prime")
 
 
-def _check_cap(entries: int, cap: int, override: bool) -> None:
-    if entries > cap and not override:
-        raise ResourceLimitError(
-            f"table of {entries} entries exceeds the cap of {cap}; "
-            "raise the cap or pass override=True"
-        )
+def _check_cap(entries: int, cap: int) -> None:
+    if entries > cap:
+        raise ResourceLimitError(f"table of {entries} entries exceeds the cap of {cap}; raise the cap")
 
 
 def _unit_root_sum(a, q: int, exponents) -> complex:
@@ -116,12 +113,12 @@ class CompleteSumTable:
         return float(self.mags[tuple(int(ai) % self.p for ai in a)])
 
 
-def build_table(d: int, p: int, cap: int = DEFAULT_CAP, override: bool = False) -> CompleteSumTable:
+def build_table(d: int, p: int, cap: int = DEFAULT_CAP) -> CompleteSumTable:
     """All p^d magnitudes via a d-dimensional inverse FFT of the fiber counts."""
     _require_prime(p)
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    _check_cap(p**d, cap, override)
+    _check_cap(p**d, cap)
     counts = np.zeros((p,) * d)
     n = np.arange(1, p + 1, dtype=np.int64)
     coords = []
@@ -168,7 +165,7 @@ def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> com
     _require_prime(p)
     if gcd(a, p) != 1:
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")
-    _check_cap(p**d, cap, override=False)
+    _check_cap(p**d, cap)
     value = _unit_root_sum((a,), p**d, (d,))
     expected = float(p ** (d - 1))
     if abs(value - expected) > 1e-6 * expected:
@@ -375,7 +372,7 @@ def save_table(table: CompleteSumTable, path: str | Path) -> Path:
     return path
 
 
-def load_table(path: str | Path, cap: int = DEFAULT_CAP, override: bool = False) -> CompleteSumTable:
+def load_table(path: str | Path, cap: int = DEFAULT_CAP) -> CompleteSumTable:
     """Load a cached table; verifies the .sha256 sidecar when present."""
     path = Path(path)
     payload = path.read_bytes()
@@ -391,7 +388,7 @@ def load_table(path: str | Path, cap: int = DEFAULT_CAP, override: bool = False)
     if magic != _MAGIC or version != _VERSION:
         raise ChecksumMismatchError(f"{path} has an unknown header")
     _require_prime(p)
-    _check_cap(p**d, cap, override)
+    _check_cap(p**d, cap)
     expected_len = _HEADER.size + 8 * p**d
     if len(payload) != expected_len:
         raise ChecksumMismatchError(f"{path} has {len(payload)} bytes, expected {expected_len}")
@@ -408,15 +405,14 @@ def cached_table(
     p: int,
     cache_dir: str | Path | None = None,
     cap: int = DEFAULT_CAP,
-    override: bool = False,
 ) -> CompleteSumTable:
     """Build-or-load helper used by the CLI."""
     if cache_dir is None:
-        return build_table(d, p, cap=cap, override=override)
+        return build_table(d, p, cap=cap)
     path = table_cache_path(cache_dir, d, p)
     if path.exists():
-        return load_table(path, cap=cap, override=override)
-    table = build_table(d, p, cap=cap, override=override)
+        return load_table(path, cap=cap)
+    table = build_table(d, p, cap=cap)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, path)
     return table

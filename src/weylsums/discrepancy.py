@@ -8,9 +8,9 @@ is an integer over the denominator 2^64 and the whole computation is exact
 integer arithmetic.  The sup over open intervals is attained in the limit at
 sample values: an excess interval shrinks onto the extreme points it
 contains, a deficit interval expands until its open endpoints sit exactly on
-samples (or 0/1).  That endpoint restriction gives the O(N log N) algorithm;
-the O(N^2) oracle over the full endpoint grid with all four one-sided-limit
-combinations lives in the test suite and must agree exactly.
+samples (or 0/1).  That endpoint restriction gives the algorithm: sort, then
+one linear pass.  The O(N^2) oracle over the full endpoint grid with all four
+one-sided-limit combinations lives in the test suite and must agree exactly.
 
 Open-interval fine print, followed literally: a point at 0 can never lie in
 (a, b) with a >= 0, so zeros count toward N but are invisible to every
@@ -25,7 +25,7 @@ from math import pi
 from typing import Sequence
 
 from .errors import LemmaCheckFailureError, PreconditionError
-from .phasecore import TURN, Phase, RationalPoint, frac_array, residue_array
+from .phasecore import TURN, Phase, RationalPoint, frac_array, phase_from_rational, residue_array
 from .weyl_sums import _chunks, checkpoint_grid, exponent_vector, weyl_sum, weyl_sum_trace
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
@@ -51,10 +51,6 @@ class PointSet1D:
         return [f / TURN for f in self.fracs]
 
     @classmethod
-    def from_phases(cls, phases: Sequence[Phase]) -> "PointSet1D":
-        return cls(fracs=tuple(sorted(p.frac for p in phases)))
-
-    @classmethod
     def from_floats(cls, xs: Sequence[float]) -> "PointSet1D":
         return cls(fracs=tuple(sorted(round((x % 1.0) * TURN) % TURN for x in xs)))
 
@@ -76,8 +72,7 @@ def _sequence_fracs(x, N: int, m) -> list[int]:
         out: list[int] = []
         for lo, hi in _chunks(N):
             r = residue_array(x.a, x.q, exps, lo, hi)
-            # exact rational r/q mapped to the nearest grid point
-            out.extend(int((int(v) * TURN * 2 + x.q) // (2 * x.q)) % TURN for v in r)
+            out.extend(phase_from_rational(v, x.q).frac for v in r.tolist())
         return out
     fracs = [xi.frac for xi in x]
     exps = m if m is not None else tuple(range(1, len(fracs) + 1))
@@ -89,37 +84,19 @@ def _sequence_fracs(x, N: int, m) -> list[int]:
 
 
 def _discrepancy_units(sorted_fracs: Sequence[int], N: int) -> int:
-    """Exact D_N * 2^64 over the sorted multiset of N grid fractions."""
+    """Exact D_N * 2^64 over the sorted multiset of N grid fractions.
+
+    With x_0 <= ... <= x_{K-1} the positive points and g_k = N x_k - k (units
+    of 2^-64), an interval shrunk onto points s..t has excess 1 + g_s - g_t
+    and the open interval (x_s, x_t), s < t, has deficit 1 + g_t - g_s.  Under
+    ties both are lower bounds, exact at the ends of each run, so
+    D_N = 1 + max g - min g.  The endpoints enter as two more gaps, each on
+    the one side where it can act: b = 1 as N - K in the max, a = 0 as 1 in
+    the min.
+    """
     pos = [f for f in sorted_fracs if f > 0]
-    best = 0
-    # excess: sup over i <= j of (j - i + 1) - (y_j - y_i) N, attained shrinking
-    # an open interval onto points i..j (points at 0 unreachable)
-    run_best = None
-    for j, f in enumerate(pos):
-        cand = f * N - j * TURN
-        if run_best is None or cand > run_best:
-            run_best = cand
-        val = (j + 1) * TURN - f * N + run_best
-        if val > best:
-            best = val
-    # deficit: open endpoints on samples or 0/1; strict-inside count
-    distinct = sorted(set(pos))
-    a_cands = [(0, 0)] + [(v, bisect.bisect_right(pos, v)) for v in distinct]  # (value, #{x <= v})
-    b_cands = [(v, bisect.bisect_left(pos, v)) for v in distinct] + [(TURN, len(pos))]  # (value, #{x < v})
-    ai = 0
-    best_a = None
-    for bv, lb in b_cands:
-        while ai < len(a_cands) and a_cands[ai][0] < bv:
-            av, ra = a_cands[ai]
-            t = ra * TURN - av * N
-            if best_a is None or t > best_a:
-                best_a = t
-            ai += 1
-        if best_a is not None:
-            val = bv * N - lb * TURN + best_a
-            if val > best:
-                best = val
-    return best
+    gaps = [v * N - k * TURN for k, v in enumerate(pos)]
+    return TURN + max(gaps + [(N - len(pos)) * TURN]) - min(gaps + [TURN])
 
 
 def discrepancy_exact(S: PointSet1D) -> float:
@@ -133,11 +110,13 @@ def star_discrepancy(S: PointSet1D) -> float:
     """D*_N = N * sup_t |#{x_n < t}/N - t| via the sorted-sample formula."""
     if S.count < 1:
         raise PreconditionError("need N >= 1")
-    N = S.count
-    best = 0
-    for i, f in enumerate(S.fracs, start=1):
-        best = max(best, i * TURN - f * N, f * N - (i - 1) * TURN)
-    return best / TURN
+    return _star_units(S.fracs, S.count) / TURN
+
+
+def _star_units(sorted_fracs: Sequence[int], N: int) -> int:
+    """Exact D*_N * 2^64: with g_k = N x_k - k over all points, max(max g, 1 - min g)."""
+    gaps = [v * N - k * TURN for k, v in enumerate(sorted_fracs)]
+    return max(max(gaps), TURN - min(gaps))
 
 
 @dataclass(frozen=True)
@@ -169,6 +148,18 @@ def koksma_relation_check(x, N: int, m: Sequence[int] | None = None) -> KoksmaRe
     return report
 
 
+def _sorted_prefixes(x, n_max: int, m: Sequence[int] | None):
+    """(N, sorted fractions of n = 1..N) at each checkpoint; one list grows in place."""
+    if m is not None:
+        m = exponent_vector(m)
+    fracs = _sequence_fracs(x, n_max, m)
+    prefix: list[int] = []
+    for n in checkpoint_grid(n_max):
+        for f in fracs[len(prefix):n]:
+            bisect.insort(prefix, f)
+        yield n, prefix
+
+
 def discrepancy_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None) -> list[int]:
     """Checkpoints N <= N_max with D_N >= N^alpha (same grid as exceptional_scan).
 
@@ -177,41 +168,21 @@ def discrepancy_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None
     """
     if not 0.0 < alpha < 1.0:
         raise PreconditionError("need 0 < alpha < 1")
-    if m is not None:
-        m = exponent_vector(m)
-    fracs = _sequence_fracs(x, n_max, m)
-    grid = checkpoint_grid(n_max)
-    out = []
-    sorted_prefix: list[int] = []
-    pos = 0
-    for n in grid:
-        while pos < n:
-            bisect.insort(sorted_prefix, fracs[pos])
-            pos += 1
-        units = _discrepancy_units(sorted_prefix, n)
-        # D_N is exact; the transcendental threshold N^alpha is compared at
-        # float precision (exact integer ties like D_1 = 1 = 1^alpha survive)
-        if units / TURN >= float(n) ** alpha:
-            out.append(n)
-    return out
+    # D_N is exact; the transcendental threshold N^alpha is compared at
+    # float precision (exact integer ties like D_1 = 1 = 1^alpha survive)
+    return [
+        n
+        for n, prefix in _sorted_prefixes(x, n_max, m)
+        if _discrepancy_units(prefix, n) / TURN >= float(n) ** alpha
+    ]
 
 
 def scan_rows(x, n_max: int, m: Sequence[int] | None = None) -> list[tuple[int, float, float, float, float]]:
     """(N, D_N, D*_N, |S|, |S|/D*) rows over the checkpoint grid, for CSV output."""
-    if m is not None:
-        m = exponent_vector(m)
-    fracs = _sequence_fracs(x, n_max, m)
-    grid = checkpoint_grid(n_max)
-    trace = weyl_sum_trace(x, grid, m)
+    trace = weyl_sum_trace(x, checkpoint_grid(n_max), m)
     rows = []
-    sorted_prefix: list[int] = []
-    pos = 0
-    for n, mag in zip(grid, trace.magnitudes):
-        while pos < n:
-            bisect.insort(sorted_prefix, fracs[pos])
-            pos += 1
-        d_n = _discrepancy_units(sorted_prefix, n) / TURN
-        ps = PointSet1D(fracs=tuple(sorted_prefix))
-        d_star = star_discrepancy(ps)
+    for (n, prefix), mag in zip(_sorted_prefixes(x, n_max, m), trace.magnitudes):
+        d_n = _discrepancy_units(prefix, n) / TURN
+        d_star = _star_units(prefix, n) / TURN
         rows.append((n, d_n, d_star, mag, mag / d_star if d_star else 0.0))
     return rows

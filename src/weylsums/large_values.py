@@ -142,11 +142,10 @@ def enumerate_Lp(
     gamma: float = 1.0,
     table: CompleteSumTable | None = None,
     cap: int = DEFAULT_CAP,
-    override: bool = False,
 ) -> LargeSumSet:
     """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p), plus the achieved density."""
     if table is None:
-        table = build_table(d, p, cap=cap, override=override)
+        table = build_table(d, p, cap=cap)
     members = np.argwhere(table.mags[..., 1:] >= threshold(p, gamma)).astype(np.int64, copy=False)
     members[:, -1] += 1  # undo the a_d >= 1 slice offset
     return LargeSumSet(

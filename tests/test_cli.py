@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylsums
 from weylsums import cli
 
 
@@ -66,6 +71,22 @@ def test_unknown_flag_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl-trace", "--cache"],
+        ["gauss-check", "--p", "13", "--force"],
+        ["moments", "--p", "13", "--force"],
+        ["weil-check", "--p", "13", "--coeffs", "0,1,1", "--seed", "1"],
+        ["orbit-count", "--p", "13", "--side", "3", "--cap", "100"],
+    ],
+)
+def test_flags_only_on_commands_that_read_them(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.run(["--version"])
@@ -75,6 +96,21 @@ def test_version_flag():
 def test_exit_code_resource_limit(tmp_path):
     assert _run(["moments", "--d", "3", "--p", "251", "--cap", "1000000",
                  "--out", str(tmp_path / "z")]) == 3
+    # 101^3 terms against a cap of 1000
+    assert _run(["monomial-check", "--d", "3", "--p", "101", "--cap", "1000",
+                 "--out", str(tmp_path / "w")]) == 3
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = str(Path(weylsums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "m"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylsums.cli", "gauss-check", "--p", "13", "--out", str(out)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "gauss_check.json").is_file()
 
 
 def test_amplify_artifacts(tmp_path):

@@ -226,7 +226,7 @@ def test_discrete_box_validation():
 def test_resource_cap():
     with pytest.raises(ResourceLimitError):
         cs.build_table(2, 101, cap=100)
-    table = cs.build_table(2, 101, cap=100, override=True)
+    table = cs.build_table(2, 101, cap=101**2)
     assert table.p == 101
 
 

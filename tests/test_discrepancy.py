@@ -63,6 +63,11 @@ def test_oracle_agreement_random_sets():
         fast = dc.discrepancy_exact(s)
         oracle = disc_oracle_units(fr, n) / TURN
         assert fast == oracle  # exact float equality, both exact dyadics
+    # long runs of ties on a coarse grid, with zeros
+    for q in (1, 2, 3, 5, 8):
+        n = rng.randint(280, 320)
+        fr = [rng.randrange(q) * (TURN // q) for _ in range(n)]
+        assert dc._discrepancy_units(sorted(fr), n) == disc_oracle_units(fr, n)
 
 
 def test_sandwich_inequality_exact():
@@ -167,3 +172,26 @@ def test_scan_rows_shape():
     n, d_n, d_star, s_mag, ratio = rows[3]
     assert n == 4 and d_n == 2.0 and d_star == 2.0
     assert s_mag < 1e-12
+
+
+@pytest.mark.parametrize(
+    "x, m, n_max",
+    [
+        ((Phase(0x9E3779B97F4A7C15), Phase(0x2545F4914F6CDD1D)), None, 64),
+        (RationalPoint(a=(1,), q=7), (2,), 200),  # n^2/7: four values, zeros at 7 | n
+        ((Phase(0), Phase(0)), None, 200),
+    ],
+)
+def test_scans_match_fresh_evaluations_at_every_checkpoint(x, m, n_max):
+    grid = ws.checkpoint_grid(n_max)
+    rows = dc.scan_rows(x, n_max, m=m)
+    assert [r[0] for r in rows] == list(grid)
+    fresh_hits = []
+    for n, d_n, d_star, s_mag, _ in rows:
+        s = dc.poly_sequence(x, n, m)
+        assert d_n == dc.discrepancy_exact(s) == disc_oracle_units(s.fracs, n) / TURN
+        assert d_star == dc.star_discrepancy(s)
+        assert s_mag == abs(ws.weyl_sum(x, n, m))
+        if d_n >= float(n) ** 0.5:
+            fresh_hits.append(n)
+    assert dc.discrepancy_scan(x, 0.5, n_max, m=m) == fresh_hits
