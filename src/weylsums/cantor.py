@@ -7,7 +7,7 @@ intersection has dimension liminf log(prod q_i) / (-log delta_k).  All box
 corners and sides are Fractions: nesting, disjointness and the natural-measure
 weights are checked exactly, never with tolerances.
 
-The oracle-guided construction keeps, inside every cell, a sub-box centered on
+The large-sum-guided construction keeps, inside every cell, a sub-box centered on
 a point a/p of the large-sum set L_p, so each kept box carries a certificate
 |S(a/p; N)| >= 0.25*gamma*N*p^{-1/2} verified by direct evaluation.  Placing
 level-(k+1) anchors inside a level-k box in global coordinates would force
@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,12 +38,12 @@ from .errors import (
     TooFewScalesError,
     WitnessNotFoundError,
 )
-from .large_values import kappa, plan_trial_count, threshold
+from .large_values import _iroot, kappa, plan_trial_count, threshold
 from .phasecore import RationalPoint
 from .weyl_sums import weyl_sum
 
-PlacementRule = str  # "corner" | "centered" | "seeded-random" | "oracle-guided"
-_RULES = ("corner", "centered", "seeded-random", "oracle-guided")
+PlacementRule = str  # "corner" | "centered" | "seeded-random"
+_RULES = ("corner", "centered", "seeded-random")
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,7 @@ class PatternSpec:
         return int(self.a / self.b)
 
 
-def make_pattern(
-    box: Box,
-    spec: PatternSpec,
-    oracle: Callable[[tuple[int, ...], Box, Fraction], tuple[Fraction, ...]] | None = None,
-) -> list[Box]:
+def make_pattern(box: Box, spec: PatternSpec) -> list[Box]:
     """One side-c box in each of the (a/b)^d cells of ``box``; deterministic given seed."""
     if box.side != spec.a:
         raise InvalidPatternError(f"box side {box.side} != pattern a {spec.a}")
@@ -115,8 +111,6 @@ def make_pattern(
     rng = None
     if spec.rule == "seeded-random":
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    if spec.rule == "oracle-guided" and oracle is None:
-        raise InvalidPatternError("oracle-guided placement needs an oracle callable")
     out: list[Box] = []
     for idx in np.ndindex(*(m,) * d):
         cell_corner = tuple(box.corner[j] + idx[j] * spec.b for j in range(d))
@@ -124,16 +118,11 @@ def make_pattern(
             corner = cell_corner
         elif spec.rule == "centered":
             corner = tuple(cc + slack / 2 for cc in cell_corner)
-        elif spec.rule == "seeded-random":
+        else:  # seeded-random
             draws = rng.integers(0, 1 << 32, size=d)
             corner = tuple(
                 cc + slack * Fraction(int(u), 1 << 32) for cc, u in zip(cell_corner, draws)
             )
-        else:  # oracle-guided
-            corner = oracle(tuple(int(i) for i in idx), Box(corner=cell_corner, side=spec.b), spec.c)
-            cell = Box(corner=cell_corner, side=spec.b)
-            if not cell.contains_box(Box(corner=corner, side=spec.c)):
-                raise InvalidPatternError("oracle placed a sub-box outside its cell")
         out.append(Box(corner=corner, side=spec.c))
     return out
 
@@ -373,22 +362,6 @@ class LargeSumCantorResult:
     epsilon_effective: float  # kappa_d - (tau/d) * dimension_value
 
 
-def _floor_power(p: int, expo: Fraction) -> int:
-    """floor(p^expo) for expo > 0 by exact integer search."""
-    u, v = expo.numerator, expo.denominator
-    if u <= 0:
-        return 1 if u == 0 else 0
-    target = p**u
-    lo, hi = 1, p ** (u // v + 1) + 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**v <= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def large_sum_cantor(
     d: int,
     tau,
@@ -428,6 +401,7 @@ def large_sum_cantor(
     kap = kappa(d)
     if not 0 <= eps < kap:
         raise PreconditionError(f"need 0 <= epsilon < kappa_d = {kap}")
+    expo = kap - eps  # > 0, so floor(p^expo) >= 1
     gamma_fr = Fraction(gamma).limit_denominator(10**9)
 
     boxes = [unit_box(d)]
@@ -442,7 +416,7 @@ def large_sum_cantor(
         p = primes[level - 1]
         table = build_table(d, p, cap=cap)
         thr = threshold(p, float(gamma_fr))
-        m = max(_floor_power(p, kap - eps), 2)
+        m = max(_iroot(p**expo.numerator, expo.denominator), 2)  # floor(p^expo)
         sub_side = Fraction(1, p) ** int(tau)  # chart-relative side p^{-tau}
         if sub_side >= Fraction(1, m):
             raise PreconditionError(f"level {level}: p^-tau does not fit inside a cell")

@@ -87,16 +87,30 @@ def _random_point(rng, d: int) -> tuple[Phase, ...]:
     return tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=d, dtype=np.uint64))
 
 
-def _point_from_args(args) -> tuple:
-    """--x 'a1/q,...' exact rational point, or a Philox draw at --d coordinates."""
-    if getattr(args, "x", None):
+def _point_from_args(args):
+    """--x 'a1/q,...' exact rational point, or a Philox draw at --d coordinates.
+
+    --x excludes --seed and fixes the dimension, which --d may only restate.
+    The dimension used and the seed (None for --x) go back into args, so the
+    manifest records them.
+    """
+    if not args.x:
+        args.d = 2 if args.d is None else args.d
+        args.seed = 0 if args.seed is None else args.seed
+        return _random_point(np.random.Generator(np.random.Philox(key=args.seed)), args.d)
+    if args.seed is not None:
+        raise PreconditionError("--x and --seed exclude each other")
+    try:
         parts = [Fraction(v) for v in args.x.split(",")]
-        q = 1
-        for f in parts:
-            q = q * f.denominator // math.gcd(q, f.denominator)
-        return RationalPoint(a=tuple(int(f * q) for f in parts), q=q)
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    return _random_point(rng, args.d)
+    except ZeroDivisionError as exc:
+        raise PreconditionError(f"--x has a zero denominator: {args.x!r}") from exc
+    if args.d is not None and args.d != len(parts):
+        raise PreconditionError(f"--x is {len(parts)}-dimensional but --d is {args.d}")
+    args.d = len(parts)
+    q = 1
+    for f in parts:
+        q = q * f.denominator // math.gcd(q, f.denominator)
+    return RationalPoint(a=tuple(int(f * q) for f in parts), q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +369,15 @@ def _add_common(sp, *, d=None, p=False, seed=False, cap=False, cache=False):
         sp.add_argument("--p", type=int, required=True)
 
 
+def _add_point(sp):
+    """--out, the point (--x, or --d and --seed of a drawn one) and sparse --m."""
+    _add_common(sp)
+    sp.add_argument("--seed", type=_uint64, default=None, help="Philox key of a drawn point (default 0)")
+    sp.add_argument("--d", type=int, default=None, help="dimension of a drawn point (default 2)")
+    sp.add_argument("--x", help="exact rational point 'a1/q1,a2/q2,...'")
+    sp.add_argument("--m", type=_primes_list, default=None, help="sparse exponents")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="weylsums", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
@@ -417,9 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_amplify_mono)
 
     sp = sub.add_parser("weyl-trace", help="streaming |S| trace over the checkpoint grid")
-    _add_common(sp, d=2, seed=True)
-    sp.add_argument("--x", help="exact rational point 'a1/q1,a2/q2,...'")
-    sp.add_argument("--m", type=_primes_list, default=None, help="sparse exponents")
+    _add_point(sp)
     sp.add_argument("--N-max", dest="n_max", type=int, default=4096)
     sp.set_defaults(func=_run_weyl_trace)
 
@@ -430,16 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_mr_scan)
 
     sp = sub.add_parser("sigma-scan", help="finite-scale growth exponent over a dyadic trace")
-    _add_common(sp, d=2, seed=True)
-    sp.add_argument("--x", help="exact rational point")
-    sp.add_argument("--m", type=_primes_list, default=None)
+    _add_point(sp)
     sp.add_argument("--N-max", dest="n_max", type=int, default=2**16)
     sp.set_defaults(func=_run_sigma_scan)
 
     sp = sub.add_parser("exceptional-scan", help="checkpoints with |S| >= N^alpha")
-    _add_common(sp, d=2, seed=True)
-    sp.add_argument("--x", help="exact rational point")
-    sp.add_argument("--m", type=_primes_list, default=None)
+    _add_point(sp)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--N-max", dest="n_max", type=int, default=10**4)
     sp.set_defaults(func=_run_exceptional_scan)
@@ -476,9 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_pattern_demo)
 
     sp = sub.add_parser("discrepancy", help="N, D_N, D*_N, |S| rows over the checkpoint grid")
-    _add_common(sp, d=2, seed=True)
-    sp.add_argument("--x", help="exact rational point")
-    sp.add_argument("--m", type=_primes_list, default=None)
+    _add_point(sp)
     sp.add_argument("--N-max", dest="n_max", type=int, default=1024)
     sp.set_defaults(func=_run_discrepancy)
 
@@ -489,9 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_run_koksma_check)
 
     sp = sub.add_parser("discrepancy-scan", help="checkpoints with D_N >= N^alpha")
-    _add_common(sp, d=2, seed=True)
-    sp.add_argument("--x", help="exact rational point")
-    sp.add_argument("--m", type=_primes_list, default=None)
+    _add_point(sp)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--N-max", dest="n_max", type=int, default=10**4)
     sp.set_defaults(func=_run_discrepancy_scan)

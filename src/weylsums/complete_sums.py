@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .phasecore import residue_array
-from .weyl_sums import CHUNK
+from .weyl_sums import _chunks
 
 DEFAULT_CAP = 10**7
 
@@ -79,12 +79,14 @@ def _check_cap(entries: int, cap: int) -> None:
 def _unit_root_sum(a, q: int, exponents) -> complex:
     """sum_{n=1}^{q} e((a_1 n^{m_1} + ... + a_k n^{m_k}) / q) by direct summation.
 
-    Residues come from `residue_array` (exact, with its int64 guard) in CHUNK
-    slices, so memory stays bounded whatever q is.
+    Residues come from `residue_array` (exact, with its int64 guard) in the
+    `_chunks` slices of the Weyl sums, so memory stays bounded whatever q is.
     """
     parts = []
-    for lo in range(1, q + 1, CHUNK):
-        r = residue_array(a, q, exponents, lo, min(lo + CHUNK, q + 1))
+    for lo, hi in _chunks(q):
+        # r stays bound until the next chunk's is made; freed any earlier, the
+        # pages go back to the OS and fault in again (~35x the page faults)
+        r = residue_array(a, q, exponents, lo, hi)
         parts.append(np.exp((2j * np.pi / q) * r).sum())
     # start from the first part, not 0j, so a one-chunk sum keeps its exact bits
     return complex(sum(parts[1:], parts[0]))

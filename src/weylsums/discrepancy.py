@@ -19,14 +19,13 @@ interval — the all-zero sequence has D_N = N via (0, 1).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from math import pi
 from typing import Sequence
 
 from .errors import LemmaCheckFailureError, PreconditionError
-from .phasecore import TURN, Phase, RationalPoint, frac_array, phase_from_rational, residue_array
-from .weyl_sums import _chunks, checkpoint_grid, exponent_vector, weyl_sum, weyl_sum_trace
+from .phasecore import TURN, phase_from_rational
+from .weyl_sums import _chunks, _phase_words, checkpoint_grid, weyl_sum, weyl_sum_trace
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
 
@@ -59,27 +58,16 @@ def poly_sequence(x, N: int, m: Sequence[int] | None = None) -> PointSet1D:
     """Fractional parts of the polynomial phase at n = 1..N, sorted."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    if m is not None:
-        m = exponent_vector(m)
     return PointSet1D(fracs=tuple(sorted(_sequence_fracs(x, N, m))))
 
 
 def _sequence_fracs(x, N: int, m) -> list[int]:
-    if isinstance(x, Phase):
-        x = (x,)
-    if isinstance(x, RationalPoint):
-        exps = m if m is not None else tuple(range(1, x.dim + 1))
-        out: list[int] = []
-        for lo, hi in _chunks(N):
-            r = residue_array(x.a, x.q, exps, lo, hi)
-            out.extend(phase_from_rational(v, x.q).frac for v in r.tolist())
-        return out
-    fracs = [xi.frac for xi in x]
-    exps = m if m is not None else tuple(range(1, len(fracs) + 1))
-    out = []
+    """2^-64 grid numerators of the phases at n = 1..N; a/q rounds to its nearest grid point."""
+    words, q = _phase_words(x, m)
+    out: list[int] = []
     for lo, hi in _chunks(N):
-        t = frac_array(fracs, exps, lo, hi)
-        out.extend(int(v) for v in t)
+        w = words(lo, hi).tolist()
+        out.extend(w if q == TURN else (phase_from_rational(v, q).frac for v in w))
     return out
 
 
@@ -149,14 +137,15 @@ def koksma_relation_check(x, N: int, m: Sequence[int] | None = None) -> KoksmaRe
 
 
 def _sorted_prefixes(x, n_max: int, m: Sequence[int] | None):
-    """(N, sorted fractions of n = 1..N) at each checkpoint; one list grows in place."""
-    if m is not None:
-        m = exponent_vector(m)
+    """(N, sorted fractions of n = 1..N) at each checkpoint; one list grows in place.
+
+    Timsort finds the sorted prefix as one run and merges the new points into it.
+    """
     fracs = _sequence_fracs(x, n_max, m)
     prefix: list[int] = []
     for n in checkpoint_grid(n_max):
-        for f in fracs[len(prefix):n]:
-            bisect.insort(prefix, f)
+        prefix.extend(fracs[len(prefix):n])
+        prefix.sort()
         yield n, prefix
 
 

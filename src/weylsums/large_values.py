@@ -66,17 +66,25 @@ def _as_fraction(x) -> Fraction:
     return f.limit_denominator(10**12) if isinstance(x, float) else f
 
 
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r**k <= n, for n >= 0 and k >= 1 (integer Newton from above)."""
+    if n < 1:
+        return 0
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def radius_units(p: int, tau: Fraction) -> int:
     """Largest r with r/2^64 < p^{-tau}: the open-ball radius on the phase grid."""
     u, v = tau.numerator, tau.denominator
-    lo, hi = 0, TURN
-    while lo < hi:  # largest r with r^v * p^u < 2^{64 v}
-        mid = (lo + hi + 1) // 2
-        if mid**v * p**u < (1 << (64 * v)):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    if u < 0:
+        raise PreconditionError(f"need tau >= 0, got {tau}")
+    # r^v * p^u < 2^{64 v}  <=>  r^v <= (2^{64 v} - 1) // p^u
+    return _iroot(((1 << (64 * v)) - 1) // p**u, v)
 
 
 def _wrapped_units(frac: int, target_num: int, target_den: int) -> Fraction:
@@ -93,7 +101,7 @@ def within_radius(x_frac: int, a: int, q: int, p: int, tau: Fraction) -> bool:
 
 
 def plan_trial_count(p: int, tau: Fraction, d: int, gamma: Fraction) -> int:
-    """floor(0.25 * gamma^{1/d} * p^{(2 tau - 1)/(2 d) - 1}) by exact integer search."""
+    """floor(0.25 * gamma^{1/d} * p^{(2 tau - 1)/(2 d) - 1}) by an exact integer root."""
     u, v = tau.numerator, tau.denominator
     # exponent (2 tau - 1)/(2d) - 1 = A / B
     A = 2 * u - v - 2 * d * v
@@ -101,22 +109,9 @@ def plan_trial_count(p: int, tau: Fraction, d: int, gamma: Fraction) -> int:
     gn, gd = gamma.numerator, gamma.denominator
     if gn <= 0:
         raise PreconditionError("gamma must be positive")
-    if A <= 0 and gn <= gd:
-        return 0
-
-    def fits(m: int) -> bool:
-        # m <= 0.25 gamma^{1/d} p^{A/B}, raised to the power B*d so every
-        # factor is an integer
-        return (4 * m) ** (B * d) * gd**B * p ** max(-A * d, 0) <= gn**B * p ** max(A * d, 0)
-
-    lo, hi = 0, max(4, int(float(gamma) ** (1.0 / d) * float(p) ** (A / B)) + 4)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    # m <= 0.25 gamma^{1/d} p^{A/B}, raised to the power B*d so every factor is
+    # an integer: (4 m)^{B d} <= gn^B p^{A d} / gd^B
+    return _iroot(gn**B * p ** max(A * d, 0) // (gd**B * p ** max(-A * d, 0)), B * d) // 4
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ exponents (1, ..., d).  Coefficients are either quantized `Phase` values
 (wrapping uint64 words, exact mod 1) or an exact `RationalPoint` a/q that is
 evaluated through residue arithmetic mod q.
 
+Every point becomes its exact phases in one place (`_phase_words`), and every
+sum, trace and scan reduces them in one loop (`_accumulate`).
+
 Canonical accumulation: terms are generated in fixed chunks of 2^16 and each
-chunk is reduced with math.fsum; the final value is fsum over the list of
-chunk sums plus the trailing partial chunk.  fsum is exactly rounded, so the
-total error after N unit-modulus terms is below N ulp — inside the 4*N*ulp
-budget — and a streaming trace that re-reduces the same chunk-sum list is
-bit-identical to a fresh evaluation at every checkpoint.
+chunk is reduced once with math.fsum; the value at N is fsum over the list of
+chunk sums up to N, the last one being the sum of the chunk's prefix up to N.
+A checkpoint at a chunk's end reuses the chunk sums as they are.  fsum is
+exactly rounded, so the total error after N unit-modulus terms is below N ulp
+— inside the 4*N*ulp budget — and a streaming trace that re-reduces the same
+chunk-sum list is bit-identical to a fresh evaluation at every checkpoint.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from .errors import LemmaCheckFailureError, PreconditionError
 from .phasecore import (
+    TURN,
     Phase,
     RationalPoint,
     frac_array,
@@ -43,30 +48,36 @@ def exponent_vector(m: Sequence[int]) -> tuple[int, ...]:
     return m
 
 
-def _point_spec(x, m: Sequence[int] | None):
-    """Normalize (x, m) to a term-generation closure."""
-    if isinstance(x, RationalPoint):
-        d = x.dim
-        exps = exponent_vector(m if m is not None else range(1, d + 1))
-        if len(exps) != d:
-            raise PreconditionError("exponent vector length must match the point dimension")
-        a, q = x.a, x.q
+def _phase_words(x, m: Sequence[int] | None):
+    """Normalize (x, m) once: (words, q) with words(lo, hi) the exact phases of n = lo..hi-1.
 
-        def gen(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            r = residue_array(a, q, exps, lo, hi)
-            return unit_terms(r.astype(np.float64) / q)
-
-        return gen
+    The phase of n is words(lo, hi)[n - lo] / q mod 1: uint64 `frac_array`
+    words with q = 2^64 for a `Phase` or a tuple of them, `residue_array`
+    residues with q = x.q for a `RationalPoint`.  The exponents default to
+    1..d and must match the point dimension.
+    """
     if isinstance(x, Phase):
         x = (x,)
-    fracs = [xi.frac for xi in x]
-    exps = exponent_vector(m if m is not None else range(1, len(fracs) + 1))
-    if len(exps) != len(fracs):
+    exact = isinstance(x, RationalPoint)
+    coeffs = x.a if exact else [xi.frac for xi in x]
+    exps = exponent_vector(m if m is not None else range(1, len(coeffs) + 1))
+    if len(exps) != len(coeffs):
         raise PreconditionError("exponent vector length must match the point dimension")
+    if exact:
+        q = x.q
+        return (lambda lo, hi: residue_array(coeffs, q, exps, lo, hi)), q
+    return (lambda lo, hi: frac_array(coeffs, exps, lo, hi)), TURN
+
+
+def _point_spec(x, m: Sequence[int] | None):
+    """Normalize (x, m) to a closure giving the unit terms (cos, sin) of n = lo..hi-1."""
+    words, q = _phase_words(x, m)
 
     def gen(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        t = frac_array(fracs, exps, lo, hi)
-        return unit_terms(t.astype(np.float64) * 2.0**-64)
+        # w stays bound through unit_terms: freed any earlier, its pages go
+        # back to the OS and fault in again for the next chunk
+        w = words(lo, hi)
+        return unit_terms(w.astype(np.float64) / q)
 
     return gen
 
@@ -79,18 +90,37 @@ def _chunks(N: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
+def _accumulate(gen, cps: Sequence[int]) -> list[complex]:
+    """S at each of the strictly increasing checkpoints, in the canonical order.
+
+    Each chunk is reduced once.  A checkpoint at a chunk's end is fsum over the
+    chunk sums so far; one inside a chunk appends the fsum of that chunk's
+    prefix, the operation sequence of a fresh evaluation truncated there.  The
+    last checkpoint ends the last chunk, so no bounds check on ci is needed.
+    """
+    re_parts: list[float] = []
+    im_parts: list[float] = []
+    values: list[complex] = []
+    ci = 0
+    for lo, hi in _chunks(cps[-1]):
+        c, s = gen(lo, hi)
+        while cps[ci] < hi - 1:
+            k = cps[ci] - lo + 1
+            values.append(complex(fsum(re_parts + [fsum(c[:k])]), fsum(im_parts + [fsum(s[:k])])))
+            ci += 1
+        re_parts.append(fsum(c))
+        im_parts.append(fsum(s))
+        if cps[ci] == hi - 1:
+            values.append(complex(fsum(re_parts), fsum(im_parts)))
+            ci += 1
+    return values
+
+
 def weyl_sum(x, N: int, m: Sequence[int] | None = None) -> complex:
     """S(x; N) with certified accumulation error below N ulp."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    gen = _point_spec(x, m)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for lo, hi in _chunks(N):
-        c, s = gen(lo, hi)
-        re_parts.append(fsum(c))
-        im_parts.append(fsum(s))
-    value = complex(fsum(re_parts), fsum(im_parts))
+    value = _accumulate(_point_spec(x, m), (N,))[0]
     # trivial bound |S| <= N, with a few ulps of slack for the rounded terms
     if abs(value) > N * (1.0 + 1e-12):
         raise LemmaCheckFailureError(f"trivial bound violated: |S| = {abs(value)} > N = {N}")
@@ -101,10 +131,6 @@ def monomial_sum(x, N: int, d: int) -> complex:
     """sigma_d(x; N) = sum e(x n^d); same evaluator as weyl_sum with m=(d,)."""
     if d < 2:
         raise PreconditionError("monomial sums are for d >= 2")
-    if isinstance(x, Phase):
-        x = (x,)
-    elif isinstance(x, RationalPoint) and x.dim != 1:
-        raise PreconditionError("monomial sums take a one-dimensional point")
     return weyl_sum(x, N, m=(d,))
 
 
@@ -131,32 +157,11 @@ class SumTrace:
 
 
 def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None) -> SumTrace:
-    """One generation pass; each entry bit-identical to a fresh weyl_sum call.
-
-    Terms are produced once per chunk; a checkpoint inside a chunk re-reduces
-    that chunk's prefix, reproducing exactly the operation sequence of a fresh
-    evaluation truncated at the checkpoint.
-    """
+    """One generation pass; each entry bit-identical to a fresh weyl_sum call."""
     cps = tuple(int(n) for n in checkpoints)
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
         raise PreconditionError("checkpoints must be strictly increasing and >= 1")
-    gen = _point_spec(x, m)
-    n_max = cps[-1]
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    values: list[complex] = []
-    ci = 0
-    for lo, hi in _chunks(n_max):
-        c, s = gen(lo, hi)
-        while ci < len(cps) and cps[ci] < hi:
-            k = cps[ci] - lo + 1
-            values.append(
-                complex(fsum(re_parts + [fsum(c[:k])]), fsum(im_parts + [fsum(s[:k])]))
-            )
-            ci += 1
-        re_parts.append(fsum(c))
-        im_parts.append(fsum(s))
-    return SumTrace(checkpoints=cps, values=tuple(values))
+    return SumTrace(checkpoints=cps, values=tuple(_accumulate(_point_spec(x, m), cps)))
 
 
 def checkpoint_grid(n_max: int, dense_limit: int = 1000) -> tuple[int, ...]:

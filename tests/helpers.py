@@ -2,6 +2,7 @@
 
 Everything here recomputes results by a route different from the library:
 scalar big-integer phases and their exponential for the vectorized kernels,
+a fresh restatement of the chunked-fsum order for the sum evaluators,
 direct term-by-term summation for complete sums, and an O(N^2) sweep over the
 endpoint grid with all four one-sided-limit combinations for the discrepancy.
 """
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from weylsums.errors import PreconditionError
-from weylsums.phasecore import TURN, Phase
+from weylsums.phasecore import TURN, Phase, RationalPoint
 
 TWO64 = 1 << 64
 
@@ -38,6 +39,37 @@ def e_eval(t):
     """exp(2*pi*i*t) for a Phase, principal value; modulus within 1e-12 of 1."""
     ang = 2.0 * math.pi * t.to_float()
     return complex(math.cos(ang), math.sin(ang))
+
+
+def canonical_sums(x, checkpoints, exponents=None, chunk=1 << 16):
+    """S(x; N) at each checkpoint, restating the canonical chunked-fsum order.
+
+    Phases come per term from big-integer arithmetic (words over 2^64 for
+    Phase points, residues over q for a RationalPoint); the terms are numpy
+    cos/sin of 2*pi*phase.  Each value is computed afresh: fsum of every
+    2^16-term chunk that ends at or before N, plus fsum of the prefix of the
+    chunk that holds N, then fsum over that list.
+    """
+    if isinstance(x, Phase):
+        x = (x,)
+    if isinstance(x, RationalPoint):
+        coeffs, q = x.a, x.q
+    else:
+        coeffs, q = [xi.frac for xi in x], TURN
+    if exponents is None:
+        exponents = range(1, len(coeffs) + 1)
+    pairs = list(zip(coeffs, exponents, strict=True))
+    n_max = max(checkpoints)
+    words = [sum(c * pow(n, m, q) for c, m in pairs) % q for n in range(1, n_max + 1)]
+    ang = (2.0 * np.pi) * (np.array(words, dtype=np.float64) / q)
+    cos, sin = np.cos(ang), np.sin(ang)
+    out = []
+    for n in checkpoints:
+        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+        re = math.fsum(math.fsum(cos[lo:hi]) for lo, hi in bounds)
+        im = math.fsum(math.fsum(sin[lo:hi]) for lo, hi in bounds)
+        out.append(complex(re, im))
+    return out
 
 
 def direct_complete_sum(d, p, a):

@@ -57,12 +57,31 @@ def test_weyl_trace_exact_rational_point(tmp_path):
     with (out / "weyl_trace.csv").open() as fh:
         rows = {int(r["N"]): float(r["magnitude"]) for r in csv.DictReader(fh)}
     assert abs(rows[10] - 2 * 5**0.5) < 1e-9
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["d"] == 2 and config["seed"] is None
+
+
+def test_drawn_point_manifest_defaults(tmp_path):
+    out = tmp_path / "t"
+    assert _run(["weyl-trace", "--N-max", "20", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["d"] == 2 and config["seed"] == 0 and config["x"] is None
 
 
 def test_exit_code_invalid_config(tmp_path):
     assert _run(["moments", "--d", "2", "--p", "1024", "--out", str(tmp_path / "x")]) == 2
     assert _run(["amplify", "--d", "2", "--p", "251", "--tau", "3",
                  "--out", str(tmp_path / "y")]) == 2
+    assert _run(["weyl-trace", "--x", "1/0", "--out", str(tmp_path / "z")]) == 2
+    # --x fixes the point: a --seed or a different --d is a contradiction
+    for cmd in ("weyl-trace", "sigma-scan", "discrepancy"):
+        assert _run([cmd, "--x", "1/5", "--seed", "9", "--N-max", "20", "--out", str(tmp_path / "s")]) == 2
+        assert _run([cmd, "--x", "1/5", "--d", "3", "--N-max", "20", "--out", str(tmp_path / "d")]) == 2
+    for cmd in ("exceptional-scan", "discrepancy-scan"):
+        assert _run([cmd, "--x", "1/5", "--seed", "9", "--alpha", "0.5", "--N-max", "20",
+                     "--out", str(tmp_path / "s")]) == 2
+        assert _run([cmd, "--x", "1/5", "--d", "3", "--alpha", "0.5", "--N-max", "20",
+                     "--out", str(tmp_path / "d")]) == 2
 
 
 def test_unknown_flag_rejected():
@@ -101,12 +120,13 @@ def test_exit_code_resource_limit(tmp_path):
                  "--out", str(tmp_path / "w")]) == 3
 
 
-def test_module_entry_point_runs(tmp_path):
+@pytest.mark.parametrize("module", ["weylsums", "weylsums.cli"])
+def test_module_entry_point_runs(module, tmp_path):
     src = str(Path(weylsums.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "m"
     proc = subprocess.run(
-        [sys.executable, "-m", "weylsums.cli", "gauss-check", "--p", "13", "--out", str(out)],
+        [sys.executable, "-m", module, "gauss-check", "--p", "13", "--out", str(out)],
         env=env, capture_output=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

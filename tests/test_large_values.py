@@ -207,11 +207,30 @@ def test_amplified_check_outside_neighborhood():
         lv.amplified_sum_check(plan, x)
 
 
+def test_iroot_exhaustive_and_large():
+    for k in range(1, 7):
+        r = 0
+        for n in range(10**4 + 1):
+            while (r + 1) ** k <= n:
+                r += 1
+            assert lv._iroot(n, k) == r, (n, k)
+    rng = np.random.default_rng(12)
+    for k in (2, 3, 5, 7, 64):
+        for _ in range(5):
+            n = int.from_bytes(rng.bytes(50), "big") | 1 << 399  # a 400-bit n
+            r = lv._iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
+        n = (3**200 + 1) ** k
+        assert lv._iroot(n, k) == 3**200 + 1 and lv._iroot(n - 1, k) == 3**200
+
+
 def test_radius_units_is_sharp():
     for p, tau in [(7, Fraction(3)), (101, Fraction(7, 2)), (4099, Fraction(4))]:
         r = lv.radius_units(p, tau)
         assert lv.within_radius(r, 0, p, p, tau)
         assert not lv.within_radius(r + 1, 0, p, p, tau)
+    with pytest.raises(PreconditionError):
+        lv.radius_units(7, Fraction(-1, 2))
 
 
 def test_monomial_amplified_check_exact_point():

@@ -6,8 +6,9 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
-from helpers import direct_complete_sum
+from helpers import canonical_sums, direct_complete_sum
 from weylsums import complete_sums as cs
+from weylsums import discrepancy as dc
 from weylsums import weyl_sums as ws
 from weylsums.errors import PreconditionError
 from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_float, phase_from_rational
@@ -60,6 +61,29 @@ def test_trace_bit_identical_to_fresh_calls():
     tr = ws.weyl_sum_trace(x, cps)
     for n, v in zip(cps, tr.values):
         assert v == ws.weyl_sum(x, n)  # bitwise
+
+
+@pytest.mark.parametrize(
+    "x, m",
+    [
+        (tuple(Phase(int(f)) for f in np.random.default_rng(11).integers(0, TURN, size=2, dtype=np.uint64)), None),
+        (RationalPoint(a=(5, 7, 11), q=9973), None),
+        ((Phase(0x9E3779B97F4A7C15), Phase(0x243F6A8885A308D3)), (2, 5)),
+    ],
+    ids=["phase", "rational", "sparse"],
+)
+def test_sums_pinned_to_canonical_chunked_fsum_order(x, m):
+    C = ws.CHUNK
+    cps = (1, 7, C - 1, C, C + 1, 2 * C, 2 * C + 5)
+    expect = canonical_sums(x, cps, m)
+
+    def bits(values):
+        return [(v.real.hex(), v.imag.hex()) for v in values]
+
+    assert bits(ws.weyl_sum_trace(x, cps, m).values) == bits(expect)
+    for n, v in zip(cps, expect):
+        assert bits([ws.weyl_sum(x, n, m)]) == bits([v])
+        assert bits(ws.weyl_sum_trace(x, (n,), m).values) == bits([v])
 
 
 def test_trace_trivial_bound_dyadic():
@@ -222,6 +246,13 @@ def test_exponent_vector_validation():
     for bad in [(), (0, 1), (2, 2), (3, 1)]:
         with pytest.raises(PreconditionError):
             ws.exponent_vector(bad)
+    # one exponent for a 2-D point: every evaluator rejects the length mismatch
+    with pytest.raises(PreconditionError):
+        dc.poly_sequence(RationalPoint((1, 2), 5), 10, m=(2,))
+    with pytest.raises(PreconditionError):
+        ws.weyl_sum(RationalPoint((1, 2), 5), 10, m=(2,))
+    with pytest.raises(PreconditionError):
+        ws.monomial_sum(RationalPoint((1, 2), 5), 10, 3)
 
 
 def test_sparse_exponent_sum():
