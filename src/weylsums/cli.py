@@ -235,6 +235,8 @@ def _run_weyl_trace(args, out: Path) -> None:
 
 
 def _run_mr_scan(args, out: Path) -> None:
+    if args.count < 1:
+        raise PreconditionError("count must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     maxima = []
     for _ in range(args.count):
@@ -298,6 +300,8 @@ def _run_cantor_build(args, out: Path) -> None:
 
 
 def _run_cantor_dim(args, out: Path) -> None:
+    if args.cells < 1 or args.shrink < 1:
+        raise PreconditionError("cells and shrink must be >= 1")
     shrink = Fraction(1, args.shrink)
     sched = ct.geometric_schedule(args.d, [(args.cells, shrink)] * args.depth)
     coll = ct.build_cantor(sched, args.depth, rule=args.rule, seed=args.seed)
@@ -318,6 +322,8 @@ def _run_cantor_dim(args, out: Path) -> None:
 
 
 def _run_pattern_demo(args, out: Path) -> None:
+    if args.cells < 1:
+        raise PreconditionError("cells must be >= 1")
     spec = ct.PatternSpec(a=Fraction(1), b=Fraction(1, args.cells), c=args.c, rule=args.rule, seed=args.seed)
     boxes = ct.make_pattern(ct.unit_box(args.d), spec)
     coll = ct.BoxCollection(depth=1, boxes=tuple(boxes))

@@ -40,7 +40,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .phasecore import TURN, Phase, phase_from_rational
-from .weyl_sums import monomial_sum, weyl_sum
+from .weyl_sums import CHUNK, monomial_sum, weyl_sum, weyl_sum_batch
 
 MEMBERSHIP_SLACK = 1e-9  # relative slack absorbing float noise at the threshold
 
@@ -444,7 +444,9 @@ def measure_estimate(d: int, alpha: float, i: int, samples: int, seed: int = 0) 
 
     Philox (counter-based) keyed by the seed, one draw stream in a fixed
     order, so the result is reproducible for a given seed under any split of
-    the work.
+    the work.  Samples are drawn and summed in blocks of floor(2^16 / i)
+    points (at least one), one `weyl_sum_batch` call each, so memory stays at
+    about one 2^16-term chunk whatever the sample count.
     """
     if samples < 10**3:
         raise PreconditionError("need at least 10^3 samples")
@@ -458,10 +460,10 @@ def measure_estimate(d: int, alpha: float, i: int, samples: int, seed: int = 0) 
     # by trigonometric rounding noise
     cut = thr * (1.0 - 1e-12)
     hits = 0
-    for _ in range(samples):
-        x = tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=d, dtype=np.uint64))
-        if abs(weyl_sum(x, i)) >= cut:
-            hits += 1
+    block = max(1, CHUNK // i)
+    for start in range(0, samples, block):
+        words = rng.integers(0, TURN, size=(min(block, samples - start), d), dtype=np.uint64)
+        hits += sum(abs(v) >= cut for v in weyl_sum_batch(words, i))
     est = hits / samples
     half = 1.96 * sqrt(max(est * (1.0 - est), 0.0) / samples)
     return MeasureReport(

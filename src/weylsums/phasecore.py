@@ -91,8 +91,12 @@ class RationalPoint:
 # vectorized kernels shared by the sum evaluators
 
 
-def frac_array(x_fracs: Sequence[int], exponents: Sequence[int], lo: int, hi: int) -> np.ndarray:
-    """uint64 phase words of the polynomial at n = lo..hi-1 (wrapping mod 2^64)."""
+def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int) -> np.ndarray:
+    """uint64 phase words of the polynomial at n = lo..hi-1 (wrapping mod 2^64).
+
+    Each coefficient is an int, or a (B,) uint64 array for B points at once,
+    which gives (B, hi-lo) words; the powers of n are shared by all rows.
+    """
     n = np.arange(lo, hi, dtype=np.uint64)
     total = np.zeros(hi - lo, dtype=np.uint64)
     for xf, m in zip(x_fracs, exponents, strict=True):
@@ -104,7 +108,7 @@ def frac_array(x_fracs: Sequence[int], exponents: Sequence[int], lo: int, hi: in
                 pw = pw * base
             base = base * base
             e >>= 1
-        total = total + np.uint64(xf & _MASK) * pw
+        total = total + np.asarray(xf & _MASK, dtype=np.uint64)[..., None] * pw
     return total
 
 

@@ -6,15 +6,19 @@ exponents (1, ..., d).  Coefficients are either quantized `Phase` values
 evaluated through residue arithmetic mod q.
 
 Every point becomes its exact phases in one place (`_phase_words`), and every
-sum, trace and scan reduces them in one loop (`_accumulate`).
+sum, trace and scan reduces them in one loop (`_accumulate`), which also takes
+a batch of points as rows of one array (`weyl_sum_batch`).
 
 Canonical accumulation: terms are generated in fixed chunks of 2^16 and each
-chunk is reduced once with math.fsum; the value at N is fsum over the list of
-chunk sums up to N, the last one being the sum of the chunk's prefix up to N.
-A checkpoint at a chunk's end reuses the chunk sums as they are.  fsum is
-exactly rounded, so the total error after N unit-modulus terms is below N ulp
-— inside the 4*N*ulp budget — and a streaming trace that re-reduces the same
-chunk-sum list is bit-identical to a fresh evaluation at every checkpoint.
+chunk is reduced once by an exact reducer (`_exact_prefix_sums`); the value at
+N is fsum over the list of rounded chunk sums up to N, the last one being the
+rounded sum of the chunk's prefix up to N.  The reducer splits every term into
+37-bit integer limbs, sums each limb exactly in float64 and rounds the
+combined integer once, so each chunk and prefix sum is the correctly rounded
+double -- the one math.fsum would return.  The total error after N
+unit-modulus terms is therefore below N ulp, inside the 4*N*ulp budget, and a
+streaming trace that re-reduces the same chunk-sum list is bit-identical to a
+fresh evaluation at every checkpoint.
 """
 
 from __future__ import annotations
@@ -51,15 +55,22 @@ def exponent_vector(m: Sequence[int]) -> tuple[int, ...]:
 def _phase_words(x, m: Sequence[int] | None):
     """Normalize (x, m) once: (words, q) with words(lo, hi) the exact phases of n = lo..hi-1.
 
-    The phase of n is words(lo, hi)[n - lo] / q mod 1: uint64 `frac_array`
-    words with q = 2^64 for a `Phase` or a tuple of them, `residue_array`
-    residues with q = x.q for a `RationalPoint`.  The exponents default to
-    1..d and must match the point dimension.
+    The phase of n is words(lo, hi)[..., n - lo] / q mod 1: uint64
+    `frac_array` words with q = 2^64 for a `Phase` or a tuple of them,
+    `residue_array` residues with q = x.q for a `RationalPoint`.  A (B, d)
+    uint64 array is a batch of B `Phase` points, one row each, and gives
+    (B, hi-lo) words.  The exponents default to 1..d and must match the point
+    dimension.
     """
     if isinstance(x, Phase):
         x = (x,)
     exact = isinstance(x, RationalPoint)
-    coeffs = x.a if exact else [xi.frac for xi in x]
+    if exact:
+        coeffs = x.a
+    elif isinstance(x, np.ndarray):
+        coeffs = list(x.T)
+    else:
+        coeffs = [xi.frac for xi in x]
     exps = exponent_vector(m if m is not None else range(1, len(coeffs) + 1))
     if len(exps) != len(coeffs):
         raise PreconditionError("exponent vector length must match the point dimension")
@@ -90,37 +101,96 @@ def _chunks(N: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _accumulate(gen, cps: Sequence[int]) -> list[complex]:
-    """S at each of the strictly increasing checkpoints, in the canonical order.
+_LIMB_BITS = 37
+_LIMB_SCALE = float(1 << _LIMB_BITS)
 
-    Each chunk is reduced once.  A checkpoint at a chunk's end is fsum over the
-    chunk sums so far; one inside a chunk appends the fsum of that chunk's
-    prefix, the operation sequence of a fresh evaluation truncated there.  The
-    last checkpoint ends the last chunk, so no bounds check on ci is needed.
+
+def _exact_prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> list[list[float]]:
+    """Correctly rounded sums of terms[:, :k], one list over the rows for each k in ends.
+
+    terms is (rows, n) with |terms| <= 1 and n <= 2^16; ends strictly
+    increase from k >= 1.  The scaled terms are peeled into integer limbs of
+    37 bits, x = trunc(x) + (x - trunc(x)) then x *= 2^37, until the remainder
+    is zero everywhere: every split is exact and any finite double runs out of
+    bits, so no exponent range is assumed.  Each limb is an integer of
+    magnitude <= 2^37, so with n <= 2^16 every partial sum is an integer of
+    magnitude <= 2^53 and float64 sums them exactly in any order.  The limb
+    sums at each k form one Python int I over 2^(37 L), and int true division
+    rounds I / 2^(37 L) correctly (half to even), as fsum does.
     """
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    values: list[complex] = []
+    starts = [0, *ends[:-1]]
+    x = terms * _LIMB_SCALE
+    whole = np.empty_like(x)
+    segments = []
+    while True:
+        np.trunc(x, out=whole)
+        segments.append(np.add.reduceat(whole, starts, axis=-1).T)
+        np.subtract(x, whole, out=x)
+        if not x.any():
+            break
+        x *= _LIMB_SCALE
+    limb_sums = np.array(segments).cumsum(axis=1).astype(np.int64).reshape(len(segments), -1).tolist()
+    acc = limb_sums[0]
+    for limb in limb_sums[1:]:
+        acc = [(a << _LIMB_BITS) + b for a, b in zip(acc, limb)]
+    den = 1 << (_LIMB_BITS * len(limb_sums))
+    sums = [a / den for a in acc]
+    rows = len(terms)
+    return [sums[j : j + rows] for j in range(0, len(sums), rows)]
+
+
+def _accumulate(gen, cps: Sequence[int]) -> list[list[complex]]:
+    """S at each of the strictly increasing checkpoints, in the canonical order, per row.
+
+    gen(lo, hi) gives the (cos, sin) terms of n = lo..hi-1, each of shape
+    (hi-lo,) for one point or (rows, hi-lo) for a batch.  Each chunk is
+    reduced once, at its interior checkpoints and at its end.  A checkpoint at
+    a chunk's end is fsum over the chunk sums so far; one inside a chunk
+    appends that chunk's prefix sum, the operation sequence of a fresh
+    evaluation truncated there.  The last checkpoint ends the last chunk, so
+    no bounds check on the checkpoint index is needed.
+    """
+    parts: list[list[float]] = []  # per chunk: its sum for each real row, then each imaginary row
+    columns: list[list[float]] = []  # the same layout per checkpoint
     ci = 0
     for lo, hi in _chunks(cps[-1]):
         c, s = gen(lo, hi)
-        while cps[ci] < hi - 1:
-            k = cps[ci] - lo + 1
-            values.append(complex(fsum(re_parts + [fsum(c[:k])]), fsum(im_parts + [fsum(s[:k])])))
-            ci += 1
-        re_parts.append(fsum(c))
-        im_parts.append(fsum(s))
-        if cps[ci] == hi - 1:
-            values.append(complex(fsum(re_parts), fsum(im_parts)))
-            ci += 1
-    return values
+        cj = ci
+        while cps[cj] < hi - 1:
+            cj += 1
+        ends = [n - lo + 1 for n in cps[ci:cj]] + [hi - lo]
+        sums = _exact_prefix_sums(np.concatenate((c, s)).reshape(-1, hi - lo), ends)
+        for prefix in sums[:-1]:
+            columns.append([fsum(p) for p in zip(*parts, prefix)])
+        parts.append(sums[-1])
+        if cps[cj] == hi - 1:
+            columns.append([fsum(p) for p in zip(*parts)])
+            cj += 1
+        ci = cj
+    rows = len(parts[0]) // 2
+    return [[complex(col[r], col[rows + r]) for col in columns] for r in range(rows)]
 
 
 def weyl_sum(x, N: int, m: Sequence[int] | None = None) -> complex:
     """S(x; N) with certified accumulation error below N ulp."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    value = _accumulate(_point_spec(x, m), (N,))[0]
+    return _checked(_accumulate(_point_spec(x, m), (N,))[0][0], N)
+
+
+def weyl_sum_batch(words: np.ndarray, N: int) -> list[complex]:
+    """S(x_b; N) for each row x_b of a (B, d) uint64 array of phase words.
+
+    Entry b is bit-identical to weyl_sum(tuple(Phase(w) for w in words[b]), N):
+    the rows share one chunk loop and each is reduced exactly on its own.
+    Exponents are 1..d.
+    """
+    if N < 1:
+        raise PreconditionError("N must be >= 1")
+    return [_checked(v[0], N) for v in _accumulate(_point_spec(words, None), (N,))]
+
+
+def _checked(value: complex, N: int) -> complex:
     # trivial bound |S| <= N, with a few ulps of slack for the rounded terms
     if abs(value) > N * (1.0 + 1e-12):
         raise LemmaCheckFailureError(f"trivial bound violated: |S| = {abs(value)} > N = {N}")
@@ -161,7 +231,7 @@ def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None
     cps = tuple(int(n) for n in checkpoints)
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
         raise PreconditionError("checkpoints must be strictly increasing and >= 1")
-    return SumTrace(checkpoints=cps, values=tuple(_accumulate(_point_spec(x, m), cps)))
+    return SumTrace(checkpoints=cps, values=tuple(_accumulate(_point_spec(x, m), cps)[0]))
 
 
 def checkpoint_grid(n_max: int, dense_limit: int = 1000) -> tuple[int, ...]:

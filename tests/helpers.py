@@ -2,9 +2,10 @@
 
 Everything here recomputes results by a route different from the library:
 scalar big-integer phases and their exponential for the vectorized kernels,
-a fresh restatement of the chunked-fsum order for the sum evaluators,
-direct term-by-term summation for complete sums, and an O(N^2) sweep over the
-endpoint grid with all four one-sided-limit combinations for the discrepancy.
+a fresh restatement of the chunked-fsum order for the sum evaluators, a
+one-point-per-call loop for the batched measure estimate, direct term-by-term
+summation for complete sums, and an O(N^2) sweep over the endpoint grid with
+all four one-sided-limit combinations for the discrepancy.
 """
 
 import bisect
@@ -14,6 +15,7 @@ import numpy as np
 
 from weylsums.errors import PreconditionError
 from weylsums.phasecore import TURN, Phase, RationalPoint
+from weylsums.weyl_sums import weyl_sum
 
 TWO64 = 1 << 64
 
@@ -70,6 +72,21 @@ def canonical_sums(x, checkpoints, exponents=None, chunk=1 << 16):
         im = math.fsum(math.fsum(sin[lo:hi]) for lo, hi in bounds)
         out.append(complex(re, im))
     return out
+
+
+def measure_estimate_loop(d, alpha, i, samples, seed):
+    """Fraction of points with |S(x; i)| >= i^alpha, one weyl_sum call per point.
+
+    Draws d Philox words per point, point by point, so it also pins the draw
+    order of the batched `measure_estimate`.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cut = float(i) ** alpha * (1.0 - 1e-12)
+    hits = 0
+    for _ in range(samples):
+        x = tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=d, dtype=np.uint64))
+        hits += abs(weyl_sum(x, i)) >= cut
+    return hits / samples
 
 
 def direct_complete_sum(d, p, a):

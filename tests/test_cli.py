@@ -73,6 +73,11 @@ def test_exit_code_invalid_config(tmp_path):
     assert _run(["amplify", "--d", "2", "--p", "251", "--tau", "3",
                  "--out", str(tmp_path / "y")]) == 2
     assert _run(["weyl-trace", "--x", "1/0", "--out", str(tmp_path / "z")]) == 2
+    # zero counts and divisors: exit 2, not an IndexError or ZeroDivisionError
+    assert _run(["mr-scan", "--count", "0", "--N-max", "64", "--out", str(tmp_path / "c")]) == 2
+    assert _run(["cantor-dim", "--shrink", "0", "--out", str(tmp_path / "c")]) == 2
+    assert _run(["cantor-dim", "--cells", "0", "--out", str(tmp_path / "c")]) == 2
+    assert _run(["pattern-demo", "--cells", "0", "--out", str(tmp_path / "c")]) == 2
     # --x fixes the point: a --seed or a different --d is a contradiction
     for cmd in ("weyl-trace", "sigma-scan", "discrepancy"):
         assert _run([cmd, "--x", "1/5", "--seed", "9", "--N-max", "20", "--out", str(tmp_path / "s")]) == 2

@@ -1,16 +1,20 @@
 """Exponents, L_p enumeration, orbit counts and the amplification inequalities."""
 
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 import pytest
 
-from helpers import direct_complete_sum
+from helpers import direct_complete_sum, measure_estimate_loop
 from weylsums import complete_sums as cs
 from weylsums import large_values as lv
+from weylsums import phasecore
+from weylsums import weyl_sums as ws
 from weylsums.errors import (
     InvalidNumeratorError,
+    LemmaCheckFailureError,
     PreconditionError,
     PrimeTooSmallError,
     UndefinedForDegreeError,
@@ -273,6 +277,38 @@ def test_measure_estimate_small_alpha_near_one():
     # threshold i^alpha -> 1 as alpha -> 0; nearly every x has |S(x;i)| >= 1
     rep = lv.measure_estimate(2, 0.01, 16, 4000, seed=3)
     assert rep.estimate >= 0.85
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("i", [1, 4, 64, 300])
+def test_measure_estimate_batches_match_per_point_loop(d, i):
+    # i = 300: 1000 points of 300 terms span five blocks of 218 rows
+    rep = lv.measure_estimate(d, 0.4, i, 1000, seed=23 + i)
+    assert rep.estimate == measure_estimate_loop(d, 0.4, i, 1000, seed=23 + i)
+
+
+def test_measure_estimate_trivial_bound_checked_per_row(monkeypatch):
+    def last_row_doubled(phases01):
+        c, s = phasecore.unit_terms(phases01)
+        c[-1], s[-1] = 2.0, 0.0  # |S| = 2i on the block's last row only
+        return c, s
+
+    monkeypatch.setattr(ws, "unit_terms", last_row_doubled)
+    with pytest.raises(LemmaCheckFailureError, match="trivial bound"):
+        lv.measure_estimate(2, 0.4, 16, 1000, seed=1)
+
+
+def test_measure_estimate_memory_bounded_by_block():
+    # blocks of 2^16 / 64 = 1024 points: a few 2^16-element float64 arrays
+    # (512 KiB each) are live at once, where one unblocked array of the
+    # 10^5 * 64 terms would take 49 MiB
+    tracemalloc.start()
+    try:
+        lv.measure_estimate(2, 0.4, 64, 10**5, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_measure_estimate_preconditions():

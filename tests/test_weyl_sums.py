@@ -1,5 +1,6 @@
 """Weyl sum evaluators: identities, traces, scans and the trivial/perturbation bounds."""
 
+import math
 from fractions import Fraction
 from math import log, sqrt
 
@@ -84,6 +85,57 @@ def test_sums_pinned_to_canonical_chunked_fsum_order(x, m):
     for n, v in zip(cps, expect):
         assert bits([ws.weyl_sum(x, n, m)]) == bits([v])
         assert bits(ws.weyl_sum_trace(x, (n,), m).values) == bits([v])
+    # the dense trace of the scans: 1000 prefixes inside the first chunk
+    dense = ws.checkpoint_grid(2**17)
+    assert bits(ws.weyl_sum_trace(x, dense, m).values) == bits(canonical_sums(x, dense, m))
+    if m is None and not isinstance(x, RationalPoint):
+        # a two-row batch: each row reduced on its own, in the same order
+        y = (Phase(0x243F6A8885A308D3), Phase(0x13198A2E03707344))
+        words = np.array([[xi.frac for xi in x], [yi.frac for yi in y]], dtype=np.uint64)
+        expect_y = canonical_sums(y, cps)
+        for n, vx, vy in zip(cps, expect, expect_y):
+            assert bits(ws.weyl_sum_batch(words, n)) == bits([vx, vy])
+
+
+def _fsum_prefixes(terms, ends):
+    return [[math.fsum(row[:k]).hex() for k in ends] for row in terms]
+
+
+def _reduced(terms, ends):
+    return [[v.hex() for v in row] for row in zip(*ws._exact_prefix_sums(terms, ends))]
+
+
+def test_exact_reducer_matches_fsum_on_hard_terms():
+    rng = np.random.default_rng(17)
+    n = 4096
+    pool = np.concatenate([
+        [1.0, -1.0, 5e-324, -5e-324],
+        2.0 ** -np.arange(0, 1075, dtype=np.float64),
+        -(2.0 ** -rng.integers(0, 1075, size=200).astype(np.float64)),
+        rng.uniform(-1.0, 1.0, size=200),
+    ])
+    rows = [rng.choice(pool, size=n) for _ in range(6)]
+    rows.append(rng.uniform(-1.0, 1.0, size=n) * 2.0 ** -rng.integers(0, 1070, size=n))
+    half = rng.choice(pool, size=n // 2)
+    rows.append(rng.permutation(np.concatenate([half, -half])))  # cancels exactly
+    rows.append(np.full(n, 5e-324))
+    terms = np.array(rows)
+    assert math.fsum(terms[7]) == 0.0
+    for ends in ([n], [1, n], [1, 2, 3, 1000, n - 1, n], list(range(1, 200)) + [n]):
+        assert _reduced(terms, ends) == _fsum_prefixes(terms, ends)
+
+
+def test_exact_reducer_prefixes_of_length_one_and_chunk_sized_sums():
+    rng = np.random.default_rng(5)
+    c = np.cos(rng.uniform(0.0, 2.0 * np.pi, size=(3, ws.CHUNK)))
+    ends = [1, 2, 999, ws.CHUNK - 1, ws.CHUNK]
+    assert _reduced(c, ends) == _fsum_prefixes(c, ends)
+    assert _reduced(c[:, :1], [1]) == [[v.hex()] for v in c[:, 0]]
+    # 2^16 terms of +-1: the top limb's running sum reaches 2^53 exactly
+    ones = np.array([np.ones(ws.CHUNK), -np.ones(ws.CHUNK)])
+    ones[0, -1] = np.nextafter(1.0, 0.0)
+    assert _reduced(ones, [ws.CHUNK - 1, ws.CHUNK]) == _fsum_prefixes(ones, [ws.CHUNK - 1, ws.CHUNK])
+    assert ws._exact_prefix_sums(-ones[1:], [ws.CHUNK]) == [[float(ws.CHUNK)]]
 
 
 def test_trace_trivial_bound_dyadic():
