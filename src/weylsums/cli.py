@@ -7,8 +7,8 @@ across runs with the same configuration and seed (fixed reduction orders,
 counter-based RNG); the manifest carries the timestamp and is the one file
 allowed to differ.
 
-Exit codes: 0 success, 2 invalid configuration, 3 resource limit,
-4 lemma-check failure.
+Exit codes: 0 success, 2 invalid configuration, 3 resource limit (a cap or
+out of memory), 4 lemma-check failure, 5 corrupt cache.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from . import discrepancy as dc
 from . import large_values as lv
 from . import weyl_sums as ws
 from .errors import (
+    ChecksumMismatchError,
     LemmaCheckFailureError,
     PreconditionError,
     ResourceLimitError,
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
 EXIT_RESOURCE_LIMIT = 3
 EXIT_LEMMA_FAILURE = 4
+EXIT_CORRUPT_CACHE = 5
 
 
 def _fraction(text: str) -> Fraction:
@@ -166,6 +168,8 @@ def _run_moments(args, out: Path) -> None:
 
 
 def _run_box_moments(args, out: Path) -> None:
+    if args.count < 1:
+        raise PreconditionError("count must be >= 1")
     table = _table(args)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     lmin = min(max(int(float(args.p) ** 0.8) + 1, 2), args.p)
@@ -525,9 +529,12 @@ def run(argv=None) -> int:
     start = time.monotonic()
     try:
         args.func(args, out)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+    except ChecksumMismatchError as exc:
+        print(f"corrupt cache: {exc}", file=sys.stderr)
+        return EXIT_CORRUPT_CACHE
     except LemmaCheckFailureError as exc:
         print(f"lemma check failed: {exc}", file=sys.stderr)
         return EXIT_LEMMA_FAILURE

@@ -16,6 +16,7 @@ two-route check.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from math import factorial, gcd, sqrt
@@ -362,28 +363,42 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data to path through a temp file in its directory and os.replace."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_table(table: CompleteSumTable, path: str | Path) -> Path:
-    """Write the binary cache file plus a .sha256 sidecar of the file bytes."""
+    """Write the binary cache file plus a .sha256 sidecar of the file bytes.
+
+    The sidecar is written first and each file is replaced atomically: a save
+    cut short leaves no new table, and no table loads without the sidecar of
+    its bytes.
+    """
     path = Path(path)
     payload = _HEADER.pack(_MAGIC, _VERSION, table.d, table.p) + np.ascontiguousarray(
         table.mags, dtype="<f8"
     ).tobytes()
-    path.write_bytes(payload)
     digest = hashlib.sha256(payload).hexdigest()
-    path.with_suffix(path.suffix + ".sha256").write_text(digest + "\n")
+    _write_atomic(path.with_suffix(path.suffix + ".sha256"), (digest + "\n").encode())
+    _write_atomic(path, payload)
     return path
 
 
 def load_table(path: str | Path, cap: int = DEFAULT_CAP) -> CompleteSumTable:
-    """Load a cached table; verifies the .sha256 sidecar when present."""
+    """Load a cached table; it must match its .sha256 sidecar."""
     path = Path(path)
     payload = path.read_bytes()
     sidecar = path.with_suffix(path.suffix + ".sha256")
-    if sidecar.exists():
-        expected = sidecar.read_text().strip()
-        actual = hashlib.sha256(payload).hexdigest()
-        if actual != expected:
-            raise ChecksumMismatchError(f"checksum mismatch for {path}")
+    if not sidecar.exists():
+        raise ChecksumMismatchError(f"{path} has no .sha256 sidecar")
+    if hashlib.sha256(payload).hexdigest() != sidecar.read_text().strip():
+        raise ChecksumMismatchError(f"checksum mismatch for {path}")
     if len(payload) < _HEADER.size:
         raise ChecksumMismatchError(f"{path} is truncated")
     magic, version, d, p = _HEADER.unpack_from(payload)

@@ -9,22 +9,25 @@ Every point becomes its exact phases in one place (`_phase_words`), and every
 sum, trace and scan reduces them in one loop (`_accumulate`), which also takes
 a batch of points as rows of one array (`weyl_sum_batch`).
 
-Canonical accumulation: terms are generated in fixed chunks of 2^16 and each
-chunk is reduced once by an exact reducer (`_exact_prefix_sums`); the value at
-N is fsum over the list of rounded chunk sums up to N, the last one being the
-rounded sum of the chunk's prefix up to N.  The reducer splits every term into
-37-bit integer limbs, sums each limb exactly in float64 and rounds the
-combined integer once, so each chunk and prefix sum is the correctly rounded
-double -- the one math.fsum would return.  The total error after N
-unit-modulus terms is therefore below N ulp, inside the 4*N*ulp budget, and a
-streaming trace that re-reduces the same chunk-sum list is bit-identical to a
-fresh evaluation at every checkpoint.
+Exact accumulation: terms are generated in fixed chunks of 2^16 and each
+chunk is reduced once by an exact reducer (`_exact_prefix_sums`), which splits
+every term into 37-bit integer limbs and sums each limb exactly in float64.
+The chunk loop carries the joined limb sums as one Python int per row, and
+each value is that int rounded once by int true division.  S(x; N) is
+therefore the correctly rounded sum of all N terms -- math.fsum(terms[:N]).
+The reduction adds one rounding to the term errors, so the total stays below
+N ulp, inside the 4*N*ulp budget, and a trace equals a fresh evaluation bit
+for bit at every checkpoint.  The terms repeat with the period q of the
+point, so only n = 1..min(q, N) are generated: a rational point a/q is summed
+over one period, S(N) = floor(N/q) I(q) + I(N mod q) on the exact ints, with
+the same one rounding.  A `Phase` point has q = 2^64 > N, so nothing folds.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import fsum, log
+from math import log
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,7 +49,7 @@ TorusPoint = tuple[Phase, ...]
 
 def exponent_vector(m: Sequence[int]) -> tuple[int, ...]:
     """Validated sparse exponent vector: strictly increasing, m_1 >= 1."""
-    m = tuple(int(v) for v in m)
+    m = tuple(map(int, m))
     if not m or m[0] < 1 or any(b <= a for a, b in zip(m, m[1:])):
         raise PreconditionError(f"exponents must be strictly increasing positive integers, got {m}")
     return m
@@ -81,7 +84,10 @@ def _phase_words(x, m: Sequence[int] | None):
 
 
 def _point_spec(x, m: Sequence[int] | None):
-    """Normalize (x, m) to a closure giving the unit terms (cos, sin) of n = lo..hi-1."""
+    """Normalize (x, m) to (gen, q): gen(lo, hi) gives the unit terms (cos, sin) of n = lo..hi-1.
+
+    The terms repeat with period q in n, the q of `_phase_words`.
+    """
     words, q = _phase_words(x, m)
 
     def gen(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +96,7 @@ def _point_spec(x, m: Sequence[int] | None):
         w = words(lo, hi)
         return unit_terms(w.astype(np.float64) / q)
 
-    return gen
+    return gen, q
 
 
 def _chunks(N: int) -> Iterator[tuple[int, int]]:
@@ -105,8 +111,8 @@ _LIMB_BITS = 37
 _LIMB_SCALE = float(1 << _LIMB_BITS)
 
 
-def _exact_prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> list[list[float]]:
-    """Correctly rounded sums of terms[:, :k], one list over the rows for each k in ends.
+def _exact_prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Exact sums of terms[:, :k] as ints over 2^(37 L): (one list over the rows for each k in ends, L).
 
     terms is (rows, n) with |terms| <= 1 and n <= 2^16; ends strictly
     increase from k >= 1.  The scaled terms are peeled into integer limbs of
@@ -114,68 +120,87 @@ def _exact_prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> list[list[floa
     is zero everywhere: every split is exact and any finite double runs out of
     bits, so no exponent range is assumed.  Each limb is an integer of
     magnitude <= 2^37, so with n <= 2^16 every partial sum is an integer of
-    magnitude <= 2^53 and float64 sums them exactly in any order.  The limb
-    sums at each k form one Python int I over 2^(37 L), and int true division
-    rounds I / 2^(37 L) correctly (half to even), as fsum does.
+    magnitude <= 2^53 and float64 sums them exactly in any order.  The L limb
+    sums at each k join into one Python int I with I / 2^(37 L) the exact sum;
+    int true division rounds it correctly (half to even), as fsum does.
     """
     starts = [0, *ends[:-1]]
     x = terms * _LIMB_SCALE
-    whole = np.empty_like(x)
+    whole = np.empty(x.shape)
     segments = []
     while True:
         np.trunc(x, out=whole)
         segments.append(np.add.reduceat(whole, starts, axis=-1).T)
         np.subtract(x, whole, out=x)
-        if not x.any():
+        if not np.logical_or.reduce(x, axis=None):  # x.any() without its Python wrapper
             break
         x *= _LIMB_SCALE
     limb_sums = np.array(segments).cumsum(axis=1).astype(np.int64).reshape(len(segments), -1).tolist()
     acc = limb_sums[0]
     for limb in limb_sums[1:]:
         acc = [(a << _LIMB_BITS) + b for a, b in zip(acc, limb)]
-    den = 1 << (_LIMB_BITS * len(limb_sums))
-    sums = [a / den for a in acc]
     rows = len(terms)
-    return [sums[j : j + rows] for j in range(0, len(sums), rows)]
+    return [acc[j : j + rows] for j in range(0, len(acc), rows)], len(limb_sums)
 
 
-def _accumulate(gen, cps: Sequence[int]) -> list[list[complex]]:
-    """S at each of the strictly increasing checkpoints, in the canonical order, per row.
+def _plus(acc: list[int], ints: list[int], shift: int) -> list[int]:
+    """acc + ints * 2^shift, row by row; ints itself while acc is still empty."""
+    return [a + (v << shift) for a, v in zip(acc, ints)] if acc else ints
+
+
+def _accumulate(gen, q: int, cps: Sequence[int]) -> list[list[complex]]:
+    """S at each of the strictly increasing checkpoints, per row: the correctly rounded sum of its terms.
 
     gen(lo, hi) gives the (cos, sin) terms of n = lo..hi-1, each of shape
-    (hi-lo,) for one point or (rows, hi-lo) for a batch.  Each chunk is
-    reduced once, at its interior checkpoints and at its end.  A checkpoint at
-    a chunk's end is fsum over the chunk sums so far; one inside a chunk
-    appends that chunk's prefix sum, the operation sequence of a fresh
-    evaluation truncated there.  The last checkpoint ends the last chunk, so
-    no bounds check on the checkpoint index is needed.
+    (hi-lo,) for one point or (rows, hi-lo) for a batch, and they repeat with
+    period q in n.  Only n = 1..P, P = min(q, N_max), are generated.  The loop
+    carries one exact int per row over 2^(37 L), shifting it to the larger
+    scale when a chunk needs more limbs than the chunks before, and keeps the
+    exact prefix I(r) at each offset r = N mod P > 0.  Every checkpoint is then
+    floor(N/P) I(P) + I(N mod P) rounded once by int true division, so it
+    equals math.fsum over all N of its terms.
     """
-    parts: list[list[float]] = []  # per chunk: its sum for each real row, then each imaginary row
-    columns: list[list[float]] = []  # the same layout per checkpoint
-    ci = 0
-    for lo, hi in _chunks(cps[-1]):
+    period = min(q, cps[-1])
+    offsets = sorted({n % period for n in cps} - {0}) if period < cps[-1] else cps[:-1]
+    prefix: dict[int, tuple[list[int], int]] = {}  # offset -> its ints per row, their L
+    acc: list[int] = []
+    scale = oi = 0
+    for lo, hi in _chunks(period):
         c, s = gen(lo, hi)
-        cj = ci
-        while cps[cj] < hi - 1:
-            cj += 1
-        ends = [n - lo + 1 for n in cps[ci:cj]] + [hi - lo]
-        sums = _exact_prefix_sums(np.concatenate((c, s)).reshape(-1, hi - lo), ends)
-        for prefix in sums[:-1]:
-            columns.append([fsum(p) for p in zip(*parts, prefix)])
-        parts.append(sums[-1])
-        if cps[cj] == hi - 1:
-            columns.append([fsum(p) for p in zip(*parts)])
-            cj += 1
-        ci = cj
-    rows = len(parts[0]) // 2
-    return [[complex(col[r], col[rows + r]) for col in columns] for r in range(rows)]
+        oj = bisect_left(offsets, hi, oi)
+        ends = [r - lo + 1 for r in offsets[oi:oj]]
+        if not ends or ends[-1] < hi - lo:
+            ends.append(hi - lo)
+        sums, limbs = _exact_prefix_sums(np.concatenate((c, s)).reshape(-1, hi - lo), ends)
+        if not acc:
+            scale = limbs
+        elif limbs > scale:
+            acc = [a << _LIMB_BITS * (limbs - scale) for a in acc]
+            scale = limbs
+        shift = _LIMB_BITS * (scale - limbs)
+        if oj > oi:
+            for r, col in zip(offsets[oi:oj], sums):
+                prefix[r] = _plus(acc, col, shift), scale
+            oi = oj
+        acc = _plus(acc, sums[-1], shift)
+    den = 1 << _LIMB_BITS * scale
+    values = []
+    for n in cps:
+        k, r = divmod(n, period)
+        total = acc if k == 1 else [k * a for a in acc]
+        if r:
+            ints, limbs = prefix[r]
+            total = _plus(total, ints, _LIMB_BITS * (scale - limbs))
+        values.append([t / den for t in total])
+    rows = len(acc) // 2
+    return [[complex(v[r], v[rows + r]) for v in values] for r in range(rows)]
 
 
 def weyl_sum(x, N: int, m: Sequence[int] | None = None) -> complex:
     """S(x; N) with certified accumulation error below N ulp."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    return _checked(_accumulate(_point_spec(x, m), (N,))[0][0], N)
+    return _checked(_accumulate(*_point_spec(x, m), (N,))[0][0], N)
 
 
 def weyl_sum_batch(words: np.ndarray, N: int) -> list[complex]:
@@ -187,7 +212,7 @@ def weyl_sum_batch(words: np.ndarray, N: int) -> list[complex]:
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    return [_checked(v[0], N) for v in _accumulate(_point_spec(words, None), (N,))]
+    return [_checked(v[0], N) for v in _accumulate(*_point_spec(words, None), (N,))]
 
 
 def _checked(value: complex, N: int) -> complex:
@@ -231,7 +256,7 @@ def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None
     cps = tuple(int(n) for n in checkpoints)
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
         raise PreconditionError("checkpoints must be strictly increasing and >= 1")
-    return SumTrace(checkpoints=cps, values=tuple(_accumulate(_point_spec(x, m), cps)[0]))
+    return SumTrace(checkpoints=cps, values=tuple(_accumulate(*_point_spec(x, m), cps)[0]))
 
 
 def checkpoint_grid(n_max: int, dense_limit: int = 1000) -> tuple[int, ...]:
@@ -269,7 +294,7 @@ def mr_partial_series(x, K: int, gamma: float, m: Sequence[int] | None = None) -
         raise PreconditionError("need gamma > 3/2")
     if K < 1:
         raise PreconditionError("K must be >= 1")
-    gen = _point_spec(x, m)
+    gen, _ = _point_spec(x, m)
     out = np.empty(K)
     run_re, run_im = 0.0, 0.0
     pos = 0

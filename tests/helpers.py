@@ -2,7 +2,7 @@
 
 Everything here recomputes results by a route different from the library:
 scalar big-integer phases and their exponential for the vectorized kernels,
-a fresh restatement of the chunked-fsum order for the sum evaluators, a
+math.fsum over every term up to N for the sum evaluators, a
 one-point-per-call loop for the batched measure estimate, direct term-by-term
 summation for complete sums, and an O(N^2) sweep over the endpoint grid with
 all four one-sided-limit combinations for the discrepancy.
@@ -43,14 +43,12 @@ def e_eval(t):
     return complex(math.cos(ang), math.sin(ang))
 
 
-def canonical_sums(x, checkpoints, exponents=None, chunk=1 << 16):
-    """S(x; N) at each checkpoint, restating the canonical chunked-fsum order.
+def canonical_sums(x, checkpoints, exponents=None):
+    """S(x; N) at each checkpoint as math.fsum over all N terms, the correctly rounded sum.
 
     Phases come per term from big-integer arithmetic (words over 2^64 for
     Phase points, residues over q for a RationalPoint); the terms are numpy
-    cos/sin of 2*pi*phase.  Each value is computed afresh: fsum of every
-    2^16-term chunk that ends at or before N, plus fsum of the prefix of the
-    chunk that holds N, then fsum over that list.
+    cos/sin of 2*pi*phase.  Each value is computed afresh from terms[:N].
     """
     if isinstance(x, Phase):
         x = (x,)
@@ -64,14 +62,8 @@ def canonical_sums(x, checkpoints, exponents=None, chunk=1 << 16):
     n_max = max(checkpoints)
     words = [sum(c * pow(n, m, q) for c, m in pairs) % q for n in range(1, n_max + 1)]
     ang = (2.0 * np.pi) * (np.array(words, dtype=np.float64) / q)
-    cos, sin = np.cos(ang), np.sin(ang)
-    out = []
-    for n in checkpoints:
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        re = math.fsum(math.fsum(cos[lo:hi]) for lo, hi in bounds)
-        im = math.fsum(math.fsum(sin[lo:hi]) for lo, hi in bounds)
-        out.append(complex(re, im))
-    return out
+    cos, sin = np.cos(ang).tolist(), np.sin(ang).tolist()
+    return [complex(math.fsum(cos[:n]), math.fsum(sin[:n])) for n in checkpoints]
 
 
 def measure_estimate_loop(d, alpha, i, samples, seed):

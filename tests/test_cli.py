@@ -78,6 +78,11 @@ def test_exit_code_invalid_config(tmp_path):
     assert _run(["cantor-dim", "--shrink", "0", "--out", str(tmp_path / "c")]) == 2
     assert _run(["cantor-dim", "--cells", "0", "--out", str(tmp_path / "c")]) == 2
     assert _run(["pattern-demo", "--cells", "0", "--out", str(tmp_path / "c")]) == 2
+    # box-moments refuses a count below 1 before it builds or caches the table
+    for count in ("0", "-3"):
+        out = tmp_path / f"bm{count}"
+        assert _run(["box-moments", "--p", "13", "--count", count, "--cache", "--out", str(out)]) == 2
+        assert not (out / "cache").exists() and not (out / "box_moments.csv").exists()
     # --x fixes the point: a --seed or a different --d is a contradiction
     for cmd in ("weyl-trace", "sigma-scan", "discrepancy"):
         assert _run([cmd, "--x", "1/5", "--seed", "9", "--N-max", "20", "--out", str(tmp_path / "s")]) == 2
@@ -123,6 +128,32 @@ def test_exit_code_resource_limit(tmp_path):
     # 101^3 terms against a cap of 1000
     assert _run(["monomial-check", "--d", "3", "--p", "101", "--cap", "1000",
                  "--out", str(tmp_path / "w")]) == 3
+
+
+def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.ws, "weyl_sum_trace", no_memory)
+    assert _run(["weyl-trace", "--N-max", "20", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
+def test_exit_code_corrupt_cache(tmp_path, capsys):
+    out = tmp_path / "c"
+    argv = ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache", "--out", str(out)]
+    assert _run(argv) == 0
+    table = out / "cache" / "table_d2_p13.wslt"
+    raw = bytearray(table.read_bytes())
+    raw[-3] ^= 0xFF
+    table.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert _run(argv) == 5
+    assert capsys.readouterr().err.startswith("corrupt cache: checksum mismatch")
+    # the same flipped byte with its sidecar deleted is refused, not loaded unchecked
+    table.with_suffix(".wslt.sha256").unlink()
+    assert _run(argv) == 5
+    assert "no .sha256 sidecar" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["weylsums", "weylsums.cli"])

@@ -1,7 +1,10 @@
 """Complete-sum identities, moments, tables and the cache format."""
 
+import hashlib
+import os
 import tracemalloc
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,10 +251,55 @@ def test_cache_checksum_mismatch(tmp_path):
         cs.load_table(path)
 
 
-def test_cache_header_validation(tmp_path):
-    p = tmp_path / "bad.wslt"
-    p.write_bytes(b"NOPE" + b"\x00" * 32)
+def test_cache_missing_sidecar_refused(tmp_path):
+    path = cs.save_table(cs.build_table(2, 5), tmp_path / "t.wslt")
+    path.with_suffix(".wslt.sha256").unlink()
+    with pytest.raises(ChecksumMismatchError, match="no .sha256 sidecar"):
+        cs.load_table(path)
+
+
+def test_cache_save_writes_sidecar_first_through_temp_files(tmp_path, monkeypatch):
+    replaced = []
+    real = os.replace
+
+    def record(src, dst):
+        assert Path(src).parent == Path(dst).parent and Path(src).exists()
+        replaced.append(Path(dst).name)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", record)
+    path = cs.save_table(cs.build_table(2, 5), tmp_path / "t.wslt")
+    assert replaced == ["t.wslt.sha256", "t.wslt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.wslt", "t.wslt.sha256"]
+    assert cs.load_table(path).p == 5
+
+
+def test_cache_save_cut_short_never_loads(tmp_path, monkeypatch):
+    # a save over an existing pair stops after its sidecar: the old table no longer loads
+    path = cs.save_table(cs.build_table(2, 5), tmp_path / "t.wslt")
+    real = os.replace
+
+    def stop_at_table(src, dst):
+        if Path(dst) == path:
+            raise KeyboardInterrupt
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", stop_at_table)
+    with pytest.raises(KeyboardInterrupt):
+        cs.save_table(cs.build_table(2, 7), path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.wslt", "t.wslt.sha256"]
     with pytest.raises(ChecksumMismatchError):
+        cs.load_table(path)
+
+
+def test_cache_header_validation(tmp_path):
+    # a sidecar that matches the bad bytes, so the header itself is checked
+    p = tmp_path / "bad.wslt"
+    raw = b"NOPE" + b"\x00" * 32
+    p.write_bytes(raw)
+    p.with_suffix(".wslt.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
+    with pytest.raises(ChecksumMismatchError, match="unknown header"):
         cs.load_table(p)
 
 

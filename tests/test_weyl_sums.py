@@ -20,6 +20,10 @@ def _zero(d):
     return (Phase(0),) * d
 
 
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
 def test_weyl_sum_at_zero():
     assert ws.weyl_sum(_zero(2), 10) == 10 + 0j
 
@@ -73,36 +77,48 @@ def test_trace_bit_identical_to_fresh_calls():
     ],
     ids=["phase", "rational", "sparse"],
 )
-def test_sums_pinned_to_canonical_chunked_fsum_order(x, m):
+def test_sums_pinned_to_fsum_of_all_terms(x, m):
     C = ws.CHUNK
     cps = (1, 7, C - 1, C, C + 1, 2 * C, 2 * C + 5)
     expect = canonical_sums(x, cps, m)
-
-    def bits(values):
-        return [(v.real.hex(), v.imag.hex()) for v in values]
-
-    assert bits(ws.weyl_sum_trace(x, cps, m).values) == bits(expect)
+    assert _bits(ws.weyl_sum_trace(x, cps, m).values) == _bits(expect)
     for n, v in zip(cps, expect):
-        assert bits([ws.weyl_sum(x, n, m)]) == bits([v])
-        assert bits(ws.weyl_sum_trace(x, (n,), m).values) == bits([v])
+        assert _bits([ws.weyl_sum(x, n, m)]) == _bits([v])
+        assert _bits(ws.weyl_sum_trace(x, (n,), m).values) == _bits([v])
     # the dense trace of the scans: 1000 prefixes inside the first chunk
     dense = ws.checkpoint_grid(2**17)
-    assert bits(ws.weyl_sum_trace(x, dense, m).values) == bits(canonical_sums(x, dense, m))
+    assert _bits(ws.weyl_sum_trace(x, dense, m).values) == _bits(canonical_sums(x, dense, m))
     if m is None and not isinstance(x, RationalPoint):
-        # a two-row batch: each row reduced on its own, in the same order
+        # a two-row batch: each row reduced exactly on its own
         y = (Phase(0x243F6A8885A308D3), Phase(0x13198A2E03707344))
         words = np.array([[xi.frac for xi in x], [yi.frac for yi in y]], dtype=np.uint64)
         expect_y = canonical_sums(y, cps)
         for n, vx, vy in zip(cps, expect, expect_y):
-            assert bits(ws.weyl_sum_batch(words, n)) == bits([vx, vy])
+            assert _bits(ws.weyl_sum_batch(words, n)) == _bits([vx, vy])
 
 
 def _fsum_prefixes(terms, ends):
     return [[math.fsum(row[:k]).hex() for k in ends] for row in terms]
 
 
+def _exact_prefixes(row):
+    """Exact prefix sums of a row of doubles in units of 2^-1074, of which every double is a multiple."""
+    out, total = [0], 0
+    for t in row.tolist():
+        num, den = t.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+        out.append(total)
+    return out
+
+
 def _reduced(terms, ends):
-    return [[v.hex() for v in row] for row in zip(*ws._exact_prefix_sums(terms, ends))]
+    """The reducer's ints, each checked to be the exact prefix sum, rounded once by int division."""
+    sums, limbs = ws._exact_prefix_sums(terms, ends)
+    den = 1 << ws._LIMB_BITS * limbs
+    exact = [_exact_prefixes(row) for row in terms]
+    for k, col in zip(ends, sums):
+        assert [v << 1074 for v in col] == [e[k] * den for e in exact]
+    return [[(col[r] / den).hex() for col in sums] for r in range(len(terms))]
 
 
 def test_exact_reducer_matches_fsum_on_hard_terms():
@@ -135,7 +151,69 @@ def test_exact_reducer_prefixes_of_length_one_and_chunk_sized_sums():
     ones = np.array([np.ones(ws.CHUNK), -np.ones(ws.CHUNK)])
     ones[0, -1] = np.nextafter(1.0, 0.0)
     assert _reduced(ones, [ws.CHUNK - 1, ws.CHUNK]) == _fsum_prefixes(ones, [ws.CHUNK - 1, ws.CHUNK])
-    assert ws._exact_prefix_sums(-ones[1:], [ws.CHUNK]) == [[float(ws.CHUNK)]]
+    sums, limbs = ws._exact_prefix_sums(-ones[1:], [ws.CHUNK])
+    assert sums == [[ws.CHUNK << ws._LIMB_BITS * limbs]]
+
+
+@pytest.mark.parametrize("q", [5, 9973, 65537, 131071])
+def test_rational_sums_folded_by_period_equal_fsum_of_all_terms(q, monkeypatch):
+    # N = kq + r for r in {0, 1, q - 1}; q > 2^16 puts the period itself across chunks
+    folds = [k * q + r for k in (1, 2) for r in (0, 1, q - 1)]
+    cps = tuple(sorted(set(ws.checkpoint_grid(3 * q - 1)) | set(folds)))
+    generated = []
+    real = ws.residue_array
+
+    def residues(a, q, exps, lo, hi):
+        generated.append(hi - 1)
+        return real(a, q, exps, lo, hi)
+
+    monkeypatch.setattr(ws, "residue_array", residues)
+    x = RationalPoint(a=(3, q - 7), q=q)
+    assert _bits(ws.weyl_sum_trace(x, cps).values) == _bits(canonical_sums(x, cps))
+    assert _bits(ws.weyl_sum(x, n) for n in folds) == _bits(canonical_sums(x, folds))
+    y = RationalPoint(a=(5,), q=q)
+    assert _bits(ws.monomial_sum(y, n, 3) for n in folds) == _bits(canonical_sums(y, folds, (3,)))
+    assert max(generated) == q  # terms past one period are never generated
+
+
+def _limb_count(t):
+    return ws._exact_prefix_sums(t[None, :], [len(t)])[1]
+
+
+def test_accumulator_aligns_limb_scales_across_chunks():
+    C = ws.CHUNK
+    rng = np.random.default_rng(9)
+    halves = rng.choice([-1.0, -0.5, 0.5, 1.0], size=C)
+    fine = rng.uniform(-1.0, 1.0, size=C) * 2.0 ** -rng.integers(0, 60, size=C)
+    tail = np.array([5e-324, -1.0, 0.25, 2.0**-1074, 0.75])
+    re = np.concatenate([halves, fine, halves[::-1] / 2, tail])
+    im = np.concatenate([fine[::-1], halves, -fine, -tail])
+    chunks = [re[i : i + C] for i in range(0, len(re), C)]
+    # more limbs, then fewer (the chunk is shifted up), then the most
+    assert [_limb_count(t) for t in chunks] == [1, 3, 1, 30]
+    cps = (1, C - 1, C, C + 1, 2 * C + 7, 3 * C, 3 * C + 1, 3 * C + 5)
+
+    def gen(lo, hi):
+        return re[lo - 1 : hi - 1], im[lo - 1 : hi - 1]
+
+    want = [complex(math.fsum(re[:n]), math.fsum(im[:n])) for n in cps]
+    assert _bits(ws._accumulate(gen, TURN, cps)[0]) == _bits(want)
+
+    # the same terms repeated with a period that spans chunks and crosses the scale changes
+    q = 2 * C + 11
+    period_re, period_im = re[:q], im[:q]
+    seen = []
+
+    def periodic(lo, hi):
+        seen.append(hi - 1)
+        n = np.arange(lo, hi) % q - 1
+        return period_re[n], period_im[n]
+
+    cps = tuple(sorted({k * q + r for k in (0, 1, 5) for r in (1, C, C + 1, q - 1)} | {q, 3 * q}))
+    full_re, full_im = np.tile(period_re, 6), np.tile(period_im, 6)
+    want = [complex(math.fsum(full_re[:n]), math.fsum(full_im[:n])) for n in cps]
+    assert _bits(ws._accumulate(periodic, q, cps)[0]) == _bits(want)
+    assert max(seen) == q
 
 
 def test_trace_trivial_bound_dyadic():
