@@ -507,19 +507,25 @@ def large_sum_cantor(
 
 
 def _first_witness(table, thr: float, lo: Sequence[Fraction], hi: Sequence[Fraction]):
-    """Lexicographically first a with a/p in [lo, hi) componentwise and |T(a)| >= thr, a_d != 0."""
+    """Lexicographically first a with a/p in [lo, hi) componentwise and |T(a)| >= thr, a_d != 0.
+
+    The box is looked up one a_1 value at a time, so the search stops at the
+    first slab that holds a witness.
+    """
     p = table.p
-    ranges = []
+    axes = []
     for l, h in zip(lo, hi):
         start = math.ceil(l * p)
         stop = math.ceil(h * p)
         if stop <= start:
             return None
-        ranges.append(range(start, stop))
-    sub = table.mags[np.ix_(*[np.asarray([v % p for v in r], dtype=np.intp) for r in ranges])]
-    ok = np.argwhere(sub >= thr)
-    for flat in ok:
-        cand = tuple(int(ranges[j][flat[j]]) % p for j in range(len(ranges)))
-        if cand[-1] != 0:
-            return cand
+        axes.append(np.arange(start, stop, dtype=np.int64) % p)
+    rest = np.ix_(*axes[1:])
+    for a1 in axes[0]:
+        big = table.lookup((a1, *rest)) >= thr
+        big[..., axes[-1] == 0] = False
+        hit = np.flatnonzero(big)
+        if hit.size:
+            at = np.unravel_index(hit[0], big.shape)
+            return (int(a1),) + tuple(int(axis[k]) for axis, k in zip(axes[1:], at))
     return None

@@ -187,16 +187,21 @@ def _run_box_moments(args, out: Path) -> None:
 
 
 def _run_enumerate_lp(args, out: Path) -> None:
-    lp = lv.enumerate_Lp(args.d, args.p, gamma=float(args.gamma), table=_table(args))
+    table = _table(args)
+    gamma = float(args.gamma)
+    count = lv.count_Lp(args.d, args.p, gamma=gamma, table=table)
+    members = None
+    if count <= args.emit_limit:  # rows are listed only to be emitted
+        members = lv.enumerate_Lp(args.d, args.p, gamma=gamma, table=table, cap=args.cap).members.tolist()
     _write_json(
         out / "enumerate_lp.json",
         {
             "d": args.d,
             "p": args.p,
-            "gamma": float(args.gamma),
-            "count": len(lp.members),
-            "density": lp.density,
-            "members": lp.members.tolist() if len(lp.members) <= args.emit_limit else None,
+            "gamma": gamma,
+            "count": count,
+            "density": count / args.p**args.d,
+            "members": members,
         },
     )
 
@@ -212,7 +217,7 @@ def _run_orbit_count(args, out: Path) -> None:
 
 
 def _run_box_density(args, out: Path) -> None:
-    lp = lv.enumerate_Lp(args.d, args.p, gamma=float(args.gamma), table=_table(args))
+    lp = lv.enumerate_Lp(args.d, args.p, gamma=float(args.gamma), table=_table(args), cap=args.cap)
     sweep = lv.minimal_witness_side(lp)
     _write_json(out / "box_density.json", {"d": args.d, "p": args.p, **sweep})
 

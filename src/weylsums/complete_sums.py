@@ -6,11 +6,15 @@ law |T| = sqrt(p), the monomial evaluation p^{d-1}, the binomial vanishing
 family, the Weil bound with its classical constant, and the power moments
 over the full space and over discrete sub-boxes.
 
-Full (d, p)-tables of |T| are built in one pass: T over all of F_p^d is the
-d-dimensional inverse DFT of the fiber-count array of n -> (n, n^2, ..., n^d),
-so the whole table costs O(p^d log p).  Individual sums are always evaluated
-by direct O(p d) summation, which keeps table-vs-direct comparisons a real
-two-route check.
+|T(a)| is constant on the lambda-orbits a -> (lambda a_1, lambda^2 a_2, ...,
+lambda^d a_d), lambda in F_p^*, so a (d, p)-table stores two
+(d-1)-dimensional slices: |T(0, b)|, the inverse DFT of the fiber counts of
+n -> (n^2, ..., n^d), and |T(1, b)|, the inverse DFT of the fiber sums of
+e(n/p).  `CompleteSumTable.lookup` reads any a from them, normalising a_1 != 0
+to 1 with lambda = a_1^{-1}.  A table costs O(p^{d-1} log p) time and 2 p^{d-1}
+stored entries.  Individual sums (`complete_sum`, `monomial_complete_sum`,
+`weil_check`, `vanishing_family`) are always evaluated by direct O(p d)
+summation, which keeps table-vs-direct comparisons a real two-route check.
 """
 
 from __future__ import annotations
@@ -104,36 +108,89 @@ def complete_sum(d: int, p: int, a) -> complex:
     return _unit_root_sum(a, p, range(1, d + 1))
 
 
+def _inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise: the inverse of every nonzero x in F_p (int64, p < 2^31)."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
 @dataclass(frozen=True)
 class CompleteSumTable:
-    """Magnitudes |T(a)| for every a in F_p^d, row-major over a."""
+    """|T(a)| for every a in F_p^d, held as its two orbit slices.
+
+    slices[0][b] = |T(0, b)| and slices[1][b] = |T(1, b)| for b in F_p^{d-1};
+    every other a lies in the lambda-orbit of one of them.
+    """
 
     d: int
     p: int
-    mags: np.ndarray  # shape (p,)*d, float64
+    slices: np.ndarray  # shape (2,) + (p,)*(d-1), float64
 
-    def mag(self, a) -> float:
-        return float(self.mags[tuple(int(ai) % self.p for ai in a)])
+    def lookup(self, indices, power: int = 1) -> np.ndarray:
+        """|T(a)|^power at a = indices: d integer arrays broadcast together, as in numpy indexing.
+
+        For a_1 != 0, lambda = a_1^{-1} maps a to (1, lambda^2 a_2, ..., lambda^d a_d).
+        The power is taken on the 2 p^(d-1) stored entries, before they are gathered.
+        """
+        if len(indices) != self.d:
+            raise PreconditionError(f"need {self.d} index arrays, got {len(indices)}")
+        p = self.p
+        a1 = np.asarray(indices[0], dtype=np.int64) % p
+        lam = np.where(a1 == 0, 1, _inverse(a1, p))
+        index = [(a1 != 0).astype(np.intp)]
+        lam_j = lam
+        for aj in indices[1:]:
+            lam_j = lam_j * lam % p
+            index.append(np.asarray(aj, dtype=np.int64) % p * lam_j % p)
+        return (self.slices if power == 1 else self.slices**power)[tuple(index)]
+
+
+def _check_table_cap(d: int, p: int, cap: int) -> None:
+    """Refuse a table of more than cap stored entries, 2 p^(d-1)."""
+    if d - 1 >= cap.bit_length():  # p^(d-1) >= 2^(d-1) > cap; the power is never formed
+        raise ResourceLimitError(f"table of 2*{p}^{d - 1} entries exceeds the cap of {cap}; raise the cap")
+    _check_cap(2 * p ** (d - 1), cap)
 
 
 def build_table(d: int, p: int, cap: int = DEFAULT_CAP) -> CompleteSumTable:
-    """All p^d magnitudes via a d-dimensional inverse FFT of the fiber counts."""
+    """Both orbit slices via one (d-1)-dimensional inverse FFT each."""
     _require_prime(p)
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    _check_cap(p**d, cap)
-    counts = np.zeros((p,) * d)
-    n = np.arange(1, p + 1, dtype=np.int64)
-    coords = []
-    pw = np.ones(p, dtype=np.int64)
-    for _ in range(d):
-        pw = (pw * n) % p
-        coords.append(pw.copy())
-    np.add.at(counts, tuple(coords), 1.0)
-    # ifftn uses the e(+k/p) convention; the 1/p^d normalization is undone
-    mags = np.abs(np.fft.ifftn(counts) * float(p) ** d)
-    mags[(0,) * d] = float(p)  # T(0) = p exactly; drop the FFT noise there
-    return CompleteSumTable(d=d, p=p, mags=mags)
+    _check_table_cap(d, p, cap)
+    _check_cap(p, cap)  # the fiber pass holds p residues, more than the 2 entries at d = 1
+    n = np.arange(p, dtype=np.int64)
+    fiber = np.zeros(p, dtype=np.int64)  # row-major index of (n^2, ..., n^d)
+    pw = n
+    for _ in range(d - 1):
+        pw = pw * n % p
+        fiber = fiber * p + pw
+    size = p ** (d - 1)
+    ang = (2.0 * np.pi / p) * n
+    weights = np.stack([
+        np.bincount(fiber, minlength=size),
+        np.bincount(fiber, weights=np.cos(ang), minlength=size)
+        + 1j * np.bincount(fiber, weights=np.sin(ang), minlength=size),
+    ]).reshape((2,) + (p,) * (d - 1))
+    # ifftn uses the e(+k/p) convention; the 1/p^(d-1) normalization is undone
+    slices = np.abs(np.fft.ifftn(weights, axes=range(1, d)) * float(size))
+    slices[(0,) * d] = float(p)  # T(0) = p exactly; drop the FFT noise there
+    return CompleteSumTable(d=d, p=p, slices=slices)
+
+
+def _table_for(d: int, p: int, table: CompleteSumTable | None, cap: int) -> CompleteSumTable:
+    """``table`` if it is the (d, p) table, a fresh build if it is None."""
+    if table is None:
+        return build_table(d, p, cap=cap)
+    if (table.d, table.p) != (d, p):
+        raise PreconditionError("table does not match (d, p)")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +206,15 @@ class GaussReport:
 
 
 def gauss_magnitude_check(p: int, cap: int = DEFAULT_CAP) -> GaussReport:
-    """max over a in [0,p), b in [1,p) of ||T(a,b)| - sqrt(p)|, asserted <= 1e-9*sqrt(p)."""
+    """max over a in [0,p), b in [1,p) of ||T(a,b)| - sqrt(p)|, asserted <= 1e-9*sqrt(p).
+
+    Both orbit slices a = 0 and a = 1 are checked; every other a is an orbit image of a = 1.
+    """
     if p < 3:
         raise PreconditionError("the Gauss magnitude law needs p >= 3")
     _require_prime(p)
     table = build_table(2, p, cap=cap)
-    dev = float(np.abs(table.mags[:, 1:] - sqrt(p)).max())
+    dev = float(np.abs(table.slices[:, 1:] - sqrt(p)).max())  # a_1 = 0 and 1 stand for every a_1
     tol = 1e-9 * sqrt(p)
     if dev > tol:
         raise LemmaCheckFailureError(
@@ -265,15 +325,14 @@ def mordell_moment(
 ) -> float:
     """sum over a in F_p^d of |T(a)|^{2 nu}, optionally excluding a = 0.
 
-    The a = 0 term is removed exactly as p^{2 nu} (T(0) = p).
+    Orbit weights are exact: the a_1 = 0 slice counts once and the a_1 = 1
+    slice p - 1 times, once for each a_1 != 0.  The a = 0 term is removed
+    exactly as p^{2 nu} (T(0) = p).
     """
     if not 1 <= nu <= d:
         raise PreconditionError(f"need 1 <= nu <= d, got nu={nu}")
-    if table is None:
-        table = build_table(d, p, cap=cap)
-    elif (table.d, table.p) != (d, p):
-        raise PreconditionError("table does not match (d, p)")
-    total = float((table.mags ** (2 * nu)).sum())
+    s0, s1 = _table_for(d, p, table, cap).slices ** (2 * nu)
+    total = float(s0.sum()) + (p - 1) * float(s1.sum())
     if not include_zero:
         total -= float(p) ** (2 * nu)
     return total
@@ -313,10 +372,6 @@ class DiscreteBox:
         return all(0 in set(v.tolist()) for v in self.axis_values(p))
 
 
-def full_box(d: int, p: int) -> DiscreteBox:
-    return DiscreteBox(starts=(p - 1,) * d, side=p)  # values {0, ..., p-1} on each axis
-
-
 @dataclass(frozen=True)
 class BoxMomentReport:
     d: int
@@ -344,10 +399,8 @@ def box_moment(
         raise PreconditionError("box dimension must equal d")
     if not 1 <= nu <= d:
         raise PreconditionError(f"need 1 <= nu <= d, got nu={nu}")
-    if table is None:
-        table = build_table(d, p, cap=cap)
-    sub = table.mags[np.ix_(*box.axis_values(p))]
-    total = float((sub ** (2 * nu)).sum())
+    sub = _table_for(d, p, table, cap).lookup(np.ix_(*box.axis_values(p)), power=2 * nu)
+    total = float(sub.sum())
     if box.contains_zero(p):
         total -= float(p) ** (2 * nu)
     predicted = moment_main_term(d, nu) * float(box.side) ** d * float(p) ** nu
@@ -355,11 +408,12 @@ def box_moment(
 
 
 # ---------------------------------------------------------------------------
-# on-disk table cache: header {magic "WSLT", version u32, d u32, p u64},
-# then p^d little-endian float64 magnitudes in row-major order of a.
+# on-disk table cache: header {magic "WSLT", version u32, d u32, p u64}, then
+# the slices |T(0, b)| and |T(1, b)|, p^(d-1) little-endian float64 each in
+# row-major order of b.
 
 _MAGIC = b"WSLT"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sIIQ")
 
 
@@ -382,7 +436,7 @@ def save_table(table: CompleteSumTable, path: str | Path) -> Path:
     """
     path = Path(path)
     payload = _HEADER.pack(_MAGIC, _VERSION, table.d, table.p) + np.ascontiguousarray(
-        table.mags, dtype="<f8"
+        table.slices, dtype="<f8"
     ).tobytes()
     digest = hashlib.sha256(payload).hexdigest()
     _write_atomic(path.with_suffix(path.suffix + ".sha256"), (digest + "\n").encode())
@@ -391,26 +445,37 @@ def save_table(table: CompleteSumTable, path: str | Path) -> Path:
 
 
 def load_table(path: str | Path, cap: int = DEFAULT_CAP) -> CompleteSumTable:
-    """Load a cached table; it must match its .sha256 sidecar."""
+    """Load a cached table; it must match its .sha256 sidecar.
+
+    The header, the cap and the file length are checked before the body is
+    read, so a stale or oversized file is refused without reading it.
+    """
     path = Path(path)
-    payload = path.read_bytes()
+    with path.open("rb") as fh:
+        header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise ChecksumMismatchError(f"{path} is truncated")
+    magic, version, d, p = _HEADER.unpack(header)
+    if magic != _MAGIC or d < 1:
+        raise ChecksumMismatchError(f"{path} has an unknown header")
+    if version != _VERSION:
+        raise ChecksumMismatchError(
+            f"{path} has unknown table version {version}; delete the cache and rebuild"
+        )
+    _require_prime(p)
+    _check_table_cap(d, p, cap)
+    expected_len = _HEADER.size + 16 * p ** (d - 1)
+    size = path.stat().st_size
+    if size != expected_len:
+        raise ChecksumMismatchError(f"{path} has {size} bytes, expected {expected_len}")
     sidecar = path.with_suffix(path.suffix + ".sha256")
     if not sidecar.exists():
         raise ChecksumMismatchError(f"{path} has no .sha256 sidecar")
+    payload = path.read_bytes()
     if hashlib.sha256(payload).hexdigest() != sidecar.read_text().strip():
         raise ChecksumMismatchError(f"checksum mismatch for {path}")
-    if len(payload) < _HEADER.size:
-        raise ChecksumMismatchError(f"{path} is truncated")
-    magic, version, d, p = _HEADER.unpack_from(payload)
-    if magic != _MAGIC or version != _VERSION:
-        raise ChecksumMismatchError(f"{path} has an unknown header")
-    _require_prime(p)
-    _check_cap(p**d, cap)
-    expected_len = _HEADER.size + 8 * p**d
-    if len(payload) != expected_len:
-        raise ChecksumMismatchError(f"{path} has {len(payload)} bytes, expected {expected_len}")
-    mags = np.frombuffer(payload, dtype="<f8", offset=_HEADER.size).reshape((p,) * d).copy()
-    return CompleteSumTable(d=d, p=p, mags=mags)
+    slices = np.frombuffer(payload, dtype="<f8", offset=_HEADER.size)
+    return CompleteSumTable(d=d, p=p, slices=slices.reshape((2,) + (p,) * (d - 1)).copy())
 
 
 def table_cache_path(out_dir: str | Path, d: int, p: int) -> Path:

@@ -26,7 +26,8 @@ from .complete_sums import (
     DEFAULT_CAP,
     CompleteSumTable,
     DiscreteBox,
-    build_table,
+    _check_cap,
+    _table_for,
     complete_sum,
     is_prime,
 )
@@ -131,6 +132,25 @@ def threshold(p: int, gamma: float) -> float:
     return gamma * sqrt(p) * (1.0 - MEMBERSHIP_SLACK)
 
 
+def count_Lp(
+    d: int,
+    p: int,
+    gamma: float = 1.0,
+    table: CompleteSumTable | None = None,
+    cap: int = DEFAULT_CAP,
+) -> int:
+    """#L_p from the orbit slices, without listing a member.
+
+    For d >= 2, a_d != 0 is b_d != 0 in both slices (lambda^d a_d != 0); each
+    b of the a_1 = 1 slice stands for the p - 1 members with a_1 != 0 in its
+    orbit, each b of the a_1 = 0 slice for itself.
+    """
+    member = _table_for(d, p, table, cap).slices >= threshold(p, gamma)
+    if d == 1:  # a_d = a_1: only the a_1 = 1 orbit has a_d != 0
+        return (p - 1) * int(member[1])
+    return int(member[0, ..., 1:].sum()) + (p - 1) * int(member[1, ..., 1:].sum())
+
+
 def enumerate_Lp(
     d: int,
     p: int,
@@ -138,14 +158,27 @@ def enumerate_Lp(
     table: CompleteSumTable | None = None,
     cap: int = DEFAULT_CAP,
 ) -> LargeSumSet:
-    """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p), plus the achieved density."""
-    if table is None:
-        table = build_table(d, p, cap=cap)
-    members = np.argwhere(table.mags[..., 1:] >= threshold(p, gamma)).astype(np.int64, copy=False)
-    members[:, -1] += 1  # undo the a_d >= 1 slice offset
-    return LargeSumSet(
-        d=d, p=p, gamma=gamma, members=members, density=len(members) / p**d
-    )
+    """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p), plus the achieved density.
+
+    The rows are refused past ``cap`` members before any is listed.  They are
+    read through `lookup` a block of a_1 values at a time, about one CHUNK of
+    entries each, so only the member rows grow with p^d.
+    """
+    table = _table_for(d, p, table, cap)
+    count = count_Lp(d, p, gamma, table)
+    _check_cap(count, cap)
+    thr = threshold(p, gamma)
+    rest = [np.arange(p)] * (d - 1)
+    slab = p ** (d - 1)  # entries per a_1 value
+    step = max(1, CHUNK // slab)
+    flat = []  # row-major indices of the members in F_p^d
+    for lo in range(0, p, step):
+        f = np.flatnonzero(table.lookup(np.ix_(np.arange(lo, min(lo + step, p)), *rest)) >= thr)
+        f += lo * slab
+        flat.append(f[f % p != 0])  # a_d != 0
+    # laid out as np.argwhere lays out its rows
+    members = np.transpose(np.unravel_index(np.concatenate(flat), (p,) * d)).astype(np.int64, copy=False)
+    return LargeSumSet(d=d, p=p, gamma=gamma, members=members, density=count / p**d)
 
 
 def find_anchor(

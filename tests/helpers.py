@@ -4,7 +4,8 @@ Everything here recomputes results by a route different from the library:
 scalar big-integer phases and their exponential for the vectorized kernels,
 math.fsum over every term up to N for the sum evaluators, a
 one-point-per-call loop for the batched measure estimate, direct term-by-term
-summation for complete sums, and an O(N^2) sweep over the endpoint grid with
+summation for complete sums, the full p^d inverse FFT of the fiber counts
+of n -> (n, ..., n^d) for complete-sum tables, and an O(N^2) sweep over the endpoint grid with
 all four one-sided-limit combinations for the discrepancy.
 """
 
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from weylsums.complete_sums import DiscreteBox
 from weylsums.errors import PreconditionError
 from weylsums.phasecore import TURN, Phase, RationalPoint
 from weylsums.weyl_sums import weyl_sum
@@ -90,6 +92,27 @@ def direct_complete_sum(d, p, a):
             r = (r + aj * pow(n, j, p)) % p
         total += np.exp(2j * np.pi * r / p)
     return total
+
+
+def full_table(d, p):
+    """|T(a)| over all of F_p^d, shape (p,)*d: one d-dimensional inverse FFT of the fiber counts."""
+    counts = np.zeros((p,) * d)
+    n = np.arange(1, p + 1, dtype=np.int64)
+    coords = []
+    pw = np.ones(p, dtype=np.int64)
+    for _ in range(d):
+        pw = (pw * n) % p
+        coords.append(pw.copy())
+    np.add.at(counts, tuple(coords), 1.0)
+    # ifftn uses the e(+k/p) convention; the 1/p^d normalization is undone
+    mags = np.abs(np.fft.ifftn(counts) * float(p) ** d)
+    mags[(0,) * d] = float(p)  # T(0) = p exactly
+    return mags
+
+
+def full_box(d, p):
+    """The discrete box holding all of F_p^d: values {0, ..., p-1} on each axis."""
+    return DiscreteBox(starts=(p - 1,) * d, side=p)
 
 
 def disc_oracle_units(fracs, N):

@@ -1,11 +1,15 @@
 """Pattern geometry, schedules, dimension estimators and the certified construction."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from helpers import full_table
 from weylsums import cantor as ct
+from weylsums import complete_sums as cs
 from weylsums import large_values as lv
 from weylsums.errors import (
     InvalidPatternError,
@@ -190,6 +194,20 @@ def test_large_sum_cantor_k1_matches_box_density_search():
             lo = F(cell_idx, m) + F(3, 10 * m)
             hi = F(cell_idx, m) + F(7, 10 * m)
             assert lo <= F(coord, 31) < hi
+
+
+@pytest.mark.parametrize("p", [7, 31])
+@pytest.mark.parametrize("lo, hi", [
+    ((F(0), F(0), F(0)), (F(1), F(1), F(1))),  # the first large |T| in F_p^3 has a_3 = 0
+    ((F(1, 10), F(0), F(1, 5)), (F(1, 2), F(3, 10), F(7, 10))),
+    ((F(0), F(1, 3), F(0)), (F(1, 2), F(2, 3), F(1, 7))),
+])
+def test_first_witness_is_the_oracle_first_member(p, lo, hi):
+    mags = full_table(3, p)
+    thr = lv.threshold(p, 1.0)
+    axes = [range(math.ceil(l * p), math.ceil(h * p)) for l, h in zip(lo, hi)]
+    want = next((a for a in itertools.product(*axes) if a[-1] != 0 and mags[a] >= thr), None)
+    assert ct._first_witness(cs.build_table(3, p), thr, lo, hi) == want
 
 
 def test_large_sum_cantor_witness_not_found():

@@ -1,8 +1,10 @@
 """CLI wiring: artifacts, manifests, determinism and exit codes."""
 
 import csv
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -123,7 +125,8 @@ def test_version_flag():
 
 
 def test_exit_code_resource_limit(tmp_path):
-    assert _run(["moments", "--d", "3", "--p", "251", "--cap", "1000000",
+    # 2 * 709^2 = 1005362 stored entries against a cap of 10^6
+    assert _run(["moments", "--d", "3", "--p", "709", "--cap", "1000000",
                  "--out", str(tmp_path / "z")]) == 3
     # 101^3 terms against a cap of 1000
     assert _run(["monomial-check", "--d", "3", "--p", "101", "--cap", "1000",
@@ -154,6 +157,30 @@ def test_exit_code_corrupt_cache(tmp_path, capsys):
     table.with_suffix(".wslt.sha256").unlink()
     assert _run(argv) == 5
     assert "no .sha256 sidecar" in capsys.readouterr().err
+
+
+def test_exit_code_stale_table_version(tmp_path, capsys):
+    out = tmp_path / "v1"
+    argv = ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache", "--out", str(out)]
+    table = out / "cache" / "table_d2_p13.wslt"
+    table.parent.mkdir(parents=True)
+    raw = struct.pack("<4sIIQ", b"WSLT", 1, 2, 13) + b"\x00" * (8 * 13**2)
+    table.write_bytes(raw)
+    table.with_suffix(".wslt.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
+    capsys.readouterr()
+    assert _run(argv) == 5
+    assert capsys.readouterr().err.endswith("unknown table version 1; delete the cache and rebuild\n")
+
+
+def test_enumerate_lp_lists_rows_only_to_emit_them(tmp_path):
+    # (3, 31): a table of 1922 stored entries, 12710 members
+    out = tmp_path / "lp"
+    common = ["enumerate-lp", "--d", "3", "--p", "31", "--cap", "5000", "--out", str(out)]
+    assert _run([*common, "--emit-limit", "10"]) == 0
+    rep = json.loads((out / "enumerate_lp.json").read_text())
+    assert rep["count"] == 12710 and rep["members"] is None
+    assert _run([*common, "--emit-limit", "20000"]) == 3
+    assert _run(["box-density", "--d", "3", "--p", "31", "--cap", "5000", "--out", str(out)]) == 3
 
 
 @pytest.mark.parametrize("module", ["weylsums", "weylsums.cli"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import tracemalloc
 from math import sqrt
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import direct_complete_sum
+from helpers import direct_complete_sum, full_box, full_table
 from weylsums import complete_sums as cs
 from weylsums.errors import (
     BinomialVanishingError,
@@ -62,14 +63,14 @@ def test_is_prime():
 def test_table_matches_direct_sums():
     table = cs.build_table(2, 7)
     for a in [(0, 0), (1, 0), (3, 5), (6, 6), (2, 1)]:
-        assert abs(table.mag(a) - abs(direct_complete_sum(2, 7, a))) < 1e-9
+        assert abs(float(table.lookup(a)) - abs(direct_complete_sum(2, 7, a))) < 1e-9
     t3 = cs.build_table(3, 5)
     for a in [(0, 0, 0), (3, 3, 1), (1, 2, 3), (4, 0, 2)]:
-        assert abs(t3.mag(a) - abs(direct_complete_sum(3, 5, a))) < 1e-9
+        assert abs(float(t3.lookup(a)) - abs(direct_complete_sum(3, 5, a))) < 1e-9
 
 
 def test_table_zero_entry_exact():
-    assert cs.build_table(2, 11).mag((0, 0)) == 11.0
+    assert float(cs.build_table(2, 11).lookup((0, 0))) == 11.0
 
 
 def test_gauss_magnitude_check():
@@ -157,18 +158,22 @@ def test_degree2_fourth_moment_closed_form():
 def test_weil_layer_bound_in_tables():
     for d, p in [(2, 13), (3, 11)]:
         table = cs.build_table(d, p)
-        top = table.mags[..., 1:]  # the a_d != 0 layers
+        top = table.lookup(np.ix_(*[np.arange(p)] * (d - 1), np.arange(1, p)))  # the a_d != 0 layers
         assert top.size == p ** (d - 1) * (p - 1)
         assert float(top.max()) <= (d - 1) * sqrt(p) + 1e-9
 
 
 def test_orbit_invariance_exhaustive():
     for d, p in [(2, 5), (2, 13), (3, 11), (3, 13)]:
+        # the invariance the orbit slices rest on, in the full-table oracle,
+        # and lookup agreeing with it on every orbit image
+        mags = full_table(d, p)
         table = cs.build_table(d, p)
         grids = np.meshgrid(*[np.arange(p)] * d, indexing="ij")
         for lam in range(2, p):
             permuted = tuple((grids[j] * pow(lam, j + 1, p)) % p for j in range(d))
-            assert np.abs(table.mags[permuted] - table.mags).max() <= 1e-9 * p
+            assert np.abs(mags[permuted] - mags).max() <= 1e-9 * p
+            assert np.abs(table.lookup(permuted) - mags).max() <= 1e-9 * p
 
 
 def test_orbit_partition_sizes_divide_p_minus_1():
@@ -185,7 +190,7 @@ def test_orbit_partition_sizes_divide_p_minus_1():
 
 def test_box_moment_full_cube_consistency():
     table = cs.build_table(2, 5)
-    rep = cs.box_moment(2, 5, 1, cs.full_box(2, 5), table=table)
+    rep = cs.box_moment(2, 5, 1, full_box(2, 5), table=table)
     excl = cs.mordell_moment(2, 5, 1, include_zero=False, table=table)
     assert abs(rep.value - excl) < 1e-9
     assert abs(rep.value - 100.0) < 1e-6 * 100  # p^3 - p^2
@@ -195,7 +200,7 @@ def test_box_moment_single_vector():
     table = cs.build_table(2, 7)
     a = (3, 4)
     rep = cs.box_moment(2, 7, 2, cs.DiscreteBox(starts=(a[0] - 1, a[1] - 1), side=1), table=table)
-    assert abs(rep.value - table.mag(a) ** 4) < 1e-9
+    assert abs(rep.value - float(table.lookup(a)) ** 4) < 1e-9
 
 
 def test_box_moment_wraparound():
@@ -205,7 +210,7 @@ def test_box_moment_wraparound():
     for a1 in (6, 0, 1):
         for a2 in (0, 1, 2):
             if (a1, a2) != (0, 0):
-                sub += table.mag((a1, a2)) ** 2
+                sub += float(table.lookup((a1, a2))) ** 2
     rep = cs.box_moment(2, 7, 1, box, table=table)
     assert abs(rep.value - sub) < 1e-9
 
@@ -231,6 +236,60 @@ def test_resource_cap():
         cs.build_table(2, 101, cap=100)
     table = cs.build_table(2, 101, cap=101**2)
     assert table.p == 101
+    # the cap counts the 2 p^(d-1) stored entries
+    with pytest.raises(ResourceLimitError):
+        cs.build_table(3, 101, cap=2 * 101**2 - 1)
+    assert cs.build_table(3, 101, cap=2 * 101**2).slices.size == 2 * 101**2
+    with pytest.raises(ResourceLimitError):
+        cs.build_table(1, 101, cap=100)  # the fiber pass holds p residues
+    with pytest.raises(ResourceLimitError):
+        cs.build_table(10**9, 3)  # refused before 3^(10^9 - 1) is formed
+
+
+LOOKUP_CASES = [(1, 5), (2, 2), (2, 3), (2, 101), (3, 31), (4, 11)]
+
+
+@pytest.mark.parametrize("d, p", LOOKUP_CASES)
+def test_lookup_matches_full_table_oracle(d, p):
+    # d = 1 has 0-dimensional slices; p = 2 makes every a_1 != 0 equal to 1
+    mags = full_table(d, p)
+    table = cs.build_table(d, p)
+    assert table.slices.shape == (2,) + (p,) * (d - 1)
+    assert np.abs(table.lookup(np.ix_(*[np.arange(p)] * d)) - mags).max() <= 1e-12 * p
+    # lookup reduces its indices mod p and broadcasts them like numpy indexing
+    rows = np.random.default_rng(p).integers(-3 * p, 3 * p, size=(50, d))
+    assert np.abs(table.lookup(tuple(rows.T)) - mags[tuple((rows % p).T)]).max() <= 1e-12 * p
+
+
+@pytest.mark.parametrize("d, p", LOOKUP_CASES)
+def test_mordell_orbit_weights_match_full_table(d, p):
+    mags = full_table(d, p)
+    table = cs.build_table(d, p)
+    for nu in range(1, d + 1):
+        full = float((mags ** (2 * nu)).sum())
+        assert abs(cs.mordell_moment(d, p, nu, table=table) - full) <= 1e-12 * full
+        excl = cs.mordell_moment(d, p, nu, include_zero=False, table=table)
+        assert abs(excl - (full - float(p) ** (2 * nu))) <= 1e-12 * full
+
+
+def test_lookup_wrong_arity():
+    with pytest.raises(PreconditionError):
+        cs.build_table(2, 5).lookup((1, 2, 3))
+
+
+@pytest.mark.parametrize("d, p", [(2, 101), (3, 31), (4, 11)])
+def test_saved_table_lookup_matches_direct_sums(d, p, tmp_path):
+    # the cached slices against the independent route: direct summation per a
+    path = cs.save_table(cs.build_table(d, p), tmp_path / f"table_d{d}_p{p}.wslt")
+    table = cs.load_table(path)
+    assert (table.d, table.p) == (d, p)
+    rng = np.random.default_rng(31 * p + d)
+    rows = rng.integers(0, p, size=(24, d))
+    rows[:8, 0] = 0  # the a_1 = 0 slice
+    rows[8:, 0] = rng.integers(1, p, size=16)  # orbit images of the a_1 = 1 slice
+    got = table.lookup(tuple(rows.T))
+    direct = np.array([abs(cs.complete_sum(d, p, a)) for a in rows])
+    assert np.abs(got - direct).max() <= 1e-10 * p
 
 
 def test_cache_round_trip(tmp_path):
@@ -238,7 +297,7 @@ def test_cache_round_trip(tmp_path):
     path = cs.save_table(table, tmp_path / "t.wslt")
     loaded = cs.load_table(path)
     assert loaded.d == 2 and loaded.p == 7
-    assert np.array_equal(loaded.mags, table.mags)  # bit-exact
+    assert np.array_equal(loaded.slices, table.slices)  # bit-exact
 
 
 def test_cache_checksum_mismatch(tmp_path):
@@ -303,8 +362,49 @@ def test_cache_header_validation(tmp_path):
         cs.load_table(p)
 
 
+def _write_with_sidecar(path, raw):
+    path.write_bytes(raw)
+    path.with_suffix(".wslt.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
+
+
+def _forbid_body_read(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{self} was read whole")
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+
+
+def test_cache_version_1_refused(tmp_path, monkeypatch):
+    # a p^d table from the earlier format, with a valid sidecar
+    path = tmp_path / "v1.wslt"
+    _write_with_sidecar(path, struct.pack("<4sIIQ", b"WSLT", 1, 2, 5) + full_table(2, 5).astype("<f8").tobytes())
+    _forbid_body_read(monkeypatch)
+    with pytest.raises(ChecksumMismatchError, match="unknown table version 1; delete the cache and rebuild"):
+        cs.load_table(path)
+
+
+def test_cache_huge_claimed_p_refused_before_reading(tmp_path, monkeypatch):
+    path = tmp_path / "huge.wslt"
+    _write_with_sidecar(path, struct.pack("<4sIIQ", b"WSLT", 2, 3, 2**61 - 1) + b"\x00" * 64)
+    _forbid_body_read(monkeypatch)
+    with pytest.raises(ResourceLimitError):
+        cs.load_table(path)
+    path.write_bytes(struct.pack("<4sIIQ", b"WSLT", 2, 2**31, 3))  # d far past any cap
+    with pytest.raises(ResourceLimitError):
+        cs.load_table(path)
+
+
+def test_cache_wrong_body_length_refused(tmp_path, monkeypatch):
+    path = cs.save_table(cs.build_table(3, 7), tmp_path / "t.wslt")
+    # 20 header bytes + 2 * 7^2 float64 = 804; a matching sidecar, so the length is what fails
+    _write_with_sidecar(path, path.read_bytes()[:-8])
+    _forbid_body_read(monkeypatch)
+    with pytest.raises(ChecksumMismatchError, match="has 796 bytes, expected 804"):
+        cs.load_table(path)
+
+
 def test_cached_table_hits_disk(tmp_path):
     t1 = cs.cached_table(2, 7, cache_dir=tmp_path)
     assert cs.table_cache_path(tmp_path, 2, 7).exists()
     t2 = cs.cached_table(2, 7, cache_dir=tmp_path)
-    assert np.array_equal(t1.mags, t2.mags)
+    assert np.array_equal(t1.slices, t2.slices)

@@ -7,7 +7,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from helpers import direct_complete_sum, measure_estimate_loop
+from helpers import direct_complete_sum, full_box, full_table, measure_estimate_loop
 from weylsums import complete_sums as cs
 from weylsums import large_values as lv
 from weylsums import phasecore
@@ -17,6 +17,7 @@ from weylsums.errors import (
     LemmaCheckFailureError,
     PreconditionError,
     PrimeTooSmallError,
+    ResourceLimitError,
     UndefinedForDegreeError,
 )
 from weylsums.phasecore import phase_from_rational
@@ -74,6 +75,27 @@ def test_enumerate_lp_possibly_empty_at_large_gamma():
     assert lp.density == 0.0
 
 
+@pytest.mark.parametrize("d, p", [(1, 5), (2, 2), (2, 13), (3, 11), (3, 31), (4, 11)])
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+def test_enumerate_lp_rows_and_orbit_count_match_full_table(d, p, gamma):
+    # the rows the p^d table gave: argwhere over its a_d >= 1 layers, in lexicographic order
+    mags = full_table(d, p)
+    want = np.argwhere(mags[..., 1:] >= lv.threshold(p, gamma))
+    want[:, -1] += 1
+    lp = lv.enumerate_Lp(d, p, gamma=gamma)
+    assert lp.members.dtype == np.int64 and np.array_equal(lp.members, want)
+    assert lv.count_Lp(d, p, gamma=gamma) == len(want)
+    assert lp.density == len(want) / p**d
+
+
+def test_enumerate_lp_rows_refused_past_cap():
+    # (3, 31): 2 * 31^2 = 1922 stored entries, 12710 members
+    assert lv.count_Lp(3, 31, cap=5000) == 12710
+    with pytest.raises(ResourceLimitError):
+        lv.enumerate_Lp(3, 31, cap=5000)
+    assert len(lv.enumerate_Lp(3, 31, cap=12710).members) == 12710
+
+
 def test_find_anchor_seeded():
     a = lv.find_anchor(3, 4099, seed=12345)
     assert a[-1] != 0
@@ -83,7 +105,7 @@ def test_find_anchor_seeded():
 
 def test_orbit_in_box_full_cube():
     p = 13
-    rep = lv.orbit_in_box_count((1, 1), p, cs.full_box(2, p))
+    rep = lv.orbit_in_box_count((1, 1), p, full_box(2, p))
     assert rep.count == p - 1
 
 
@@ -127,7 +149,7 @@ def test_orbit_counts_partition_to_p_minus_1():
 
 def test_box_density_check_full_cube():
     lp = lv.enumerate_Lp(3, 31, gamma=1.0)
-    w = lv.box_density_check(lp, cs.full_box(3, 31))
+    w = lv.box_density_check(lp, full_box(3, 31))
     assert w is not None and w in set(map(tuple, lp.members.tolist()))
     assert w == tuple(lp.members[0])  # lexicographically first member
 
