@@ -63,12 +63,6 @@ class Box:
             for c, oc in zip(self.corner, other.corner)
         )
 
-    def disjoint_from(self, other: "Box") -> bool:
-        return any(
-            c + self.side <= oc or oc + other.side <= c
-            for c, oc in zip(self.corner, other.corner)
-        )
-
 
 def unit_box(d: int) -> Box:
     return Box(corner=(Fraction(0),) * d, side=Fraction(1))
@@ -234,19 +228,6 @@ def build_cantor(
         if len(boxes) != expected:
             raise InvalidScheduleError("cardinality audit failed")
     return BoxCollection(depth=depth, boxes=tuple(boxes))
-
-
-def audit_nesting(parent: BoxCollection, child: BoxCollection) -> bool:
-    """Each child box inside exactly one parent box; children pairwise disjoint."""
-    for cb in child.boxes:
-        owners = sum(1 for pb in parent.boxes if pb.contains_box(cb))
-        if owners != 1:
-            return False
-    for i, a in enumerate(child.boxes):
-        for b in child.boxes[i + 1 :]:
-            if not a.disjoint_from(b):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

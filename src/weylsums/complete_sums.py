@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .phasecore import residue_array
+from .phasecore import _power, residue_array
 from .weyl_sums import _chunks
 
 DEFAULT_CAP = 10**7
@@ -89,10 +89,13 @@ def _unit_root_sum(a, q: int, exponents) -> complex:
     """
     parts = []
     for lo, hi in _chunks(q):
-        # r stays bound until the next chunk's is made; freed any earlier, the
-        # pages go back to the OS and fault in again (~35x the page faults)
+        # r stays bound until the next chunk's is made, and the exponential is
+        # taken in place: with more large temporaries freed per chunk, their
+        # pages go back to the OS and fault in again (up to ~20x the faults)
         r = residue_array(a, q, exponents, lo, hi)
-        parts.append(np.exp((2j * np.pi / q) * r).sum())
+        z = (2j * np.pi / q) * r
+        np.exp(z, out=z)
+        parts.append(z.sum())
     # start from the first part, not 0j, so a one-chunk sum keeps its exact bits
     return complex(sum(parts[1:], parts[0]))
 
@@ -109,15 +112,11 @@ def complete_sum(d: int, p: int, a) -> complex:
 
 
 def _inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise: the inverse of every nonzero x in F_p (int64, p < 2^31)."""
-    out = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * x % p
-        x = x * x % p
-        e >>= 1
-    return out
+    """The inverse of every nonzero x in F_p elementwise (int64, p < 2^31).
+
+    x^(p-2) by Fermat; F_2 has exponent 0, and there x^1 = 1 is the same inverse.
+    """
+    return _power(x, max(p - 2, 1), lambda u, v: u * v % p)
 
 
 @dataclass(frozen=True)
@@ -224,7 +223,9 @@ def gauss_magnitude_check(p: int, cap: int = DEFAULT_CAP) -> GaussReport:
 
 
 def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> complex:
-    """sum_{n=1}^{p^d} e(a n^d / p^d); equals p^{d-1} for gcd(a, p) = 1."""
+    """sum_{n=1}^{p^d} e(a n^d / p^d); equals p^{d-1} for gcd(a, p) = 1 and d >= 2."""
+    if d < 2:
+        raise PreconditionError("monomial sums are for d >= 2")
     _require_prime(p)
     if gcd(a, p) != 1:
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")

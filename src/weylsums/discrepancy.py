@@ -49,10 +49,6 @@ class PointSet1D:
     def values(self) -> list[float]:
         return [f / TURN for f in self.fracs]
 
-    @classmethod
-    def from_floats(cls, xs: Sequence[float]) -> "PointSet1D":
-        return cls(fracs=tuple(sorted(round((x % 1.0) * TURN) % TURN for x in xs)))
-
 
 def poly_sequence(x, N: int, m: Sequence[int] | None = None) -> PointSet1D:
     """Fractional parts of the polynomial phase at n = 1..N, sorted."""

@@ -6,6 +6,10 @@ integer wrap mod 2^64 and are therefore exact mod 1, which keeps polynomial
 phase evaluation free of the N^d rounding growth that floating-point radians
 would suffer.  A separate residue path (`RationalPoint`) evaluates phases of
 the form a/q with zero quantization error.
+
+Both kernels evaluate the polynomial by one Horner scheme (`_horner`, over
+`_power` for the exponent gaps) in their own ring: uint64 products wrapping
+mod 2^64 for `frac_array`, int64 products reduced mod q for `residue_array`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .errors import InvalidDenominatorError
 TURN_BITS = 64
 TURN = 1 << TURN_BITS
 _MASK = TURN - 1
-_INV_TURN = 2.0 ** -64
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,17 +44,6 @@ class Phase:
     def __sub__(self, other: "Phase") -> "Phase":
         return Phase((self.frac - other.frac) & _MASK)
 
-    def times(self, n: int) -> "Phase":
-        """Integer multiple n*self, exact mod 1."""
-        return Phase((self.frac * (n % TURN)) & _MASK)
-
-    def to_float(self) -> float:
-        """Value in [0, 1); loses bits below 2^-53."""
-        return self.frac * _INV_TURN
-
-
-ZERO_PHASE = Phase(0)
-
 
 def phase_from_rational(a: int, q: int) -> Phase:
     """Nearest representable phase to (a mod q)/q; error <= 2^-65 of a turn."""
@@ -60,11 +52,6 @@ def phase_from_rational(a: int, q: int) -> Phase:
     am = a % q
     # round-to-nearest of am * 2^64 / q (ties away from zero)
     return Phase(((am << (TURN_BITS + 1)) + q) // (2 * q))
-
-
-def phase_from_float(x: float) -> Phase:
-    """Quantize a real number mod 1 to the 2^-64 grid."""
-    return Phase(round((x % 1.0) * TURN))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,12 +70,40 @@ class RationalPoint:
     def dim(self) -> int:
         return len(self.a)
 
-    def to_phases(self) -> tuple[Phase, ...]:
-        return tuple(phase_from_rational(ai, self.q) for ai in self.a)
-
 
 # ---------------------------------------------------------------------------
 # vectorized kernels shared by the sum evaluators
+
+
+def _power(base, e: int, mul):
+    """base^e for e >= 1 by square-and-multiply in the ring of the product mul.
+
+    Returns base itself for e = 1 and does no square past the top bit.
+    """
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = mul(base, base)
+
+
+def _horner(coeffs, exponents, n, mul):
+    """c_1 n^{m_1} + ... + c_d n^{m_d} = n^{m_1} (c_1 + n^{m_2-m_1} (c_2 + ...)) in the ring of mul.
+
+    The exponents strictly increase from m_1 >= 1, and each gap costs one
+    `_power` and one product, so exponents 1..d take d products and d-1 adds.
+    The adds are plain; mul reduces into the ring.
+    """
+    if len(coeffs) != len(exponents):
+        raise ValueError("need one exponent per coefficient")
+    t = coeffs[-1]
+    for j in range(len(coeffs) - 1, 0, -1):
+        t = mul(t, _power(n, exponents[j] - exponents[j - 1], mul))
+        t += coeffs[j - 1]
+    return mul(t, _power(n, exponents[0], mul))
 
 
 def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int) -> np.ndarray:
@@ -97,42 +112,28 @@ def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int) ->
     Each coefficient is an int, or a (B,) uint64 array for B points at once,
     which gives (B, hi-lo) words; the powers of n are shared by all rows.
     """
-    n = np.arange(lo, hi, dtype=np.uint64)
-    total = np.zeros(hi - lo, dtype=np.uint64)
-    for xf, m in zip(x_fracs, exponents, strict=True):
-        pw = np.ones(hi - lo, dtype=np.uint64)
-        base = n.copy()
-        e = int(m)
-        while e:  # power by squaring, each product wraps mod 2^64
-            if e & 1:
-                pw = pw * base
-            base = base * base
-            e >>= 1
-        total = total + np.asarray(xf & _MASK, dtype=np.uint64)[..., None] * pw
-    return total
+    coeffs = [np.asarray(xf & _MASK, dtype=np.uint64)[..., None] for xf in x_fracs]
+    return _horner(coeffs, exponents, np.arange(lo, hi, dtype=np.uint64), np.multiply)
 
 
 def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, hi: int) -> np.ndarray:
     """Residues of a_1 n^{m_1} + ... + a_d n^{m_d} mod q at n = lo..hi-1, exactly.
 
-    Requires q <= ~3e9 so that all int64 intermediates stay in range.
+    Requires q^2 < 2^62 (q < 2^31), which keeps every int64 intermediate in
+    range: each product takes factors below q, or a Horner sum t + c < 2q
+    times a power below q, and 2q * q < 2^63.
     """
     if q * q >= 2**62:
         raise ValueError("modulus too large for the int64 residue path")
-    n = np.arange(lo, hi, dtype=np.int64) % q
-    total = np.zeros(hi - lo, dtype=np.int64)
-    for aj, m in zip(a, exponents, strict=True):
-        pw = np.ones(hi - lo, dtype=np.int64)
-        base = n
-        e = int(m)
-        while e:
-            if e & 1:
-                pw = (pw * base) % q
-            e >>= 1
-            if e:  # no square is needed past the top bit
-                base = (base * base) % q
-        total = (total + (aj % q) * pw) % q
-    return total
+
+    def mul(u, v):
+        r = u * v
+        r %= q
+        return r
+
+    n = np.arange(lo, hi, dtype=np.int64)
+    n %= q  # in place, as in mul: each large temporary freed per chunk costs page faults
+    return _horner([aj % q for aj in a], exponents, n, mul)
 
 
 def unit_terms(phases01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -283,33 +283,6 @@ def dyadic_grid(n_max: int, start_exp: int = 4) -> tuple[int, ...]:
 # Menshov-Rademacher diagnostics
 
 
-def mr_partial_series(x, K: int, gamma: float, m: Sequence[int] | None = None) -> np.ndarray:
-    """|s(x; k)| for k = 1..K, s being the n^{-1/2} (log+ n)^{-gamma} weighted series.
-
-    log+ n = max(1, log n).  Almost-everywhere boundedness of these partials
-    is what drives the N^{1/2} (log N)^{3/2+o(1)} bound, so the whole prefix
-    profile is returned for inspection.
-    """
-    if gamma <= 1.5:
-        raise PreconditionError("need gamma > 3/2")
-    if K < 1:
-        raise PreconditionError("K must be >= 1")
-    gen, _ = _point_spec(x, m)
-    out = np.empty(K)
-    run_re, run_im = 0.0, 0.0
-    pos = 0
-    for lo, hi in _chunks(K):
-        c, s = gen(lo, hi)
-        n = np.arange(lo, hi, dtype=np.float64)
-        w = n**-0.5 * np.maximum(1.0, np.log(n)) ** -gamma
-        cre = np.cumsum(w * c) + run_re
-        cim = np.cumsum(w * s) + run_im
-        out[pos : pos + (hi - lo)] = np.hypot(cre, cim)
-        run_re, run_im = float(cre[-1]), float(cim[-1])
-        pos += hi - lo
-    return out
-
-
 @dataclass(frozen=True)
 class MrScanReport:
     checkpoints: tuple[int, ...]

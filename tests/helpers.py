@@ -15,11 +15,37 @@ import math
 import numpy as np
 
 from weylsums.complete_sums import DiscreteBox
+from weylsums.discrepancy import PointSet1D
 from weylsums.errors import PreconditionError
-from weylsums.phasecore import TURN, Phase, RationalPoint
+from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
 from weylsums.weyl_sums import weyl_sum
 
 TWO64 = 1 << 64
+
+
+def phase_from_float(x):
+    """Quantize a real number mod 1 to the 2^-64 grid."""
+    return Phase(round((x % 1.0) * TURN))
+
+
+def phase_to_float(t):
+    """Value of a Phase in [0, 1); loses bits below 2^-53."""
+    return t.frac * 2.0**-64
+
+
+def phase_times(t, n):
+    """Integer multiple n*t of a Phase, exact mod 1."""
+    return Phase(t.frac * (n % TURN))
+
+
+def rational_phases(rp):
+    """The nearest grid phase of each coordinate of a RationalPoint."""
+    return tuple(phase_from_rational(ai, rp.q) for ai in rp.a)
+
+
+def pointset_from_floats(xs):
+    """PointSet1D of real numbers, each quantized mod 1 to the 2^-64 grid."""
+    return PointSet1D(fracs=tuple(sorted(round((x % 1.0) * TURN) % TURN for x in xs)))
 
 
 def poly_phase(x, n, exponents=None):
@@ -41,7 +67,7 @@ def poly_phase(x, n, exponents=None):
 
 def e_eval(t):
     """exp(2*pi*i*t) for a Phase, principal value; modulus within 1e-12 of 1."""
-    ang = 2.0 * math.pi * t.to_float()
+    ang = 2.0 * math.pi * phase_to_float(t)
     return complex(math.cos(ang), math.sin(ang))
 
 
@@ -149,4 +175,25 @@ def lsq_slope(xs, ys):
     ybar = sum(ys) / len(ys)
     return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
         (x - xbar) ** 2 for x in xs
+    )
+
+
+def audit_nesting(parent, child):
+    """Each box of a child BoxCollection inside exactly one parent box; children pairwise disjoint."""
+    for cb in child.boxes:
+        owners = sum(1 for pb in parent.boxes if pb.contains_box(cb))
+        if owners != 1:
+            return False
+    for i, a in enumerate(child.boxes):
+        for b in child.boxes[i + 1 :]:
+            if not boxes_disjoint(a, b):
+                return False
+    return True
+
+
+def boxes_disjoint(a, b):
+    """Two half-open cantor Boxes share no point: they are apart along some axis."""
+    return any(
+        c + a.side <= oc or oc + b.side <= c
+        for c, oc in zip(a.corner, b.corner)
     )

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import full_table
+from helpers import audit_nesting, full_table
 from weylsums import cantor as ct
 from weylsums import complete_sums as cs
 from weylsums import large_values as lv
@@ -89,7 +89,7 @@ def test_nesting_and_disjointness_audit():
     sched = ct.geometric_schedule(2, [(2, F(1, 4))] * 3)
     prev = ct.build_cantor(sched, 2)
     curr = ct.build_cantor(sched, 3)
-    assert ct.audit_nesting(prev, curr)
+    assert audit_nesting(prev, curr)
 
 
 def test_natural_weight_sums_to_one():
@@ -177,7 +177,7 @@ def test_large_sum_cantor_acceptance_shape():
 def test_large_sum_cantor_boxes_nest():
     res1 = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)
     res2 = ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2)
-    assert ct.audit_nesting(res1.collection, res2.collection)
+    assert audit_nesting(res1.collection, res2.collection)
 
 
 def test_large_sum_cantor_k1_matches_box_density_search():

@@ -80,6 +80,9 @@ def test_exit_code_invalid_config(tmp_path):
     assert _run(["cantor-dim", "--shrink", "0", "--out", str(tmp_path / "c")]) == 2
     assert _run(["cantor-dim", "--cells", "0", "--out", str(tmp_path / "c")]) == 2
     assert _run(["pattern-demo", "--cells", "0", "--out", str(tmp_path / "c")]) == 2
+    # monomial sums are for d >= 2: a lower degree is a bad configuration, not a failed lemma
+    for d in ("1", "0", "-1"):
+        assert _run(["monomial-check", "--d", d, "--p", "5", "--out", str(tmp_path / "m")]) == 2
     # box-moments refuses a count below 1 before it builds or caches the table
     for count in ("0", "-3"):
         out = tmp_path / f"bm{count}"

@@ -87,6 +87,9 @@ def test_monomial_complete_sum():
     assert abs(cs.monomial_complete_sum(3, 43, 5) - 43**2) < 1e-9 * 43**2  # two chunks
     with pytest.raises(InvalidNumeratorError):
         cs.monomial_complete_sum(2, 3, 3)
+    for d in (1, 0, -1):
+        with pytest.raises(PreconditionError):
+            cs.monomial_complete_sum(d, 5, 1)
 
 
 def test_weil_check():

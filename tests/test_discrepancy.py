@@ -6,11 +6,11 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from helpers import disc_oracle_units
+from helpers import disc_oracle_units, phase_from_float, pointset_from_floats
 from weylsums import discrepancy as dc
 from weylsums import weyl_sums as ws
 from weylsums.errors import PreconditionError
-from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_float, phase_from_rational
+from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
 
 
 def _pset(fracs):
@@ -162,7 +162,7 @@ def test_pointset_validation():
 
 
 def test_pointset_from_floats_quantizes():
-    s = dc.PointSet1D.from_floats([0.5, 0.25, 1.25])
+    s = pointset_from_floats([0.5, 0.25, 1.25])
     assert s.fracs == (TURN // 4, TURN // 4, TURN // 2)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import e_eval, poly_phase
+from helpers import e_eval, phase_times, poly_phase, rational_phases
 from weylsums.errors import InvalidDenominatorError
 from weylsums.phasecore import (
     TURN,
@@ -113,16 +113,36 @@ def test_e_eval_is_homomorphism():
 
 def test_frac_array_matches_scalar_poly_phase():
     rng = random.Random(7)
-    fr = [rng.randrange(TURN) for _ in range(3)]
-    arr = frac_array(fr, (1, 2, 3), 1, 50)
-    for i, n in enumerate(range(1, 50)):
-        assert int(arr[i]) == poly_phase([Phase(f) for f in fr], n).frac
+    for exponents in [(1, 2, 3), (3,), (2, 5), (1, 7), (1, 2, 3, 4)]:
+        x = [Phase(rng.randrange(TURN)) for _ in exponents]
+        for lo in (1, rng.randrange(1, 2**40)):  # large n: every power wraps mod 2^64
+            arr = frac_array([xj.frac for xj in x], exponents, lo, lo + 49)
+            assert [int(v) for v in arr] == [poly_phase(x, n, exponents).frac for n in range(lo, lo + 49)]
+    # a (B, d) batch: one row of words per point, sharing the powers of n
+    words = np.random.default_rng(8).integers(0, TURN, size=(4, 3), dtype=np.uint64)
+    arr = frac_array(list(words.T), (1, 2, 3), 1000, 1040)
+    assert arr.shape == (4, 40)
+    for b, row in enumerate(words):
+        x = [Phase(int(w)) for w in row]
+        assert [int(v) for v in arr[b]] == [poly_phase(x, n).frac for n in range(1000, 1040)]
+
+
+def test_residue_array_matches_pow_at_the_largest_modulus():
+    # q = 2^31 - 1 is the largest q with q^2 < 2^62: there the Horner sums
+    # t + c < 2q times a power below q come within a factor 2 of 2^63
+    q = 2**31 - 1
+    for exponents in [(1, 2, 3), (3,), (2, 5), (1, 7)]:
+        a = [q - 1] * len(exponents)  # the largest residues
+        for lo in (1, q - 20, 3 * q + 5):  # n runs past q and wraps
+            got = residue_array(a, q, exponents, lo, lo + 40)
+            expect = [sum(aj * pow(n, m, q) for aj, m in zip(a, exponents)) % q for n in range(lo, lo + 40)]
+            assert got.tolist() == expect
 
 
 def test_rational_point_normalizes():
     rp = RationalPoint(a=(7, -1), q=5)
     assert rp.a == (2, 4)
-    assert [ph.frac for ph in rp.to_phases()] == [
+    assert [ph.frac for ph in rational_phases(rp)] == [
         phase_from_rational(2, 5).frac,
         phase_from_rational(4, 5).frac,
     ]
@@ -132,10 +152,17 @@ def test_phase_algebra_wraps():
     p = Phase(TURN - 1) + Phase(2)
     assert p.frac == 1
     assert (Phase(1) - Phase(2)).frac == TURN - 1
-    assert Phase(1 << 62).times(4) == Phase(0)
+    assert phase_times(Phase(1 << 62), 4) == Phase(0)
     assert cmath.isclose(abs(e_eval(Phase(123456789))), 1.0, rel_tol=1e-12)
 
 
 def test_residue_array_rejects_big_modulus():
     with pytest.raises(ValueError):
         residue_array((1,), 2**32, (1,), 1, 4)
+
+
+def test_kernels_reject_mismatched_exponents():
+    with pytest.raises(ValueError):
+        frac_array([1], (1, 2), 1, 4)
+    with pytest.raises(ValueError):
+        residue_array((1, 1), 7, (1,), 1, 4)

@@ -7,12 +7,12 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
-from helpers import canonical_sums, direct_complete_sum
+from helpers import canonical_sums, direct_complete_sum, phase_from_float, rational_phases
 from weylsums import complete_sums as cs
 from weylsums import discrepancy as dc
 from weylsums import weyl_sums as ws
 from weylsums.errors import PreconditionError
-from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_float, phase_from_rational
+from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
 from weylsums.large_values import radius_units
 
 
@@ -41,7 +41,7 @@ def test_weyl_sum_rational_gauss_multiple_period():
 def test_weyl_sum_phase_vs_rational_paths_agree():
     rp = RationalPoint(a=(3, 5), q=7)
     v1 = ws.weyl_sum(rp, 35)
-    v2 = ws.weyl_sum(rp.to_phases(), 35)
+    v2 = ws.weyl_sum(rational_phases(rp), 35)
     assert abs(v1 - v2) < 1e-8
 
 
@@ -263,30 +263,6 @@ def test_perturbation_inequality_sampled():
                 s1 = ws.weyl_sum(tuple(x), n)
                 bound = 2 * d * float(n) ** (d + 1) * float(p) ** -tau
                 assert abs(s1 - s0) <= bound + 1e-9
-
-
-def test_mr_partial_series_at_zero_strictly_increasing():
-    out = ws.mr_partial_series(_zero(2), 10**4, 2.0)
-    assert out.shape == (10**4,)
-    assert np.all(np.diff(out) > 0)
-
-
-def test_mr_partial_series_first_term():
-    out = ws.mr_partial_series(_zero(1), 1, 2.0)
-    assert abs(out[0] - 1.0) < 1e-15
-
-
-def test_mr_partial_series_bounded_at_random_point():
-    rng = np.random.default_rng(4)
-    x = tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=2, dtype=np.uint64))
-    out = ws.mr_partial_series(x, 10**6, 2.0)
-    assert np.isfinite(out).all()
-    assert float(out.max()) < 50.0  # the empirical B_x for this seed
-
-
-def test_mr_partial_series_gamma_precondition():
-    with pytest.raises(PreconditionError):
-        ws.mr_partial_series(_zero(2), 100, 1.5)
 
 
 def test_mr_ratio_scan_reports():
