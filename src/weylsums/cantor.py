@@ -9,7 +9,9 @@ weights are checked exactly, never with tolerances.
 
 The large-sum-guided construction keeps, inside every cell, a sub-box centered on
 a point a/p of the large-sum set L_p, so each kept box carries a certificate
-|S(a/p; N)| >= 0.25*gamma*N*p^{-1/2} verified by direct evaluation.  Placing
+|S(a/p; N)| >= 0.25*gamma*N*p^{-1/2} verified by direct evaluation; the
+witness is the first member the L_p block scan of `large_values` finds in the
+cell's central box.  Placing
 level-(k+1) anchors inside a level-k box in global coordinates would force
 p_{k+1} beyond anything enumerable (the lattice spacing 1/p_{k+1} must drop
 under p_k^{-tau}), so levels compose in parent-relative charts instead: every
@@ -38,7 +40,7 @@ from .errors import (
     TooFewScalesError,
     WitnessNotFoundError,
 )
-from .large_values import _iroot, kappa, plan_trial_count, threshold
+from .large_values import _iroot, _member_blocks, kappa, plan_trial_count, threshold
 from .phasecore import RationalPoint
 from .weyl_sums import weyl_sum
 
@@ -488,10 +490,10 @@ def large_sum_cantor(
 
 
 def _first_witness(table, thr: float, lo: Sequence[Fraction], hi: Sequence[Fraction]):
-    """Lexicographically first a with a/p in [lo, hi) componentwise and |T(a)| >= thr, a_d != 0.
+    """Lexicographically first member a of L_p with a/p in [lo, hi) componentwise, or None.
 
-    The box is looked up one a_1 value at a time, so the search stops at the
-    first slab that holds a witness.
+    `_member_blocks` reads the box one a_1 value at a time, so the search
+    stops at the first slab that holds a witness.
     """
     p = table.p
     axes = []
@@ -501,12 +503,7 @@ def _first_witness(table, thr: float, lo: Sequence[Fraction], hi: Sequence[Fract
         if stop <= start:
             return None
         axes.append(np.arange(start, stop, dtype=np.int64) % p)
-    rest = np.ix_(*axes[1:])
-    for a1 in axes[0]:
-        big = table.lookup((a1, *rest)) >= thr
-        big[..., axes[-1] == 0] = False
-        hit = np.flatnonzero(big)
-        if hit.size:
-            at = np.unravel_index(hit[0], big.shape)
-            return (int(a1),) + tuple(int(axis[k]) for axis, k in zip(axes[1:], at))
+    for rows in _member_blocks(table, thr, axes, 1):
+        if len(rows):
+            return tuple(int(v) for v in rows[0])
     return None

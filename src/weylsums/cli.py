@@ -217,8 +217,7 @@ def _run_orbit_count(args, out: Path) -> None:
 
 
 def _run_box_density(args, out: Path) -> None:
-    lp = lv.enumerate_Lp(args.d, args.p, gamma=float(args.gamma), table=_table(args), cap=args.cap)
-    sweep = lv.minimal_witness_side(lp)
+    sweep = lv.minimal_witness_side(args.d, args.p, gamma=float(args.gamma), table=_table(args), cap=args.cap)
     _write_json(out / "box_density.json", {"d": args.d, "p": args.p, **sweep})
 
 

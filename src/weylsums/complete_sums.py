@@ -76,9 +76,9 @@ def _require_prime(p: int) -> None:
         raise InvalidFieldError(f"{p} is not prime")
 
 
-def _check_cap(entries: int, cap: int) -> None:
-    if entries > cap:
-        raise ResourceLimitError(f"table of {entries} entries exceeds the cap of {cap}; raise the cap")
+def _check_cap(count: int, cap: int, what: str = "table of {} entries") -> None:
+    if count > cap:
+        raise ResourceLimitError(f"{what.format(count)} exceeds the cap of {cap}; raise the cap")
 
 
 def _unit_root_sum(a, q: int, exponents) -> complex:
@@ -229,7 +229,7 @@ def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> com
     _require_prime(p)
     if gcd(a, p) != 1:
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")
-    _check_cap(p**d, cap)
+    _check_cap(p**d, cap, "sum of {} terms")
     value = _unit_root_sum((a,), p**d, (d,))
     expected = float(p ** (d - 1))
     if abs(value - expected) > 1e-6 * expected:

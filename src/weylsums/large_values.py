@@ -2,11 +2,13 @@
 
 L_p collects the a in F_p^d with a_d != 0 and |T(a)| >= gamma*sqrt(p); its
 box density at scale p^{1-kappa_d} log p is what turns complete-sum lower
-bounds into large Weyl sums on whole neighborhoods.  This module enumerates
-those sets, computes the beta_d / kappa_d exponents in exact rationals, and
-verifies the two amplification inequalities with their explicit proof
-constants (0.25*gamma*N*p^{-1/2} for the full polynomial, 0.5*N/p for the
-monomial).
+bounds into large Weyl sums on whole neighborhoods.  This module counts
+those sets from the table's orbit slices, reads their members in a box by
+one block scan (`_member_blocks`, shared by `enumerate_Lp`,
+`minimal_witness_side` and the Cantor witness search), computes the
+beta_d / kappa_d exponents in exact rationals, and verifies the two
+amplification inequalities with their explicit proof constants
+(0.25*gamma*N*p^{-1/2} for the full polynomial, 0.5*N/p for the monomial).
 
 All exponent and radius comparisons are done in exact integer arithmetic
 (rational tau = u/v turns r < p^{-tau} into r^v * p^u < 1 over a common
@@ -27,12 +29,11 @@ from .complete_sums import (
     CompleteSumTable,
     DiscreteBox,
     _check_cap,
+    _require_prime,
     _table_for,
     complete_sum,
-    is_prime,
 )
 from .errors import (
-    InvalidFieldError,
     InvalidNumeratorError,
     LemmaCheckFailureError,
     PreconditionError,
@@ -151,6 +152,23 @@ def count_Lp(
     return int(member[0, ..., 1:].sum()) + (p - 1) * int(member[1, ..., 1:].sum())
 
 
+def _member_blocks(table: CompleteSumTable, thr: float, axes: Sequence[np.ndarray], step: int):
+    """The member rows of L_p inside the product of the index arrays ``axes``, in blocks.
+
+    ``axes`` holds d int64 arrays of residues.  Each block is the (k, d)
+    array of the rows a with a_d != 0 and |T(a)| >= thr over ``step``
+    consecutive values of axes[0] (empty blocks are yielded too), read
+    through `lookup`; the rows come in the lexicographic order of the axes.
+    This is the one a_d != 0 member test over looked-up entries; `count_Lp`
+    counts orbits instead.
+    """
+    for lo in range(0, len(axes[0]), step):
+        block = [axes[0][lo : lo + step], *axes[1:]]
+        big = table.lookup(np.ix_(*block)) >= thr
+        big &= block[-1] != 0  # a_d != 0, along the last axis
+        yield np.stack([axis[i] for axis, i in zip(block, np.nonzero(big))], axis=1)
+
+
 def enumerate_Lp(
     d: int,
     p: int,
@@ -160,24 +178,16 @@ def enumerate_Lp(
 ) -> LargeSumSet:
     """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p), plus the achieved density.
 
-    The rows are refused past ``cap`` members before any is listed.  They are
-    read through `lookup` a block of a_1 values at a time, about one CHUNK of
-    entries each, so only the member rows grow with p^d.
+    The rows are refused past ``cap`` members before any is listed.  They
+    come from `_member_blocks` over F_p^d, a block of a_1 values of about one
+    CHUNK of entries at a time, so only the member rows grow with p^d.
     """
     table = _table_for(d, p, table, cap)
     count = count_Lp(d, p, gamma, table)
-    _check_cap(count, cap)
-    thr = threshold(p, gamma)
-    rest = [np.arange(p)] * (d - 1)
-    slab = p ** (d - 1)  # entries per a_1 value
-    step = max(1, CHUNK // slab)
-    flat = []  # row-major indices of the members in F_p^d
-    for lo in range(0, p, step):
-        f = np.flatnonzero(table.lookup(np.ix_(np.arange(lo, min(lo + step, p)), *rest)) >= thr)
-        f += lo * slab
-        flat.append(f[f % p != 0])  # a_d != 0
-    # laid out as np.argwhere lays out its rows
-    members = np.transpose(np.unravel_index(np.concatenate(flat), (p,) * d)).astype(np.int64, copy=False)
+    _check_cap(count, cap, "L_p of {} members")
+    step = max(1, CHUNK // p ** (d - 1))  # p^(d-1) entries per a_1 value
+    blocks = _member_blocks(table, threshold(p, gamma), [np.arange(p, dtype=np.int64)] * d, step)
+    members = np.concatenate(list(blocks))
     return LargeSumSet(d=d, p=p, gamma=gamma, members=members, density=count / p**d)
 
 
@@ -193,8 +203,7 @@ def find_anchor(
     The set has density bounded away from zero, so this stays cheap even when
     p^d is far beyond any enumerable cap.
     """
-    if not is_prime(p):
-        raise InvalidFieldError(f"{p} is not prime")
+    _require_prime(p)
     rng = np.random.Generator(np.random.Philox(key=seed))
     thr = threshold(p, gamma)
     for _ in range(max_tries):
@@ -218,63 +227,53 @@ class OrbitCountReport:
         return self.count >= self.reference
 
 
-def _axis_masks(box: DiscreteBox, p: int) -> list[np.ndarray]:
-    """Per-axis boolean masks over F_p of the box's residue intervals."""
-    masks = []
-    for vals in box.axis_values(p):
-        mask = np.zeros(p, dtype=bool)
-        mask[vals] = True
-        masks.append(mask)
-    return masks
-
-
 def orbit_in_box_count(a: Sequence[int], p: int, box: DiscreteBox) -> OrbitCountReport:
     """#{lambda in F_p^*: (a_1 lambda, ..., a_k lambda^k) in B} vs 0.5 L^k p^{1-k}."""
-    if not is_prime(p):
-        raise InvalidFieldError(f"{p} is not prime")
+    _require_prime(p)
     a = tuple(int(ai) % p for ai in a)
     k = len(a)
     if k < 1 or box.dim != k:
         raise PreconditionError("box dimension must match the coefficient prefix")
     if any(ai == 0 for ai in a):
         raise PreconditionError("all prefix coefficients must be nonzero")
-    axis_sets = _axis_masks(box, p)
     lam = np.arange(1, p, dtype=np.int64)
     inside = np.ones(p - 1, dtype=bool)
     pw = np.ones(p - 1, dtype=np.int64)
-    for j in range(k):
+    for aj, vals in zip(a, box.axis_values(p)):
         pw = (pw * lam) % p
-        inside &= axis_sets[j][(a[j] * pw) % p]
+        inside &= np.isin((aj * pw) % p, vals)
     count = int(inside.sum())
     return OrbitCountReport(count=count, reference=0.5 * box.side**k * float(p) ** (1 - k))
 
 
-def box_density_check(lp: LargeSumSet, box: DiscreteBox) -> tuple[int, ...] | None:
-    """Some a in B intersect L_p, or None; first hit in lexicographic order."""
-    if box.dim != lp.d:
-        raise PreconditionError("box dimension must equal d")
-    inside = np.ones(len(lp.members), dtype=bool)
-    for j, mask in enumerate(_axis_masks(box, lp.p)):
-        inside &= mask[lp.members[:, j]]
-    hits = np.flatnonzero(inside)
-    return tuple(int(v) for v in lp.members[hits[0]]) if hits.size else None
-
-
-def minimal_witness_side(lp: LargeSumSet) -> dict:
+def minimal_witness_side(
+    d: int,
+    p: int,
+    gamma: float = 1.0,
+    table: CompleteSumTable | None = None,
+    cap: int = DEFAULT_CAP,
+) -> dict:
     """Smallest side L such that the origin-cornered box {1..L}^d meets L_p.
 
     The boxes are nested and the side-p box is all of F_p^d, so the answer is
-    the least max-coordinate over members with no zero coordinate; p when
-    every member has a zero coordinate, and None when L_p is empty.  Measures
-    the empirical density threshold to compare against p^{1-kappa_d} log p
-    (the lemma's unknown constant C).
+    the least max-coordinate over members in {1..p-1}^d; p when every member
+    has a zero coordinate, and None when L_p is empty.  The scan runs upward
+    in a_1, about one CHUNK of entries per block, and stops once a_1 reaches
+    the best side found: no rows are listed, so ``cap`` bounds only the
+    table.  Compare against p^{1-kappa_d} log p (the lemma's unknown constant C).
     """
-    p, d = lp.p, lp.d
-    zero_free = lp.members[(lp.members != 0).all(axis=1)]
-    if zero_free.size:
-        found = int(zero_free.max(axis=1).min())
-    else:
-        found = p if len(lp.members) else None
+    table = _table_for(d, p, table, cap)
+    inner = np.arange(1, p, dtype=np.int64)
+    step = max(1, CHUNK // (p - 1) ** (d - 1))
+    found = None
+    for k, rows in enumerate(_member_blocks(table, threshold(p, gamma), [inner] * d, step)):
+        if len(rows):
+            side = int(rows.max(axis=1).min())
+            found = side if found is None else min(found, side)
+        if found is not None and 1 + (k + 1) * step >= found:  # a_1 of the next block
+            break
+    if found is None and count_Lp(d, p, gamma, table):
+        found = p
     reference = float(p) ** (1 - float(kappa(d))) * log(p) if d >= 3 else float("nan")
     return {
         "minimal_side": found,
@@ -318,8 +317,7 @@ def amplification_plan(
     seed: int = 0,
 ) -> AmplificationPlan:
     """Build the trial plan; PrimeTooSmallError when the floor vanishes."""
-    if not is_prime(p):
-        raise InvalidFieldError(f"{p} is not prime")
+    _require_prime(p)
     tau = _as_fraction(tau)
     gamma = _as_fraction(gamma)
     if 2 * tau <= 2 * d + 1:
@@ -415,8 +413,7 @@ def monomial_amplified_check(
     radius.  The admissible range p^d <= N <= 0.25^{1/d} p^{(tau-1)/d} with
     p^d | N is validated exactly.
     """
-    if not is_prime(p):
-        raise InvalidFieldError(f"{p} is not prime")
+    _require_prime(p)
     if gcd(a, p) != 1:
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")
     tau = _as_fraction(tau)

@@ -256,7 +256,8 @@ def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None
     cps = tuple(int(n) for n in checkpoints)
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
         raise PreconditionError("checkpoints must be strictly increasing and >= 1")
-    return SumTrace(checkpoints=cps, values=tuple(_accumulate(*_point_spec(x, m), cps)[0]))
+    values = _accumulate(*_point_spec(x, m), cps)[0]
+    return SumTrace(checkpoints=cps, values=tuple(_checked(v, n) for n, v in zip(cps, values)))
 
 
 def checkpoint_grid(n_max: int, dense_limit: int = 1000) -> tuple[int, ...]:

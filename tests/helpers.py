@@ -5,7 +5,8 @@ scalar big-integer phases and their exponential for the vectorized kernels,
 math.fsum over every term up to N for the sum evaluators, a
 one-point-per-call loop for the batched measure estimate, direct term-by-term
 summation for complete sums, the full p^d inverse FFT of the fiber counts
-of n -> (n, ..., n^d) for complete-sum tables, and an O(N^2) sweep over the endpoint grid with
+of n -> (n, ..., n^d) for complete-sum tables, masks over listed L_p member
+rows for box density, and an O(N^2) sweep over the endpoint grid with
 all four one-sided-limit combinations for the discrepancy.
 """
 
@@ -139,6 +140,29 @@ def full_table(d, p):
 def full_box(d, p):
     """The discrete box holding all of F_p^d: values {0, ..., p-1} on each axis."""
     return DiscreteBox(starts=(p - 1,) * d, side=p)
+
+
+def box_density_check(lp, box):
+    """Some a in box intersect L_p, or None: the lexicographically first listed member row in it."""
+    if box.dim != lp.d:
+        raise PreconditionError("box dimension must equal d")
+    inside = np.ones(len(lp.members), dtype=bool)
+    for j, vals in enumerate(box.axis_values(lp.p)):
+        mask = np.zeros(lp.p, dtype=bool)
+        mask[vals] = True
+        inside &= mask[lp.members[:, j]]
+    hits = np.flatnonzero(inside)
+    return tuple(int(v) for v in lp.members[hits[0]]) if hits.size else None
+
+
+def swept_side(lp):
+    """Least side L whose origin-cornered box {1..L}^d meets the listed L_p: a sweep down from p."""
+    swept = None
+    for side in range(lp.p, 0, -1):
+        if box_density_check(lp, DiscreteBox(starts=(0,) * lp.d, side=side)) is None:
+            break
+        swept = side
+    return swept
 
 
 def disc_oracle_units(fracs, N):

@@ -7,12 +7,14 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weylsums
-from weylsums import cli
+from weylsums import cli, phasecore
 
 
 def _run(args):
@@ -183,7 +185,41 @@ def test_enumerate_lp_lists_rows_only_to_emit_them(tmp_path):
     rep = json.loads((out / "enumerate_lp.json").read_text())
     assert rep["count"] == 12710 and rep["members"] is None
     assert _run([*common, "--emit-limit", "20000"]) == 3
-    assert _run(["box-density", "--d", "3", "--p", "31", "--cap", "5000", "--out", str(out)]) == 3
+    # box-density lists no rows: the same cap bounds only the table
+    assert _run(["box-density", "--d", "3", "--p", "31", "--cap", "5000", "--out", str(out)]) == 0
+    assert json.loads((out / "box_density.json").read_text())["minimal_side"] == 2
+
+
+def test_box_density_cap_bounds_only_the_table(tmp_path):
+    # (3, 101): a table of 2 * 101^2 = 20402 stored entries and 404000 members; the
+    # member rows alone (3 int64 each) would take 9.2 MiB, the scan reads about
+    # one 2^16-entry block at a time
+    out = tmp_path / "bd"
+    tracemalloc.start()
+    try:
+        assert _run(["box-density", "--d", "3", "--p", "101", "--cap", "30000", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads((out / "box_density.json").read_text())["minimal_side"] == 2
+    assert peak < 4 * 2**20
+
+
+def test_trivial_bound_failure_exits_4(tmp_path, monkeypatch):
+    # an evaluator that breaks |S| <= N is a failed lemma on every sum route, traces included
+    def twos(phases01):  # every term 2, so |S(x; N)| = 2N
+        c, s = phasecore.unit_terms(phases01)
+        return np.full_like(c, 2.0), np.zeros_like(s)
+
+    monkeypatch.setattr(cli.ws, "unit_terms", twos)
+    for argv in (
+        ["weyl-trace", "--N-max", "20"],
+        ["sigma-scan", "--N-max", "64"],
+        ["exceptional-scan", "--alpha", "0.5", "--N-max", "20"],
+        ["mr-scan", "--count", "1", "--N-max", "64"],
+        ["koksma-check", "--count", "1", "--N-max", "20"],
+    ):
+        assert _run([*argv, "--out", str(tmp_path / argv[0])]) == 4
 
 
 @pytest.mark.parametrize("module", ["weylsums", "weylsums.cli"])

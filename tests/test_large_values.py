@@ -7,7 +7,14 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from helpers import direct_complete_sum, full_box, full_table, measure_estimate_loop
+from helpers import (
+    box_density_check,
+    direct_complete_sum,
+    full_box,
+    full_table,
+    measure_estimate_loop,
+    swept_side,
+)
 from weylsums import complete_sums as cs
 from weylsums import large_values as lv
 from weylsums import phasecore
@@ -91,7 +98,7 @@ def test_enumerate_lp_rows_and_orbit_count_match_full_table(d, p, gamma):
 def test_enumerate_lp_rows_refused_past_cap():
     # (3, 31): 2 * 31^2 = 1922 stored entries, 12710 members
     assert lv.count_Lp(3, 31, cap=5000) == 12710
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="L_p of 12710 members exceeds the cap of 5000"):
         lv.enumerate_Lp(3, 31, cap=5000)
     assert len(lv.enumerate_Lp(3, 31, cap=12710).members) == 12710
 
@@ -149,7 +156,7 @@ def test_orbit_counts_partition_to_p_minus_1():
 
 def test_box_density_check_full_cube():
     lp = lv.enumerate_Lp(3, 31, gamma=1.0)
-    w = lv.box_density_check(lp, full_box(3, 31))
+    w = box_density_check(lp, full_box(3, 31))
     assert w is not None and w in set(map(tuple, lp.members.tolist()))
     assert w == tuple(lp.members[0])  # lexicographically first member
 
@@ -157,39 +164,56 @@ def test_box_density_check_full_cube():
 def test_box_density_check_single_miss():
     lp = lv.enumerate_Lp(2, 5, gamma=1.0)
     # (1, 0) has a_2 = 0, never a member; the single-vector box must miss
-    assert lv.box_density_check(lp, cs.DiscreteBox(starts=(0, 4), side=1)) is None
+    assert box_density_check(lp, cs.DiscreteBox(starts=(0, 4), side=1)) is None
 
 
 def test_minimal_witness_side_reports():
-    lp = lv.enumerate_Lp(3, 31, gamma=1.0)
-    sweep = lv.minimal_witness_side(lp)
+    sweep = lv.minimal_witness_side(3, 31, gamma=1.0)
     assert sweep["minimal_side"] is not None
     assert 1 <= sweep["minimal_side"] <= 31
     assert sweep["ratio"] > 0
 
 
-def _swept_side(lp):
-    """Reference: sweep origin-cornered boxes down from side p while they meet L_p."""
-    swept = None
-    for side in range(lp.p, 0, -1):
-        if lv.box_density_check(lp, cs.DiscreteBox(starts=(0,) * lp.d, side=side)) is None:
-            break
-        swept = side
-    return swept
-
-
-@pytest.mark.parametrize("d, p, gamma", [(3, 31, 1), (3, 37, 1.5), (2, 31, 1), (3, 31, 5)])
+@pytest.mark.parametrize(
+    "d, p, gamma",
+    [(3, 31, 1), (3, 37, 1.5), (2, 31, 1), (3, 31, 5), (1, 7, 1), (4, 11, 1), (4, 29, 2.4), (3, 211, 1.9)],
+)
 def test_minimal_witness_side_matches_box_sweep(d, p, gamma):
-    lp = lv.enumerate_Lp(d, p, gamma=gamma)
-    swept = _swept_side(lp)
-    assert lv.minimal_witness_side(lp)["minimal_side"] == swept
-    assert (swept is None) == (gamma == 5)  # gamma=5 at (3, 31) leaves L_p empty
+    # the scan of {1..p-1}^d against the row-based oracle over the listed members;
+    # (4, 29) scans 2 values of a_1 per block and (3, 211) one: their best sides
+    # per block are 9, 10, 8, 10, 9, ... and 10, 12, 5, 5, ...
+    table = cs.build_table(d, p)
+    swept = swept_side(lv.enumerate_Lp(d, p, gamma=gamma, table=table))
+    assert lv.minimal_witness_side(d, p, gamma=gamma, table=table)["minimal_side"] == swept
+    assert lv.minimal_witness_side(d, p, gamma=gamma)["minimal_side"] == swept
+    # L_p is empty for gamma=5 at (3, 31), and at d = 1, where T(a) = 0 for every a != 0
+    assert (swept is None) == (gamma == 5 or d == 1) == (lv.count_Lp(d, p, gamma, table) == 0)
 
 
 def test_minimal_witness_side_zero_coordinate_members_only():
-    # no member lies in any {1..L}^d, so only the side-p box (all of F_p^d) meets L_p
-    lp = lv.LargeSumSet(d=2, p=5, gamma=1.0, members=np.array([[0, 3]], dtype=np.int64), density=0.04)
-    assert lv.minimal_witness_side(lp)["minimal_side"] == _swept_side(lp) == 5
+    # a hand-built (2, 5) table whose only large entry is |T(0, 3)|: L_p = {(0, 3)},
+    # in no {1..L}^2, so only the side-p box (all of F_p^2) meets it
+    slices = np.zeros((2, 5))
+    slices[0, 3] = 10.0
+    table = cs.CompleteSumTable(d=2, p=5, slices=slices)
+    lp = lv.enumerate_Lp(2, 5, table=table)
+    assert lp.members.tolist() == [[0, 3]]
+    assert lv.minimal_witness_side(2, 5, table=table)["minimal_side"] == swept_side(lp) == 5
+
+
+def test_minimal_witness_side_scans_on_to_the_best_side():
+    # a hand-built (2, 65537) table, one value of a_1 per block: the orbits of
+    # b = 4 and b = 1/3 in the a_1 = 1 slice hold (1, 4), (2, 16), (3, 3), ...,
+    # so the best side per a_1 = 1, 2, 3 is 4, 16, 3, and the scan must read
+    # a_1 = 3 after the best side 4 of a_1 = 1
+    p = 65537
+    slices = np.zeros((2, p))
+    slices[1, [4, pow(3, -1, p)]] = 1000.0
+    table = cs.CompleteSumTable(d=2, p=p, slices=slices)
+    lam = np.arange(1, p, dtype=np.int64)
+    sides = [np.maximum(lam, lam * lam % p * b % p).min() for b in (4, pow(3, -1, p))]
+    assert min(sides) == 3
+    assert lv.minimal_witness_side(2, p, table=table)["minimal_side"] == 3
 
 
 def test_amplification_plan_examples():
