@@ -347,6 +347,8 @@ def _run_discrepancy(args, out: Path) -> None:
 def _run_koksma_check(args, out: Path) -> None:
     if args.count < 1:
         raise PreconditionError("need count >= 1")
+    if args.n_max >= dc.N_LIMIT:
+        raise PreconditionError(f"need N-max < 2^31 for the exact int64 discrepancy, got {args.n_max}")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     worst = None
     for _ in range(args.count):

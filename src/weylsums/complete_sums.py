@@ -163,7 +163,7 @@ def build_table(d: int, p: int, cap: int = DEFAULT_CAP) -> CompleteSumTable:
     if d < 1:
         raise PreconditionError("d must be >= 1")
     _check_table_cap(d, p, cap)
-    _check_cap(p, cap)  # the fiber pass holds p residues, more than the 2 entries at d = 1
+    _check_cap(p, cap, "fiber pass of {} residues")  # more than the 2 entries at d = 1
     n = np.arange(p, dtype=np.int64)
     fiber = np.zeros(p, dtype=np.int64)  # row-major index of (n^2, ..., n^d)
     pw = n

@@ -8,9 +8,16 @@ is an integer over the denominator 2^64 and the whole computation is exact
 integer arithmetic.  The sup over open intervals is attained in the limit at
 sample values: an excess interval shrinks onto the extreme points it
 contains, a deficit interval expands until its open endpoints sit exactly on
-samples (or 0/1).  That endpoint restriction gives the algorithm: sort, then
-one linear pass.  The O(N^2) oracle over the full endpoint grid with all four
+samples (or 0/1).  That gives closed forms over the sorted points (`_units`).
+The O(N^2) oracle over the full endpoint grid with all four
 one-sided-limit combinations lives in the test suite and must agree exactly.
+
+Each gap g = N x_k - k 2^64 is exact in two int64 words: with
+x = hi 2^32 + lo, g = A 2^32 + B for A = N hi - k 2^32 + (N lo >> 32) and
+B = N lo mod 2^32, so max g is the lexicographic max of (A, B).  Both words
+fit for N < 2^31; larger N is refused.  The dense checkpoints N = 1..1000
+share one stable argsort and run 32 at a time: a point's rank in prefix N is
+a cumulative count down the block.  Each dyadic checkpoint sorts its prefix.
 
 Open-interval fine print, followed literally: a point at 0 can never lie in
 (a, b) with a >= 0, so zeros count toward N but are invisible to every
@@ -23,84 +30,103 @@ from dataclasses import dataclass
 from math import pi
 from typing import Sequence
 
+import numpy as np
+
 from .errors import LemmaCheckFailureError, PreconditionError
-from .phasecore import TURN, phase_from_rational
+from .phasecore import TURN
 from .weyl_sums import _chunks, _phase_words, checkpoint_grid, weyl_sum, weyl_sum_trace
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
+N_LIMIT = 1 << 31  # the gaps N x - k fit two int64 words below this
+_LO = (1 << 32) - 1
+_BLOCK = 32  # dense checkpoints per pass: a (32, 1000) int64 temporary is 250 KiB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet1D:
-    """Sorted fractional parts as exact 2^-64 grid numerators."""
+    """Sorted fractional parts as exact 2^-64 grid numerators, held as a read-only uint64 copy."""
 
-    fracs: tuple[int, ...]
+    fracs: np.ndarray
 
     def __post_init__(self):
-        if any(not 0 <= f < TURN for f in self.fracs):
-            raise PreconditionError("fractional parts must lie in [0, 1)")
-        if any(b < a for a, b in zip(self.fracs, self.fracs[1:])):
+        fracs = self.fracs
+        if isinstance(fracs, np.ndarray) and fracs.dtype != np.uint64:
+            fracs = fracs.tolist()  # a cast from a signed array would wrap negatives silently
+        try:
+            fracs = np.array(fracs, dtype=np.uint64)
+        except OverflowError:  # a Python int outside [0, 2^64)
+            raise PreconditionError("fractional parts must lie in [0, 1)") from None
+        if (fracs[1:] < fracs[:-1]).any():
             raise PreconditionError("point set must be sorted")
+        fracs.flags.writeable = False
+        object.__setattr__(self, "fracs", fracs)
 
     @property
     def count(self) -> int:
         return len(self.fracs)
 
     def values(self) -> list[float]:
-        return [f / TURN for f in self.fracs]
+        return (self.fracs * 2.0**-64).tolist()
 
 
 def poly_sequence(x, N: int, m: Sequence[int] | None = None) -> PointSet1D:
     """Fractional parts of the polynomial phase at n = 1..N, sorted."""
-    if N < 1:
-        raise PreconditionError("N must be >= 1")
-    return PointSet1D(fracs=tuple(sorted(_sequence_fracs(x, N, m))))
+    return PointSet1D(fracs=np.sort(_sequence_fracs(x, N, m)))
 
 
-def _sequence_fracs(x, N: int, m) -> list[int]:
-    """2^-64 grid numerators of the phases at n = 1..N; a/q rounds to its nearest grid point."""
+def _sequence_fracs(x, N: int, m) -> np.ndarray:
+    """uint64 2^-64 grid numerators of the phases at n = 1..N; a/q rounds to its nearest grid point."""
+    if not 1 <= N < N_LIMIT:
+        raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got {N}")
     words, q = _phase_words(x, m)
-    out: list[int] = []
+    out = np.empty(N, dtype=np.uint64)
     for lo, hi in _chunks(N):
-        w = words(lo, hi).tolist()
-        out.extend(w if q == TURN else (phase_from_rational(v, q).frac for v in w))
-    return out
+        out[lo - 1:hi - 1] = words(lo, hi)
+    if q == TURN:
+        return out
+    # phase_from_rational's round(v 2^64 / q) = v Q + (2 v R + q) // (2 q) with 2^64 = Q q + R,
+    # exact in uint64 for residues v < q < 2^31 (2 v R + q < 2^63), and wrapping mod 2^64
+    Q, R = divmod(TURN, q)
+    return out * (Q & (TURN - 1)) + (2 * R * out + q) // (2 * q)
 
 
-def _discrepancy_units(sorted_fracs: Sequence[int], N: int) -> int:
-    """Exact D_N * 2^64 over the sorted multiset of N grid fractions.
+def _units(n, x, rank, valid) -> list[tuple[int, int]]:
+    """Exact (D_N, D*_N) * 2^64 of each row (N = n) from its valid points x (uint64) at their int64 ranks.
 
-    With x_0 <= ... <= x_{K-1} the positive points and g_k = N x_k - k (units
-    of 2^-64), an interval shrunk onto points s..t has excess 1 + g_s - g_t
-    and the open interval (x_s, x_t), s < t, has deficit 1 + g_t - g_s.  Under
-    ties both are lower bounds, exact at the ends of each run, so
-    D_N = 1 + max g - min g.  The endpoints enter as two more gaps, each on
-    the one side where it can act: b = 1 as N - K in the max, a = 0 as 1 in
-    the min.
+    With x_0 <= ... <= x_{N-1} and g_k = N x_k - k (units of 2^-64), points
+    s..t have excess 1 + g_s - g_t and the open (x_s, x_t) deficit
+    1 + g_t - g_s, exact at the ends of runs of ties, so D_N = 1 + max g - min g
+    and D*_N = max(max g, 1 - min g) (Niederreiter 1992, Thm 2.6).  Open
+    intervals see only the positive points, plus the endpoints b = 1 and a = 0
+    as two more terms; all N points, zeros ranked first, give the same value:
+    the zeros' gaps 0, -1, ..., 1 - zeros are those terms, and with no zeros
+    the terms never act, as g_0 >= 0 and g_{N-1} < 1.  max g is the
+    lexicographic max of the words (A, B) of g = A 2^32 + B, min g likewise.
     """
-    pos = [f for f in sorted_fracs if f > 0]
-    gaps = [v * N - k * TURN for k, v in enumerate(pos)]
-    return TURN + max(gaps + [(N - len(pos)) * TURN]) - min(gaps + [TURN])
+    b = (x & _LO).astype(np.int64) * n
+    a = (x >> 32).astype(np.int64) * n
+    rank <<= 32  # rank is scratch from here on: three (rows, points) arrays in all
+    a -= rank
+    a += np.right_shift(b, 32, out=rank)
+    b &= _LO
+    ext, i64 = [], np.iinfo(np.int64)
+    for pick, a_fill, b_fill in ((np.maximum.reduce, i64.min, 0), (np.minimum.reduce, i64.max, _LO)):
+        top = pick(a, axis=-1, keepdims=True, initial=a_fill, where=valid)
+        low = pick(b, axis=-1, initial=b_fill, where=valid & (a == top))
+        ext.append([(t << 32) + u for t, u in zip(top[:, 0].tolist(), low.tolist())])
+    return [(TURN + g_max - g_min, max(g_max, TURN - g_min)) for g_max, g_min in zip(*ext)]
 
 
-def discrepancy_exact(S: PointSet1D) -> float:
-    """Exact unnormalized discrepancy D_N (float image of an exact dyadic)."""
-    if S.count < 1:
-        raise PreconditionError("need N >= 1")
-    return _discrepancy_units(S.fracs, S.count) / TURN
+def _sorted_units(fracs: np.ndarray) -> tuple[int, int]:
+    """Exact (D_N, D*_N) * 2^64 of a sorted uint64 array of N points."""
+    return _units(len(fracs), fracs[None], np.arange(len(fracs))[None], True)[0]
 
 
 def star_discrepancy(S: PointSet1D) -> float:
     """D*_N = N * sup_t |#{x_n < t}/N - t| via the sorted-sample formula."""
     if S.count < 1:
         raise PreconditionError("need N >= 1")
-    return _star_units(S.fracs, S.count) / TURN
-
-
-def _star_units(sorted_fracs: Sequence[int], N: int) -> int:
-    """Exact D*_N * 2^64: with g_k = N x_k - k over all points, max(max g, 1 - min g)."""
-    gaps = [v * N - k * TURN for k, v in enumerate(sorted_fracs)]
-    return max(max(gaps), TURN - min(gaps))
+    return _sorted_units(S.fracs)[1] / TURN
 
 
 @dataclass(frozen=True)
@@ -132,42 +158,42 @@ def koksma_relation_check(x, N: int, m: Sequence[int] | None = None) -> KoksmaRe
     return report
 
 
-def _sorted_prefixes(x, n_max: int, m: Sequence[int] | None):
-    """(N, sorted fractions of n = 1..N) at each checkpoint; one list grows in place.
-
-    Timsort finds the sorted prefix as one run and merges the new points into it.
-    """
-    fracs = _sequence_fracs(x, n_max, m)
-    prefix: list[int] = []
-    for n in checkpoint_grid(n_max):
-        prefix.extend(fracs[len(prefix):n])
-        prefix.sort()
-        yield n, prefix
+def _checkpoint_units(fracs: np.ndarray, n_max: int):
+    """(N, D_N * 2^64, D*_N * 2^64) at each checkpoint N <= n_max of the uint64 sequence fracs."""
+    grid = checkpoint_grid(n_max)
+    dense = sum(n == k for k, n in enumerate(grid, 1))  # N = 1, 2, ..., then dyadic
+    x = fracs[:dense]
+    rank = np.argsort(np.argsort(x, kind="stable"))  # each point's place in the stable order
+    for n0 in range(0, dense, _BLOCK):
+        n1 = min(n0 + _BLOCK, dense)
+        ns = np.arange(n0 + 1, n1 + 1)[:, None]
+        # rank in prefix N of each of the points 1..n1: the block's points up to N ranked below
+        # it, accumulated down the block, plus those of 1..n0
+        r = (rank[n0:n1, None] < rank[:n1]).astype(np.int64)
+        r[0] += np.searchsorted(np.sort(rank[:n0]), rank[:n1])
+        for t in range(1, n1 - n0):  # np.cumsum down a 32-row axis is ~5x slower
+            r[t] += r[t - 1]
+        for n, units in zip(range(n0 + 1, n1 + 1), _units(ns, x[:n1], r, np.arange(n1) < ns)):
+            yield (n, *units)
+    for n in grid[dense:]:
+        yield (n, *_sorted_units(np.sort(fracs[:n])))
 
 
 def discrepancy_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None) -> list[int]:
-    """Checkpoints N <= N_max with D_N >= N^alpha (same grid as exceptional_scan).
-
-    The point multiset grows incrementally; D is recomputed exactly at each
-    checkpoint.
-    """
+    """Checkpoints N <= N_max with D_N >= N^alpha (same grid as exceptional_scan), each D_N exact."""
     if not 0.0 < alpha < 1.0:
         raise PreconditionError("need 0 < alpha < 1")
     # D_N is exact; the transcendental threshold N^alpha is compared at
     # float precision (exact integer ties like D_1 = 1 = 1^alpha survive)
-    return [
-        n
-        for n, prefix in _sorted_prefixes(x, n_max, m)
-        if _discrepancy_units(prefix, n) / TURN >= float(n) ** alpha
-    ]
+    units = _checkpoint_units(_sequence_fracs(x, n_max, m), n_max)
+    return [n for n, d_n, _ in units if d_n / TURN >= float(n) ** alpha]
 
 
 def scan_rows(x, n_max: int, m: Sequence[int] | None = None) -> list[tuple[int, float, float, float, float]]:
     """(N, D_N, D*_N, |S|, |S|/D*) rows over the checkpoint grid, for CSV output."""
+    fracs = _sequence_fracs(x, n_max, m)
     trace = weyl_sum_trace(x, checkpoint_grid(n_max), m)
-    rows = []
-    for (n, prefix), mag in zip(_sorted_prefixes(x, n_max, m), trace.magnitudes):
-        d_n = _discrepancy_units(prefix, n) / TURN
-        d_star = _star_units(prefix, n) / TURN
-        rows.append((n, d_n, d_star, mag, mag / d_star if d_star else 0.0))
-    return rows
+    return [
+        (n, d_n / TURN, d_star / TURN, mag, mag / (d_star / TURN) if d_star else 0.0)
+        for (n, d_n, d_star), mag in zip(_checkpoint_units(fracs, n_max), trace.magnitudes)
+    ]

@@ -6,8 +6,9 @@ math.fsum over every term up to N for the sum evaluators, a
 one-point-per-call loop for the batched measure estimate, direct term-by-term
 summation for complete sums, the full p^d inverse FFT of the fiber counts
 of n -> (n, ..., n^d) for complete-sum tables, masks over listed L_p member
-rows for box density, and an O(N^2) sweep over the endpoint grid with
-all four one-sided-limit combinations for the discrepancy.
+rows for box density, and for the discrepancy both an O(N^2) sweep over
+the endpoint grid with all four one-sided-limit combinations and the linear
+closed form over sorted Python ints.
 """
 
 import bisect
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from weylsums import discrepancy as dc
 from weylsums.complete_sums import DiscreteBox
 from weylsums.discrepancy import PointSet1D
 from weylsums.errors import PreconditionError
@@ -192,6 +194,35 @@ def disc_oracle_units(fracs, N):
                     cnt = hi_cnt - lo_cnt
                     best = max(best, abs(cnt * TWO64 - (w - v) * N))
     return best
+
+
+def discrepancy_exact(S):
+    """D_N of a PointSet1D through the library's sorted-array kernel (float image of an exact dyadic)."""
+    if S.count < 1:
+        raise PreconditionError("need N >= 1")
+    return dc._sorted_units(S.fracs)[0] / TURN
+
+
+def disc_linear_units(sorted_fracs, N):
+    """Exact D_N * 2^64 over the sorted multiset of N grid fractions, in Python ints.
+
+    With x_0 <= ... <= x_{K-1} the positive points and g_k = N x_k - k (units
+    of 2^-64), an interval shrunk onto points s..t has excess 1 + g_s - g_t
+    and the open interval (x_s, x_t), s < t, has deficit 1 + g_t - g_s.  Under
+    ties both are lower bounds, exact at the ends of each run, so
+    D_N = 1 + max g - min g.  The endpoints enter as two more gaps, each on
+    the one side where it can act: b = 1 as N - K in the max, a = 0 as 1 in
+    the min.
+    """
+    pos = [f for f in sorted_fracs if f > 0]
+    gaps = [v * N - k * TURN for k, v in enumerate(pos)]
+    return TURN + max(gaps + [(N - len(pos)) * TURN]) - min(gaps + [TURN])
+
+
+def star_linear_units(sorted_fracs, N):
+    """Exact D*_N * 2^64 in Python ints: with g_k = N x_k - k over all points, max(max g, 1 - min g)."""
+    gaps = [v * N - k * TURN for k, v in enumerate(sorted_fracs)]
+    return max(max(gaps), TURN - min(gaps))
 
 
 def lsq_slope(xs, ys):

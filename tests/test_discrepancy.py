@@ -6,7 +6,14 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from helpers import disc_oracle_units, phase_from_float, pointset_from_floats
+from helpers import (
+    disc_linear_units,
+    disc_oracle_units,
+    discrepancy_exact,
+    phase_from_float,
+    pointset_from_floats,
+    star_linear_units,
+)
 from weylsums import discrepancy as dc
 from weylsums import weyl_sums as ws
 from weylsums.errors import PreconditionError
@@ -17,8 +24,13 @@ def _pset(fracs):
     return dc.PointSet1D(fracs=tuple(sorted(fracs)))
 
 
+def _d_units(fracs):
+    """Exact D_N * 2^64 of a list of grid numerators through the library's sorted-array kernel."""
+    return dc._sorted_units(_pset(fracs).fracs)[0]
+
+
 def test_poly_sequence_examples():
-    assert dc.poly_sequence((Phase(0), Phase(0)), 4).fracs == (0, 0, 0, 0)
+    assert dc.poly_sequence((Phase(0), Phase(0)), 4).fracs.tolist() == [0, 0, 0, 0]
     s = dc.poly_sequence((phase_from_rational(1, 2),), 4)
     assert s.values() == [0.0, 0.0, 0.5, 0.5]
     s = dc.poly_sequence(RationalPoint(a=(0, 1), q=3), 3)
@@ -27,16 +39,16 @@ def test_poly_sequence_examples():
 
 
 def test_discrepancy_all_zero():
-    assert dc.discrepancy_exact(_pset([0, 0, 0, 0])) == 4.0
+    assert discrepancy_exact(_pset([0, 0, 0, 0])) == 4.0
 
 
 def test_discrepancy_single_point():
-    assert dc.discrepancy_exact(_pset([TURN // 2])) == 1.0
+    assert discrepancy_exact(_pset([TURN // 2])) == 1.0
 
 
 def test_discrepancy_equidistant():
     pts = [(2 * i - 1) * TURN // 8 for i in (1, 2, 3, 4)]
-    assert dc.discrepancy_exact(_pset(pts)) == 1.0
+    assert discrepancy_exact(_pset(pts)) == 1.0
 
 
 def test_star_discrepancy_examples():
@@ -60,14 +72,14 @@ def test_oracle_agreement_random_sets():
             z = rng.randint(0, n)
             fr = [0] * z + [rng.randrange(TURN) for _ in range(n - z)]
         s = _pset(fr)
-        fast = dc.discrepancy_exact(s)
+        fast = discrepancy_exact(s)
         oracle = disc_oracle_units(fr, n) / TURN
         assert fast == oracle  # exact float equality, both exact dyadics
     # long runs of ties on a coarse grid, with zeros
     for q in (1, 2, 3, 5, 8):
         n = rng.randint(280, 320)
         fr = [rng.randrange(q) * (TURN // q) for _ in range(n)]
-        assert dc._discrepancy_units(sorted(fr), n) == disc_oracle_units(fr, n)
+        assert _d_units(fr) == disc_linear_units(sorted(fr), n) == disc_oracle_units(fr, n)
 
 
 def test_sandwich_inequality_exact():
@@ -78,7 +90,7 @@ def test_sandwich_inequality_exact():
             rng.randrange(TURN) for _ in range(n - n // 2)
         ]
         s = _pset(fr)
-        d = dc.discrepancy_exact(s)
+        d = discrepancy_exact(s)
         ds = dc.star_discrepancy(s)
         assert ds <= d <= 2 * ds
 
@@ -86,8 +98,8 @@ def test_sandwich_inequality_exact():
 def test_duplication_doubles_exactly():
     rng = random.Random(13)
     fr = [rng.randrange(TURN) for _ in range(17)]
-    d1 = dc._discrepancy_units(sorted(fr), 17)
-    d2 = dc._discrepancy_units(sorted(fr + fr), 34)
+    d1 = _d_units(fr)
+    d2 = _d_units(fr + fr)
     assert d2 == 2 * d1
 
 
@@ -96,9 +108,9 @@ def test_adding_a_point_moves_d_by_at_most_2():
     for _ in range(50):
         n = rng.randint(1, 30)
         fr = sorted(rng.randrange(TURN) for _ in range(n))
-        u1 = dc._discrepancy_units(fr, n)
+        u1 = _d_units(fr)
         extra = rng.randrange(TURN)
-        u2 = dc._discrepancy_units(sorted(fr + [extra]), n + 1)
+        u2 = _d_units(fr + [extra])
         assert abs(u2 - u1) <= 2 * TURN
 
 
@@ -158,12 +170,16 @@ def test_pointset_validation():
     with pytest.raises(PreconditionError):
         dc.PointSet1D(fracs=(TURN,))
     with pytest.raises(PreconditionError):
-        dc.discrepancy_exact(dc.PointSet1D(fracs=()))
+        dc.PointSet1D(fracs=np.array([-1, 2]))
+    with pytest.raises(PreconditionError):
+        discrepancy_exact(dc.PointSet1D(fracs=()))
+    with pytest.raises(ValueError):  # the held array is read-only
+        dc.PointSet1D(fracs=(1, 2)).fracs[0] = 3
 
 
 def test_pointset_from_floats_quantizes():
     s = pointset_from_floats([0.5, 0.25, 1.25])
-    assert s.fracs == (TURN // 4, TURN // 4, TURN // 2)
+    assert s.fracs.tolist() == [TURN // 4, TURN // 4, TURN // 2]
 
 
 def test_scan_rows_shape():
@@ -189,9 +205,72 @@ def test_scans_match_fresh_evaluations_at_every_checkpoint(x, m, n_max):
     fresh_hits = []
     for n, d_n, d_star, s_mag, _ in rows:
         s = dc.poly_sequence(x, n, m)
-        assert d_n == dc.discrepancy_exact(s) == disc_oracle_units(s.fracs, n) / TURN
+        assert d_n == discrepancy_exact(s) == disc_oracle_units(s.fracs.tolist(), n) / TURN
         assert d_star == dc.star_discrepancy(s)
         assert s_mag == abs(ws.weyl_sum(x, n, m))
         if d_n >= float(n) ** 0.5:
             fresh_hits.append(n)
     assert dc.discrepancy_scan(x, 0.5, n_max, m=m) == fresh_hits
+
+
+def _linear_rows(fracs, n_max):
+    """(N, D_N, D*_N) * 2^64 at each checkpoint from the linear Python-int oracle over a re-sorted prefix."""
+    prefix = []
+    for n in ws.checkpoint_grid(n_max):
+        prefix.extend(fracs[len(prefix):n])
+        prefix.sort()
+        yield n, disc_linear_units(prefix, n), star_linear_units(prefix, n)
+
+
+_SCAN_N = 20000
+_POINTS = {
+    "phase-d1": (Phase(0x9E3779B97F4A7C15),),
+    "phase-d2": (Phase(0x2545F4914F6CDD1D), Phase(0xD1B54A32D192ED03)),
+    "phase-d3": (Phase(0x8CB92BA72F3D8DD7), Phase(0x5851F42D4C957F2D), Phase(0x14057B7EF767814F)),
+    "17/1009": RationalPoint(a=(17,), q=1009),
+    "(17,33)/1009": RationalPoint(a=(17, 33), q=1009),
+    "3/8": RationalPoint(a=(3,), q=8),  # ties, and a zero at every n divisible by 8
+    "zero": (Phase(0),),
+    "top-word": (Phase(TURN - 1),),  # x_n = 1 - n 2^-64
+}
+
+
+def _grid_sequence(q, seed):
+    """_SCAN_N random words on the k/q grid in sequence order, built directly (q may exceed 2^31)."""
+    rng = random.Random(seed)
+    return np.array([phase_from_rational(rng.randrange(q), q).frac for _ in range(_SCAN_N)], dtype=np.uint64)
+
+
+def _tie_sequence(seed):
+    """Zeros, 2^64 - 1 and a few repeated words, mixed with fresh random words."""
+    rng = random.Random(seed)
+    pool = [0, TURN - 1, 1, TURN // 2, rng.randrange(TURN)]
+    return np.array([rng.choice(pool) if rng.random() < 0.7 else rng.randrange(TURN) for _ in range(_SCAN_N)],
+                    dtype=np.uint64)
+
+
+@pytest.mark.parametrize(
+    "case", [*_POINTS, *(f"grid-q{q}" for q in (1, 2, 3, 5, 8, 2**32)), "ties"],
+)
+def test_checkpoint_units_match_linear_oracle(case):
+    # the int64 hi/lo kernels against the Python-int closed form at every checkpoint up to 2e4,
+    # with the dense pass cut short (N_max = 1, 700) and run whole
+    if case in _POINTS:
+        fracs = dc._sequence_fracs(_POINTS[case], _SCAN_N, None)
+    elif case == "ties":
+        fracs = _tie_sequence(41)
+    else:
+        fracs = _grid_sequence(int(case.removeprefix("grid-q")), 43)
+    expected = list(_linear_rows(fracs.tolist(), _SCAN_N))
+    for n_max in (1, 700, _SCAN_N):
+        got = list(dc._checkpoint_units(fracs, n_max))
+        assert got == expected[: len(got)]
+        assert [n for n, _, _ in got] == list(ws.checkpoint_grid(n_max))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 1009, 9973, 2**30 + 3, 2**31 - 19])
+def test_rational_words_round_like_phase_from_rational(q):
+    # residues a n mod q over n = 1..2000, with a = 1 (0 at q | n), q - 1 (q - 1 at n = 1) and one more
+    for a in (1, q - 1, 0x9E3779B9 % q):
+        words = dc._sequence_fracs(RationalPoint(a=(a,), q=q), 2000, None)
+        assert words.tolist() == [phase_from_rational(a * n, q).frac for n in range(1, 2001)]
