@@ -392,7 +392,6 @@ def large_sum_cantor(
     ells: list[Fraction] = []
     cells_per_axis: list[int] = []
     certificates: list[LevelCertificate] = []
-    box_certs: list[LevelCertificate] = []
     prev_delta = Fraction(1)
 
     for level in range(1, depth + 1):
@@ -445,22 +444,16 @@ def large_sum_cantor(
             chart_boxes.append(sub)
 
         certificates.extend(level_certs)
-        # compose the chart pattern into every parent box
-        new_boxes: list[Box] = []
-        new_certs: list[LevelCertificate] = []
-        for parent in boxes:
-            for sub, cert in zip(chart_boxes, level_certs):
-                new_boxes.append(
-                    Box(
-                        corner=tuple(
-                            pc + parent.side * sc for pc, sc in zip(parent.corner, sub.corner)
-                        ),
-                        side=parent.side * sub.side,
-                    )
-                )
-                new_certs.append(cert)
-        boxes = new_boxes
-        box_certs = new_certs
+        # compose the chart pattern into every parent box; each copy carries its certificates
+        box_certs = level_certs * len(boxes)
+        boxes = [
+            Box(
+                corner=tuple(pc + parent.side * sc for pc, sc in zip(parent.corner, sub.corner)),
+                side=parent.side * sub.side,
+            )
+            for parent in boxes
+            for sub in chart_boxes
+        ]
         ells.append(prev_delta / m)
         prev_delta = prev_delta * sub_side
         deltas.append(prev_delta)

@@ -116,7 +116,7 @@ def _point_from_args(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns {artifact-name: payload-spec}
+# subcommand implementations: each writes its own artifacts into out and returns None
 
 
 def _run_gauss_check(args, out: Path) -> None:
@@ -157,8 +157,8 @@ def _run_moments(args, out: Path) -> None:
     table = _table(args)
     rows = []
     for nu in range(1, args.nu + 1):
-        incl = cs.mordell_moment(args.d, args.p, nu, include_zero=True, table=table)
-        excl = cs.mordell_moment(args.d, args.p, nu, include_zero=False, table=table)
+        incl = cs.mordell_moment(table, nu, include_zero=True)
+        excl = cs.mordell_moment(table, nu, include_zero=False)
         rows.append((args.d, args.p, nu, incl, excl, float(cs.moment_main_term(args.d, nu))))
     _write_csv(
         out / "moments.csv",
@@ -177,7 +177,7 @@ def _run_box_moments(args, out: Path) -> None:
     for _ in range(args.count):
         side = int(rng.integers(lmin, args.p + 1))
         starts = tuple(int(v) for v in rng.integers(0, args.p, size=args.d))
-        rep = cs.box_moment(args.d, args.p, args.nu, cs.DiscreteBox(starts=starts, side=side), table=table)
+        rep = cs.box_moment(table, args.nu, cs.DiscreteBox(starts=starts, side=side))
         rows.append((args.d, args.p, args.nu, side, rep.value, rep.predicted_main_term, rep.ratio))
     _write_csv(
         out / "box_moments.csv",
@@ -189,10 +189,10 @@ def _run_box_moments(args, out: Path) -> None:
 def _run_enumerate_lp(args, out: Path) -> None:
     table = _table(args)
     gamma = float(args.gamma)
-    count = lv.count_Lp(args.d, args.p, gamma=gamma, table=table)
+    count = lv.count_Lp(table, gamma)
     members = None
     if count <= args.emit_limit:  # rows are listed only to be emitted
-        members = lv.enumerate_Lp(args.d, args.p, gamma=gamma, table=table, cap=args.cap).members.tolist()
+        members = lv.enumerate_Lp(table, gamma, cap=args.cap).tolist()
     _write_json(
         out / "enumerate_lp.json",
         {
@@ -217,7 +217,7 @@ def _run_orbit_count(args, out: Path) -> None:
 
 
 def _run_box_density(args, out: Path) -> None:
-    sweep = lv.minimal_witness_side(args.d, args.p, gamma=float(args.gamma), table=_table(args), cap=args.cap)
+    sweep = lv.minimal_witness_side(_table(args), float(args.gamma))
     _write_json(out / "box_density.json", {"d": args.d, "p": args.p, **sweep})
 
 

@@ -4,7 +4,8 @@ T(a) = sum_{n=1}^{p} e((a_1 n + ... + a_d n^d)/p) for a in F_p^d, together
 with the exactly checkable identities attached to it: the degree-2 magnitude
 law |T| = sqrt(p), the monomial evaluation p^{d-1}, the binomial vanishing
 family, the Weil bound with its classical constant, and the power moments
-over the full space and over discrete sub-boxes.
+over the full space and over discrete sub-boxes, `mordell_moment(table, nu)`
+and `box_moment(table, nu, box)`, which read d and p from the table.
 
 |T(a)| is constant on the lambda-orbits a -> (lambda a_1, lambda^2 a_2, ...,
 lambda^d a_d), lambda in F_p^*, so a (d, p)-table stores two
@@ -183,15 +184,6 @@ def build_table(d: int, p: int, cap: int = DEFAULT_CAP) -> CompleteSumTable:
     return CompleteSumTable(d=d, p=p, slices=slices)
 
 
-def _table_for(d: int, p: int, table: CompleteSumTable | None, cap: int) -> CompleteSumTable:
-    """``table`` if it is the (d, p) table, a fresh build if it is None."""
-    if table is None:
-        return build_table(d, p, cap=cap)
-    if (table.d, table.p) != (d, p):
-        raise PreconditionError("table does not match (d, p)")
-    return table
-
-
 # ---------------------------------------------------------------------------
 # identity checks
 
@@ -316,23 +308,17 @@ def vanishing_family(d: int, p: int, tol_factor: float = 1e-9) -> list[tuple[int
 # moments
 
 
-def mordell_moment(
-    d: int,
-    p: int,
-    nu: int,
-    include_zero: bool = True,
-    table: CompleteSumTable | None = None,
-    cap: int = DEFAULT_CAP,
-) -> float:
-    """sum over a in F_p^d of |T(a)|^{2 nu}, optionally excluding a = 0.
+def mordell_moment(table: CompleteSumTable, nu: int, include_zero: bool = True) -> float:
+    """sum over a in F_p^d of |T(a)|^{2 nu}, optionally excluding a = 0, for the table's (d, p).
 
     Orbit weights are exact: the a_1 = 0 slice counts once and the a_1 = 1
     slice p - 1 times, once for each a_1 != 0.  The a = 0 term is removed
     exactly as p^{2 nu} (T(0) = p).
     """
+    d, p = table.d, table.p
     if not 1 <= nu <= d:
         raise PreconditionError(f"need 1 <= nu <= d, got nu={nu}")
-    s0, s1 = _table_for(d, p, table, cap).slices ** (2 * nu)
+    s0, s1 = table.slices ** (2 * nu)
     total = float(s0.sum()) + (p - 1) * float(s1.sum())
     if not include_zero:
         total -= float(p) ** (2 * nu)
@@ -387,20 +373,14 @@ class BoxMomentReport:
         return self.value / self.predicted_main_term
 
 
-def box_moment(
-    d: int,
-    p: int,
-    nu: int,
-    box: DiscreteBox,
-    table: CompleteSumTable | None = None,
-    cap: int = DEFAULT_CAP,
-) -> BoxMomentReport:
+def box_moment(table: CompleteSumTable, nu: int, box: DiscreteBox) -> BoxMomentReport:
     """M(B) = sum over a in B, a != 0, of |T(a)|^{2 nu}, with the A_d(nu) L^d p^nu main term."""
+    d, p = table.d, table.p
     if box.dim != d:
         raise PreconditionError("box dimension must equal d")
     if not 1 <= nu <= d:
         raise PreconditionError(f"need 1 <= nu <= d, got nu={nu}")
-    sub = _table_for(d, p, table, cap).lookup(np.ix_(*box.axis_values(p)), power=2 * nu)
+    sub = table.lookup(np.ix_(*box.axis_values(p)), power=2 * nu)
     total = float(sub.sum())
     if box.contains_zero(p):
         total -= float(p) ** (2 * nu)

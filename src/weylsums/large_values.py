@@ -2,13 +2,16 @@
 
 L_p collects the a in F_p^d with a_d != 0 and |T(a)| >= gamma*sqrt(p); its
 box density at scale p^{1-kappa_d} log p is what turns complete-sum lower
-bounds into large Weyl sums on whole neighborhoods.  This module counts
-those sets from the table's orbit slices, reads their members in a box by
-one block scan (`_member_blocks`, shared by `enumerate_Lp`,
-`minimal_witness_side` and the Cantor witness search), computes the
-beta_d / kappa_d exponents in exact rationals, and verifies the two
-amplification inequalities with their explicit proof constants
-(0.25*gamma*N*p^{-1/2} for the full polynomial, 0.5*N/p for the monomial).
+bounds into large Weyl sums on whole neighborhoods.  The L_p readers
+`count_Lp(table, gamma)`, `enumerate_Lp(table, gamma, cap)` and
+`minimal_witness_side(table, gamma)` take a `CompleteSumTable` and read d
+and p from it.  They count those sets from the table's orbit slices and read
+their members in a box by one block scan (`_member_blocks`, shared by
+`enumerate_Lp`, `minimal_witness_side` and the Cantor witness search).  The
+module also computes the beta_d / kappa_d exponents in exact rationals and
+verifies the two amplification inequalities with their explicit proof
+constants (0.25*gamma*N*p^{-1/2} for the full polynomial, 0.5*N/p for the
+monomial).
 
 All exponent and radius comparisons are done in exact integer arithmetic
 (rational tau = u/v turns r < p^{-tau} into r^v * p^u < 1 over a common
@@ -30,7 +33,6 @@ from .complete_sums import (
     DiscreteBox,
     _check_cap,
     _require_prime,
-    _table_for,
     complete_sum,
 )
 from .errors import (
@@ -120,33 +122,19 @@ def plan_trial_count(p: int, tau: Fraction, d: int, gamma: Fraction) -> int:
 # the large-value sets
 
 
-@dataclass(frozen=True)
-class LargeSumSet:
-    d: int
-    p: int
-    gamma: float
-    members: np.ndarray  # (count, d) int64 rows, lexicographic order
-    density: float  # #L_p / p^d, the empirical c_d
-
-
 def threshold(p: int, gamma: float) -> float:
     return gamma * sqrt(p) * (1.0 - MEMBERSHIP_SLACK)
 
 
-def count_Lp(
-    d: int,
-    p: int,
-    gamma: float = 1.0,
-    table: CompleteSumTable | None = None,
-    cap: int = DEFAULT_CAP,
-) -> int:
-    """#L_p from the orbit slices, without listing a member.
+def count_Lp(table: CompleteSumTable, gamma: float = 1.0) -> int:
+    """#L_p for the table's (d, p) from its orbit slices, without listing a member.
 
     For d >= 2, a_d != 0 is b_d != 0 in both slices (lambda^d a_d != 0); each
     b of the a_1 = 1 slice stands for the p - 1 members with a_1 != 0 in its
     orbit, each b of the a_1 = 0 slice for itself.
     """
-    member = _table_for(d, p, table, cap).slices >= threshold(p, gamma)
+    d, p = table.d, table.p
+    member = table.slices >= threshold(p, gamma)
     if d == 1:  # a_d = a_1: only the a_1 = 1 orbit has a_d != 0
         return (p - 1) * int(member[1])
     return int(member[0, ..., 1:].sum()) + (p - 1) * int(member[1, ..., 1:].sum())
@@ -169,26 +157,18 @@ def _member_blocks(table: CompleteSumTable, thr: float, axes: Sequence[np.ndarra
         yield np.stack([axis[i] for axis, i in zip(block, np.nonzero(big))], axis=1)
 
 
-def enumerate_Lp(
-    d: int,
-    p: int,
-    gamma: float = 1.0,
-    table: CompleteSumTable | None = None,
-    cap: int = DEFAULT_CAP,
-) -> LargeSumSet:
-    """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p), plus the achieved density.
+def enumerate_Lp(table: CompleteSumTable, gamma: float = 1.0, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p): the (count, d) int64 rows, lexicographic.
 
     The rows are refused past ``cap`` members before any is listed.  They
     come from `_member_blocks` over F_p^d, a block of a_1 values of about one
     CHUNK of entries at a time, so only the member rows grow with p^d.
     """
-    table = _table_for(d, p, table, cap)
-    count = count_Lp(d, p, gamma, table)
-    _check_cap(count, cap, "L_p of {} members")
+    d, p = table.d, table.p
+    _check_cap(count_Lp(table, gamma), cap, "L_p of {} members")
     step = max(1, CHUNK // p ** (d - 1))  # p^(d-1) entries per a_1 value
     blocks = _member_blocks(table, threshold(p, gamma), [np.arange(p, dtype=np.int64)] * d, step)
-    members = np.concatenate(list(blocks))
-    return LargeSumSet(d=d, p=p, gamma=gamma, members=members, density=count / p**d)
+    return np.concatenate(list(blocks))
 
 
 def find_anchor(
@@ -246,23 +226,17 @@ def orbit_in_box_count(a: Sequence[int], p: int, box: DiscreteBox) -> OrbitCount
     return OrbitCountReport(count=count, reference=0.5 * box.side**k * float(p) ** (1 - k))
 
 
-def minimal_witness_side(
-    d: int,
-    p: int,
-    gamma: float = 1.0,
-    table: CompleteSumTable | None = None,
-    cap: int = DEFAULT_CAP,
-) -> dict:
+def minimal_witness_side(table: CompleteSumTable, gamma: float = 1.0) -> dict:
     """Smallest side L such that the origin-cornered box {1..L}^d meets L_p.
 
     The boxes are nested and the side-p box is all of F_p^d, so the answer is
     the least max-coordinate over members in {1..p-1}^d; p when every member
     has a zero coordinate, and None when L_p is empty.  The scan runs upward
     in a_1, about one CHUNK of entries per block, and stops once a_1 reaches
-    the best side found: no rows are listed, so ``cap`` bounds only the
-    table.  Compare against p^{1-kappa_d} log p (the lemma's unknown constant C).
+    the best side found, and no rows are listed.  Compare against
+    p^{1-kappa_d} log p (the lemma's unknown constant C).
     """
-    table = _table_for(d, p, table, cap)
+    d, p = table.d, table.p
     inner = np.arange(1, p, dtype=np.int64)
     step = max(1, CHUNK // (p - 1) ** (d - 1))
     found = None
@@ -272,7 +246,7 @@ def minimal_witness_side(
             found = side if found is None else min(found, side)
         if found is not None and 1 + (k + 1) * step >= found:  # a_1 of the next block
             break
-    if found is None and count_Lp(d, p, gamma, table):
+    if found is None and count_Lp(table, gamma):
         found = p
     reference = float(p) ** (1 - float(kappa(d))) * log(p) if d >= 3 else float("nan")
     return {

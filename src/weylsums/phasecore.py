@@ -35,15 +35,6 @@ class Phase:
     def __post_init__(self):
         object.__setattr__(self, "frac", self.frac & _MASK)
 
-    def __add__(self, other: "Phase") -> "Phase":
-        return Phase((self.frac + other.frac) & _MASK)
-
-    def __neg__(self) -> "Phase":
-        return Phase((-self.frac) & _MASK)
-
-    def __sub__(self, other: "Phase") -> "Phase":
-        return Phase((self.frac - other.frac) & _MASK)
-
 
 def phase_from_rational(a: int, q: int) -> Phase:
     """Nearest representable phase to (a mod q)/q; error <= 2^-65 of a turn."""

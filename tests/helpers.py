@@ -36,6 +36,16 @@ def phase_to_float(t):
     return t.frac * 2.0**-64
 
 
+def phase_add(s, t):
+    """s + t of two Phases, exact mod 1."""
+    return Phase(s.frac + t.frac)
+
+
+def phase_sub(s, t):
+    """s - t of two Phases, exact mod 1."""
+    return Phase(s.frac - t.frac)
+
+
 def phase_times(t, n):
     """Integer multiple n*t of a Phase, exact mod 1."""
     return Phase(t.frac * (n % TURN))
@@ -144,24 +154,24 @@ def full_box(d, p):
     return DiscreteBox(starts=(p - 1,) * d, side=p)
 
 
-def box_density_check(lp, box):
-    """Some a in box intersect L_p, or None: the lexicographically first listed member row in it."""
-    if box.dim != lp.d:
+def box_density_check(members, p, box):
+    """Some a in box intersect L_p, or None: the lexicographically first of the (count, d) member rows in it."""
+    if box.dim != members.shape[1]:
         raise PreconditionError("box dimension must equal d")
-    inside = np.ones(len(lp.members), dtype=bool)
-    for j, vals in enumerate(box.axis_values(lp.p)):
-        mask = np.zeros(lp.p, dtype=bool)
+    inside = np.ones(len(members), dtype=bool)
+    for j, vals in enumerate(box.axis_values(p)):
+        mask = np.zeros(p, dtype=bool)
         mask[vals] = True
-        inside &= mask[lp.members[:, j]]
+        inside &= mask[members[:, j]]
     hits = np.flatnonzero(inside)
-    return tuple(int(v) for v in lp.members[hits[0]]) if hits.size else None
+    return tuple(int(v) for v in members[hits[0]]) if hits.size else None
 
 
-def swept_side(lp):
-    """Least side L whose origin-cornered box {1..L}^d meets the listed L_p: a sweep down from p."""
+def swept_side(members, p):
+    """Least side L whose origin-cornered box {1..L}^d meets the listed L_p rows: a sweep down from p."""
     swept = None
-    for side in range(lp.p, 0, -1):
-        if box_density_check(lp, DiscreteBox(starts=(0,) * lp.d, side=side)) is None:
+    for side in range(p, 0, -1):
+        if box_density_check(members, p, DiscreteBox(starts=(0,) * members.shape[1], side=side)) is None:
             break
         swept = side
     return swept

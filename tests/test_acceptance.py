@@ -56,12 +56,12 @@ def test_criterion_03_mordell_and_parseval():
     t0 = time.monotonic()
     worst = 0.0
     for p in (3, 5, 7, 11, 13):
-        m = cs.mordell_moment(2, p, 2, include_zero=True)
+        m = cs.mordell_moment(cs.build_table(2, p), 2, include_zero=True)
         expected = 2.0 * p**4 - p**3
         worst = max(worst, abs(m - expected) / expected)
     for d in (1, 2, 3):
         for p in (3, 5, 7, 11, 13):
-            m = cs.mordell_moment(d, p, 1, include_zero=True)
+            m = cs.mordell_moment(cs.build_table(d, p), 1, include_zero=True)
             expected = float(p) ** (d + 1)
             worst = max(worst, abs(m - expected) / expected)
     _report("03 mordell-parseval", worst <= 1e-6,
@@ -78,7 +78,7 @@ def test_criterion_04_box_moments():
         for _ in range(50):
             side = int(rng.integers(lmin, p + 1))
             starts = tuple(int(v) for v in rng.integers(0, p, size=2))
-            rep = cs.box_moment(2, p, 1, cs.DiscreteBox(starts=starts, side=side), table=table)
+            rep = cs.box_moment(table, 1, cs.DiscreteBox(starts=starts, side=side))
             results.append(0.5 <= rep.ratio <= 1.5)
     frac = sum(results) / len(results)
     _report("04 box-moments", frac >= 0.9,

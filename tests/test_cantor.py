@@ -184,8 +184,7 @@ def test_large_sum_cantor_k1_matches_box_density_search():
     # at depth 1 the kept boxes are centered on witnesses that the density
     # check finds in the central 2/5 of each chart cell
     res = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)
-    lp = lv.enumerate_Lp(3, 31, gamma=1.0)
-    members = set(map(tuple, lp.members.tolist()))
+    members = set(map(tuple, lv.enumerate_Lp(cs.build_table(3, 31), gamma=1.0).tolist()))
     for cert in res.certificates:
         assert cert.anchor in members
         # anchor lattice point lies inside the cell's central window

@@ -1,5 +1,6 @@
 """CLI wiring: artifacts, manifests, determinism and exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -121,6 +122,15 @@ def test_flags_only_on_commands_that_read_them(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.run([*argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_readme_cli_block_runs_every_subcommand():
+    # the README's `weylsums ...` lines are the commands run twice and diffed for byte-identical artifacts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {line.split()[1] for line in readme.splitlines() if line.startswith("weylsums ")}
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == set(sub.choices)
 
 
 def test_version_flag():

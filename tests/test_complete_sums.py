@@ -135,25 +135,25 @@ def test_vanishing_family_p11():
 
 def test_mordell_moments_p3():
     table = cs.build_table(2, 3)
-    m2 = cs.mordell_moment(2, 3, 2, include_zero=True, table=table)
+    m2 = cs.mordell_moment(table, 2, include_zero=True)
     assert abs(m2 - 135) < 1e-6 * 135
-    m1 = cs.mordell_moment(2, 3, 1, include_zero=True, table=table)
+    m1 = cs.mordell_moment(table, 1, include_zero=True)
     assert abs(m1 - 27) < 1e-6 * 27
-    m2x = cs.mordell_moment(2, 3, 2, include_zero=False, table=table)
+    m2x = cs.mordell_moment(table, 2, include_zero=False)
     assert abs(m2x - 54) < 1e-6 * 54
     with pytest.raises(PreconditionError):
-        cs.mordell_moment(2, 3, 3, table=table)
+        cs.mordell_moment(table, 3)
 
 
 def test_parseval_identity():
     for d, p in [(1, 13), (2, 13), (3, 13), (2, 7), (3, 5)]:
-        m1 = cs.mordell_moment(d, p, 1, include_zero=True)
+        m1 = cs.mordell_moment(cs.build_table(d, p), 1, include_zero=True)
         assert abs(m1 - float(p) ** (d + 1)) < 1e-6 * float(p) ** (d + 1)
 
 
 def test_degree2_fourth_moment_closed_form():
     for p in (3, 5, 7, 11, 13):
-        m2 = cs.mordell_moment(2, p, 2, include_zero=True)
+        m2 = cs.mordell_moment(cs.build_table(2, p), 2, include_zero=True)
         expected = 2.0 * p**4 - p**3
         assert abs(m2 - expected) < 1e-6 * expected
 
@@ -193,8 +193,8 @@ def test_orbit_partition_sizes_divide_p_minus_1():
 
 def test_box_moment_full_cube_consistency():
     table = cs.build_table(2, 5)
-    rep = cs.box_moment(2, 5, 1, full_box(2, 5), table=table)
-    excl = cs.mordell_moment(2, 5, 1, include_zero=False, table=table)
+    rep = cs.box_moment(table, 1, full_box(2, 5))
+    excl = cs.mordell_moment(table, 1, include_zero=False)
     assert abs(rep.value - excl) < 1e-9
     assert abs(rep.value - 100.0) < 1e-6 * 100  # p^3 - p^2
 
@@ -202,7 +202,7 @@ def test_box_moment_full_cube_consistency():
 def test_box_moment_single_vector():
     table = cs.build_table(2, 7)
     a = (3, 4)
-    rep = cs.box_moment(2, 7, 2, cs.DiscreteBox(starts=(a[0] - 1, a[1] - 1), side=1), table=table)
+    rep = cs.box_moment(table, 2, cs.DiscreteBox(starts=(a[0] - 1, a[1] - 1), side=1))
     assert abs(rep.value - float(table.lookup(a)) ** 4) < 1e-9
 
 
@@ -214,8 +214,26 @@ def test_box_moment_wraparound():
         for a2 in (0, 1, 2):
             if (a1, a2) != (0, 0):
                 sub += float(table.lookup((a1, a2))) ** 2
-    rep = cs.box_moment(2, 7, 1, box, table=table)
+    rep = cs.box_moment(table, 1, box)
     assert abs(rep.value - sub) < 1e-9
+
+
+def test_box_moment_refuses_box_of_other_dimension():
+    table = cs.build_table(2, 5)
+    with pytest.raises(PreconditionError, match="box dimension must equal d"):
+        cs.box_moment(table, 1, cs.DiscreteBox(starts=(0, 0, 0), side=2))
+    with pytest.raises(PreconditionError, match="box dimension must equal d"):
+        cs.box_moment(table, 1, cs.DiscreteBox(starts=(0,), side=2))
+
+
+@pytest.mark.parametrize("d, p", [(1, 5), (2, 7), (3, 5)])
+def test_moments_refuse_nu_outside_1_to_d(d, p):
+    table = cs.build_table(d, p)
+    for nu in (0, d + 1):
+        with pytest.raises(PreconditionError, match=f"need 1 <= nu <= d, got nu={nu}"):
+            cs.mordell_moment(table, nu)
+        with pytest.raises(PreconditionError, match=f"need 1 <= nu <= d, got nu={nu}"):
+            cs.box_moment(table, nu, full_box(d, p))
 
 
 def test_moment_main_term():
@@ -270,8 +288,8 @@ def test_mordell_orbit_weights_match_full_table(d, p):
     table = cs.build_table(d, p)
     for nu in range(1, d + 1):
         full = float((mags ** (2 * nu)).sum())
-        assert abs(cs.mordell_moment(d, p, nu, table=table) - full) <= 1e-12 * full
-        excl = cs.mordell_moment(d, p, nu, include_zero=False, table=table)
+        assert abs(cs.mordell_moment(table, nu) - full) <= 1e-12 * full
+        excl = cs.mordell_moment(table, nu, include_zero=False)
         assert abs(excl - (full - float(p) ** (2 * nu))) <= 1e-12 * full
 
 

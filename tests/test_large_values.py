@@ -54,32 +54,34 @@ def test_beta_kappa_relations_up_to_64():
 
 
 def test_enumerate_lp_gauss_count():
-    lp = lv.enumerate_Lp(2, 5, gamma=1.0)
-    assert len(lp.members) == 20  # p(p-1): every a with a_2 != 0
-    assert abs(lp.density - 20 / 25) < 1e-12
-    assert all(a[-1] != 0 for a in lp.members)
+    table = cs.build_table(2, 5)
+    members = lv.enumerate_Lp(table, gamma=1.0)
+    assert len(members) == 20  # p(p-1): every a with a_2 != 0
+    assert abs(lv.count_Lp(table, 1.0) / 5**2 - 20 / 25) < 1e-12
+    assert all(a[-1] != 0 for a in members)
 
 
 def test_enumerate_lp_members_reverify():
     # no stale-cache acceptance: each member re-verifies by direct summation
-    lp = lv.enumerate_Lp(3, 7, gamma=1.0)
-    assert len(lp.members) > 0
-    for a in lp.members[:20]:
+    members = lv.enumerate_Lp(cs.build_table(3, 7), gamma=1.0)
+    assert len(members) > 0
+    for a in members[:20]:
         assert abs(direct_complete_sum(3, 7, a)) >= lv.threshold(7, 1.0)
 
 
 def test_enumerate_lp_orbit_closure_exhaustive():
     for d, p in [(2, 5), (2, 13), (3, 11), (3, 13)]:
-        members = set(map(tuple, lv.enumerate_Lp(d, p, gamma=1.0).members.tolist()))
+        members = set(map(tuple, lv.enumerate_Lp(cs.build_table(d, p), gamma=1.0).tolist()))
         for a in members:
             for lam in range(2, p):
                 assert cs.lambda_orbit(a, lam, p) in members
 
 
 def test_enumerate_lp_possibly_empty_at_large_gamma():
-    lp = lv.enumerate_Lp(2, 5, gamma=2.0)  # threshold 2 sqrt(5) > sqrt(5)
-    assert lp.members.shape == (0, 2)
-    assert lp.density == 0.0
+    table = cs.build_table(2, 5)
+    members = lv.enumerate_Lp(table, gamma=2.0)  # threshold 2 sqrt(5) > sqrt(5)
+    assert members.shape == (0, 2)
+    assert lv.count_Lp(table, 2.0) / 5**2 == 0.0
 
 
 @pytest.mark.parametrize("d, p", [(1, 5), (2, 2), (2, 13), (3, 11), (3, 31), (4, 11)])
@@ -89,18 +91,38 @@ def test_enumerate_lp_rows_and_orbit_count_match_full_table(d, p, gamma):
     mags = full_table(d, p)
     want = np.argwhere(mags[..., 1:] >= lv.threshold(p, gamma))
     want[:, -1] += 1
-    lp = lv.enumerate_Lp(d, p, gamma=gamma)
-    assert lp.members.dtype == np.int64 and np.array_equal(lp.members, want)
-    assert lv.count_Lp(d, p, gamma=gamma) == len(want)
-    assert lp.density == len(want) / p**d
+    table = cs.build_table(d, p)
+    members = lv.enumerate_Lp(table, gamma=gamma)
+    assert members.dtype == np.int64 and np.array_equal(members, want)
+    assert lv.count_Lp(table, gamma=gamma) == len(want)
+    assert lv.count_Lp(table, gamma) / p**d == len(want) / p**d
 
 
 def test_enumerate_lp_rows_refused_past_cap():
     # (3, 31): 2 * 31^2 = 1922 stored entries, 12710 members
-    assert lv.count_Lp(3, 31, cap=5000) == 12710
+    table = cs.build_table(3, 31, cap=5000)
+    assert lv.count_Lp(table) == 12710
     with pytest.raises(ResourceLimitError, match="L_p of 12710 members exceeds the cap of 5000"):
-        lv.enumerate_Lp(3, 31, cap=5000)
-    assert len(lv.enumerate_Lp(3, 31, cap=12710).members) == 12710
+        lv.enumerate_Lp(table, cap=5000)
+    assert len(lv.enumerate_Lp(table, cap=12710)) == 12710
+
+
+@pytest.mark.parametrize("d, p", [(1, 5), (2, 13), (3, 31), (4, 11)])
+def test_readers_agree_on_a_reloaded_table(d, p, tmp_path):
+    # d and p of the reloaded table come only from its WSLT header
+    fresh = cs.build_table(d, p)
+    loaded = cs.load_table(cs.save_table(fresh, tmp_path / "t.wslt"))
+    assert (loaded.d, loaded.p) == (d, p)
+    box = cs.DiscreteBox(starts=(p - 2,) * d, side=3)  # wraps past p
+    for gamma in (1.0, 1.5):
+        assert lv.count_Lp(loaded, gamma) == lv.count_Lp(fresh, gamma)
+        assert np.array_equal(lv.enumerate_Lp(loaded, gamma), lv.enumerate_Lp(fresh, gamma))
+        # the d < 3 reference side is nan, which repr compares equal to itself
+        assert repr(lv.minimal_witness_side(loaded, gamma)) == repr(lv.minimal_witness_side(fresh, gamma))
+    for nu in range(1, d + 1):
+        for include_zero in (True, False):
+            assert cs.mordell_moment(loaded, nu, include_zero) == cs.mordell_moment(fresh, nu, include_zero)
+        assert cs.box_moment(loaded, nu, box) == cs.box_moment(fresh, nu, box)
 
 
 def test_find_anchor_seeded():
@@ -155,20 +177,20 @@ def test_orbit_counts_partition_to_p_minus_1():
 
 
 def test_box_density_check_full_cube():
-    lp = lv.enumerate_Lp(3, 31, gamma=1.0)
-    w = box_density_check(lp, full_box(3, 31))
-    assert w is not None and w in set(map(tuple, lp.members.tolist()))
-    assert w == tuple(lp.members[0])  # lexicographically first member
+    members = lv.enumerate_Lp(cs.build_table(3, 31), gamma=1.0)
+    w = box_density_check(members, 31, full_box(3, 31))
+    assert w is not None and w in set(map(tuple, members.tolist()))
+    assert w == tuple(members[0])  # lexicographically first member
 
 
 def test_box_density_check_single_miss():
-    lp = lv.enumerate_Lp(2, 5, gamma=1.0)
+    members = lv.enumerate_Lp(cs.build_table(2, 5), gamma=1.0)
     # (1, 0) has a_2 = 0, never a member; the single-vector box must miss
-    assert box_density_check(lp, cs.DiscreteBox(starts=(0, 4), side=1)) is None
+    assert box_density_check(members, 5, cs.DiscreteBox(starts=(0, 4), side=1)) is None
 
 
 def test_minimal_witness_side_reports():
-    sweep = lv.minimal_witness_side(3, 31, gamma=1.0)
+    sweep = lv.minimal_witness_side(cs.build_table(3, 31), gamma=1.0)
     assert sweep["minimal_side"] is not None
     assert 1 <= sweep["minimal_side"] <= 31
     assert sweep["ratio"] > 0
@@ -183,11 +205,11 @@ def test_minimal_witness_side_matches_box_sweep(d, p, gamma):
     # (4, 29) scans 2 values of a_1 per block and (3, 211) one: their best sides
     # per block are 9, 10, 8, 10, 9, ... and 10, 12, 5, 5, ...
     table = cs.build_table(d, p)
-    swept = swept_side(lv.enumerate_Lp(d, p, gamma=gamma, table=table))
-    assert lv.minimal_witness_side(d, p, gamma=gamma, table=table)["minimal_side"] == swept
-    assert lv.minimal_witness_side(d, p, gamma=gamma)["minimal_side"] == swept
+    swept = swept_side(lv.enumerate_Lp(table, gamma=gamma), p)
+    assert lv.minimal_witness_side(table, gamma=gamma)["minimal_side"] == swept
+    assert lv.minimal_witness_side(cs.build_table(d, p), gamma=gamma)["minimal_side"] == swept
     # L_p is empty for gamma=5 at (3, 31), and at d = 1, where T(a) = 0 for every a != 0
-    assert (swept is None) == (gamma == 5 or d == 1) == (lv.count_Lp(d, p, gamma, table) == 0)
+    assert (swept is None) == (gamma == 5 or d == 1) == (lv.count_Lp(table, gamma) == 0)
 
 
 def test_minimal_witness_side_zero_coordinate_members_only():
@@ -196,9 +218,9 @@ def test_minimal_witness_side_zero_coordinate_members_only():
     slices = np.zeros((2, 5))
     slices[0, 3] = 10.0
     table = cs.CompleteSumTable(d=2, p=5, slices=slices)
-    lp = lv.enumerate_Lp(2, 5, table=table)
-    assert lp.members.tolist() == [[0, 3]]
-    assert lv.minimal_witness_side(2, 5, table=table)["minimal_side"] == swept_side(lp) == 5
+    members = lv.enumerate_Lp(table)
+    assert members.tolist() == [[0, 3]]
+    assert lv.minimal_witness_side(table)["minimal_side"] == swept_side(members, 5) == 5
 
 
 def test_minimal_witness_side_scans_on_to_the_best_side():
@@ -213,7 +235,7 @@ def test_minimal_witness_side_scans_on_to_the_best_side():
     lam = np.arange(1, p, dtype=np.int64)
     sides = [np.maximum(lam, lam * lam % p * b % p).min() for b in (4, pow(3, -1, p))]
     assert min(sides) == 3
-    assert lv.minimal_witness_side(2, p, table=table)["minimal_side"] == 3
+    assert lv.minimal_witness_side(table)["minimal_side"] == 3
 
 
 def test_amplification_plan_examples():
