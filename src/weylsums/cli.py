@@ -8,13 +8,22 @@ counter-based RNG); the manifest carries the timestamp and is the one file
 allowed to differ.
 
 Exit codes: 0 success, 2 invalid configuration, 3 resource limit (a cap or
-out of memory), 4 lemma-check failure, 5 corrupt cache.
+out of memory), 4 lemma-check failure, 5 corrupt cache.  The manifest records
+the exit code as ``exit_code``; a run that fails with code 2-5 still writes
+it, with ``error_class`` (the exception's class name) and ``message`` added.
+An argument the parser rejects exits 2 before the output directory is known
+and writes nothing.
+
+`run` may be called any number of times in one process: the parser is built
+on first use and shared by every later call, and each call parses into a
+fresh namespace, so nothing one call sets reaches the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -394,7 +403,9 @@ def _add_point(sp):
     sp.add_argument("--m", type=_primes_list, default=None, help="sparse exponents")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The weylsums argument parser, built on the first call and shared by every later one."""
     ap = argparse.ArgumentParser(prog="weylsums", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -528,6 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _failure(code: int, prefix: str, exc: BaseException, message: str | None = None) -> dict:
+    """Report a mapped failure on stderr and return its manifest fields."""
+    message = str(exc) if message is None else message
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return {"exit_code": code, "error_class": type(exc).__name__, "message": message}
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
@@ -535,18 +553,15 @@ def run(argv=None) -> int:
     start = time.monotonic()
     try:
         args.func(args, out)
+        status = {"exit_code": EXIT_OK}
     except (ResourceLimitError, MemoryError) as exc:
-        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
+        status = _failure(EXIT_RESOURCE_LIMIT, "resource limit", exc, str(exc) or "out of memory")
     except ChecksumMismatchError as exc:
-        print(f"corrupt cache: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT_CACHE
+        status = _failure(EXIT_CORRUPT_CACHE, "corrupt cache", exc)
     except LemmaCheckFailureError as exc:
-        print(f"lemma check failed: {exc}", file=sys.stderr)
-        return EXIT_LEMMA_FAILURE
+        status = _failure(EXIT_LEMMA_FAILURE, "lemma check failed", exc)
     except (PreconditionError, WeylSumsError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
+        status = _failure(EXIT_INVALID_CONFIG, "invalid configuration", exc)
     wall = time.monotonic() - start
     config = {
         k: (str(v) if isinstance(v, Fraction) else v)
@@ -559,9 +574,10 @@ def run(argv=None) -> int:
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": wall,
+        **status,
     }
     _write_json(out / "manifest.json", manifest)
-    return EXIT_OK
+    return status["exit_code"]
 
 
 def main() -> None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import LemmaCheckFailureError, PreconditionError
 from .phasecore import TURN
-from .weyl_sums import _chunks, _phase_words, checkpoint_grid, weyl_sum, weyl_sum_trace
+from .weyl_sums import _chunks, _phase_words, _word_trace, checkpoint_grid
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
 N_LIMIT = 1 << 31  # the gaps N x - k fit two int64 words below this
@@ -76,18 +76,28 @@ def poly_sequence(x, N: int, m: Sequence[int] | None = None) -> PointSet1D:
 
 def _sequence_fracs(x, N: int, m) -> np.ndarray:
     """uint64 2^-64 grid numerators of the phases at n = 1..N; a/q rounds to its nearest grid point."""
+    return _grid_fracs(*_sequence_words(x, N, m))
+
+
+def _sequence_words(x, N: int, m) -> tuple[np.ndarray, int]:
+    """(words, q): the exact phases words[n - 1] / q of n = 1..N as uint64, over the q of `_phase_words`."""
     if not 1 <= N < N_LIMIT:
         raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got {N}")
     words, q = _phase_words(x, m)
     out = np.empty(N, dtype=np.uint64)
     for lo, hi in _chunks(N):
         out[lo - 1:hi - 1] = words(lo, hi)
+    return out, q
+
+
+def _grid_fracs(words: np.ndarray, q: int) -> np.ndarray:
+    """The phases words / q as 2^-64 grid numerators: the words themselves for q = 2^64, else rounded."""
     if q == TURN:
-        return out
+        return words
     # phase_from_rational's round(v 2^64 / q) = v Q + (2 v R + q) // (2 q) with 2^64 = Q q + R,
     # exact in uint64 for residues v < q < 2^31 (2 v R + q < 2^63), and wrapping mod 2^64
     Q, R = divmod(TURN, q)
-    return out * (Q & (TURN - 1)) + (2 * R * out + q) // (2 * q)
+    return words * (Q & (TURN - 1)) + (2 * R * words + q) // (2 * q)
 
 
 def _units(n, x, rank, valid) -> list[tuple[int, int]]:
@@ -140,10 +150,15 @@ class KoksmaReport:
 
 
 def koksma_relation_check(x, N: int, m: Sequence[int] | None = None) -> KoksmaReport:
-    """Assert |S(x;N)| <= 2*pi*D*_N + 1e-6 (explicit Koksma constant)."""
-    seq = poly_sequence(x, N, m)
-    s_mag = abs(weyl_sum(x, N, m))
-    d_star = star_discrepancy(seq)
+    """Assert |S(x;N)| <= 2*pi*D*_N + 1e-6 (explicit Koksma constant).
+
+    One pass of phase words serves both sides: S sums their unit terms,
+    bit-identical to weyl_sum, and D*_N reads them on the 2^-64 grid, as
+    star_discrepancy(poly_sequence(x, N, m)) does.
+    """
+    words, q = _sequence_words(x, N, m)
+    s_mag = _word_trace(words, q, (N,)).magnitudes[0]
+    d_star = star_discrepancy(PointSet1D(fracs=np.sort(_grid_fracs(words, q))))
     bound = KOKSMA_CONSTANT * d_star + 1e-6
     report = KoksmaReport(
         N=N,
@@ -190,10 +205,10 @@ def discrepancy_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None
 
 
 def scan_rows(x, n_max: int, m: Sequence[int] | None = None) -> list[tuple[int, float, float, float, float]]:
-    """(N, D_N, D*_N, |S|, |S|/D*) rows over the checkpoint grid, for CSV output."""
-    fracs = _sequence_fracs(x, n_max, m)
-    trace = weyl_sum_trace(x, checkpoint_grid(n_max), m)
+    """(N, D_N, D*_N, |S|, |S|/D*) rows over the checkpoint grid, for CSV output; one pass of phase words."""
+    words, q = _sequence_words(x, n_max, m)
+    trace = _word_trace(words, q, checkpoint_grid(n_max))
     return [
         (n, d_n / TURN, d_star / TURN, mag, mag / (d_star / TURN) if d_star else 0.0)
-        for (n, d_n, d_star), mag in zip(_checkpoint_units(fracs, n_max), trace.magnitudes)
+        for (n, d_n, d_star), mag in zip(_checkpoint_units(_grid_fracs(words, q), n_max), trace.magnitudes)
     ]

@@ -83,12 +83,8 @@ def _phase_words(x, m: Sequence[int] | None):
     return (lambda lo, hi: frac_array(coeffs, exps, lo, hi)), TURN
 
 
-def _point_spec(x, m: Sequence[int] | None):
-    """Normalize (x, m) to (gen, q): gen(lo, hi) gives the unit terms (cos, sin) of n = lo..hi-1.
-
-    The terms repeat with period q in n, the q of `_phase_words`.
-    """
-    words, q = _phase_words(x, m)
+def _unit_gen(words, q: int):
+    """gen(lo, hi) giving the unit terms (cos, sin) of the phases words(lo, hi) / q of n = lo..hi-1."""
 
     def gen(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         # w stays bound through unit_terms: freed any earlier, its pages go
@@ -96,7 +92,16 @@ def _point_spec(x, m: Sequence[int] | None):
         w = words(lo, hi)
         return unit_terms(w.astype(np.float64) / q)
 
-    return gen, q
+    return gen
+
+
+def _point_spec(x, m: Sequence[int] | None):
+    """Normalize (x, m) to (gen, q): gen(lo, hi) gives the unit terms (cos, sin) of n = lo..hi-1.
+
+    The terms repeat with period q in n, the q of `_phase_words`.
+    """
+    words, q = _phase_words(x, m)
+    return _unit_gen(words, q), q
 
 
 def _chunks(N: int) -> Iterator[tuple[int, int]]:
@@ -256,7 +261,22 @@ def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None
     cps = tuple(int(n) for n in checkpoints)
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
         raise PreconditionError("checkpoints must be strictly increasing and >= 1")
-    values = _accumulate(*_point_spec(x, m), cps)[0]
+    return _trace(*_point_spec(x, m), cps)
+
+
+def _word_trace(words: np.ndarray, q: int, cps: tuple[int, ...]) -> SumTrace:
+    """`weyl_sum_trace` over phase words already generated: words[n - 1] / q is the phase of n.
+
+    words holds n = 1..N for some N >= min(q, cps[-1]), as `_phase_words`
+    gives them, and cps is a valid checkpoint tuple.  Only the first
+    min(q, cps[-1]) words are read, so the trace is bit-identical to
+    `weyl_sum_trace` of the point the words came from.
+    """
+    return _trace(_unit_gen(lambda lo, hi: words[lo - 1 : hi - 1], q), q, cps)
+
+
+def _trace(gen, q: int, cps: tuple[int, ...]) -> SumTrace:
+    values = _accumulate(gen, q, cps)[0]
     return SumTrace(checkpoints=cps, values=tuple(_checked(v, n) for n, v in zip(cps, values)))
 
 

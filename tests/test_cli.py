@@ -31,6 +31,7 @@ def test_gauss_check_writes_report(tmp_path):
     assert manifest["command"] == "gauss-check"
     assert manifest["config"]["p"] == 13
     assert "timestamp" in manifest and "wall_time_s" in manifest and "version" in manifest
+    assert manifest["exit_code"] == 0 and "error_class" not in manifest and "message" not in manifest
 
 
 def test_moments_csv_value(tmp_path):
@@ -131,6 +132,100 @@ def test_readme_cli_block_runs_every_subcommand():
     ap = cli.build_parser()
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     assert listed == set(sub.choices)
+
+
+def _results(out):
+    """name -> bytes of every result artifact under out (the manifest carries a timestamp)."""
+    return {f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file() and f.name != "manifest.json"}
+
+
+def test_parser_is_built_once_and_shared():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path):
+    # a drawn point's --d and --seed go into that call's namespace only: leaked into the next
+    # call, the seed would contradict --x and exit 2
+    assert _run(["weyl-trace", "--d", "3", "--seed", "5", "--N-max", "20", "--out", str(tmp_path / "a")]) == 0
+    assert _run(["weyl-trace", "--x", "1/5,2/5", "--N-max", "20", "--out", str(tmp_path / "b")]) == 0
+    config = json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]
+    assert config["d"] == 2 and config["seed"] is None
+    # a list option set in one call is back at its default in the next
+    assert _run(["gauss-check", "--primes", "101,103", "--out", str(tmp_path / "g1")]) == 0
+    assert _run(["gauss-check", "--p", "107", "--out", str(tmp_path / "g2")]) == 0
+    assert [r["p"] for r in json.loads((tmp_path / "g2" / "gauss_check.json").read_text())] == [107]
+
+
+def test_parse_error_leaves_the_next_call_untouched(tmp_path):
+    # the parser rejects the first call before --out is known: nothing is written, and the next
+    # call writes what the same command writes in a process of its own
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["weyl-trace", "--d", "3", "--seed", "5", "--N-max", "oops", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "bad").exists()
+    argv = ["weyl-trace", "--N-max", "300"]
+    assert _run([*argv, "--out", str(tmp_path / "in")]) == 0
+    src = str(Path(weylsums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "weylsums", *argv, "--out", str(tmp_path / "fresh")],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _results(tmp_path / "in") == _results(tmp_path / "fresh") != {}
+
+
+def _flip_cached_table(monkeypatch, out):
+    """Cache the (2, 13) table under out and flip one body byte; the run's own files are removed."""
+    assert _run(["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache", "--out", str(out)]) == 0
+    table = out / "cache" / "table_d2_p13.wslt"
+    raw = bytearray(table.read_bytes())
+    raw[-3] ^= 0xFF
+    table.write_bytes(bytes(raw))
+    for name in ("manifest.json", "moments.csv"):
+        (out / name).unlink()
+
+
+def _no_memory(monkeypatch, out):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.ws, "weyl_sum_trace", no_memory)
+
+
+def _broken_terms(monkeypatch, out):
+    def twos(phases01):  # every term 2, so |S(x; N)| = 2N breaks the trivial bound
+        c, s = phasecore.unit_terms(phases01)
+        return np.full_like(c, 2.0), np.zeros_like(s)
+
+    monkeypatch.setattr(cli.ws, "unit_terms", twos)
+
+
+@pytest.mark.parametrize(
+    "code, error_class, prefix, argv, setup",
+    [
+        (2, "PreconditionError", "invalid configuration", ["mr-scan", "--count", "0", "--N-max", "64"], None),
+        (3, "ResourceLimitError", "resource limit", ["monomial-check", "--d", "3", "--p", "101", "--cap", "1000"],
+         None),
+        (3, "MemoryError", "resource limit", ["weyl-trace", "--N-max", "20"], _no_memory),
+        (4, "LemmaCheckFailureError", "lemma check failed", ["weyl-trace", "--N-max", "20"], _broken_terms),
+        (5, "ChecksumMismatchError", "corrupt cache", ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache"],
+         _flip_cached_table),
+    ],
+    ids=["invalid-config", "cap", "out-of-memory", "lemma-check", "corrupt-cache"],
+)
+def test_failed_run_writes_manifest(code, error_class, prefix, argv, setup, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "fail"
+    if setup is not None:
+        setup(monkeypatch, out)
+    capsys.readouterr()
+    assert _run([*argv, "--out", str(out)]) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == argv[0] and manifest["config"]["out"] == str(out)
+    assert {"timestamp", "wall_time_s", "version"} <= manifest.keys()
+    assert (manifest["exit_code"], manifest["error_class"]) == (code, error_class)
+    assert capsys.readouterr().err == f"{prefix}: {manifest['message']}\n"
+    assert manifest["message"] != ""
+    # the manifest is the only file a failed run adds
+    assert sorted(f.name for f in out.iterdir() if f.is_file()) == ["manifest.json"]
 
 
 def test_version_flag():

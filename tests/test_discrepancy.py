@@ -164,6 +164,24 @@ def test_exceptional_hits_are_discrepancy_hits():
         assert set(strong) <= dhits
 
 
+@pytest.mark.parametrize(
+    "x, m, n",
+    [
+        ((Phase(0x9E3779B97F4A7C15), Phase(0x2545F4914F6CDD1D)), None, 997),
+        ((Phase(0x8CB92BA72F3D8DD7), Phase(0x5851F42D4C957F2D), Phase(0x14057B7EF767814F)), None, 70000),
+        (RationalPoint(a=(3, 5), q=11), None, 500),  # q < N: the sum folds by period
+        (RationalPoint(a=(17,), q=1009), (3,), 70000),  # sparse exponent, q < N past one chunk
+        ((Phase(0x2545F4914F6CDD1D), Phase(0xD1B54A32D192ED03)), (2, 5), 300),
+        (RationalPoint(a=(1, 1), q=2**31 - 1), (1, 4), 400),  # q > N
+    ],
+)
+def test_koksma_check_equals_sum_and_discrepancy_routes(x, m, n):
+    # one pass of phase words for both sides gives what the two public routes give, bit for bit
+    rep = dc.koksma_relation_check(x, n, m)
+    assert rep.s_magnitude == abs(ws.weyl_sum(x, n, m))
+    assert rep.d_star == dc.star_discrepancy(dc.poly_sequence(x, n, m))
+
+
 def test_pointset_validation():
     with pytest.raises(PreconditionError):
         dc.PointSet1D(fracs=(5, 3))
