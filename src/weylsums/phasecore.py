@@ -117,14 +117,19 @@ def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, h
     if q * q >= 2**62:
         raise ValueError("modulus too large for the int64 residue path")
 
-    def mul(u, v):
-        r = u * v
-        r %= q
+    n = np.arange(lo, hi, dtype=np.int64)
+    quotient = np.empty_like(n)
+
+    def reduce(r):
+        # r % q as r - (r // q) q, in place: numpy floor-divides by a scalar ~3x
+        # faster than it takes %, and the quotient goes to the one buffer, since
+        # each large temporary freed per chunk costs page faults
+        np.floor_divide(r, q, out=quotient)
+        np.multiply(quotient, q, out=quotient)
+        r -= quotient
         return r
 
-    n = np.arange(lo, hi, dtype=np.int64)
-    n %= q  # in place, as in mul: each large temporary freed per chunk costs page faults
-    return _horner([aj % q for aj in a], exponents, n, mul)
+    return _horner([aj % q for aj in a], exponents, reduce(n), lambda u, v: reduce(u * v))
 
 
 def unit_terms(phases01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -133,6 +133,15 @@ def direct_complete_sum(d, p, a):
     return total
 
 
+def unit_root_fsum(a, q, exponents):
+    """sum_{n=1}^{q} e((a_1 n^{m_1} + ... + a_k n^{m_k}) / q): residues by pow, cos and sin each added by math.fsum."""
+    rs = [sum(aj * pow(n, m, q) for aj, m in zip(a, exponents)) % q for n in range(1, q + 1)]
+    return complex(
+        math.fsum(math.cos(2 * math.pi * r / q) for r in rs),
+        math.fsum(math.sin(2 * math.pi * r / q) for r in rs),
+    )
+
+
 def full_table(d, p):
     """|T(a)| over all of F_p^d, shape (p,)*d: one d-dimensional inverse FFT of the fiber counts."""
     counts = np.zeros((p,) * d)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import direct_complete_sum, full_box, full_table
+from helpers import direct_complete_sum, full_box, full_table, unit_root_fsum
 from weylsums import complete_sums as cs
 from weylsums.errors import (
     BinomialVanishingError,
@@ -52,6 +52,27 @@ def test_complete_sum_rejects_int64_overflow_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "a, q, exponents",
+    [
+        ((1,), 1, (1,)),
+        ((1,), 2, (1,)),
+        ((2, 1), 3, (1, 2)),
+        # 2^j - 1, 2^j, 2^j + 1: the split k = ceil(bitlen(q) / 2) moves at 2^j for even j
+        *[((3, 5, 7), q, (1, 2, 3)) for j in (4, 5, 12) for q in (2**j - 1, 2**j, 2**j + 1)],
+        ((5, 7), 65537, (2, 5)),  # two chunks
+        ((2,), 7**3, (3,)),  # composite moduli p^d
+        ((4, 9), 11**2, (2, 5)),
+        ((1, 2, 3), 5**4, (1, 2, 3)),
+    ],
+)
+def test_unit_root_sum_matches_fsum_oracle(a, q, exponents):
+    got = cs._unit_root_sum(a, q, exponents)
+    want = unit_root_fsum(a, q, exponents)
+    assert abs(got.real - want.real) <= q * 2**-48
+    assert abs(got.imag - want.imag) <= q * 2**-48
 
 
 def test_is_prime():
@@ -101,6 +122,8 @@ def test_weil_check():
     assert abs(rep.value - sqrt(5)) < 1e-9
     rep = cs.weil_check([0, 1, 0, 1], 7)  # f = X^3 + X
     assert rep.value <= 2 * sqrt(7) + 1e-9
+    rep = cs.weil_check([0, 1], 10000019)  # T = 0; rounding alone reads ~1e-9 at this p
+    assert rep.passed and rep.bound == 0.0 and rep.value <= 10000019 * 2**-40
     with pytest.raises(PreconditionError):
         cs.weil_check([3], 7)
     with pytest.raises(PreconditionError):

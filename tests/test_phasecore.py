@@ -139,6 +139,18 @@ def test_residue_array_matches_pow_at_the_largest_modulus():
             assert got.tolist() == expect
 
 
+@pytest.mark.parametrize("q", [1, 2, 97, 65537, 2**31 - 1])
+def test_residue_array_matches_pow_at_random_inputs(q):
+    rng = random.Random(q)
+    for _ in range(20):
+        exponents = tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 4))))
+        a = [rng.randrange(-(2**40), 2**40) for _ in exponents]
+        lo = rng.randrange(0, 5 * q)
+        got = residue_array(a, q, exponents, lo, lo + 50)
+        expect = [sum(aj * pow(n, m, q) for aj, m in zip(a, exponents)) % q for n in range(lo, lo + 50)]
+        assert got.tolist() == expect
+
+
 def test_rational_point_normalizes():
     rp = RationalPoint(a=(7, -1), q=5)
     assert rp.a == (2, 4)
