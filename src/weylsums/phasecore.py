@@ -10,10 +10,18 @@ the form a/q with zero quantization error.
 Both kernels evaluate the polynomial by one Horner scheme (`_horner`, over
 `_power` for the exponent gaps) in their own ring: uint64 products wrapping
 mod 2^64 for `frac_array`, int64 products reduced mod q for `residue_array`.
+
+`unit_terms(words, q)` turns the exact words into the unit terms e(w/q)
+without a trig call per term: a table of at most 4097 unit roots per
+modulus, built once from exactly reduced angles, gives e of the nearest
+step, and one angle-addition step with short polynomials in the exact low
+bits adds the rest.  Each component is within 2^-53 + 2^-56 of e(w/q)
+(measured: 1.03 2^-53), and q <= 4096 and quarter turns are table reads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,7 +111,9 @@ def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int) ->
     Each coefficient is an int, or a (B,) uint64 array for B points at once,
     which gives (B, hi-lo) words; the powers of n are shared by all rows.
     """
-    coeffs = [np.asarray(xf & _MASK, dtype=np.uint64)[..., None] for xf in x_fracs]
+    coeffs = [np.asarray(xf & _MASK, dtype=np.uint64) for xf in x_fracs]
+    # a 0-d coefficient stays 0-d: numpy broadcasts it faster than a (1,) array
+    coeffs = [c[:, None] if c.ndim else c for c in coeffs]
     return _horner(coeffs, exponents, np.arange(lo, hi, dtype=np.uint64), np.multiply)
 
 
@@ -132,7 +142,97 @@ def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, h
     return _horner([aj % q for aj in a], exponents, reduce(n), lambda u, v: reduce(u * v))
 
 
-def unit_terms(phases01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of 2*pi*t for an array of phases given in [0, 1)."""
-    ang = (2.0 * np.pi) * phases01
-    return np.cos(ang), np.sin(ang)
+# Unit terms e(w/q) of exact phase words: a table of unit roots and one
+# angle-addition step (the table-lookup method of Tang, ARITH 1991).
+
+_TABLE_BITS = 12
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_root_table(q: int):
+    """(table, constants) of `unit_terms` at the modulus q, built once per q.
+
+    A word w < q is j 2^k + u with k = max(0, bitlen(q - 1) - 12), j the
+    nearest step and -2^(k-1) <= u < 2^(k-1).  table is the read-only (2, J)
+    array of cos and sin of 2 pi (j 2^k mod q) / q for the
+    J = ((q - 1 + 2^(k-1)) >> k) + 1 <= 4097 steps (64 KiB; a 2^64 word wraps
+    to j < 4096), so the rest t = 2 pi u / q has |t| <= T = pi 2^k / q,
+    which is below pi / 2048, and pi / 4096 at q = 2^64.  Each angle is
+    reduced exactly to a quarter turn plus |g| <= 1/8 turn, so quarter turns
+    are exact; cos and sin of 2 pi g are taken in long double and rounded
+    once to float64.  constants are 2^(k-1), k and 2^k - 1 as 0-d uint64,
+    uint64 and int64, then 2^(k-1), c2, c4, s1 and s3 as 0-d float64 with
+    cos t - 1 = c2 u^2 + c4 u^4 (the t^6 term is below 2^-65) and
+    sin t = s1 u + s3 u^3, the t^5 term folded into s1 and s3 by Chebyshev
+    economization on |t| <= T (error below T^5 / 1920 < 2^-57).  They are
+    None for k = 0, where every word is a step.
+    """
+    k = max(0, (q - 1).bit_length() - _TABLE_BITS)
+    half = (1 << k) >> 1
+    # the angle of j is 2 pi (r / 4 + g) with r quarter turns and |g| <= 1/8; 4 j 2^k - r q is exact
+    # in float64 (at most 14 significant bits for q = 2^64, below 2^35 else)
+    num4 = np.arange(((q - 1 + half) >> k) + 1, dtype=np.float64) * 2.0 ** (k + 2)
+    r = np.rint(num4 / float(q))
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    angle = two_pi * ((num4 - r * float(q)).astype(np.longdouble) / np.longdouble(4.0 * q))
+    c, s = np.cos(angle), np.sin(angle)
+    quarter = r.astype(np.int64) % 4
+    table = np.array([np.choose(quarter, (c, -s, -c, s)), np.choose(quarter, (s, c, -s, -c))], dtype=np.float64)
+    table.flags.writeable = False  # shared by every caller
+    if k == 0:
+        return table, None
+    a = two_pi / np.longdouble(float(q))
+    tt = (a * half) ** 2  # T^2
+    coeffs = (half, -a**2 / 2, a**4 / 24, a * (1 - tt * tt / 384), a**3 * (tt / 96 - np.longdouble(1) / 6))
+    # read-only 0-d arrays: a ufunc takes them faster than Python or numpy scalars
+    ints = (_frozen(half, np.uint64), _frozen(k, np.uint64), _frozen((1 << k) - 1, np.int64))
+    return table, ints + tuple(_frozen(c, np.float64) for c in coeffs)
+
+
+def _frozen(value, dtype) -> np.ndarray:
+    a = np.array(value, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+def unit_terms(words: np.ndarray, q: int) -> np.ndarray:
+    """e(w/q) of every exact phase word w as one (2, *words.shape) array: its cosines, then its sines.
+
+    words are uint64 phase words with q = 2^64, or residues in [0, q) with
+    q < 2^31 (int64, or uint64).  No term calls a trig function: w = j 2^k + u
+    is the table entry e(A) at its nearest step j times e(t) of its exact
+    rest u, by one angle-addition step, cos = cos A + (cos A (cos t - 1) -
+    sin A sin t) and sin = sin A + (sin A (cos t - 1) + cos A sin t), with
+    cos t - 1 and sin t short polynomials in u (`_unit_root_table`).  A word
+    on a step, w = 0 among them, is its table entry exactly, and for
+    q <= 4096 every word is.  Each component is within 2^-53 + 2^-56 of the
+    exact value: half an ulp for the table entry and for the last addition,
+    and the rest from the small correction.
+    """
+    table, constants = _unit_root_table(q)
+    if constants is None:
+        return table.take(words.view(np.int64), axis=1)
+    half_k, k, mask, half, c2, c4, s1, s3 = constants
+    # unsigned, as residues are nonnegative: a 2^64 word wraps to j = 0, and the shift is logical
+    v = words.view(np.uint64) + half_k
+    terms = table.take((v >> k).view(np.int64), axis=1)
+    low = v.view(np.int64)
+    low &= mask
+    u = np.subtract(low, half)  # float64, exact: |u| <= 2^51
+    u2 = u * u
+    sin_t = u2 * s3
+    sin_t += s1
+    sin_t *= u
+    cos_t1 = np.multiply(u2, c4, out=u)
+    cos_t1 += c2
+    cos_t1 *= u2
+    # the corrections go to the spent buffers, the index words among them, so
+    # that a chunk holds as few chunk-sized arrays as it can
+    cos_a, sin_a = terms
+    corr_c = np.multiply(cos_a, cos_t1, out=u2)
+    corr_c -= np.multiply(sin_a, sin_t, out=v.view(np.float64))
+    corr_s = np.multiply(sin_a, cos_t1, out=cos_t1)
+    corr_s += np.multiply(cos_a, sin_t, out=sin_t)
+    cos_a += corr_c
+    sin_a += corr_s
+    return terms

@@ -9,6 +9,10 @@ Every point becomes its exact phases in one place (`_phase_words`), and every
 sum, trace and scan reduces them in one loop (`_accumulate`), which also takes
 a batch of points as rows of one array (`weyl_sum_batch`).
 
+Terms: `phasecore.unit_terms` takes the exact words and q straight in and
+gives each component within 2^-53 + 2^-56 of e(phase), from a table of unit
+roots and one angle-addition step, with no trig call per term.
+
 Exact accumulation: terms are generated in fixed chunks of 2^16 and each
 chunk is reduced once by an exact reducer (`_exact_prefix_sums`), which splits
 every term into 37-bit integer limbs and sums each limb exactly in float64.
@@ -84,13 +88,10 @@ def _phase_words(x, m: Sequence[int] | None):
 
 
 def _unit_gen(words, q: int):
-    """gen(lo, hi) giving the unit terms (cos, sin) of the phases words(lo, hi) / q of n = lo..hi-1."""
+    """gen(lo, hi) giving the unit terms (cos, sin) of the phases words(lo, hi) / q of n = lo..hi-1 as one array."""
 
-    def gen(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        # w stays bound through unit_terms: freed any earlier, its pages go
-        # back to the OS and fault in again for the next chunk
-        w = words(lo, hi)
-        return unit_terms(w.astype(np.float64) / q)
+    def gen(lo: int, hi: int) -> np.ndarray:
+        return unit_terms(words(lo, hi), q)
 
     return gen
 
@@ -156,9 +157,9 @@ def _plus(acc: list[int], ints: list[int], shift: int) -> list[int]:
 def _accumulate(gen, q: int, cps: Sequence[int]) -> list[list[complex]]:
     """S at each of the strictly increasing checkpoints, per row: the correctly rounded sum of its terms.
 
-    gen(lo, hi) gives the (cos, sin) terms of n = lo..hi-1, each of shape
-    (hi-lo,) for one point or (rows, hi-lo) for a batch, and they repeat with
-    period q in n.  Only n = 1..P, P = min(q, N_max), are generated.  The loop
+    gen(lo, hi) gives the terms of n = lo..hi-1 as one array, cos then sin,
+    (2, hi-lo) for one point or (2, rows, hi-lo) for a batch, and they repeat
+    with period q in n.  Only n = 1..P, P = min(q, N_max), are generated.  The loop
     carries one exact int per row over 2^(37 L), shifting it to the larger
     scale when a chunk needs more limbs than the chunks before, and keeps the
     exact prefix I(r) at each offset r = N mod P > 0.  Every checkpoint is then
@@ -171,12 +172,12 @@ def _accumulate(gen, q: int, cps: Sequence[int]) -> list[list[complex]]:
     acc: list[int] = []
     scale = oi = 0
     for lo, hi in _chunks(period):
-        c, s = gen(lo, hi)
+        terms = gen(lo, hi).reshape(-1, hi - lo)  # the cos rows, then the sin rows
         oj = bisect_left(offsets, hi, oi)
         ends = [r - lo + 1 for r in offsets[oi:oj]]
         if not ends or ends[-1] < hi - lo:
             ends.append(hi - lo)
-        sums, limbs = _exact_prefix_sums(np.concatenate((c, s)).reshape(-1, hi - lo), ends)
+        sums, limbs = _exact_prefix_sums(terms, ends)
         if not acc:
             scale = limbs
         elif limbs > scale:

@@ -20,7 +20,7 @@ from weylsums import discrepancy as dc
 from weylsums.complete_sums import DiscreteBox
 from weylsums.discrepancy import PointSet1D
 from weylsums.errors import PreconditionError
-from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
+from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational, unit_terms
 from weylsums.weyl_sums import weyl_sum
 
 TWO64 = 1 << 64
@@ -88,8 +88,11 @@ def canonical_sums(x, checkpoints, exponents=None):
     """S(x; N) at each checkpoint as math.fsum over all N terms, the correctly rounded sum.
 
     Phases come per term from big-integer arithmetic (words over 2^64 for
-    Phase points, residues over q for a RationalPoint); the terms are numpy
-    cos/sin of 2*pi*phase.  Each value is computed afresh from terms[:N].
+    Phase points, residues over q for a RationalPoint); the terms are
+    `phasecore.unit_terms(words, q)` of those words, so the oracle checks the
+    library's phases, period folding and reduction bit for bit, and
+    test_phasecore checks the terms themselves.  Each value is computed
+    afresh from terms[:N].
     """
     if isinstance(x, Phase):
         x = (x,)
@@ -102,8 +105,7 @@ def canonical_sums(x, checkpoints, exponents=None):
     pairs = list(zip(coeffs, exponents, strict=True))
     n_max = max(checkpoints)
     words = [sum(c * pow(n, m, q) for c, m in pairs) % q for n in range(1, n_max + 1)]
-    ang = (2.0 * np.pi) * (np.array(words, dtype=np.float64) / q)
-    cos, sin = np.cos(ang).tolist(), np.sin(ang).tolist()
+    cos, sin = unit_terms(np.array(words, dtype=np.uint64), q).tolist()
     return [complex(math.fsum(cos[:n]), math.fsum(sin[:n])) for n in checkpoints]
 
 

@@ -11,7 +11,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import weylsums
@@ -192,9 +191,10 @@ def _no_memory(monkeypatch, out):
 
 
 def _broken_terms(monkeypatch, out):
-    def twos(phases01):  # every term 2, so |S(x; N)| = 2N breaks the trivial bound
-        c, s = phasecore.unit_terms(phases01)
-        return np.full_like(c, 2.0), np.zeros_like(s)
+    def twos(words, q):  # every term 2, so |S(x; N)| = 2N breaks the trivial bound
+        terms = phasecore.unit_terms(words, q)
+        terms[0], terms[1] = 2.0, 0.0
+        return terms
 
     monkeypatch.setattr(cli.ws, "unit_terms", twos)
 
@@ -318,9 +318,10 @@ def test_box_density_cap_bounds_only_the_table(tmp_path):
 
 def test_trivial_bound_failure_exits_4(tmp_path, monkeypatch):
     # an evaluator that breaks |S| <= N is a failed lemma on every sum route, traces included
-    def twos(phases01):  # every term 2, so |S(x; N)| = 2N
-        c, s = phasecore.unit_terms(phases01)
-        return np.full_like(c, 2.0), np.zeros_like(s)
+    def twos(words, q):  # every term 2, so |S(x; N)| = 2N
+        terms = phasecore.unit_terms(words, q)
+        terms[0], terms[1] = 2.0, 0.0
+        return terms
 
     monkeypatch.setattr(cli.ws, "unit_terms", twos)
     for argv in (
@@ -382,13 +383,26 @@ def test_discrepancy_csv(tmp_path):
     assert float(rows[3]["D_N"]) == 2.0
 
 
+def test_discrepancy_csv_weyl_sum_at_one_half_is_exact(tmp_path):
+    # every term e(n/2) = (-1)^n is a table read, so S(1/2; N) is exactly 0 at even N and -1 at odd N
+    out = tmp_path / "disc"
+    assert _run(["discrepancy", "--d", "1", "--x", "1/2", "--N-max", "1024", "--out", str(out)]) == 0
+    with (out / "discrepancy.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[-1]["N"] == "1024"
+    assert all(float(r["S_magnitude"]) == int(r["N"]) % 2 for r in rows)
+    for x in (phasecore.Phase(1 << 63), phasecore.RationalPoint((1,), 2)):
+        assert [cli.ws.weyl_sum(x, n) for n in (1, 2, 1023, 1024)] == [-1, 0, -1, 0]
+
+
 # the README's three exact-discrepancy commands and the sha256 of their artifacts, which the int64
-# discrepancy kernels must reproduce byte for byte
+# discrepancy kernels must reproduce byte for byte; the S_magnitude, ratio and s_magnitude fields also
+# pin the unit terms (at x = 1/2 every term is exact, so S is 0 or -1: the test above)
 _README_DISCREPANCY = (
     (["discrepancy", "--x", "1/2", "--d", "1", "--N-max", "1024"], "discrepancy.csv",
-     "6ed27c0b53f4ad185c0471d71f1d26967414d1ea635f4cea9790aa33a29201c0"),
+     "e5c9d5f9e4a1f3c2b3cbea028a6d2169c6da311523d925e2097aa358624c876e"),
     (["koksma-check", "--d", "3", "--count", "1000", "--N-max", "1000"], "koksma_check.json",
-     "4bafefeaa451b46ff6a1c7aebe9ae3bf35b26d3627196f12f57613a8444b22f6"),
+     "1da739fb81b8a1b17ef57a0436a08787b9cdbc296feab8e91400597515ba9e6f"),
     (["discrepancy-scan", "--d", "1", "--x", "1/2", "--alpha", "0.5", "--N-max", "10000"], "discrepancy_scan.json",
      "3f0485d13a2d93fd3a76946fc572487dcc0e3b976b97e5e936b84e7da972b8d7"),
 )

@@ -356,10 +356,11 @@ def test_measure_estimate_batches_match_per_point_loop(d, i):
 
 
 def test_measure_estimate_trivial_bound_checked_per_row(monkeypatch):
-    def last_row_doubled(phases01):
-        c, s = phasecore.unit_terms(phases01)
+    def last_row_doubled(words, q):
+        terms = phasecore.unit_terms(words, q)
+        c, s = terms
         c[-1], s[-1] = 2.0, 0.0  # |S| = 2i on the block's last row only
-        return c, s
+        return terms
 
     monkeypatch.setattr(ws, "unit_terms", last_row_doubled)
     with pytest.raises(LemmaCheckFailureError, match="trivial bound"):

@@ -16,6 +16,7 @@ from weylsums.phasecore import (
     frac_array,
     phase_from_rational,
     residue_array,
+    unit_terms,
 )
 
 
@@ -178,3 +179,56 @@ def test_kernels_reject_mismatched_exponents():
         frac_array([1], (1, 2), 1, 4)
     with pytest.raises(ValueError):
         residue_array((1, 1), 7, (1,), 1, 4)
+
+
+def _unit_reference(words: np.ndarray, q: int):
+    """cos and sin of 2 pi w / q in 80-bit long double: each word is exact there, then two roundings."""
+    w = np.asarray(words, dtype=np.uint64)
+    exact = (w >> np.uint64(32)).astype(np.longdouble) * 2.0**32 + (w & np.uint64(2**32 - 1)).astype(np.longdouble)
+    angle = 8 * np.arctan(np.longdouble(1)) * (exact / np.longdouble(float(q)))
+    return np.cos(angle), np.sin(angle)
+
+
+def _edge_words(q: int) -> list[int]:
+    """0, q - 1, and around steps j 2^k of the table and the step boundaries j 2^k +- 2^(k-1)."""
+    k = max(0, (q - 1).bit_length() - 12)
+    edges = {0, q - 1}
+    for j in (0, 1, 2, 1000, 2047, 2048, 4095, 4096):
+        for d in (-1, 0, 1):
+            for at in (j << k, (j << k) + (1 << k >> 1), (j << k) - (1 << k >> 1)):
+                edges.add((at + d) % q)
+    return sorted(edges)
+
+
+# the documented per-component bound 2^-53 + 2^-56, plus 2^-60 for the rounding of the reference
+_UNIT_TERM_BOUND = 2.0**-53 + 2.0**-56 + 2.0**-60
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference needs an 80-bit long double; here it has fewer than 64 mantissa bits")
+@pytest.mark.parametrize("q", [TURN, 1, 2, 7, 1009, 4096, 4097, 8193, 9973, 65537, 2**31 - 1])
+def test_unit_terms_within_documented_bound_of_long_double_reference(q):
+    rng = np.random.default_rng(q % 100003)
+    dtype = np.uint64 if q == TURN else np.int64
+    words = np.concatenate([np.array(_edge_words(q), dtype=dtype), rng.integers(0, q, size=20000, dtype=dtype)])
+    terms = unit_terms(words, q)
+    assert terms.shape == (2, len(words)) and terms.dtype == np.float64
+    for got, ref in zip(terms, _unit_reference(words, q)):
+        assert float(np.max(np.abs(got.astype(np.longdouble) - ref))) <= _UNIT_TERM_BOUND
+    # a (B, n) batch: the same terms row by row, to the bit
+    batch = rng.integers(0, q, size=(3, 500), dtype=dtype)
+    terms = unit_terms(batch, q)
+    assert terms.shape == (2, 3, 500)
+    for b in range(3):
+        assert np.array_equal(terms[:, b], unit_terms(batch[b], q))
+    for got, ref in zip(terms, _unit_reference(batch.ravel(), q)):
+        assert float(np.max(np.abs(got.ravel().astype(np.longdouble) - ref))) <= _UNIT_TERM_BOUND
+
+
+@pytest.mark.parametrize("q", [TURN, 4, 8, 4096, 2**30])
+def test_unit_terms_exact_on_quarter_turns(q):
+    # e(0), e(1/4), e(1/2), e(3/4) are table steps, reduced exactly to a quarter turn
+    words = np.array([0, q // 4, q // 2, 3 * q // 4], dtype=np.uint64 if q == TURN else np.int64)
+    assert unit_terms(words, q).tolist() == [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]
+    # residues may also come as uint64 words, as the discrepancy routes hold them
+    assert unit_terms(words.astype(np.uint64), q).tolist() == unit_terms(words, q).tolist()

@@ -194,7 +194,7 @@ def test_accumulator_aligns_limb_scales_across_chunks():
     cps = (1, C - 1, C, C + 1, 2 * C + 7, 3 * C, 3 * C + 1, 3 * C + 5)
 
     def gen(lo, hi):
-        return re[lo - 1 : hi - 1], im[lo - 1 : hi - 1]
+        return np.array((re[lo - 1 : hi - 1], im[lo - 1 : hi - 1]))
 
     want = [complex(math.fsum(re[:n]), math.fsum(im[:n])) for n in cps]
     assert _bits(ws._accumulate(gen, TURN, cps)[0]) == _bits(want)
@@ -207,7 +207,7 @@ def test_accumulator_aligns_limb_scales_across_chunks():
     def periodic(lo, hi):
         seen.append(hi - 1)
         n = np.arange(lo, hi) % q - 1
-        return period_re[n], period_im[n]
+        return np.array((period_re[n], period_im[n]))
 
     cps = tuple(sorted({k * q + r for k in (0, 1, 5) for r in (1, C, C + 1, q - 1)} | {q, 3 * q}))
     full_re, full_im = np.tile(period_re, 6), np.tile(period_im, 6)
