@@ -237,13 +237,13 @@ def build_cantor(
 
 
 def dimension_formula(schedule: CantorSchedule, k_max: int) -> float:
-    """min over k <= K of log(prod_{i<=k} q_i) / (-log delta_k).
+    """min over k <= K of log(prod_{i<=k} q_i) / (-log delta_k), for 1 <= K <= depth.
 
     Finite-depth surrogate of the liminf; upper-bound-biased because the min
     runs over computed depths only.
     """
-    if k_max < 2:
-        raise PreconditionError("need K_max >= 2")
+    if k_max < 1:
+        raise PreconditionError("need K_max >= 1")
     if k_max > schedule.depth:
         raise PreconditionError(f"schedule only defines {schedule.depth} levels")
     best = None
@@ -388,11 +388,8 @@ def large_sum_cantor(
     gamma_fr = Fraction(gamma).limit_denominator(10**9)
 
     boxes = [unit_box(d)]
-    deltas: list[Fraction] = []
-    ells: list[Fraction] = []
-    cells_per_axis: list[int] = []
+    ratios: list[tuple[int, Fraction]] = []  # (m_k, p_k^-tau) per level, as geometric_schedule takes them
     certificates: list[LevelCertificate] = []
-    prev_delta = Fraction(1)
 
     for level in range(1, depth + 1):
         p = primes[level - 1]
@@ -454,17 +451,10 @@ def large_sum_cantor(
             for parent in boxes
             for sub in chart_boxes
         ]
-        ells.append(prev_delta / m)
-        prev_delta = prev_delta * sub_side
-        deltas.append(prev_delta)
-        cells_per_axis.append(m)
+        ratios.append((m, sub_side))
 
-    schedule = CantorSchedule(d=d, deltas=tuple(deltas), ells=tuple(ells))
-    dim_value = (
-        dimension_formula(schedule, depth)
-        if depth >= 2
-        else _log_int(schedule.q(1)) / (_log_int(deltas[0].denominator) - _log_int(deltas[0].numerator))
-    )
+    schedule = geometric_schedule(d, ratios)
+    dim_value = dimension_formula(schedule, depth)
     eps_eff = float(kap) - (float(tau) / d) * dim_value
     collection = BoxCollection(
         depth=depth,
@@ -475,7 +465,7 @@ def large_sum_cantor(
         collection=collection,
         schedule=schedule,
         certificates=tuple(certificates),
-        cells_per_axis=tuple(cells_per_axis),
+        cells_per_axis=tuple(m for m, _ in ratios),
         dimension_value=dim_value,
         epsilon_requested=float(eps),
         epsilon_effective=eps_eff,

@@ -163,6 +163,7 @@ def _table(args):
 
 
 def _run_moments(args, out: Path) -> None:
+    cs.moment_main_term(args.d, args.nu)  # refuses nu outside 1..d before the table is built
     table = _table(args)
     rows = []
     for nu in range(1, args.nu + 1):
@@ -179,6 +180,7 @@ def _run_moments(args, out: Path) -> None:
 def _run_box_moments(args, out: Path) -> None:
     if args.count < 1:
         raise PreconditionError("count must be >= 1")
+    cs.moment_main_term(args.d, args.nu)  # refuses nu outside 1..d before the table is built
     table = _table(args)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     lmin = min(max(int(float(args.p) ** 0.8) + 1, 2), args.p)

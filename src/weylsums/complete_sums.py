@@ -12,12 +12,14 @@ lambda^d a_d), lambda in F_p^*, so a (d, p)-table stores two
 (d-1)-dimensional slices: |T(0, b)|, the inverse DFT of the fiber counts of
 n -> (n^2, ..., n^d), and |T(1, b)|, the inverse DFT of the fiber sums of
 e(n/p).  `CompleteSumTable.lookup` reads any a from them, normalising a_1 != 0
-to 1 with lambda = a_1^{-1}.  A table costs O(p^{d-1} log p) time and 2 p^{d-1}
-stored entries.  Individual sums (`complete_sum`, `monomial_complete_sum`,
-`weil_check`, `vanishing_family`) are always evaluated by direct O(p d)
-summation, which keeps table-vs-direct comparisons a real two-route check:
-each of the p terms is e(r/p) at an exact residue r, read as the product of
-two entries from tables of O(sqrt p) unit roots, and added on its own.
+to 1 with lambda = a_1^{-1}, through the one vectorised orbit map `_orbit`,
+which every other orbit image in the package also comes from.  A table costs
+O(p^{d-1} log p) time and 2 p^{d-1} stored entries.  Individual sums
+(`complete_sum`, `monomial_complete_sum`, `weil_check`, `vanishing_family`)
+are always evaluated by direct O(p d) summation, which keeps table-vs-direct
+comparisons a real two-route check: each of the p terms is e(r/p) at an exact
+residue r, read as the product of two entries from tables of O(sqrt p) unit
+roots, and added on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from math import factorial, gcd, sqrt
+from math import comb, factorial, gcd, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,19 @@ def complete_sum(d: int, p: int, a) -> complex:
     return _unit_root_sum(a, p, range(1, d + 1))
 
 
+def _orbit(a, lam, p: int) -> list:
+    """(lam a_1, lam^2 a_2, ..., lam^d a_d) mod p, one entry per a_j.
+
+    Ints stay exact at any p; int64 arrays broadcast together as in numpy
+    indexing and need p < 2^31, so that each product fits in int64.
+    """
+    out, lam_j = [], 1
+    for aj in a:
+        lam_j = lam_j * lam % p
+        out.append(aj % p * lam_j % p)
+    return out
+
+
 def _inverse(x: np.ndarray, p: int) -> np.ndarray:
     """The inverse of every nonzero x in F_p elementwise (int64, p < 2^31).
 
@@ -153,20 +168,16 @@ class CompleteSumTable:
     def lookup(self, indices, power: int = 1) -> np.ndarray:
         """|T(a)|^power at a = indices: d integer arrays broadcast together, as in numpy indexing.
 
-        For a_1 != 0, lambda = a_1^{-1} maps a to (1, lambda^2 a_2, ..., lambda^d a_d).
+        For a_1 != 0, lambda = a_1^{-1} maps a to (1, lambda^2 a_2, ..., lambda^d a_d),
+        and lambda = 1 keeps a_1 = 0, so the image's first entry is the slice.
         The power is taken on the 2 p^(d-1) stored entries, before they are gathered.
         """
         if len(indices) != self.d:
             raise PreconditionError(f"need {self.d} index arrays, got {len(indices)}")
         p = self.p
-        a1 = np.asarray(indices[0], dtype=np.int64) % p
-        lam = np.where(a1 == 0, 1, _inverse(a1, p))
-        index = [(a1 != 0).astype(np.intp)]
-        lam_j = lam
-        for aj in indices[1:]:
-            lam_j = lam_j * lam % p
-            index.append(np.asarray(aj, dtype=np.int64) % p * lam_j % p)
-        return (self.slices if power == 1 else self.slices**power)[tuple(index)]
+        a = [np.asarray(aj, dtype=np.int64) % p for aj in indices]
+        lam = np.where(a[0] == 0, 1, _inverse(a[0], p))
+        return (self.slices if power == 1 else self.slices**power)[tuple(_orbit(a, lam, p))]
 
 
 def _check_table_cap(d: int, p: int, cap: int) -> None:
@@ -185,9 +196,7 @@ def build_table(d: int, p: int, cap: int = DEFAULT_CAP) -> CompleteSumTable:
     _check_cap(p, cap, "fiber pass of {} residues")  # more than the 2 entries at d = 1
     n = np.arange(p, dtype=np.int64)
     fiber = np.zeros(p, dtype=np.int64)  # row-major index of (n^2, ..., n^d)
-    pw = n
-    for _ in range(d - 1):
-        pw = pw * n % p
+    for pw in _orbit([1] * d, n, p)[1:]:  # the orbit of (1, ..., 1) under lambda = n
         fiber = fiber * p + pw
     size = p ** (d - 1)
     ang = (2.0 * np.pi / p) * n
@@ -289,34 +298,26 @@ def lambda_orbit(a, lam: int, p: int) -> tuple[int, ...]:
     """(lambda a_1, lambda^2 a_2, ..., lambda^d a_d) mod p; preserves |T|."""
     if lam % p == 0:
         raise InvalidScalarError("lambda must be a nonzero residue")
-    out = []
-    lp = 1
-    for ai in a:
-        lp = (lp * lam) % p
-        out.append((int(ai) * lp) % p)
-    return tuple(out)
+    return tuple(_orbit([int(ai) for ai in a], int(lam), p))
 
 
-def vanishing_family(d: int, p: int, tol_factor: float = 1e-9) -> list[tuple[int, ...]]:
+def vanishing_family(d: int, p: int) -> list[tuple[int, ...]]:
     """The p-1 vectors (C(d,1)l, ..., C(d,d)l^d), l in F_p^*, all with T = 0.
 
     Exists because x -> x^d permutes F_p when gcd(d, p-1) = 1; each member is
-    re-verified by direct summation (|T| <= tol_factor * p).
+    re-verified by direct summation (|T| <= 1e-9 p).
     """
     _require_prime(p)
     if gcd(d, p - 1) != 1:
         raise NotAPermutationError(f"gcd({d}, {p - 1}) != 1: x -> x^{d} is not a permutation")
     if p <= d:
         raise BinomialVanishingError(f"need p > d to keep binomial coefficients nonzero (p={p}, d={d})")
-    binom = [0] * (d + 1)
-    binom[0] = 1
-    for j in range(1, d + 1):
-        binom[j] = binom[j - 1] * (d - j + 1) // j
+    binom = [comb(d, j) for j in range(1, d + 1)]
+    images = _orbit(binom, np.arange(1, p, dtype=np.int64), p)  # all p-1 orbit images at once
     family = []
-    for lam in range(1, p):
-        vec = lambda_orbit([binom[j] % p for j in range(1, d + 1)], lam, p)
+    for vec in zip(*(image.tolist() for image in images)):
         mag = abs(complete_sum(d, p, vec))
-        if mag > tol_factor * p:
+        if mag > 1e-9 * p:
             raise LemmaCheckFailureError(
                 f"family member {vec} has |T| = {mag}, expected 0"
             )

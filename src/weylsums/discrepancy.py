@@ -16,8 +16,9 @@ Each gap g = N x_k - k 2^64 is exact in two int64 words: with
 x = hi 2^32 + lo, g = A 2^32 + B for A = N hi - k 2^32 + (N lo >> 32) and
 B = N lo mod 2^32, so max g is the lexicographic max of (A, B).  Both words
 fit for N < 2^31; larger N is refused.  The dense checkpoints N = 1..1000
-share one stable argsort and run 32 at a time: a point's rank in prefix N is
-a cumulative count down the block.  Each dyadic checkpoint sorts its prefix.
+(`DENSE_LIMIT`) share one stable argsort and run 32 at a time: a point's rank
+in prefix N is a cumulative count down the block.  Each dyadic checkpoint
+sorts its prefix.
 
 Open-interval fine print, followed literally: a point at 0 can never lie in
 (a, b) with a >= 0, so zeros count toward N but are invisible to every
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import LemmaCheckFailureError, PreconditionError
 from .phasecore import TURN
-from .weyl_sums import _chunks, _phase_words, _word_trace, checkpoint_grid
+from .weyl_sums import DENSE_LIMIT, _chunks, _phase_words, _word_trace, checkpoint_grid
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
 N_LIMIT = 1 << 31  # the gaps N x - k fit two int64 words below this
@@ -175,8 +176,7 @@ def koksma_relation_check(x, N: int, m: Sequence[int] | None = None) -> KoksmaRe
 
 def _checkpoint_units(fracs: np.ndarray, n_max: int):
     """(N, D_N * 2^64, D*_N * 2^64) at each checkpoint N <= n_max of the uint64 sequence fracs."""
-    grid = checkpoint_grid(n_max)
-    dense = sum(n == k for k, n in enumerate(grid, 1))  # N = 1, 2, ..., then dyadic
+    dense = min(n_max, DENSE_LIMIT)  # the grid's N = 1..dense, then dyadic
     x = fracs[:dense]
     rank = np.argsort(np.argsort(x, kind="stable"))  # each point's place in the stable order
     for n0 in range(0, dense, _BLOCK):
@@ -190,7 +190,7 @@ def _checkpoint_units(fracs: np.ndarray, n_max: int):
             r[t] += r[t - 1]
         for n, units in zip(range(n0 + 1, n1 + 1), _units(ns, x[:n1], r, np.arange(n1) < ns)):
             yield (n, *units)
-    for n in grid[dense:]:
+    for n in checkpoint_grid(n_max)[dense:]:
         yield (n, *_sorted_units(np.sort(fracs[:n])))
 
 

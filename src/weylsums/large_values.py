@@ -32,6 +32,7 @@ from .complete_sums import (
     CompleteSumTable,
     DiscreteBox,
     _check_cap,
+    _orbit,
     _require_prime,
     complete_sum,
 )
@@ -171,12 +172,14 @@ def enumerate_Lp(table: CompleteSumTable, gamma: float = 1.0, cap: int = DEFAULT
     return np.concatenate(list(blocks))
 
 
+_ANCHOR_TRIES = 10_000  # random draws before find_anchor gives up
+
+
 def find_anchor(
     d: int,
     p: int,
     gamma: float = 1.0,
     seed: int = 0,
-    max_tries: int = 10_000,
 ) -> tuple[int, ...]:
     """Seeded random search for a single member of L_p, verified by direct summation.
 
@@ -186,14 +189,14 @@ def find_anchor(
     _require_prime(p)
     rng = np.random.Generator(np.random.Philox(key=seed))
     thr = threshold(p, gamma)
-    for _ in range(max_tries):
+    for _ in range(_ANCHOR_TRIES):
         a = tuple(int(v) for v in rng.integers(0, p, size=d - 1)) + (
             int(rng.integers(1, p)),
         )
         if abs(complete_sum(d, p, a)) >= thr:
             return a
     raise WitnessNotFoundError(
-        f"no member of L_p found in {max_tries} tries (d={d}, p={p}, gamma={gamma})"
+        f"no member of L_p found in {_ANCHOR_TRIES} tries (d={d}, p={p}, gamma={gamma})"
     )
 
 
@@ -216,12 +219,9 @@ def orbit_in_box_count(a: Sequence[int], p: int, box: DiscreteBox) -> OrbitCount
         raise PreconditionError("box dimension must match the coefficient prefix")
     if any(ai == 0 for ai in a):
         raise PreconditionError("all prefix coefficients must be nonzero")
-    lam = np.arange(1, p, dtype=np.int64)
     inside = np.ones(p - 1, dtype=bool)
-    pw = np.ones(p - 1, dtype=np.int64)
-    for aj, vals in zip(a, box.axis_values(p)):
-        pw = (pw * lam) % p
-        inside &= np.isin((aj * pw) % p, vals)
+    for image, vals in zip(_orbit(a, np.arange(1, p, dtype=np.int64), p), box.axis_values(p)):
+        inside &= np.isin(image, vals)
     count = int(inside.sum())
     return OrbitCountReport(count=count, reference=0.5 * box.side**k * float(p) ** (1 - k))
 

@@ -9,9 +9,10 @@ Every point becomes its exact phases in one place (`_phase_words`), and every
 sum, trace and scan reduces them in one loop (`_accumulate`), which also takes
 a batch of points as rows of one array (`weyl_sum_batch`).
 
-Terms: `phasecore.unit_terms` takes the exact words and q straight in and
-gives each component within 2^-53 + 2^-56 of e(phase), from a table of unit
-roots and one angle-addition step, with no trig call per term.
+Terms: the loop passes each chunk of exact words and q to
+`phasecore.unit_terms`, its one call of the term kernel, which gives each
+component within 2^-53 + 2^-56 of e(phase), from a table of unit roots and
+one angle-addition step, with no trig call per term.
 
 Exact accumulation: terms are generated in fixed chunks of 2^16 and each
 chunk is reduced once by an exact reducer (`_exact_prefix_sums`), which splits
@@ -87,24 +88,6 @@ def _phase_words(x, m: Sequence[int] | None):
     return (lambda lo, hi: frac_array(coeffs, exps, lo, hi)), TURN
 
 
-def _unit_gen(words, q: int):
-    """gen(lo, hi) giving the unit terms (cos, sin) of the phases words(lo, hi) / q of n = lo..hi-1 as one array."""
-
-    def gen(lo: int, hi: int) -> np.ndarray:
-        return unit_terms(words(lo, hi), q)
-
-    return gen
-
-
-def _point_spec(x, m: Sequence[int] | None):
-    """Normalize (x, m) to (gen, q): gen(lo, hi) gives the unit terms (cos, sin) of n = lo..hi-1.
-
-    The terms repeat with period q in n, the q of `_phase_words`.
-    """
-    words, q = _phase_words(x, m)
-    return _unit_gen(words, q), q
-
-
 def _chunks(N: int) -> Iterator[tuple[int, int]]:
     lo = 1
     while lo <= N:
@@ -154,12 +137,14 @@ def _plus(acc: list[int], ints: list[int], shift: int) -> list[int]:
     return [a + (v << shift) for a, v in zip(acc, ints)] if acc else ints
 
 
-def _accumulate(gen, q: int, cps: Sequence[int]) -> list[list[complex]]:
+def _accumulate(words, q: int, cps: Sequence[int]) -> list[list[complex]]:
     """S at each of the strictly increasing checkpoints, per row: the correctly rounded sum of its terms.
 
-    gen(lo, hi) gives the terms of n = lo..hi-1 as one array, cos then sin,
-    (2, hi-lo) for one point or (2, rows, hi-lo) for a batch, and they repeat
-    with period q in n.  Only n = 1..P, P = min(q, N_max), are generated.  The loop
+    words(lo, hi) gives the exact phases of n = lo..hi-1 over q, (hi-lo,) for
+    one point or (rows, hi-lo) for a batch, as `_phase_words` returns them,
+    so the terms repeat with period q in n.  Each chunk's words go through
+    `unit_terms` here, the one call of the term kernel for every sum, trace
+    and batch.  Only n = 1..P, P = min(q, N_max), are generated.  The loop
     carries one exact int per row over 2^(37 L), shifting it to the larger
     scale when a chunk needs more limbs than the chunks before, and keeps the
     exact prefix I(r) at each offset r = N mod P > 0.  Every checkpoint is then
@@ -172,7 +157,7 @@ def _accumulate(gen, q: int, cps: Sequence[int]) -> list[list[complex]]:
     acc: list[int] = []
     scale = oi = 0
     for lo, hi in _chunks(period):
-        terms = gen(lo, hi).reshape(-1, hi - lo)  # the cos rows, then the sin rows
+        terms = unit_terms(words(lo, hi), q).reshape(-1, hi - lo)  # the cos rows, then the sin rows
         oj = bisect_left(offsets, hi, oi)
         ends = [r - lo + 1 for r in offsets[oi:oj]]
         if not ends or ends[-1] < hi - lo:
@@ -206,7 +191,7 @@ def weyl_sum(x, N: int, m: Sequence[int] | None = None) -> complex:
     """S(x; N) with certified accumulation error below N ulp."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    return _checked(_accumulate(*_point_spec(x, m), (N,))[0][0], N)
+    return _checked(_accumulate(*_phase_words(x, m), (N,))[0][0], N)
 
 
 def weyl_sum_batch(words: np.ndarray, N: int) -> list[complex]:
@@ -218,7 +203,7 @@ def weyl_sum_batch(words: np.ndarray, N: int) -> list[complex]:
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    return [_checked(v[0], N) for v in _accumulate(*_point_spec(words, None), (N,))]
+    return [_checked(v[0], N) for v in _accumulate(*_phase_words(words, None), (N,))]
 
 
 def _checked(value: complex, N: int) -> complex:
@@ -262,7 +247,7 @@ def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None
     cps = tuple(int(n) for n in checkpoints)
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
         raise PreconditionError("checkpoints must be strictly increasing and >= 1")
-    return _trace(*_point_spec(x, m), cps)
+    return _trace(*_phase_words(x, m), cps)
 
 
 def _word_trace(words: np.ndarray, q: int, cps: tuple[int, ...]) -> SumTrace:
@@ -273,26 +258,23 @@ def _word_trace(words: np.ndarray, q: int, cps: tuple[int, ...]) -> SumTrace:
     min(q, cps[-1]) words are read, so the trace is bit-identical to
     `weyl_sum_trace` of the point the words came from.
     """
-    return _trace(_unit_gen(lambda lo, hi: words[lo - 1 : hi - 1], q), q, cps)
+    return _trace(lambda lo, hi: words[lo - 1 : hi - 1], q, cps)
 
 
-def _trace(gen, q: int, cps: tuple[int, ...]) -> SumTrace:
-    values = _accumulate(gen, q, cps)[0]
+def _trace(words, q: int, cps: tuple[int, ...]) -> SumTrace:
+    values = _accumulate(words, q, cps)[0]
     return SumTrace(checkpoints=cps, values=tuple(_checked(v, n) for n, v in zip(cps, values)))
 
 
-def checkpoint_grid(n_max: int, dense_limit: int = 1000) -> tuple[int, ...]:
-    """All integers up to min(n_max, dense_limit), then dyadic up to n_max."""
+DENSE_LIMIT = 1000  # the checkpoint grid holds every N up to here
+
+
+def checkpoint_grid(n_max: int) -> tuple[int, ...]:
+    """Every N up to min(n_max, DENSE_LIMIT), then the powers of two past DENSE_LIMIT up to n_max."""
     if n_max < 1:
         raise PreconditionError("N_max must be >= 1")
-    grid = list(range(1, min(n_max, dense_limit) + 1))
-    k = 1
-    while 2**k <= dense_limit:
-        k += 1
-    while 2**k <= n_max:
-        grid.append(2**k)
-        k += 1
-    return tuple(grid)
+    dense = range(1, min(n_max, DENSE_LIMIT) + 1)
+    return (*dense, *(1 << k for k in range(DENSE_LIMIT.bit_length(), n_max.bit_length())))
 
 
 def dyadic_grid(n_max: int, start_exp: int = 4) -> tuple[int, ...]:

@@ -118,7 +118,7 @@ def test_dimension_formula_degenerate_full_packing():
 def test_dimension_formula_preconditions():
     sched = ct.geometric_schedule(2, [(2, F(1, 4))] * 2)
     with pytest.raises(PreconditionError):
-        ct.dimension_formula(sched, 1)
+        ct.dimension_formula(sched, 0)
     with pytest.raises(PreconditionError):
         ct.dimension_formula(sched, 5)
 
@@ -178,6 +178,14 @@ def test_large_sum_cantor_boxes_nest():
     res1 = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)
     res2 = ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2)
     assert audit_nesting(res1.collection, res2.collection)
+
+
+def test_dimension_formula_at_depth_one_is_the_large_sum_cantor_value():
+    # one level: log q_1 / -log delta_1 with q_1 = m^3 and delta_1 = 31^-4
+    res = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)
+    m = res.cells_per_axis[0]
+    sched = ct.geometric_schedule(3, [(m, F(1, 31**4))])
+    assert ct.dimension_formula(sched, 1) == res.dimension_value == math.log(m**3) / math.log(31**4)
 
 
 def test_large_sum_cantor_k1_matches_box_density_search():

@@ -86,11 +86,14 @@ def test_exit_code_invalid_config(tmp_path):
     # monomial sums are for d >= 2: a lower degree is a bad configuration, not a failed lemma
     for d in ("1", "0", "-1"):
         assert _run(["monomial-check", "--d", d, "--p", "5", "--out", str(tmp_path / "m")]) == 2
-    # box-moments refuses a count below 1 before it builds or caches the table
-    for count in ("0", "-3"):
-        out = tmp_path / f"bm{count}"
-        assert _run(["box-moments", "--p", "13", "--count", count, "--cache", "--out", str(out)]) == 2
-        assert not (out / "cache").exists() and not (out / "box_moments.csv").exists()
+    # box-moments refuses a count below 1, and both moment commands a nu outside 1..d, before
+    # either builds or caches the table
+    for cmd, flag, value in (("box-moments", "--count", "0"), ("box-moments", "--count", "-3"),
+                             ("box-moments", "--nu", "0"), ("moments", "--nu", "0"),
+                             ("moments", "--nu", "3")):
+        out = tmp_path / f"{cmd}{flag}{value}"
+        assert _run([cmd, "--d", "2", "--p", "13", flag, value, "--cache", "--out", str(out)]) == 2
+        assert not (out / "cache").exists() and not (out / f"{cmd.replace('-', '_')}.csv").exists()
     # --x fixes the point: a --seed or a different --d is a contradiction
     for cmd in ("weyl-trace", "sigma-scan", "discrepancy"):
         assert _run([cmd, "--x", "1/5", "--seed", "9", "--N-max", "20", "--out", str(tmp_path / "s")]) == 2
@@ -203,6 +206,8 @@ def _broken_terms(monkeypatch, out):
     "code, error_class, prefix, argv, setup",
     [
         (2, "PreconditionError", "invalid configuration", ["mr-scan", "--count", "0", "--N-max", "64"], None),
+        (2, "PreconditionError", "invalid configuration", ["moments", "--d", "2", "--p", "13", "--nu", "0"], None),
+        (2, "PreconditionError", "invalid configuration", ["moments", "--d", "2", "--p", "13", "--nu", "3"], None),
         (3, "ResourceLimitError", "resource limit", ["monomial-check", "--d", "3", "--p", "101", "--cap", "1000"],
          None),
         (3, "MemoryError", "resource limit", ["weyl-trace", "--N-max", "20"], _no_memory),
@@ -210,7 +215,8 @@ def _broken_terms(monkeypatch, out):
         (5, "ChecksumMismatchError", "corrupt cache", ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache"],
          _flip_cached_table),
     ],
-    ids=["invalid-config", "cap", "out-of-memory", "lemma-check", "corrupt-cache"],
+    ids=["invalid-config", "moments-nu-0", "moments-nu-above-d", "cap", "out-of-memory", "lemma-check",
+         "corrupt-cache"],
 )
 def test_failed_run_writes_manifest(code, error_class, prefix, argv, setup, tmp_path, monkeypatch, capsys):
     out = tmp_path / "fail"

@@ -4,7 +4,7 @@ import hashlib
 import os
 import struct
 import tracemalloc
-from math import sqrt
+from math import comb, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +137,8 @@ def test_lambda_orbit():
     m2 = abs(cs.complete_sum(2, 5, (2, 4)))
     assert abs(m1 - m2) < 1e-9 * 5
     assert cs.lambda_orbit((0, 0, 0), 3, 7) == (0, 0, 0)
+    # Python ints stay exact past int64: 2^80 = 2^19 mod 2^61 - 1
+    assert cs.lambda_orbit((1, 1), 2**40, 2**61 - 1) == (2**40, 2**19)
     with pytest.raises(InvalidScalarError):
         cs.lambda_orbit((1, 1), 0, 5)
 
@@ -153,7 +155,7 @@ def test_vanishing_family():
 
 def test_vanishing_family_p11():
     fam = cs.vanishing_family(3, 11)
-    assert len(fam) == 10
+    assert fam == [tuple(comb(3, j) * lam**j % 11 for j in (1, 2, 3)) for lam in range(1, 11)]
 
 
 def test_mordell_moments_p3():

@@ -180,7 +180,7 @@ def _limb_count(t):
     return ws._exact_prefix_sums(t[None, :], [len(t)])[1]
 
 
-def test_accumulator_aligns_limb_scales_across_chunks():
+def test_accumulator_aligns_limb_scales_across_chunks(monkeypatch):
     C = ws.CHUNK
     rng = np.random.default_rng(9)
     halves = rng.choice([-1.0, -0.5, 0.5, 1.0], size=C)
@@ -193,11 +193,13 @@ def test_accumulator_aligns_limb_scales_across_chunks():
     assert [_limb_count(t) for t in chunks] == [1, 3, 1, 30]
     cps = (1, C - 1, C, C + 1, 2 * C + 7, 3 * C, 3 * C + 1, 3 * C + 5)
 
-    def gen(lo, hi):
-        return np.array((re[lo - 1 : hi - 1], im[lo - 1 : hi - 1]))
+    def plant(re, im):
+        # the word w reads back the planted terms (re[w - 1], im[w - 1]) through the term kernel
+        monkeypatch.setattr(ws, "unit_terms", lambda w, q: np.array((re[w - 1], im[w - 1])))
 
+    plant(re, im)
     want = [complex(math.fsum(re[:n]), math.fsum(im[:n])) for n in cps]
-    assert _bits(ws._accumulate(gen, TURN, cps)[0]) == _bits(want)
+    assert _bits(ws._accumulate(lambda lo, hi: np.arange(lo, hi), TURN, cps)[0]) == _bits(want)
 
     # the same terms repeated with a period that spans chunks and crosses the scale changes
     q = 2 * C + 11
@@ -206,9 +208,9 @@ def test_accumulator_aligns_limb_scales_across_chunks():
 
     def periodic(lo, hi):
         seen.append(hi - 1)
-        n = np.arange(lo, hi) % q - 1
-        return np.array((period_re[n], period_im[n]))
+        return np.arange(lo, hi) % q  # the word 0 of n = q reads the last planted term
 
+    plant(period_re, period_im)
     cps = tuple(sorted({k * q + r for k in (0, 1, 5) for r in (1, C, C + 1, q - 1)} | {q, 3 * q}))
     full_re, full_im = np.tile(period_re, 6), np.tile(period_im, 6)
     want = [complex(math.fsum(full_re[:n]), math.fsum(full_im[:n])) for n in cps]
