@@ -266,18 +266,29 @@ def _log_int(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2.0)
 
 
-def box_counting_dimension(collection: BoxCollection, scales: Sequence) -> float:
-    """Least-squares slope of log N(eps) against log(1/eps) on exact grid counts.
+def checked_scales(scales: Sequence) -> list[Fraction]:
+    """The box-counting scales as Fractions, largest first.
 
-    N(eps) counts eps-grid cells meeting the collection; boxes are half-open
-    so the count is exact in rational arithmetic.  Needs >= 3 scales spanning
-    at least a factor of 10 (the self-similar reference schedules span 64+).
+    Refuses fewer than 3 positive scales or scales spanning less than a
+    factor of 10 (the self-similar reference schedules span 64+), so that a
+    caller can check them before building the collection they measure.
     """
     eps = sorted((Fraction(s) for s in scales), reverse=True)
     if len(eps) < 3 or eps[-1] <= 0:
         raise TooFewScalesError("need at least 3 positive scales")
     if eps[0] / eps[-1] < 10:
         raise TooFewScalesError("scales must span at least a factor of 10")
+    return eps
+
+
+def box_counting_dimension(collection: BoxCollection, scales: Sequence) -> float:
+    """Least-squares slope of log N(eps) against log(1/eps) on exact grid counts.
+
+    N(eps) counts eps-grid cells meeting the collection; boxes are half-open
+    so the count is exact in rational arithmetic.  The scales must pass
+    `checked_scales`.
+    """
+    eps = checked_scales(scales)
     xs, ys = [], []
     for e in eps:
         n = _grid_count(collection, e)

@@ -322,9 +322,10 @@ def _run_cantor_dim(args, out: Path) -> None:
     if args.cells < 1 or args.shrink < 1:
         raise PreconditionError("cells and shrink must be >= 1")
     shrink = Fraction(1, args.shrink)
+    # refused before the boxes are built, whose number grows as cells^(d depth)
+    scales = ct.checked_scales([shrink**k for k in range(1, args.depth + 2)])
     sched = ct.geometric_schedule(args.d, [(args.cells, shrink)] * args.depth)
     coll = ct.build_cantor(sched, args.depth, rule=args.rule, seed=args.seed)
-    scales = [Fraction(1, args.shrink**k) for k in range(1, args.depth + 2)]
     dim_f = ct.dimension_formula(sched, args.depth)
     dim_b = ct.box_counting_dimension(coll, scales)
     _write_json(

@@ -14,7 +14,11 @@ n -> (n^2, ..., n^d), and |T(1, b)|, the inverse DFT of the fiber sums of
 e(n/p).  `CompleteSumTable.lookup` reads any a from them, normalising a_1 != 0
 to 1 with lambda = a_1^{-1}, through the one vectorised orbit map `_orbit`,
 which every other orbit image in the package also comes from.  A table costs
-O(p^{d-1} log p) time and 2 p^{d-1} stored entries.  Individual sums
+O(p^{d-1} log p) time and 2 p^{d-1} stored entries.  Moments weight each
+stored entry by an exact integer orbit multiplicity: p - 1 for the a_1 = 1
+slice over all of F_p^d, and over a box of side L the number of its points
+that map to the entry, counted without gathering the L^d points, in
+O(p^{d-1} + L p^{d-2}) memory.  Individual sums
 (`complete_sum`, `monomial_complete_sum`, `weil_check`, `vanishing_family`)
 are always evaluated by direct O(p d) summation, which keeps table-vs-direct
 comparisons a real two-route check: each of the p terms is e(r/p) at an exact
@@ -45,7 +49,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .phasecore import _power, residue_array
-from .weyl_sums import _chunks
+from .weyl_sums import CHUNK, _chunks
 
 DEFAULT_CAP = 10**7
 
@@ -165,19 +169,18 @@ class CompleteSumTable:
     p: int
     slices: np.ndarray  # shape (2,) + (p,)*(d-1), float64
 
-    def lookup(self, indices, power: int = 1) -> np.ndarray:
-        """|T(a)|^power at a = indices: d integer arrays broadcast together, as in numpy indexing.
+    def lookup(self, indices) -> np.ndarray:
+        """|T(a)| at a = indices: d integer arrays broadcast together, as in numpy indexing.
 
         For a_1 != 0, lambda = a_1^{-1} maps a to (1, lambda^2 a_2, ..., lambda^d a_d),
         and lambda = 1 keeps a_1 = 0, so the image's first entry is the slice.
-        The power is taken on the 2 p^(d-1) stored entries, before they are gathered.
         """
         if len(indices) != self.d:
             raise PreconditionError(f"need {self.d} index arrays, got {len(indices)}")
         p = self.p
         a = [np.asarray(aj, dtype=np.int64) % p for aj in indices]
         lam = np.where(a[0] == 0, 1, _inverse(a[0], p))
-        return (self.slices if power == 1 else self.slices**power)[tuple(_orbit(a, lam, p))]
+        return self.slices[tuple(_orbit(a, lam, p))]
 
 
 def _check_table_cap(d: int, p: int, cap: int) -> None:
@@ -376,9 +379,6 @@ class DiscreteBox:
             for k in self.starts
         ]
 
-    def contains_zero(self, p: int) -> bool:
-        return all(0 in set(v.tolist()) for v in self.axis_values(p))
-
 
 @dataclass(frozen=True)
 class BoxMomentReport:
@@ -394,17 +394,69 @@ class BoxMomentReport:
         return self.value / self.predicted_main_term
 
 
+def _orbit_rows(lam: np.ndarray, axes: list, p: int) -> np.ndarray:
+    """sum over r of the tensor product over j = 2..d of 1[lam_r^j B_j], flattened.
+
+    axes holds B_2, ..., B_d, each of distinct residues, and lam the nonzero
+    lambdas r.  At d = 1 the sum is the number of lambdas, at d = 2 one
+    bincount of the images lam_r^2 B_2, and at d >= 3 one contraction over r
+    of the B_2 indicator rows (p wide) with the row-wise tensor products of
+    the others (p^(d-2) wide).  Every count is an exact integer in float64.
+    """
+    images = _orbit([0, *(v[None, :] for v in axes)], lam[:, None], p)[1:]
+    if len(images) < 2:
+        return np.bincount(images[0].ravel(), minlength=p) if images else np.array([len(lam)])
+    head, tail, *rest = (_indicator_rows(im, p) for im in images)
+    for ind in rest:
+        tail = (tail[:, :, None] * ind[:, None, :]).reshape(len(lam), -1)
+    return (head.T @ tail).ravel()
+
+
+def _indicator_rows(images: np.ndarray, p: int) -> np.ndarray:
+    """Row r is the 0/1 indicator over F_p of the residues images[r]."""
+    out = np.zeros((len(images), p))
+    np.put_along_axis(out, images, 1.0, axis=1)
+    return out
+
+
+def _orbit_counts(table: CompleteSumTable, box: DiscreteBox) -> np.ndarray:
+    """c[s][b]: how many a in the box have (s, b) as their lambda-orbit representative, shaped like table.slices.
+
+    The representative is the one `lookup` reads: lambda = a_1^{-1} for
+    a_1 != 0 and lambda = 1 for a_1 = 0.  The a_1 values go in blocks whose
+    (d-1) rows of L image residues each stay within the table's 2 p^(d-1)
+    entries (CHUNK at the least), so at d >= 3 one block holds them all.
+    """
+    d, p = table.d, table.p
+    first, *rest = box.axis_values(p)
+    counts = np.zeros((2, p ** (d - 1)))
+    nonzero = first[first != 0]
+    if len(nonzero) < len(first):
+        counts[0] = _orbit_rows(np.ones(1, dtype=np.int64), rest, p)
+    lam = _inverse(nonzero, p)
+    step = max(1, max(CHUNK, 2 * p ** (d - 1)) // (box.side * (d - 1) or 1))
+    for lo in range(0, len(lam), step):
+        counts[1] += _orbit_rows(lam[lo : lo + step], rest, p)
+    return counts.reshape(table.slices.shape)
+
+
 def box_moment(table: CompleteSumTable, nu: int, box: DiscreteBox) -> BoxMomentReport:
-    """M(B) = sum over a in B, a != 0, of |T(a)|^{2 nu}, with the A_d(nu) L^d p^nu main term."""
+    """M(B) = sum over a in B, a != 0, of |T(a)|^{2 nu}, with the A_d(nu) L^d p^nu main term.
+
+    The L^d points are never gathered: each stored entry is weighted by its
+    orbit multiplicity in the box (`_orbit_counts`), as `mordell_moment`
+    weights the slices by 1 and p - 1.  a = 0 is its own orbit, so its count
+    is dropped exactly.  The counts take O(p^(d-1) + L p^(d-2)) memory, within
+    a small multiple of the table's own size.
+    """
     d, p = table.d, table.p
     if box.dim != d:
         raise PreconditionError("box dimension must equal d")
     if not 1 <= nu <= d:
         raise PreconditionError(f"need 1 <= nu <= d, got nu={nu}")
-    sub = table.lookup(np.ix_(*box.axis_values(p)), power=2 * nu)
-    total = float(sub.sum())
-    if box.contains_zero(p):
-        total -= float(p) ** (2 * nu)
+    counts = _orbit_counts(table, box)
+    counts[(0,) * d] = 0.0
+    total = float((counts * table.slices ** (2 * nu)).sum())
     predicted = moment_main_term(d, nu) * float(box.side) ** d * float(p) ** nu
     return BoxMomentReport(d=d, p=p, nu=nu, side=box.side, value=total, predicted_main_term=predicted)
 

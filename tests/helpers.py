@@ -5,13 +5,16 @@ scalar big-integer phases and their exponential for the vectorized kernels,
 math.fsum over every term up to N for the sum evaluators, a
 one-point-per-call loop for the batched measure estimate, direct term-by-term
 summation for complete sums, the full p^d inverse FFT of the fiber counts
-of n -> (n, ..., n^d) for complete-sum tables, masks over listed L_p member
-rows for box density, and for the discrepancy both an O(N^2) sweep over
-the endpoint grid with all four one-sided-limit combinations and the linear
-closed form over sorted Python ints.
+of n -> (n, ..., n^d) for complete-sum tables and box moments, the
+lambda-orbit representative of each box point one by one for the orbit
+multiplicities, masks over listed L_p member rows for box density, and for
+the discrepancy both an O(N^2) sweep over the endpoint grid with all four
+one-sided-limit combinations and the linear closed form over sorted Python
+ints.
 """
 
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -158,6 +161,22 @@ def full_table(d, p):
     mags = np.abs(np.fft.ifftn(counts) * float(p) ** d)
     mags[(0,) * d] = float(p)  # T(0) = p exactly
     return mags
+
+
+def box_moment_fsum(d, p, nu, box):
+    """sum over a in box, a != 0, of |T(a)|^{2 nu}: math.fsum over the box points of `full_table`."""
+    grid = np.meshgrid(*box.axis_values(p), indexing="ij")
+    terms = full_table(d, p)[tuple(grid)] ** (2 * nu)
+    return math.fsum(terms[np.any([g != 0 for g in grid], axis=0)].tolist())
+
+
+def orbit_multiplicities(d, p, box):
+    """How many a in box have (s, b) as lambda-orbit representative, one point at a time in Python ints."""
+    counts = np.zeros((2,) + (p,) * (d - 1), dtype=np.int64)
+    for a in itertools.product(*(v.tolist() for v in box.axis_values(p))):
+        inv = pow(a[0], p - 2, p) if a[0] else 1
+        counts[tuple(aj * pow(inv, j, p) % p for j, aj in enumerate(a, start=1))] += 1
+    return counts
 
 
 def full_box(d, p):

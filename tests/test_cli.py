@@ -202,6 +202,13 @@ def _broken_terms(monkeypatch, out):
     monkeypatch.setattr(cli.ws, "unit_terms", twos)
 
 
+def _no_cantor_build(monkeypatch, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_cantor ran before the scales were checked")
+
+    monkeypatch.setattr(cli.ct, "build_cantor", refuse)
+
+
 @pytest.mark.parametrize(
     "code, error_class, prefix, argv, setup",
     [
@@ -214,9 +221,12 @@ def _broken_terms(monkeypatch, out):
         (4, "LemmaCheckFailureError", "lemma check failed", ["weyl-trace", "--N-max", "20"], _broken_terms),
         (5, "ChecksumMismatchError", "corrupt cache", ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache"],
          _flip_cached_table),
+        # 2 scales, 1/300 and 1/90000; the collection would hold 150^2 boxes
+        (2, "TooFewScalesError", "invalid configuration",
+         ["cantor-dim", "--d", "2", "--cells", "150", "--shrink", "300", "--depth", "1"], _no_cantor_build),
     ],
     ids=["invalid-config", "moments-nu-0", "moments-nu-above-d", "cap", "out-of-memory", "lemma-check",
-         "corrupt-cache"],
+         "corrupt-cache", "cantor-dim-scales"],
 )
 def test_failed_run_writes_manifest(code, error_class, prefix, argv, setup, tmp_path, monkeypatch, capsys):
     out = tmp_path / "fail"

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import direct_complete_sum, full_box, full_table, unit_root_fsum
+from helpers import (
+    box_moment_fsum,
+    direct_complete_sum,
+    full_box,
+    full_table,
+    orbit_multiplicities,
+    unit_root_fsum,
+)
 from weylsums import complete_sums as cs
 from weylsums.errors import (
     BinomialVanishingError,
@@ -249,6 +256,69 @@ def test_box_moment_refuses_box_of_other_dimension():
         cs.box_moment(table, 1, cs.DiscreteBox(starts=(0, 0, 0), side=2))
     with pytest.raises(PreconditionError, match="box dimension must equal d"):
         cs.box_moment(table, 1, cs.DiscreteBox(starts=(0,), side=2))
+
+
+def _oracle_boxes(d, p):
+    """Single points (a_1 != 0, a_1 = 0, a = 0), side p, and wrapping boxes with and without a_1 = 0."""
+    rng = np.random.Generator(np.random.Philox(key=100 * d + p))
+    rest = tuple(int(v) for v in rng.integers(0, p, size=d - 1))
+    half = (p + 1) // 2
+    return [
+        cs.DiscreteBox((0,) * d, 1),
+        cs.DiscreteBox((p - 1, *rest), 1),
+        cs.DiscreteBox((p - 1,) * d, 1),
+        full_box(d, p),
+        cs.DiscreteBox(tuple(int(v) for v in rng.integers(0, p, size=d)), p),
+        cs.DiscreteBox((p - 1 - half // 2, *rest), half),  # a_1 runs through 0
+        cs.DiscreteBox((0, *rest), max(p - 1, 1)),  # a_1 = 1, ..., p - 1
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_box_moment_matches_fsum_oracle(d, p):
+    table = cs.build_table(d, p)
+    for box in _oracle_boxes(d, p):
+        for nu in range(1, d + 1):
+            want = box_moment_fsum(d, p, nu, box)
+            assert abs(cs.box_moment(table, nu, box).value - want) <= 1e-12 * max(want, 1.0), (box, nu)
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("d, p", [(1, 7), (2, 5), (2, 11), (3, 5), (3, 7), (4, 5)])
+def test_orbit_counts_are_the_box_multiplicities(d, p, chunk, monkeypatch):
+    if chunk is not None:  # a block of a_1 values per few rows
+        monkeypatch.setattr(cs, "CHUNK", chunk)
+    table = cs.build_table(d, p)
+    for box in _oracle_boxes(d, p):
+        counts = cs._orbit_counts(table, box)
+        assert counts.shape == table.slices.shape
+        assert counts.sum() == box.side**d
+        assert np.array_equal(counts, orbit_multiplicities(d, p, box)), box
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 101, 1009])
+def test_box_moment_gauss_law(p):
+    # |T(a_1, a_2)| = sqrt(p) for a_2 != 0 and T(a_1, 0) = 0 for a_1 != 0
+    table = cs.build_table(2, p)
+    rng = np.random.Generator(np.random.Philox(key=p))
+    for _ in range(20):
+        box = cs.DiscreteBox(tuple(int(v) for v in rng.integers(0, p, size=2)), int(rng.integers(1, p + 1)))
+        a1, a2 = box.axis_values(p)
+        for nu in (1, 2):
+            want = len(a1) * np.count_nonzero(a2) * float(p) ** nu
+            assert abs(cs.box_moment(table, nu, box).value - want) <= 1e-12 * max(want, 1.0), (box, nu)
+
+
+def test_box_moment_memory_stays_within_a_few_tables():
+    table = cs.build_table(3, 211)
+    tracemalloc.start()
+    try:
+        cs.box_moment(table, 3, cs.DiscreteBox((0, 0, 0), 211))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * table.slices.nbytes
 
 
 @pytest.mark.parametrize("d, p", [(1, 5), (2, 7), (3, 5)])
