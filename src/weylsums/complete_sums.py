@@ -18,7 +18,9 @@ O(p^{d-1} log p) time and 2 p^{d-1} stored entries.  Moments weight each
 stored entry by an exact integer orbit multiplicity: p - 1 for the a_1 = 1
 slice over all of F_p^d, and over a box of side L the number of its points
 that map to the entry, counted without gathering the L^d points, in
-O(p^{d-1} + L p^{d-2}) memory.  Individual sums
+O(p^{d-1} + L p^{d-2}) memory.  At d = 2 the orbit map is a translation in
+discrete logs, and the counts are one cyclic convolution over Z/(p-1):
+O(p log p) time and O(p) memory per box.  Individual sums
 (`complete_sum`, `monomial_complete_sum`, `weil_check`, `vanishing_family`)
 are always evaluated by direct O(p d) summation, which keeps table-vs-direct
 comparisons a real two-route check: each of the p terms is e(r/p) at an exact
@@ -32,7 +34,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
-from math import comb, factorial, gcd, sqrt
+from math import comb, factorial, gcd, isqrt, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +51,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .phasecore import _power, residue_array
-from .weyl_sums import CHUNK, _chunks
+from .weyl_sums import _chunks
 
 DEFAULT_CAP = 10**7
 
@@ -398,10 +400,11 @@ def _orbit_rows(lam: np.ndarray, axes: list, p: int) -> np.ndarray:
     """sum over r of the tensor product over j = 2..d of 1[lam_r^j B_j], flattened.
 
     axes holds B_2, ..., B_d, each of distinct residues, and lam the nonzero
-    lambdas r.  At d = 1 the sum is the number of lambdas, at d = 2 one
-    bincount of the images lam_r^2 B_2, and at d >= 3 one contraction over r
-    of the B_2 indicator rows (p wide) with the row-wise tensor products of
-    the others (p^(d-2) wide).  Every count is an exact integer in float64.
+    lambdas r.  At d = 1 the sum is the number of lambdas, at d = 2 (reached
+    only by the a_1 = 0 row, lam = 1) the indicator of B_2, and at d >= 3 one
+    contraction over r of the B_2 indicator rows (p wide) with the row-wise
+    tensor products of the others (p^(d-2) wide), in O(L p^(d-2)) memory.
+    Every count is an exact integer in float64.
     """
     images = _orbit([0, *(v[None, :] for v in axes)], lam[:, None], p)[1:]
     if len(images) < 2:
@@ -419,13 +422,88 @@ def _indicator_rows(images: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _discrete_logs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log): exp[k] = g^k for k < p - 1 with g the least generator of F_p^*, and log = exp^{-1} on 1..p-1.
+
+    g is the least residue with g^((p-1)/q) != 1 for every prime q | p - 1.
+    exp is the outer product, mod p, of g^0..g^(s-1) with g^0, g^s, g^2s, ...
+    for s = ceil(sqrt(p - 1)), so its p - 1 entries take 2 s scalar powers.
+    log[0] is 0 and stands for no residue.  int64 throughout, p < 2^31.
+    """
+    m = p - 1
+    primes, rest, q = [], m, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    g = 1
+    while any(pow(g, m // q, p) == 1 for q in primes):
+        g += 1
+    s = isqrt(m - 1) + 1  # ceil(sqrt(m))
+    low = np.array([pow(g, j, p) for j in range(s)], dtype=np.int64)
+    high = np.array([pow(g, s * i, p) for i in range(-(-m // s))], dtype=np.int64)
+    exp = (high[:, None] * low[None, :] % p).ravel()[:m]
+    log = np.zeros(p, dtype=np.int64)
+    log[exp] = np.arange(m)
+    return exp, log
+
+
+def _log_convolution(first: np.ndarray, second: np.ndarray, p: int) -> np.ndarray:
+    """c[b] = #{(a_1, a_2) : a_1 in first, a_2 in second, a_2 a_1^{-2} = b}; first holds distinct nonzero a_1.
+
+    In discrete logs a_2 a_1^{-2} = g^(log a_2 - 2 log a_1), so the counts at
+    b = g^beta, beta in Z/(p-1), are the cyclic convolution of the histograms
+    of -2 log a_1 and of log a_2 over the nonzero entries: one real FFT at a
+    power of two >= 2(p-1) - 1, folded mod p - 1, since p - 1 may have a large
+    prime factor.  O(p log p) time and O(p) memory, against L_1 L images.
+    Each value must lie within 1/4 of an integer and the integers must total
+    #{a_1} #{a_2 != 0}, else `LemmaCheckFailureError`; b = 0 counts every
+    a_1 once if 0 is in second.
+    """
+    m = p - 1
+    exp, log = _discrete_logs(p)
+    units = np.count_nonzero(second)
+    h1 = np.bincount(-2 * log[first] % m, minlength=m)
+    h2 = np.bincount(log[second[second != 0]], minlength=m)
+    # each array goes once spent, so that at most about five p-float arrays are held at once
+    del log
+    n = 1 << (2 * m - 2).bit_length()
+    f = np.fft.rfft(h1, n)
+    del h1
+    f *= np.fft.rfft(h2, n)
+    del h2
+    full = np.fft.irfft(f, n)
+    del f
+    cyc = full[:m]
+    cyc[: m - 1] += full[m : 2 * m - 1]
+    exact = np.rint(cyc)
+    deviation = float(np.abs(cyc - exact).max())
+    total = len(first) * units
+    if not deviation <= 0.25 or exact.sum() != total:
+        raise LemmaCheckFailureError(
+            f"orbit counts at p={p} are not integers totalling {total}: "
+            f"deviation {deviation}, total {float(exact.sum())}"
+        )
+    counts = np.zeros(p)
+    counts[exp] = exact
+    counts[0] = len(first) * (units < len(second))
+    return counts
+
+
 def _orbit_counts(table: CompleteSumTable, box: DiscreteBox) -> np.ndarray:
     """c[s][b]: how many a in the box have (s, b) as their lambda-orbit representative, shaped like table.slices.
 
     The representative is the one `lookup` reads: lambda = a_1^{-1} for
-    a_1 != 0 and lambda = 1 for a_1 = 0.  The a_1 values go in blocks whose
-    (d-1) rows of L image residues each stay within the table's 2 p^(d-1)
-    entries (CHUNK at the least), so at d >= 3 one block holds them all.
+    a_1 != 0 and lambda = 1 for a_1 = 0.  The a_1 = 0 row is the tensor
+    product of the indicators of B_2, ..., B_d.  The a_1 != 0 row is, at
+    d = 2, one cyclic convolution over discrete logs (`_log_convolution`,
+    O(p log p) per box), and otherwise one `_orbit_rows` call over all the
+    lambdas at once: at d >= 3 its L x p^(d-2) tail rows stay within the
+    table's 2 p^(d-1) entries.
     """
     d, p = table.d, table.p
     first, *rest = box.axis_values(p)
@@ -433,10 +511,8 @@ def _orbit_counts(table: CompleteSumTable, box: DiscreteBox) -> np.ndarray:
     nonzero = first[first != 0]
     if len(nonzero) < len(first):
         counts[0] = _orbit_rows(np.ones(1, dtype=np.int64), rest, p)
-    lam = _inverse(nonzero, p)
-    step = max(1, max(CHUNK, 2 * p ** (d - 1)) // (box.side * (d - 1) or 1))
-    for lo in range(0, len(lam), step):
-        counts[1] += _orbit_rows(lam[lo : lo + step], rest, p)
+    if len(nonzero):
+        counts[1] = _log_convolution(nonzero, rest[0], p) if d == 2 else _orbit_rows(_inverse(nonzero, p), rest, p)
     return counts.reshape(table.slices.shape)
 
 

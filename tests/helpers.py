@@ -6,11 +6,11 @@ math.fsum over every term up to N for the sum evaluators, a
 one-point-per-call loop for the batched measure estimate, direct term-by-term
 summation for complete sums, the full p^d inverse FFT of the fiber counts
 of n -> (n, ..., n^d) for complete-sum tables and box moments, the
-lambda-orbit representative of each box point one by one for the orbit
-multiplicities, masks over listed L_p member rows for box density, and for
-the discrepancy both an O(N^2) sweep over the endpoint grid with all four
-one-sided-limit combinations and the linear closed form over sorted Python
-ints.
+lambda-orbit representative of each box point one by one, and at d = 2 one
+bincount of the box's orbit images, for the orbit multiplicities, masks over
+listed L_p member rows for box density, and for the discrepancy both an
+O(N^2) sweep over the endpoint grid with all four one-sided-limit
+combinations and the linear closed form over sorted Python ints.
 """
 
 import bisect
@@ -177,6 +177,14 @@ def orbit_multiplicities(d, p, box):
         inv = pow(a[0], p - 2, p) if a[0] else 1
         counts[tuple(aj * pow(inv, j, p) % p for j, aj in enumerate(a, start=1))] += 1
     return counts
+
+
+def orbit_counts_bincount(p, box):
+    """The d = 2 orbit counts, shape (2, p), as one bincount of the L_1 L images (s, lambda^2 a_2), lambda = a_1^{-1} or 1 at a_1 = 0."""
+    first, second = box.axis_values(p)
+    lam = np.array([pow(a, p - 2, p) if a else 1 for a in first.tolist()], dtype=np.int64)
+    images = (first != 0)[:, None] * p + lam[:, None] ** 2 % p * second[None, :] % p
+    return np.bincount(images.ravel(), minlength=2 * p).reshape(2, p)
 
 
 def full_box(d, p):

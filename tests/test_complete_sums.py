@@ -4,7 +4,7 @@ import hashlib
 import os
 import struct
 import tracemalloc
-from math import comb, sqrt
+from math import comb, isqrt, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from helpers import (
     direct_complete_sum,
     full_box,
     full_table,
+    orbit_counts_bincount,
     orbit_multiplicities,
     unit_root_fsum,
 )
@@ -25,6 +26,7 @@ from weylsums.errors import (
     InvalidFieldError,
     InvalidNumeratorError,
     InvalidScalarError,
+    LemmaCheckFailureError,
     NotAPermutationError,
     PreconditionError,
     ResourceLimitError,
@@ -284,20 +286,79 @@ def test_box_moment_matches_fsum_oracle(d, p):
             assert abs(cs.box_moment(table, nu, box).value - want) <= 1e-12 * max(want, 1.0), (box, nu)
 
 
-@pytest.mark.parametrize("chunk", [None, 1])
+def _edge_boxes(d, p):
+    """Edges of the d = 2 convolution: a_2 = 0 inside and outside, only a_1 = 0, and a single a_1 != 0 with and without a_1 = 0."""
+    rng = np.random.Generator(np.random.Philox(key=100 * d + p + 1))
+    first, *rest = (int(v) for v in rng.integers(0, p, size=d))
+    return [
+        cs.DiscreteBox((first, p - 1, *rest[1:])[:d], max(p // 2, 1)),  # a_2 runs through 0
+        cs.DiscreteBox((first, 0, *rest[1:])[:d], max(p - 1, 1)),  # a_2 = 1, ..., p - 1
+        cs.DiscreteBox((p - 1, *rest), 1),  # only a_1 = 0
+        cs.DiscreteBox((0, *rest), 1),  # only a_1 = 1
+        cs.DiscreteBox((p - 1, *rest), 2),  # a_1 = 0 and a_1 = 1
+    ]
+
+
+def _cli_boxes(d, p, count, seed):
+    """count boxes drawn as `weylsums box-moments` draws them: side from p^0.8 + 1 to p, uniform starts."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    lmin = min(max(int(float(p) ** 0.8) + 1, 2), p)
+    boxes = []
+    for _ in range(count):
+        side = int(rng.integers(lmin, p + 1))
+        boxes.append(cs.DiscreteBox(tuple(int(v) for v in rng.integers(0, p, size=d)), side))
+    return boxes
+
+
+@pytest.mark.parametrize("boxes", [_oracle_boxes, _edge_boxes], ids=["oracle", "edges"])
 @pytest.mark.parametrize("d, p", [(1, 7), (2, 5), (2, 11), (3, 5), (3, 7), (4, 5)])
-def test_orbit_counts_are_the_box_multiplicities(d, p, chunk, monkeypatch):
-    if chunk is not None:  # a block of a_1 values per few rows
-        monkeypatch.setattr(cs, "CHUNK", chunk)
+def test_orbit_counts_are_the_box_multiplicities(d, p, boxes):
     table = cs.build_table(d, p)
-    for box in _oracle_boxes(d, p):
+    for box in boxes(d, p):
         counts = cs._orbit_counts(table, box)
         assert counts.shape == table.slices.shape
         assert counts.sum() == box.side**d
         assert np.array_equal(counts, orbit_multiplicities(d, p, box)), box
 
 
-@pytest.mark.parametrize("p", [3, 5, 13, 101, 1009])
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 127, 1009, 1019])
+def test_orbit_counts_match_the_image_bincount_at_d2(p):
+    # p - 1 = 1 and 2 at p = 2, 3; 1018 = 2 * 509 has a large prime factor
+    table = cs.build_table(2, p)
+    for box in _oracle_boxes(2, p) + _cli_boxes(2, p, 8, seed=p):
+        assert np.array_equal(cs._orbit_counts(table, box), orbit_counts_bincount(p, box)), box
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1009, 65537, 999983])
+def test_discrete_logs_generate_and_invert(p):
+    exp, log = cs._discrete_logs(p)
+    m = p - 1
+    g = int(exp[1 % m])  # exp[1] is the generator; F_2^* = {1}
+    divisors = {q for k in range(1, isqrt(m) + 1) if m % k == 0 for q in (k, m // k)}
+    assert 1 <= g < p
+    assert all(pow(g, m // q, p) != 1 for q in divisors if cs.is_prime(q))
+    assert exp[0] == 1 and np.array_equal(exp[1:], exp[:-1] * g % p)
+    assert np.array_equal(np.sort(exp), np.arange(1, p))
+    assert np.array_equal(log[exp], np.arange(m))
+
+
+@pytest.mark.parametrize("error", [0.5, 1.0])
+def test_log_convolution_refuses_counts_off_the_integers(error, monkeypatch):
+    # 0.5 is half-way between integers; 1.0 keeps them integers but breaks their total
+    irfft = np.fft.irfft
+
+    def planted(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[3] += error
+        return out
+
+    table = cs.build_table(2, 13)
+    monkeypatch.setattr(np.fft, "irfft", planted)
+    with pytest.raises(LemmaCheckFailureError, match="not integers"):
+        cs.box_moment(table, 1, full_box(2, 13))
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 101, 1009, 100003])
 def test_box_moment_gauss_law(p):
     # |T(a_1, a_2)| = sqrt(p) for a_2 != 0 and T(a_1, 0) = 0 for a_1 != 0
     table = cs.build_table(2, p)
@@ -315,6 +376,17 @@ def test_box_moment_memory_stays_within_a_few_tables():
     tracemalloc.start()
     try:
         cs.box_moment(table, 3, cs.DiscreteBox((0, 0, 0), 211))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * table.slices.nbytes
+
+
+def test_box_moment_memory_stays_within_a_few_tables_at_d2():
+    table = cs.build_table(2, 100003)
+    tracemalloc.start()
+    try:
+        cs.box_moment(table, 2, cs.DiscreteBox((0, 0), 100003))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
