@@ -490,7 +490,7 @@ def _log_convolution(first: np.ndarray, second: np.ndarray, p: int) -> np.ndarra
         )
     counts = np.zeros(p)
     counts[exp] = exact
-    counts[0] = len(first) * (units < len(second))
+    counts[0] = len(first) * (0 in second)
     return counts
 
 
