@@ -310,11 +310,15 @@ def _cli_boxes(d, p, count, seed):
     return boxes
 
 
-@pytest.mark.parametrize("boxes", [_oracle_boxes, _edge_boxes], ids=["oracle", "edges"])
+@pytest.mark.parametrize("side", [None, 1])
 @pytest.mark.parametrize("d, p", [(1, 7), (2, 5), (2, 11), (3, 5), (3, 7), (4, 5)])
-def test_orbit_counts_are_the_box_multiplicities(d, p, boxes):
+def test_orbit_counts_are_the_box_multiplicities(d, p, side):
+    # side None keeps each box; side 1 shrinks it to its corner point, a single a_1
     table = cs.build_table(d, p)
-    for box in boxes(d, p):
+    boxes = _oracle_boxes(d, p) + _edge_boxes(d, p)
+    if side is not None:
+        boxes = [cs.DiscreteBox(box.starts, side) for box in boxes]
+    for box in boxes:
         counts = cs._orbit_counts(table, box)
         assert counts.shape == table.slices.shape
         assert counts.sum() == box.side**d
