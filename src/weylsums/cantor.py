@@ -67,6 +67,8 @@ class Box:
 
 
 def unit_box(d: int) -> Box:
+    if d < 1:
+        raise PreconditionError("dimension must be >= 1")
     return Box(corner=(Fraction(0),) * d, side=Fraction(1))
 
 

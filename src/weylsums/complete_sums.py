@@ -397,29 +397,20 @@ class BoxMomentReport:
 
 
 def _orbit_rows(lam: np.ndarray, axes: list, p: int) -> np.ndarray:
-    """sum over r of the tensor product over j = 2..d of 1[lam_r^j B_j], flattened.
+    """sum over r of the tensor product over j = 2..d of 1[lam_r^j B_j], flattened, for d >= 3.
 
     axes holds B_2, ..., B_d, each of distinct residues, and lam the nonzero
-    lambdas r.  At d = 1 the sum is the number of lambdas, at d = 2 (reached
-    only by the a_1 = 0 row, lam = 1) the indicator of B_2, and at d >= 3 one
-    contraction over r of the B_2 indicator rows (p wide) with the row-wise
-    tensor products of the others (p^(d-2) wide), in O(L p^(d-2)) memory.
-    Every count is an exact integer in float64.
+    lambdas r.  The sum is one contraction over r of the B_2 indicator rows
+    (p wide) with the row-wise tensor products of the others (p^(d-2) wide),
+    in O(L p^(d-2)) memory.  Every count is an exact integer in float64.
     """
     images = _orbit([0, *(v[None, :] for v in axes)], lam[:, None], p)[1:]
-    if len(images) < 2:
-        return np.bincount(images[0].ravel(), minlength=p) if images else np.array([len(lam)])
-    head, tail, *rest = (_indicator_rows(im, p) for im in images)
+    head, tail, *rest = rows = [np.zeros((len(lam), p)) for _ in images]
+    for ind, im in zip(rows, images):
+        np.put_along_axis(ind, im, 1.0, axis=1)  # row r: the 0/1 indicator over F_p of the residues im[r]
     for ind in rest:
         tail = (tail[:, :, None] * ind[:, None, :]).reshape(len(lam), -1)
     return (head.T @ tail).ravel()
-
-
-def _indicator_rows(images: np.ndarray, p: int) -> np.ndarray:
-    """Row r is the 0/1 indicator over F_p of the residues images[r]."""
-    out = np.zeros((len(images), p))
-    np.put_along_axis(out, images, 1.0, axis=1)
-    return out
 
 
 def _discrete_logs(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -499,21 +490,24 @@ def _orbit_counts(table: CompleteSumTable, box: DiscreteBox) -> np.ndarray:
 
     The representative is the one `lookup` reads: lambda = a_1^{-1} for
     a_1 != 0 and lambda = 1 for a_1 = 0.  The a_1 = 0 row is the tensor
-    product of the indicators of B_2, ..., B_d.  The a_1 != 0 row is, at
-    d = 2, one cyclic convolution over discrete logs (`_log_convolution`,
-    O(p log p) per box), and otherwise one `_orbit_rows` call over all the
-    lambdas at once: at d >= 3 its L x p^(d-2) tail rows stay within the
-    table's 2 p^(d-1) entries.
+    product of the indicators of B_2, ..., B_d.  The a_1 != 0 row is the
+    number of nonzero a_1 at d = 1, one cyclic convolution over discrete logs
+    at d = 2 (`_log_convolution`, O(p log p) per box), and at d >= 3 one
+    `_orbit_rows` contraction over all the lambdas at once, whose
+    L x p^(d-2) tail rows stay within the table's 2 p^(d-1) entries.
     """
     d, p = table.d, table.p
     first, *rest = box.axis_values(p)
-    counts = np.zeros((2, p ** (d - 1)))
+    counts = np.zeros(table.slices.shape)
     nonzero = first[first != 0]
     if len(nonzero) < len(first):
-        counts[0] = _orbit_rows(np.ones(1, dtype=np.int64), rest, p)
-    if len(nonzero):
-        counts[1] = _log_convolution(nonzero, rest[0], p) if d == 2 else _orbit_rows(_inverse(nonzero, p), rest, p)
-    return counts.reshape(table.slices.shape)
+        counts[(0, *np.ix_(*rest))] = 1.0
+    if d == 1:
+        counts[1] = len(nonzero)
+    elif len(nonzero):
+        rows = _log_convolution(nonzero, rest[0], p) if d == 2 else _orbit_rows(_inverse(nonzero, p), rest, p)
+        counts[1] = rows.reshape(counts.shape[1:])
+    return counts
 
 
 def box_moment(table: CompleteSumTable, nu: int, box: DiscreteBox) -> BoxMomentReport:

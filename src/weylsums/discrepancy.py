@@ -18,7 +18,8 @@ B = N lo mod 2^32, so max g is the lexicographic max of (A, B).  Both words
 fit for N < 2^31; larger N is refused.  The dense checkpoints N = 1..1000
 (`DENSE_LIMIT`) share one stable argsort and run 32 at a time: a point's rank
 in prefix N is a cumulative count down the block.  Each dyadic checkpoint
-sorts its prefix.
+sorts its prefix.  The Koksma check runs its points in row blocks: one pass
+of phase words, one sum and one padded row sort per block serve both sides.
 
 Open-interval fine print, followed literally: a point at 0 can never lie in
 (a, b) with a >= 0, so zeros count toward N but are invisible to every
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import LemmaCheckFailureError, PreconditionError
 from .phasecore import TURN
-from .weyl_sums import DENSE_LIMIT, _chunks, _phase_words, _word_trace, checkpoint_grid
+from .weyl_sums import CHUNK, DENSE_LIMIT, _accumulate, _checked, _chunks, _phase_words, _trace, checkpoint_grid
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
 N_LIMIT = 1 << 31  # the gaps N x - k fit two int64 words below this
@@ -70,24 +71,14 @@ class PointSet1D:
         return (self.fracs * 2.0**-64).tolist()
 
 
-def poly_sequence(x, N: int, m: Sequence[int] | None = None) -> PointSet1D:
-    """Fractional parts of the polynomial phase at n = 1..N, sorted."""
-    return PointSet1D(fracs=np.sort(_sequence_fracs(x, N, m)))
-
-
-def _sequence_fracs(x, N: int, m) -> np.ndarray:
-    """uint64 2^-64 grid numerators of the phases at n = 1..N; a/q rounds to its nearest grid point."""
-    return _grid_fracs(*_sequence_words(x, N, m))
-
-
 def _sequence_words(x, N: int, m) -> tuple[np.ndarray, int]:
-    """(words, q): the exact phases words[n - 1] / q of n = 1..N as uint64, over the q of `_phase_words`."""
+    """(words, q): the exact phases words[..., n - 1] / q of n = 1..N as uint64, one row per point of a (B, d) array."""
     if not 1 <= N < N_LIMIT:
         raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got {N}")
     words, q = _phase_words(x, m)
-    out = np.empty(N, dtype=np.uint64)
+    out = np.empty((len(x), N) if isinstance(x, np.ndarray) else N, dtype=np.uint64)
     for lo, hi in _chunks(N):
-        out[lo - 1:hi - 1] = words(lo, hi)
+        out[..., lo - 1:hi - 1] = words(lo, hi)
     return out, q
 
 
@@ -102,7 +93,7 @@ def _grid_fracs(words: np.ndarray, q: int) -> np.ndarray:
 
 
 def _units(n, x, rank, valid) -> list[tuple[int, int]]:
-    """Exact (D_N, D*_N) * 2^64 of each row (N = n) from its valid points x (uint64) at their int64 ranks.
+    """Exact (D_N, D*_N) * 2^64 of each row (N = n) from its valid points x (uint64) at their int64 ranks (rows, M).
 
     With x_0 <= ... <= x_{N-1} and g_k = N x_k - k (units of 2^-64), points
     s..t have excess 1 + g_s - g_t and the open (x_s, x_t) deficit
@@ -113,19 +104,24 @@ def _units(n, x, rank, valid) -> list[tuple[int, int]]:
     the zeros' gaps 0, -1, ..., 1 - zeros are those terms, and with no zeros
     the terms never act, as g_0 >= 0 and g_{N-1} < 1.  max g is the
     lexicographic max of the words (A, B) of g = A 2^32 + B, min g likewise.
+    Slices of CHUNK points in all keep the temporaries bounded; rank is scratch.
     """
-    b = (x & _LO).astype(np.int64) * n
-    a = (x >> 32).astype(np.int64) * n
-    rank <<= 32  # rank is scratch from here on: three (rows, points) arrays in all
-    a -= rank
-    a += np.right_shift(b, 32, out=rank)
-    b &= _LO
-    ext, i64 = [], np.iinfo(np.int64)
-    for pick, a_fill, b_fill in ((np.maximum.reduce, i64.min, 0), (np.minimum.reduce, i64.max, _LO)):
-        top = pick(a, axis=-1, keepdims=True, initial=a_fill, where=valid)
-        low = pick(b, axis=-1, initial=b_fill, where=valid & (a == top))
-        ext.append([(t << 32) + u for t, u in zip(top[:, 0].tolist(), low.tolist())])
-    return [(TURN + g_max - g_min, max(g_max, TURN - g_min)) for g_max, g_min in zip(*ext)]
+    valid, ext, i64 = np.broadcast_to(valid, rank.shape), ([], []), np.iinfo(np.int64)
+    step = max(1, CHUNK // len(rank))
+    for c in range(0, rank.shape[1], step):
+        xs, r, v = x[..., c : c + step], rank[:, c : c + step], valid[:, c : c + step]
+        b = (xs & _LO).view(np.int64) * n
+        a = (xs >> 32).view(np.int64) * n
+        r <<= 32
+        a -= r
+        a += np.right_shift(b, 32, out=r)
+        b &= _LO
+        for out, pick, a_fill, b_fill in zip(ext, (np.maximum.reduce, np.minimum.reduce), (i64.min, i64.max), (0, _LO)):
+            top = pick(a, axis=-1, keepdims=True, initial=a_fill, where=v)
+            low = pick(b, axis=-1, initial=b_fill, where=v & (a == top))
+            out.append([(t << 32) + u for t, u in zip(top[:, 0].tolist(), low.tolist())])
+    g_max, g_min = map(max, zip(*ext[0])), map(min, zip(*ext[1]))
+    return [(TURN + hi - lo, max(hi, TURN - lo)) for hi, lo in zip(g_max, g_min)]
 
 
 def _sorted_units(fracs: np.ndarray) -> tuple[int, int]:
@@ -150,28 +146,43 @@ class KoksmaReport:
     passed: bool
 
 
-def koksma_relation_check(x, N: int, m: Sequence[int] | None = None) -> KoksmaReport:
-    """Assert |S(x;N)| <= 2*pi*D*_N + 1e-6 (explicit Koksma constant).
+def koksma_relation_check(x, N, m: Sequence[int] | None = None) -> list[KoksmaReport]:
+    """Assert |S(x;N)| <= 2*pi*D*_N + 1e-6 (explicit Koksma constant) for each row in order, one report each.
 
-    One pass of phase words serves both sides: S sums their unit terms,
-    bit-identical to weyl_sum, and D*_N reads them on the 2^-64 grid, as
-    star_discrepancy(poly_sequence(x, N, m)) does.
+    A row is one point with its N, or a row of a (B, d) uint64 array of Phase
+    words (exponents 1..d) with its entry of N.  Blocks of
+    max(1, min(_BLOCK, CHUNK // N_max)) rows take one pass of phase words for
+    both sides: S sums their terms, +0.0 past a row's N, bit-identical to
+    weyl_sum; D*_N sorts them padded with 2^64 - 1, as star_discrepancy does.
     """
-    words, q = _sequence_words(x, N, m)
-    s_mag = _word_trace(words, q, (N,)).magnitudes[0]
-    d_star = star_discrepancy(PointSet1D(fracs=np.sort(_grid_fracs(words, q))))
-    bound = KOKSMA_CONSTANT * d_star + 1e-6
-    report = KoksmaReport(
-        N=N,
-        s_magnitude=s_mag,
-        d_star=d_star,
-        bound=bound,
-        ratio=s_mag / d_star if d_star > 0 else 0.0,
-        passed=s_mag <= bound,
-    )
-    if not report.passed:
-        raise LemmaCheckFailureError(f"Koksma check failed at N={N}: |S| = {s_mag} > {bound}")
-    return report
+    batch = isinstance(x, np.ndarray)
+    ns = [int(n) for n in N] if batch else [int(N)]
+    lo, hi = min(ns, default=0), max(ns, default=0)
+    if not 1 <= lo <= hi < N_LIMIT or batch and len(ns) != len(x):
+        raise PreconditionError(f"need one N per row, each 1 <= N < 2^31: got {len(ns)} N in [{lo}, {hi}]")
+    step = max(1, min(_BLOCK, CHUNK // hi))
+    return [rep for b in range(0, len(ns), step)
+            for rep in _koksma_block(x[b : b + step] if batch else x, ns[b : b + step], m)]
+
+
+def _koksma_block(x, ns: list[int], m) -> list[KoksmaReport]:
+    lengths, n_max = np.array(ns), max(ns)
+    words, q = _sequence_words(x, n_max, m)
+    words = words.reshape(len(ns), n_max)  # one point is one row
+    sums = _accumulate(lambda lo, hi: words[:, lo - 1 : hi - 1], q, (n_max,), lengths)
+    fracs = _grid_fracs(words, q)  # words itself for q = 2^64, which the sums no longer need
+    valid = np.arange(n_max) < lengths[:, None]
+    fracs[~valid] = TURN - 1  # the pads sort past every row's own points
+    fracs.sort(axis=-1)
+    units = _units(lengths[:, None], fracs, np.tile(np.arange(n_max), (len(ns), 1)), valid)
+    reports = []
+    for n, row, (_, d_units) in zip(ns, sums, units):
+        s_mag, d_star = abs(_checked(row[0], n)), d_units / TURN
+        bound = KOKSMA_CONSTANT * d_star + 1e-6
+        if s_mag > bound:
+            raise LemmaCheckFailureError(f"Koksma check failed at N={n}: |S| = {s_mag} > {bound}")
+        reports.append(KoksmaReport(n, s_mag, d_star, bound, s_mag / d_star if d_star > 0 else 0.0, True))
+    return reports
 
 
 def _checkpoint_units(fracs: np.ndarray, n_max: int):
@@ -200,14 +211,14 @@ def discrepancy_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None
         raise PreconditionError("need 0 < alpha < 1")
     # D_N is exact; the transcendental threshold N^alpha is compared at
     # float precision (exact integer ties like D_1 = 1 = 1^alpha survive)
-    units = _checkpoint_units(_sequence_fracs(x, n_max, m), n_max)
+    units = _checkpoint_units(_grid_fracs(*_sequence_words(x, n_max, m)), n_max)
     return [n for n, d_n, _ in units if d_n / TURN >= float(n) ** alpha]
 
 
 def scan_rows(x, n_max: int, m: Sequence[int] | None = None) -> list[tuple[int, float, float, float, float]]:
     """(N, D_N, D*_N, |S|, |S|/D*) rows over the checkpoint grid, for CSV output; one pass of phase words."""
     words, q = _sequence_words(x, n_max, m)
-    trace = _word_trace(words, q, checkpoint_grid(n_max))
+    trace = _trace(lambda lo, hi: words[lo - 1 : hi - 1], q, checkpoint_grid(n_max))
     return [
         (n, d_n / TURN, d_star / TURN, mag, mag / (d_star / TURN) if d_star else 0.0)
         for (n, d_n, d_star), mag in zip(_checkpoint_units(_grid_fracs(words, q), n_max), trace.magnitudes)

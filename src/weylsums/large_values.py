@@ -112,8 +112,8 @@ def plan_trial_count(p: int, tau: Fraction, d: int, gamma: Fraction) -> int:
     A = 2 * u - v - 2 * d * v
     B = 2 * d * v
     gn, gd = gamma.numerator, gamma.denominator
-    if gn <= 0:
-        raise PreconditionError("gamma must be positive")
+    if gn <= 0 or d < 1:
+        raise PreconditionError(f"need gamma > 0 and d >= 1, got gamma = {gamma} and d = {d}")
     # m <= 0.25 gamma^{1/d} p^{A/B}, raised to the power B*d so every factor is
     # an integer: (4 m)^{B d} <= gn^B p^{A d} / gd^B
     return _iroot(gn**B * p ** max(A * d, 0) // (gd**B * p ** max(-A * d, 0)), B * d) // 4

@@ -7,7 +7,7 @@ evaluated through residue arithmetic mod q.
 
 Every point becomes its exact phases in one place (`_phase_words`), and every
 sum, trace and scan reduces them in one loop (`_accumulate`), which also takes
-a batch of points as rows of one array (`weyl_sum_batch`).
+a batch of points as rows of one array (`weyl_sum_batch`, the Koksma blocks).
 
 Terms: the loop passes each chunk of exact words and q to
 `phasecore.unit_terms`, its one call of the term kernel, which gives each
@@ -137,27 +137,33 @@ def _plus(acc: list[int], ints: list[int], shift: int) -> list[int]:
     return [a + (v << shift) for a, v in zip(acc, ints)] if acc else ints
 
 
-def _accumulate(words, q: int, cps: Sequence[int]) -> list[list[complex]]:
+def _accumulate(words, q: int, cps: Sequence[int], lengths: np.ndarray | None = None) -> list[list[complex]]:
     """S at each of the strictly increasing checkpoints, per row: the correctly rounded sum of its terms.
 
     words(lo, hi) gives the exact phases of n = lo..hi-1 over q, (hi-lo,) for
     one point or (rows, hi-lo) for a batch, as `_phase_words` returns them,
     so the terms repeat with period q in n.  Each chunk's words go through
     `unit_terms` here, the one call of the term kernel for every sum, trace
-    and batch.  Only n = 1..P, P = min(q, N_max), are generated.  The loop
-    carries one exact int per row over 2^(37 L), shifting it to the larger
-    scale when a chunk needs more limbs than the chunks before, and keeps the
-    exact prefix I(r) at each offset r = N mod P > 0.  Every checkpoint is then
-    floor(N/P) I(P) + I(N mod P) rounded once by int true division, so it
-    equals math.fsum over all N of its terms.
+    and batch.  Only n = 1..P, P = min(q, N_max), are generated.  Terms past
+    row r's own length lengths[r] (< N_max only with q >= N_max, so nothing
+    folds) are set to +0.0, which adds to no limb: the row sums exactly its
+    first lengths[r] terms.  The loop carries one exact int per row over
+    2^(37 L), shifting it to the larger scale when a chunk needs more limbs
+    than the chunks before, and keeps the exact prefix I(r) at each offset
+    r = N mod P > 0.  Every checkpoint is then floor(N/P) I(P) + I(N mod P)
+    rounded once by int true division, so it equals math.fsum over all N of
+    its terms.
     """
     period = min(q, cps[-1])
     offsets = sorted({n % period for n in cps} - {0}) if period < cps[-1] else cps[:-1]
     prefix: dict[int, tuple[list[int], int]] = {}  # offset -> its ints per row, their L
     acc: list[int] = []
     scale = oi = 0
+    last = None if lengths is None else np.tile(lengths, 2)[:, None]  # per cos row, then per sin row
     for lo, hi in _chunks(period):
         terms = unit_terms(words(lo, hi), q).reshape(-1, hi - lo)  # the cos rows, then the sin rows
+        if last is not None and last.min() < hi - 1:
+            terms[np.arange(lo, hi) > last] = 0.0
         oj = bisect_left(offsets, hi, oi)
         ends = [r - lo + 1 for r in offsets[oi:oj]]
         if not ends or ends[-1] < hi - lo:
@@ -248,17 +254,6 @@ def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None
     if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
         raise PreconditionError("checkpoints must be strictly increasing and >= 1")
     return _trace(*_phase_words(x, m), cps)
-
-
-def _word_trace(words: np.ndarray, q: int, cps: tuple[int, ...]) -> SumTrace:
-    """`weyl_sum_trace` over phase words already generated: words[n - 1] / q is the phase of n.
-
-    words holds n = 1..N for some N >= min(q, cps[-1]), as `_phase_words`
-    gives them, and cps is a valid checkpoint tuple.  Only the first
-    min(q, cps[-1]) words are read, so the trace is bit-identical to
-    `weyl_sum_trace` of the point the words came from.
-    """
-    return _trace(lambda lo, hi: words[lo - 1 : hi - 1], q, cps)
 
 
 def _trace(words, q: int, cps: tuple[int, ...]) -> SumTrace:

@@ -244,6 +244,16 @@ def disc_oracle_units(fracs, N):
     return best
 
 
+def sequence_fracs(x, N, m=None):
+    """uint64 2^-64 grid numerators of the phases at n = 1..N, from the library's phase words."""
+    return dc._grid_fracs(*dc._sequence_words(x, N, m))
+
+
+def poly_sequence(x, N, m=None):
+    """Fractional parts of the polynomial phase at n = 1..N as a sorted PointSet1D."""
+    return PointSet1D(fracs=np.sort(sequence_fracs(x, N, m)))
+
+
 def discrepancy_exact(S):
     """D_N of a PointSet1D through the library's sorted-array kernel (float image of an exact dyadic)."""
     if S.count < 1:

@@ -206,7 +206,7 @@ def test_criterion_10_discrepancy():
         d = 2 + trial % 2
         x = tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=d, dtype=np.uint64))
         n = int(rng.integers(1, 1001))
-        rep = dc.koksma_relation_check(x, n)
+        rep = dc.koksma_relation_check(x, n)[0]
         assert rep.s_magnitude <= 2 * pi * rep.d_star + 1e-6
         worst_ratio = max(worst_ratio, rep.ratio)
     _report(

@@ -73,7 +73,7 @@ def test_drawn_point_manifest_defaults(tmp_path):
     assert config["d"] == 2 and config["seed"] == 0 and config["x"] is None
 
 
-def test_exit_code_invalid_config(tmp_path):
+def test_exit_code_invalid_config(tmp_path, capsys):
     assert _run(["moments", "--d", "2", "--p", "1024", "--out", str(tmp_path / "x")]) == 2
     assert _run(["amplify", "--d", "2", "--p", "251", "--tau", "3",
                  "--out", str(tmp_path / "y")]) == 2
@@ -94,6 +94,21 @@ def test_exit_code_invalid_config(tmp_path):
         out = tmp_path / f"{cmd}{flag}{value}"
         assert _run([cmd, "--d", "2", "--p", "13", flag, value, "--cache", "--out", str(out)]) == 2
         assert not (out / "cache").exists() and not (out / f"{cmd.replace('-', '_')}.csv").exists()
+    # moments reports A_1(1) = 1! - 1 = 0 as it is and divides by nothing
+    assert _run(["moments", "--d", "1", "--p", "13", "--nu", "1", "--out", str(tmp_path / "m1")]) == 0
+    with (tmp_path / "m1" / "moments.csv").open() as fh:
+        assert [float(r["main_term_A"]) for r in csv.DictReader(fh)] == [0.0]
+    capsys.readouterr()
+    # a 0-dimensional box: both Cantor commands refuse it with one message
+    for cmd in ("cantor-dim", "pattern-demo"):
+        assert _run([cmd, "--d", "0", "--out", str(tmp_path / "d0")]) == 2
+        assert capsys.readouterr().err == "invalid configuration: dimension must be >= 1\n"
+    # amplify's trial count takes a d-th root: d = 0 is refused, not a ZeroDivisionError
+    assert _run(["amplify", "--d", "0", "--p", "257", "--tau", "3", "--out", str(tmp_path / "a0")]) == 2
+    assert "d >= 1" in capsys.readouterr().err
+    # N-max 0 leaves no N to draw: the library's N range, not numpy's "low >= high"
+    assert _run(["koksma-check", "--N-max", "0", "--out", str(tmp_path / "k0")]) == 2
+    assert "need 1 <= N < 2^31" in capsys.readouterr().err
     # --x fixes the point: a --seed or a different --d is a contradiction
     for cmd in ("weyl-trace", "sigma-scan", "discrepancy"):
         assert _run([cmd, "--x", "1/5", "--seed", "9", "--N-max", "20", "--out", str(tmp_path / "s")]) == 2
@@ -202,6 +217,17 @@ def _broken_terms(monkeypatch, out):
     monkeypatch.setattr(cli.ws, "unit_terms", twos)
 
 
+def _no_table(monkeypatch, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was built or cached before the refusal")
+
+    monkeypatch.setattr(cli.cs, "cached_table", refuse)
+
+
+def _no_koksma_slack(monkeypatch, out):
+    monkeypatch.setattr(cli.dc, "KOKSMA_CONSTANT", 0.0)  # only |S| <= 1e-6 passes
+
+
 def _no_cantor_build(monkeypatch, out):
     def refuse(*args, **kwargs):
         raise AssertionError("build_cantor ran before the scales were checked")
@@ -219,14 +245,19 @@ def _no_cantor_build(monkeypatch, out):
          None),
         (3, "MemoryError", "resource limit", ["weyl-trace", "--N-max", "20"], _no_memory),
         (4, "LemmaCheckFailureError", "lemma check failed", ["weyl-trace", "--N-max", "20"], _broken_terms),
+        (4, "LemmaCheckFailureError", "lemma check failed", ["koksma-check", "--count", "3", "--N-max", "20"],
+         _no_koksma_slack),
         (5, "ChecksumMismatchError", "corrupt cache", ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache"],
          _flip_cached_table),
         # 2 scales, 1/300 and 1/90000; the collection would hold 150^2 boxes
         (2, "TooFewScalesError", "invalid configuration",
          ["cantor-dim", "--d", "2", "--cells", "150", "--shrink", "300", "--depth", "1"], _no_cantor_build),
+        # A_1(1) = 1! - 1 = 0: no box-moment ratio, refused before the table is built or cached
+        (2, "PreconditionError", "invalid configuration",
+         ["box-moments", "--d", "1", "--p", "13", "--nu", "1", "--cache"], _no_table),
     ],
     ids=["invalid-config", "moments-nu-0", "moments-nu-above-d", "cap", "out-of-memory", "lemma-check",
-         "corrupt-cache", "cantor-dim-scales"],
+         "koksma-check", "corrupt-cache", "cantor-dim-scales", "box-moments-d1"],
 )
 def test_failed_run_writes_manifest(code, error_class, prefix, argv, setup, tmp_path, monkeypatch, capsys):
     out = tmp_path / "fail"
@@ -443,6 +474,18 @@ def test_discrepancy_commands_refuse_n_max_past_int64_split(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_koksma_check_memory_is_a_few_words_per_point(tmp_path):
+    # N-max past CHUNK gives one row per block: its words, ranks and pads, plus the CHUNK-sized
+    # temporaries of the sum and of the D* slices
+    tracemalloc.start()
+    try:
+        assert _run(["koksma-check", "--count", "4", "--N-max", "200000", "--out", str(tmp_path / "k")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 200000
 
 
 def test_koksma_check_cli(tmp_path):

@@ -12,11 +12,14 @@ from helpers import (
     discrepancy_exact,
     phase_from_float,
     pointset_from_floats,
+    poly_phase,
+    poly_sequence,
+    sequence_fracs,
     star_linear_units,
 )
 from weylsums import discrepancy as dc
 from weylsums import weyl_sums as ws
-from weylsums.errors import PreconditionError
+from weylsums.errors import LemmaCheckFailureError, PreconditionError
 from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
 
 
@@ -30,10 +33,10 @@ def _d_units(fracs):
 
 
 def test_poly_sequence_examples():
-    assert dc.poly_sequence((Phase(0), Phase(0)), 4).fracs.tolist() == [0, 0, 0, 0]
-    s = dc.poly_sequence((phase_from_rational(1, 2),), 4)
+    assert poly_sequence((Phase(0), Phase(0)), 4).fracs.tolist() == [0, 0, 0, 0]
+    s = poly_sequence((phase_from_rational(1, 2),), 4)
     assert s.values() == [0.0, 0.0, 0.5, 0.5]
-    s = dc.poly_sequence(RationalPoint(a=(0, 1), q=3), 3)
+    s = poly_sequence(RationalPoint(a=(0, 1), q=3), 3)
     # n^2 mod 3 = 1, 1, 0 -> sorted (0, 1/3, 1/3)
     assert [round(v, 12) for v in s.values()] == [0.0, round(1 / 3, 12), round(1 / 3, 12)]
 
@@ -115,14 +118,14 @@ def test_adding_a_point_moves_d_by_at_most_2():
 
 
 def test_koksma_check_at_zero():
-    rep = dc.koksma_relation_check((Phase(0), Phase(0)), 50)
+    rep = dc.koksma_relation_check((Phase(0), Phase(0)), 50)[0]
     assert rep.passed
     assert abs(rep.ratio - 1.0) < 1e-12  # |S| = N, D* = N
     assert rep.bound >= 2 * pi * 50
 
 
 def test_koksma_check_alternating():
-    rep = dc.koksma_relation_check((phase_from_rational(1, 2),), 4, m=(1,))
+    rep = dc.koksma_relation_check((phase_from_rational(1, 2),), 4, m=(1,))[0]
     assert rep.passed
     assert rep.s_magnitude < 1e-12
 
@@ -133,7 +136,7 @@ def test_koksma_check_random_points():
         d = 2 + int(rng.integers(0, 2))
         x = tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=d, dtype=np.uint64))
         n = int(rng.integers(1, 1001))
-        rep = dc.koksma_relation_check(x, n)
+        rep = dc.koksma_relation_check(x, n)[0]
         assert rep.passed
         assert rep.ratio <= 2 * pi
 
@@ -177,9 +180,62 @@ def test_exceptional_hits_are_discrepancy_hits():
 )
 def test_koksma_check_equals_sum_and_discrepancy_routes(x, m, n):
     # one pass of phase words for both sides gives what the two public routes give, bit for bit
-    rep = dc.koksma_relation_check(x, n, m)
+    rep = dc.koksma_relation_check(x, n, m)[0]
     assert rep.s_magnitude == abs(ws.weyl_sum(x, n, m))
-    assert rep.d_star == dc.star_discrepancy(dc.poly_sequence(x, n, m))
+    assert rep.d_star == dc.star_discrepancy(poly_sequence(x, n, m))
+
+
+def _first_words(x, n):
+    """The phase words of the point x at 1..n, each from Python ints (an independent route to the words)."""
+    return np.array([poly_phase(x, k).frac for k in range(1, n + 1)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize(
+    "d, ns",
+    [
+        (1, [1]),  # one row of one point
+        (3, [70000]),  # one row past a chunk
+        (2, [300, 1, 997, 300, 64, 997, 300]),  # N = 1, N = N_max and repeated N in one block
+        (3, [65536, 65537, 70000, 5]),  # across a chunk, one row per block
+        (4, [int(n) for n in np.random.default_rng(5).integers(1, 201, size=70)]),  # blocks of 32, 32, 6
+        (1, [5000] * 20),  # blocks of CHUNK // 5000 = 13 rows, then 7
+    ],
+)
+def test_koksma_rows_equal_single_point_calls(d, ns):
+    points = np.random.default_rng(len(ns) + d).integers(0, TURN, size=(len(ns), d), dtype=np.uint64)
+    zero = len(ns) // 2 if len(ns) > 1 else None
+    if zero is not None:
+        points[zero] = 0  # every point at 0: |S| = D*_N = N
+    reports = dc.koksma_relation_check(points, ns)
+    assert [rep.N for rep in reports] == ns
+    for row, n, rep in zip(points, ns, reports):
+        x = tuple(Phase(int(w)) for w in row)
+        assert dc.koksma_relation_check(x, n) == [rep]  # every field, bit for bit
+        assert rep.s_magnitude == abs(ws.weyl_sum(x, n))
+        words = np.sort(_first_words(x, n))
+        assert rep.d_star == dc.star_discrepancy(dc.PointSet1D(fracs=words))
+        assert rep.d_star == star_linear_units(words.tolist(), n) / TURN
+    if zero is not None:
+        assert reports[zero].s_magnitude == reports[zero].d_star == ns[zero]
+
+
+def test_koksma_failure_names_the_first_failing_row(monkeypatch):
+    # with the constant planted at 0 only |S| <= 1e-6 passes: at x = 1/2 every even N sums to exactly 0
+    points = np.full((40, 1), TURN // 2, dtype=np.uint64)
+    points[35:] = np.random.default_rng(3).integers(0, TURN, size=(5, 1), dtype=np.uint64)
+    ns = [2 * (k + 1) for k in range(35)] + [13, 11, 9, 7, 5]
+    monkeypatch.setattr(dc, "KOKSMA_CONSTANT", 0.0)
+    assert all(rep.s_magnitude == 0.0 for rep in dc.koksma_relation_check(points[:35], ns[:35]))
+    with pytest.raises(LemmaCheckFailureError, match=r"at N=13:"):
+        dc.koksma_relation_check(points, ns)  # row 35 opens the second block of 32
+
+
+def test_koksma_rows_refuse_bad_lengths():
+    # a row with N = 0 or N >= 2^31, an N short, or no rows at all
+    points = np.zeros((3, 2), dtype=np.uint64)
+    for rows, ns in ((points, [5, 0, 5]), (points, [5, 2**31, 5]), (points, [5, 5]), (points[:0], [])):
+        with pytest.raises(PreconditionError):
+            dc.koksma_relation_check(rows, ns)
 
 
 def test_pointset_validation():
@@ -222,7 +278,7 @@ def test_scans_match_fresh_evaluations_at_every_checkpoint(x, m, n_max):
     assert [r[0] for r in rows] == list(grid)
     fresh_hits = []
     for n, d_n, d_star, s_mag, _ in rows:
-        s = dc.poly_sequence(x, n, m)
+        s = poly_sequence(x, n, m)
         assert d_n == discrepancy_exact(s) == disc_oracle_units(s.fracs.tolist(), n) / TURN
         assert d_star == dc.star_discrepancy(s)
         assert s_mag == abs(ws.weyl_sum(x, n, m))
@@ -274,7 +330,7 @@ def test_checkpoint_units_match_linear_oracle(case):
     # the int64 hi/lo kernels against the Python-int closed form at every checkpoint up to 2e4,
     # with the dense pass cut short (N_max = 1, 700) and run whole
     if case in _POINTS:
-        fracs = dc._sequence_fracs(_POINTS[case], _SCAN_N, None)
+        fracs = sequence_fracs(_POINTS[case], _SCAN_N, None)
     elif case == "ties":
         fracs = _tie_sequence(41)
     else:
@@ -290,5 +346,5 @@ def test_checkpoint_units_match_linear_oracle(case):
 def test_rational_words_round_like_phase_from_rational(q):
     # residues a n mod q over n = 1..2000, with a = 1 (0 at q | n), q - 1 (q - 1 at n = 1) and one more
     for a in (1, q - 1, 0x9E3779B9 % q):
-        words = dc._sequence_fracs(RationalPoint(a=(a,), q=q), 2000, None)
+        words = sequence_fracs(RationalPoint(a=(a,), q=q), 2000, None)
         assert words.tolist() == [phase_from_rational(a * n, q).frac for n in range(1, 2001)]

@@ -356,7 +356,7 @@ def test_exponent_vector_validation():
             ws.exponent_vector(bad)
     # one exponent for a 2-D point: every evaluator rejects the length mismatch
     with pytest.raises(PreconditionError):
-        dc.poly_sequence(RationalPoint((1, 2), 5), 10, m=(2,))
+        dc.koksma_relation_check(RationalPoint((1, 2), 5), 10, m=(2,))
     with pytest.raises(PreconditionError):
         ws.weyl_sum(RationalPoint((1, 2), 5), 10, m=(2,))
     with pytest.raises(PreconditionError):
