@@ -167,8 +167,8 @@ def _run_moments(args, out: Path) -> None:
     table = _table(args)
     rows = []
     for nu in range(1, args.nu + 1):
-        incl = cs.mordell_moment(table, nu, include_zero=True)
-        excl = cs.mordell_moment(table, nu, include_zero=False)
+        incl = cs.mordell_moment(table, nu)
+        excl = incl - float(args.p) ** (2 * nu)  # the a = 0 term, removed as mordell_moment(include_zero=False) does
         rows.append((args.d, args.p, nu, incl, excl, float(cs.moment_main_term(args.d, nu))))
     _write_csv(
         out / "moments.csv",

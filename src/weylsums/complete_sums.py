@@ -11,16 +11,17 @@ and `box_moment(table, nu, box)`, which read d and p from the table.
 lambda^d a_d), lambda in F_p^*, so a (d, p)-table stores two
 (d-1)-dimensional slices: |T(0, b)|, the inverse DFT of the fiber counts of
 n -> (n^2, ..., n^d), and |T(1, b)|, the inverse DFT of the fiber sums of
-e(n/p).  `CompleteSumTable.lookup` reads any a from them, normalising a_1 != 0
-to 1 with lambda = a_1^{-1}, through the one vectorised orbit map `_orbit`,
-which every other orbit image in the package also comes from.  A table costs
-O(p^{d-1} log p) time and 2 p^{d-1} stored entries.  Moments weight each
-stored entry by an exact integer orbit multiplicity: p - 1 for the a_1 = 1
-slice over all of F_p^d, and over a box of side L the number of its points
-that map to the entry, counted without gathering the L^d points, in
-O(p^{d-1} + L p^{d-2}) memory.  At d = 2 the orbit map is a translation in
-discrete logs, and the counts are one cyclic convolution over Z/(p-1):
-O(p log p) time and O(p) memory per box.  Individual sums
+e(n/p).  `CompleteSumTable.lookup` and the box orbit counts map a to its
+representative through the table's discrete logs of p (built on first use,
+never saved): a_j != 0 goes to g^(log a_j - j log a_1), lambda = a_1^{-1},
+and lambda = 1 keeps a_1 = 0.  A table costs O(p^{d-1} log p) time and
+2 p^{d-1} stored entries.  Moments weight each stored entry by an exact
+integer orbit multiplicity: p - 1 for the a_1 = 1 slice over all of F_p^d,
+and over a box of side L the number of its points that map to the entry,
+counted without gathering the L^d points, in O(p^{d-1} + L p^{d-2}) memory:
+at d = 2 one cyclic convolution over Z/(p-1) in discrete logs, O(p log p)
+time and O(p) memory per box, and at d >= 3 one matrix product, in blocks
+small enough for OpenBLAS to run on one thread.  Individual sums
 (`complete_sum`, `monomial_complete_sum`, `weil_check`, `vanishing_family`)
 are always evaluated by direct O(p d) summation, which keeps table-vs-direct
 comparisons a real two-route check: each of the p terms is e(r/p) at an exact
@@ -34,6 +35,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial, gcd, isqrt, sqrt
 from pathlib import Path
 
@@ -50,7 +52,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .phasecore import _power, residue_array
+from .phasecore import residue_array
 from .weyl_sums import _chunks
 
 DEFAULT_CAP = 10**7
@@ -151,14 +153,6 @@ def _orbit(a, lam, p: int) -> list:
     return out
 
 
-def _inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """The inverse of every nonzero x in F_p elementwise (int64, p < 2^31).
-
-    x^(p-2) by Fermat; F_2 has exponent 0, and there x^1 = 1 is the same inverse.
-    """
-    return _power(x, max(p - 2, 1), lambda u, v: u * v % p)
-
-
 @dataclass(frozen=True)
 class CompleteSumTable:
     """|T(a)| for every a in F_p^d, held as its two orbit slices.
@@ -171,18 +165,24 @@ class CompleteSumTable:
     p: int
     slices: np.ndarray  # shape (2,) + (p,)*(d-1), float64
 
+    @cached_property
+    def _logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_discrete_logs(p)`, built on first use and never saved: 2p - 1 int64."""
+        return _discrete_logs(self.p)
+
     def lookup(self, indices) -> np.ndarray:
         """|T(a)| at a = indices: d integer arrays broadcast together, as in numpy indexing.
 
-        For a_1 != 0, lambda = a_1^{-1} maps a to (1, lambda^2 a_2, ..., lambda^d a_d),
-        and lambda = 1 keeps a_1 = 0, so the image's first entry is the slice.
+        a is read at its orbit representative, whose first entry 0 or 1 picks
+        the slice: with lambda = a_1^{-1}, a_j != 0 goes to
+        g^(log a_j - j log a_1), and log[0] = 0 keeps lambda = 1 at a_1 = 0.
         """
         if len(indices) != self.d:
             raise PreconditionError(f"need {self.d} index arrays, got {len(indices)}")
-        p = self.p
-        a = [np.asarray(aj, dtype=np.int64) % p for aj in indices]
-        lam = np.where(a[0] == 0, 1, _inverse(a[0], p))
-        return self.slices[tuple(_orbit(a, lam, p))]
+        exp, log = self._logs
+        a = [np.asarray(aj, dtype=np.int64) % self.p for aj in indices]
+        return self.slices[tuple(np.where(aj != 0, exp[(log[aj] - j * log[a[0]]) % (self.p - 1)], 0)
+                                 for j, aj in enumerate(a, start=1))]
 
 
 def _check_table_cap(d: int, p: int, cap: int) -> None:
@@ -396,21 +396,42 @@ class BoxMomentReport:
         return self.value / self.predicted_main_term
 
 
-def _orbit_rows(lam: np.ndarray, axes: list, p: int) -> np.ndarray:
-    """sum over r of the tensor product over j = 2..d of 1[lam_r^j B_j], flattened, for d >= 3.
+_BLAS_SERIAL = 4 * 65536  # multiply-adds up to which OpenBLAS runs a product on one thread (its default)
 
-    axes holds B_2, ..., B_d, each of distinct residues, and lam the nonzero
-    lambdas r.  The sum is one contraction over r of the B_2 indicator rows
-    (p wide) with the row-wise tensor products of the others (p^(d-2) wide),
-    in O(L p^(d-2)) memory.  Every count is an exact integer in float64.
+
+def _orbit_rows(table: CompleteSumTable, first: np.ndarray, axes: list) -> np.ndarray:
+    """sum over a_1 in first of the tensor product over j = 2..d of 1[a_1^-j B_j], shaped (p,)*(d-1), for d >= 3.
+
+    first holds distinct nonzero a_1, axes B_2, ..., B_d, each of distinct
+    residues.  In discrete logs the image a_1^-j B_j is B_j shifted by
+    j log a_1, so each row is one gather from B_j's indicator in log order,
+    taken twice; no product mod p is formed.  The B_2 rows (p wide) are
+    contracted with the row-wise tensor products of the others (p^(d-2)
+    wide), in O(L p^(d-2)) memory and blocks of at most _BLAS_SERIAL
+    multiply-adds.  Every count is an exact integer in float64.
     """
-    images = _orbit([0, *(v[None, :] for v in axes)], lam[:, None], p)[1:]
-    head, tail, *rest = rows = [np.zeros((len(lam), p)) for _ in images]
-    for ind, im in zip(rows, images):
-        np.put_along_axis(ind, im, 1.0, axis=1)  # row r: the 0/1 indicator over F_p of the residues im[r]
+    p, m = table.p, table.p - 1
+    log = table._logs[1]
+    place = np.where(np.arange(p) == 0, 2 * m, log)  # where a residue goes in the rows' source below
+    rows = []
+    for j, b in enumerate(axes, start=2):
+        source = np.zeros(2 * m + 1)  # B_j in log order twice, then whether 0 is in B_j
+        source[place[b]] = 1.0
+        source[m : 2 * m] = source[:m]
+        index = place + (j * log[first] % m)[:, None]  # c != 0 is in row r iff g^(log c + j log a_1) is in B_j
+        index[:, 0] = 2 * m
+        rows.append(source[index])
+    head, tail, *rest = rows
     for ind in rest:
-        tail = (tail[:, :, None] * ind[:, None, :]).reshape(len(lam), -1)
-    return (head.T @ tail).ravel()
+        tail = (tail[:, :, None] * ind[:, None, :]).reshape(len(first), -1)
+    out = np.empty((p, tail.shape[1]))
+    cols = max(16, _BLAS_SERIAL // (p * len(first)))  # rows are split below 16 columns
+    cols -= cols % 8  # whole multiples of 8 columns measured up to 2x faster
+    span = max(1, _BLAS_SERIAL // (cols * len(first)))
+    for c in range(0, out.shape[1], cols):
+        for r in range(0, p, span):
+            np.matmul(head[:, r : r + span].T, tail[:, c : c + cols], out=out[r : r + span, c : c + cols])
+    return out.reshape((p,) * len(axes))
 
 
 def _discrete_logs(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +464,7 @@ def _discrete_logs(p: int) -> tuple[np.ndarray, np.ndarray]:
     return exp, log
 
 
-def _log_convolution(first: np.ndarray, second: np.ndarray, p: int) -> np.ndarray:
+def _log_convolution(first: np.ndarray, second: np.ndarray, exp: np.ndarray, log: np.ndarray) -> np.ndarray:
     """c[b] = #{(a_1, a_2) : a_1 in first, a_2 in second, a_2 a_1^{-2} = b}; first holds distinct nonzero a_1.
 
     In discrete logs a_2 a_1^{-2} = g^(log a_2 - 2 log a_1), so the counts at
@@ -453,15 +474,14 @@ def _log_convolution(first: np.ndarray, second: np.ndarray, p: int) -> np.ndarra
     prime factor.  O(p log p) time and O(p) memory, against L_1 L images.
     Each value must lie within 1/4 of an integer and the integers must total
     #{a_1} #{a_2 != 0}, else `LemmaCheckFailureError`; b = 0 counts every
-    a_1 once if 0 is in second.
+    a_1 once if 0 is in second.  exp and log are the table's `_discrete_logs`.
     """
+    p = len(log)
     m = p - 1
-    exp, log = _discrete_logs(p)
     units = np.count_nonzero(second)
     h1 = np.bincount(-2 * log[first] % m, minlength=m)
     h2 = np.bincount(log[second[second != 0]], minlength=m)
     # each array goes once spent, so that at most about five p-float arrays are held at once
-    del log
     n = 1 << (2 * m - 2).bit_length()
     f = np.fft.rfft(h1, n)
     del h1
@@ -505,8 +525,7 @@ def _orbit_counts(table: CompleteSumTable, box: DiscreteBox) -> np.ndarray:
     if d == 1:
         counts[1] = len(nonzero)
     elif len(nonzero):
-        rows = _log_convolution(nonzero, rest[0], p) if d == 2 else _orbit_rows(_inverse(nonzero, p), rest, p)
-        counts[1] = rows.reshape(counts.shape[1:])
+        counts[1] = _log_convolution(nonzero, rest[0], *table._logs) if d == 2 else _orbit_rows(table, nonzero, rest)
     return counts
 
 
@@ -571,35 +590,38 @@ def save_table(table: CompleteSumTable, path: str | Path) -> Path:
 def load_table(path: str | Path, cap: int = DEFAULT_CAP) -> CompleteSumTable:
     """Load a cached table; it must match its .sha256 sidecar.
 
-    The header, the cap and the file length are checked before the body is
-    read, so a stale or oversized file is refused without reading it.
+    One handle reads the header, the length (fstat) and then the body, into
+    the slices that are hashed.  A stale or oversized file is refused by its
+    header, cap or length without reading the body.
     """
     path = Path(path)
     with path.open("rb") as fh:
         header = fh.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        raise ChecksumMismatchError(f"{path} is truncated")
-    magic, version, d, p = _HEADER.unpack(header)
-    if magic != _MAGIC or d < 1:
-        raise ChecksumMismatchError(f"{path} has an unknown header")
-    if version != _VERSION:
-        raise ChecksumMismatchError(
-            f"{path} has unknown table version {version}; delete the cache and rebuild"
-        )
-    _require_prime(p)
-    _check_table_cap(d, p, cap)
-    expected_len = _HEADER.size + 16 * p ** (d - 1)
-    size = path.stat().st_size
-    if size != expected_len:
-        raise ChecksumMismatchError(f"{path} has {size} bytes, expected {expected_len}")
-    sidecar = path.with_suffix(path.suffix + ".sha256")
-    if not sidecar.exists():
-        raise ChecksumMismatchError(f"{path} has no .sha256 sidecar")
-    payload = path.read_bytes()
-    if hashlib.sha256(payload).hexdigest() != sidecar.read_text().strip():
+        if len(header) < _HEADER.size:
+            raise ChecksumMismatchError(f"{path} is truncated")
+        magic, version, d, p = _HEADER.unpack(header)
+        if magic != _MAGIC or d < 1:
+            raise ChecksumMismatchError(f"{path} has an unknown header")
+        if version != _VERSION:
+            raise ChecksumMismatchError(
+                f"{path} has unknown table version {version}; delete the cache and rebuild"
+            )
+        _require_prime(p)
+        _check_table_cap(d, p, cap)
+        expected_len = _HEADER.size + 16 * p ** (d - 1)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected_len:
+            raise ChecksumMismatchError(f"{path} has {size} bytes, expected {expected_len}")
+        sidecar = path.with_suffix(path.suffix + ".sha256")
+        if not sidecar.exists():
+            raise ChecksumMismatchError(f"{path} has no .sha256 sidecar")
+        slices = np.empty((2,) + (p,) * (d - 1), dtype="<f8")
+        got = fh.readinto(slices)
+    digest = hashlib.sha256(header)
+    digest.update(slices)
+    if got != slices.nbytes or digest.hexdigest() != sidecar.read_text().strip():
         raise ChecksumMismatchError(f"checksum mismatch for {path}")
-    slices = np.frombuffer(payload, dtype="<f8", offset=_HEADER.size)
-    return CompleteSumTable(d=d, p=p, slices=slices.reshape((2,) + (p,) * (d - 1)).copy())
+    return CompleteSumTable(d=d, p=p, slices=slices)
 
 
 def table_cache_path(out_dir: str | Path, d: int, p: int) -> Path:

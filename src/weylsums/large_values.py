@@ -5,13 +5,13 @@ box density at scale p^{1-kappa_d} log p is what turns complete-sum lower
 bounds into large Weyl sums on whole neighborhoods.  The L_p readers
 `count_Lp(table, gamma)`, `enumerate_Lp(table, gamma, cap)` and
 `minimal_witness_side(table, gamma)` take a `CompleteSumTable` and read d
-and p from it.  They count those sets from the table's orbit slices and read
-their members in a box by one block scan (`_member_blocks`, shared by
-`enumerate_Lp`, `minimal_witness_side` and the Cantor witness search).  The
-module also computes the beta_d / kappa_d exponents in exact rationals and
-verifies the two amplification inequalities with their explicit proof
-constants (0.25*gamma*N*p^{-1/2} for the full polynomial, 0.5*N/p for the
-monomial).
+and p from it.  They count and list those sets from the table's orbit
+slices, and read their members in a box by one block scan of lookups
+(`_member_blocks`, shared by `minimal_witness_side` and the Cantor witness
+search).  The module also computes the beta_d / kappa_d exponents in exact
+rationals and verifies the two amplification inequalities with their
+explicit proof constants (0.25*gamma*N*p^{-1/2} for the full polynomial,
+0.5*N/p for the monomial).
 
 All exponent and radius comparisons are done in exact integer arithmetic
 (rational tau = u/v turns r < p^{-tau} into r^v * p^u < 1 over a common
@@ -127,18 +127,21 @@ def threshold(p: int, gamma: float) -> float:
     return gamma * sqrt(p) * (1.0 - MEMBERSHIP_SLACK)
 
 
+def _member_slices(table: CompleteSumTable, gamma: float) -> np.ndarray:
+    """Which orbit representatives lie in L_p, shaped like table.slices: b_d != 0, or at d = 1 (a_d = a_1) the a_1 = 1 one."""
+    member = table.slices >= threshold(table.p, gamma)
+    member[(0,) if table.d == 1 else (..., 0)] = False
+    return member
+
+
 def count_Lp(table: CompleteSumTable, gamma: float = 1.0) -> int:
     """#L_p for the table's (d, p) from its orbit slices, without listing a member.
 
-    For d >= 2, a_d != 0 is b_d != 0 in both slices (lambda^d a_d != 0); each
-    b of the a_1 = 1 slice stands for the p - 1 members with a_1 != 0 in its
-    orbit, each b of the a_1 = 0 slice for itself.
+    Each member b of the a_1 = 1 slice stands for the p - 1 members with
+    a_1 != 0 in its orbit, each b of the a_1 = 0 slice for itself.
     """
-    d, p = table.d, table.p
-    member = table.slices >= threshold(p, gamma)
-    if d == 1:  # a_d = a_1: only the a_1 = 1 orbit has a_d != 0
-        return (p - 1) * int(member[1])
-    return int(member[0, ..., 1:].sum()) + (p - 1) * int(member[1, ..., 1:].sum())
+    zero, one = _member_slices(table, gamma)
+    return int(zero.sum()) + (table.p - 1) * int(one.sum())
 
 
 def _member_blocks(table: CompleteSumTable, thr: float, axes: Sequence[np.ndarray], step: int):
@@ -161,15 +164,23 @@ def _member_blocks(table: CompleteSumTable, thr: float, axes: Sequence[np.ndarra
 def enumerate_Lp(table: CompleteSumTable, gamma: float = 1.0, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p): the (count, d) int64 rows, lexicographic.
 
-    The rows are refused past ``cap`` members before any is listed.  They
-    come from `_member_blocks` over F_p^d, a block of a_1 values of about one
-    CHUNK of entries at a time, so only the member rows grow with p^d.
+    The rows are refused past ``cap`` members before any is listed.  Only the
+    orbit representatives are read: a member b of the a_1 = 0 slice is the row
+    (0, b), and one of the a_1 = 1 slice stands for the p - 1 rows
+    (lambda, lambda^2 b_2, ..., lambda^d b_d), sorted per lambda by their
+    row-major keys over a_2..a_d (below p^(d-1), like a table index).
     """
     d, p = table.d, table.p
     _check_cap(count_Lp(table, gamma), cap, "L_p of {} members")
-    step = max(1, CHUNK // p ** (d - 1))  # p^(d-1) entries per a_1 value
-    blocks = _member_blocks(table, threshold(p, gamma), [np.arange(p, dtype=np.int64)] * d, step)
-    return np.concatenate(list(blocks))
+    s, *b = np.nonzero(_member_slices(table, gamma))
+    lam = np.arange(1, p, dtype=np.int64)[:, None]
+    key = np.zeros((p - 1, np.count_nonzero(s)), dtype=np.int64)
+    for image in _orbit([0, *(bj[s == 1] for bj in b)], lam, p)[1:]:
+        key = key * p + image
+    key.sort(axis=1)
+    rows = [np.broadcast_to(lam, key.shape), *(key // p ** (d - j) % p for j in range(2, d + 1))]
+    heads = np.stack([np.zeros_like(s[s == 0]), *(bj[s == 0] for bj in b)], axis=1)
+    return np.concatenate([heads, np.stack(rows, axis=-1).reshape(-1, d)])
 
 
 _ANCHOR_TRIES = 10_000  # random draws before find_anchor gives up
@@ -231,21 +242,19 @@ def minimal_witness_side(table: CompleteSumTable, gamma: float = 1.0) -> dict:
 
     The boxes are nested and the side-p box is all of F_p^d, so the answer is
     the least max-coordinate over members in {1..p-1}^d; p when every member
-    has a zero coordinate, and None when L_p is empty.  The scan runs upward
-    in a_1, about one CHUNK of entries per block, and stops once a_1 reaches
-    the best side found, and no rows are listed.  Compare against
+    has a zero coordinate, and None when L_p is empty.  The boxes {1..L}^d
+    are read for L = 1, 2, 4, ... up to p - 1, about one CHUNK of entries per
+    `_member_blocks` block, and the first that holds a member gives the
+    least max-coordinate of its members; no rows are listed.  Compare against
     p^{1-kappa_d} log p (the lemma's unknown constant C).
     """
     d, p = table.d, table.p
-    inner = np.arange(1, p, dtype=np.int64)
-    step = max(1, CHUNK // (p - 1) ** (d - 1))
-    found = None
-    for k, rows in enumerate(_member_blocks(table, threshold(p, gamma), [inner] * d, step)):
-        if len(rows):
-            side = int(rows.max(axis=1).min())
-            found = side if found is None else min(found, side)
-        if found is not None and 1 + (k + 1) * step >= found:  # a_1 of the next block
-            break
+    found, side = None, 0
+    while found is None and side < p - 1:
+        side = min(max(2 * side, 1), p - 1)
+        inner = np.arange(1, side + 1, dtype=np.int64)
+        blocks = _member_blocks(table, threshold(p, gamma), [inner] * d, max(1, CHUNK // side ** (d - 1)))
+        found = min((int(rows.max(axis=1).min()) for rows in blocks if len(rows)), default=None)
     if found is None and count_Lp(table, gamma):
         found = p
     reference = float(p) ** (1 - float(kappa(d))) * log(p) if d >= 3 else float("nan")

@@ -6,9 +6,11 @@ math.fsum over every term up to N for the sum evaluators, a
 one-point-per-call loop for the batched measure estimate, direct term-by-term
 summation for complete sums, the full p^d inverse FFT of the fiber counts
 of n -> (n, ..., n^d) for complete-sum tables and box moments, the
-lambda-orbit representative of each box point one by one, and at d = 2 one
-bincount of the box's orbit images, for the orbit multiplicities, masks over
-listed L_p member rows for box density, and for the discrepancy both an
+lambda-orbit representative of each box point one by one (lambda by
+Python's modular inverse), and at d = 2 one bincount of the box's orbit
+images, for the orbit multiplicities and table lookups, the block scan over
+all of F_p^d for L_p rows, masks over listed L_p member rows and the upward
+a_1 scan for box density, and for the discrepancy both an
 O(N^2) sweep over the endpoint grid with all four one-sided-limit
 combinations and the linear closed form over sorted Python ints.
 """
@@ -20,11 +22,12 @@ import math
 import numpy as np
 
 from weylsums import discrepancy as dc
+from weylsums import large_values as lv
 from weylsums.complete_sums import DiscreteBox
 from weylsums.discrepancy import PointSet1D
 from weylsums.errors import PreconditionError
 from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational, unit_terms
-from weylsums.weyl_sums import weyl_sum
+from weylsums.weyl_sums import CHUNK, weyl_sum
 
 TWO64 = 1 << 64
 
@@ -170,12 +173,17 @@ def box_moment_fsum(d, p, nu, box):
     return math.fsum(terms[np.any([g != 0 for g in grid], axis=0)].tolist())
 
 
+def orbit_representative(a, p):
+    """(lambda a_1, ..., lambda^d a_d) mod p in Python ints, lambda = pow(a_1, -1, p), or 1 at a_1 = 0."""
+    lam = pow(a[0], -1, p) if a[0] % p else 1
+    return tuple(aj * pow(lam, j, p) % p for j, aj in enumerate(a, start=1))
+
+
 def orbit_multiplicities(d, p, box):
     """How many a in box have (s, b) as lambda-orbit representative, one point at a time in Python ints."""
     counts = np.zeros((2,) + (p,) * (d - 1), dtype=np.int64)
     for a in itertools.product(*(v.tolist() for v in box.axis_values(p))):
-        inv = pow(a[0], p - 2, p) if a[0] else 1
-        counts[tuple(aj * pow(inv, j, p) % p for j, aj in enumerate(a, start=1))] += 1
+        counts[orbit_representative(a, p)] += 1
     return counts
 
 
@@ -203,6 +211,34 @@ def box_density_check(members, p, box):
         inside &= mask[members[:, j]]
     hits = np.flatnonzero(inside)
     return tuple(int(v) for v in members[hits[0]]) if hits.size else None
+
+
+def scanned_members(table, gamma):
+    """The L_p rows as `large_values._member_blocks` scans them over all of F_p^d, one a_1 value per block."""
+    axes = [np.arange(table.p, dtype=np.int64)] * table.d
+    return np.concatenate(list(lv._member_blocks(table, lv.threshold(table.p, gamma), axes, 1)))
+
+
+def scanned_side(table, gamma):
+    """The least side L whose box {1..L}^d meets L_p: the scan of {1..p-1}^d upward in a_1.
+
+    Blocks of about one CHUNK of entries go through `large_values._member_blocks`,
+    and the scan stops once a_1 reaches the best side found; p when every
+    member has a zero coordinate, None when L_p is empty.
+    """
+    d, p = table.d, table.p
+    inner = np.arange(1, p, dtype=np.int64)
+    step = max(1, CHUNK // (p - 1) ** (d - 1))
+    found = None
+    for k, rows in enumerate(lv._member_blocks(table, lv.threshold(p, gamma), [inner] * d, step)):
+        if len(rows):
+            side = int(rows.max(axis=1).min())
+            found = side if found is None else min(found, side)
+        if found is not None and 1 + (k + 1) * step >= found:  # a_1 of the next block
+            break
+    if found is None and lv.count_Lp(table, gamma):
+        found = p
+    return found
 
 
 def swept_side(members, p):

@@ -15,6 +15,7 @@ import pytest
 
 import weylsums
 from weylsums import cli, phasecore
+from weylsums import complete_sums as cs
 
 
 def _run(args):
@@ -40,6 +41,16 @@ def test_moments_csv_value(tmp_path):
         rows = list(csv.DictReader(fh))
     nu2 = [r for r in rows if r["nu"] == "2"][0]
     assert abs(float(nu2["moment_with_zero"]) - 135.0) < 1e-6 * 135
+
+
+def test_moments_without_zero_is_the_library_value(tmp_path):
+    # one power sum per nu; the a = 0 term is removed as mordell_moment(include_zero=False) removes it
+    assert _run(["moments", "--d", "3", "--p", "31", "--nu", "3", "--out", str(tmp_path)]) == 0
+    with (tmp_path / "moments.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    table = cs.build_table(3, 31)
+    assert [float(r["moment_without_zero"]) for r in rows] == [
+        cs.mordell_moment(table, nu, include_zero=False) for nu in (1, 2, 3)]
 
 
 def test_results_byte_identical_across_runs(tmp_path):

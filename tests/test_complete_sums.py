@@ -1,6 +1,8 @@
 """Complete-sum identities, moments, tables and the cache format."""
 
 import hashlib
+import io
+import itertools
 import os
 import struct
 import tracemalloc
@@ -17,6 +19,7 @@ from helpers import (
     full_table,
     orbit_counts_bincount,
     orbit_multiplicities,
+    orbit_representative,
     unit_root_fsum,
 )
 from weylsums import complete_sums as cs
@@ -325,6 +328,33 @@ def test_orbit_counts_are_the_box_multiplicities(d, p, side):
         assert np.array_equal(counts, orbit_multiplicities(d, p, box)), box
 
 
+@pytest.mark.parametrize("serial", [30, 200, 4000, 2**18])
+@pytest.mark.parametrize("d, p", [(3, 7), (3, 13), (4, 7)])
+def test_orbit_counts_in_product_blocks_of_any_size(d, p, serial, monkeypatch):
+    # a small limit cuts the d >= 3 contraction into many row and column blocks
+    monkeypatch.setattr(cs, "_BLAS_SERIAL", serial)
+    table = cs.build_table(d, p)
+    for box in _oracle_boxes(d, p) + _cli_boxes(d, p, 4, seed=serial):
+        assert np.array_equal(cs._orbit_counts(table, box), orbit_multiplicities(d, p, box)), box
+
+
+@pytest.mark.parametrize("p", [131, 521])
+def test_orbit_count_products_stay_within_one_blas_thread(p, monkeypatch):
+    # every product is at most _BLAS_SERIAL multiply-adds, in row and column blocks. Over all
+    # of F_p^3 each a_1 = 0 entry is its own orbit and each a_1 = 1 entry stands for p - 1 points
+    shapes, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    table = cs.build_table(3, p)
+    monkeypatch.setattr(np, "matmul", spy)
+    counts = cs._orbit_counts(table, full_box(3, p))
+    assert len(shapes) > 1 and all(m * k * n <= cs._BLAS_SERIAL for m, k, n in shapes)
+    assert np.array_equal(counts, np.stack([np.ones((p, p)), np.full((p, p), p - 1.0)]))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 127, 1009, 1019])
 def test_orbit_counts_match_the_image_bincount_at_d2(p):
     # p - 1 = 1 and 2 at p = 2, 3; 1018 = 2 * 509 has a large prime factor
@@ -451,6 +481,24 @@ def test_lookup_matches_full_table_oracle(d, p):
     # lookup reduces its indices mod p and broadcasts them like numpy indexing
     rows = np.random.default_rng(p).integers(-3 * p, 3 * p, size=(50, d))
     assert np.abs(table.lookup(tuple(rows.T)) - mags[tuple((rows % p).T)]).max() <= 1e-12 * p
+
+
+@pytest.mark.parametrize("d, p", LOOKUP_CASES)
+def test_lookup_reads_the_python_int_representative(d, p):
+    # the same stored entry, bit for bit, as lambda = pow(a_1, -1, p) in Python ints picks
+    table = cs.build_table(d, p)
+    reps = np.array([orbit_representative(a, p) for a in itertools.product(range(p), repeat=d)])
+    want = table.slices[tuple(reps.T)].reshape((p,) * d)
+    assert np.array_equal(table.lookup(np.ix_(*[np.arange(p)] * d)), want)
+
+
+def test_discrete_logs_stay_off_the_saved_file(tmp_path):
+    table = cs.build_table(3, 7)
+    before = cs.save_table(table, tmp_path / "a.wslt").read_bytes()
+    table.lookup(([1], [2], [3]))  # builds the table's discrete logs
+    assert "_logs" in vars(table)
+    assert cs.save_table(table, tmp_path / "b.wslt").read_bytes() == before
+    assert len(before) == 20 + 16 * 7**2
 
 
 @pytest.mark.parametrize("d, p", LOOKUP_CASES)
@@ -593,6 +641,44 @@ def test_cache_wrong_body_length_refused(tmp_path, monkeypatch):
     _forbid_body_read(monkeypatch)
     with pytest.raises(ChecksumMismatchError, match="has 796 bytes, expected 804"):
         cs.load_table(path)
+
+
+class _TallyReader(io.BufferedReader):
+    """A file handle that counts the bytes read through it."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.tally = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.tally += len(data)
+        return data
+
+    def readinto(self, buffer):
+        count = super().readinto(buffer)
+        self.tally += count
+        return count
+
+
+def test_load_table_reads_through_one_handle(tmp_path, monkeypatch):
+    good = cs.save_table(cs.build_table(3, 7), tmp_path / "t.wslt")
+    short = tmp_path / "short.wslt"
+    _write_with_sidecar(short, good.read_bytes()[:-8])
+    handles, open_ = [], Path.open
+
+    def tally(self, mode="r", *args, **kwargs):
+        if self.suffix != ".wslt":
+            return open_(self, mode, *args, **kwargs)
+        handles.append(_TallyReader(io.FileIO(self, "rb")))
+        return handles[-1]
+
+    monkeypatch.setattr(Path, "open", tally)
+    assert np.array_equal(cs.load_table(good).slices, cs.build_table(3, 7).slices)
+    assert [h.tally for h in handles] == [804]  # the 20-byte header, then the body, one handle
+    with pytest.raises(ChecksumMismatchError, match="has 796 bytes, expected 804"):
+        cs.load_table(short)
+    assert [h.tally for h in handles] == [804, 20]  # refused on its length after the header alone
 
 
 def test_cached_table_hits_disk(tmp_path):

@@ -219,6 +219,18 @@ def test_koksma_rows_equal_single_point_calls(d, ns):
         assert reports[zero].s_magnitude == reports[zero].d_star == ns[zero]
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_koksma_rows_given_in_descending_n(d):
+    # the rows run in ascending N; the reports still come back one per row, in row order
+    rng = np.random.default_rng(10 + d)
+    ns = sorted(rng.integers(1, 3000, size=40).tolist(), reverse=True)
+    points = rng.integers(0, TURN, size=(len(ns), d), dtype=np.uint64)
+    reports = dc.koksma_relation_check(points, ns)
+    assert [rep.N for rep in reports] == ns
+    for row, n, rep in zip(points, ns, reports):
+        assert dc.koksma_relation_check(tuple(Phase(int(w)) for w in row), n) == [rep]
+
+
 def test_koksma_failure_names_the_first_failing_row(monkeypatch):
     # with the constant planted at 0 only |S| <= 1e-6 passes: at x = 1/2 every even N sums to exactly 0
     points = np.full((40, 1), TURN // 2, dtype=np.uint64)
@@ -227,7 +239,7 @@ def test_koksma_failure_names_the_first_failing_row(monkeypatch):
     monkeypatch.setattr(dc, "KOKSMA_CONSTANT", 0.0)
     assert all(rep.s_magnitude == 0.0 for rep in dc.koksma_relation_check(points[:35], ns[:35]))
     with pytest.raises(LemmaCheckFailureError, match=r"at N=13:"):
-        dc.koksma_relation_check(points, ns)  # row 35 opens the second block of 32
+        dc.koksma_relation_check(points, ns)  # rows 35-39 fail; row 39 (N = 5) runs first in N order
 
 
 def test_koksma_rows_refuse_bad_lengths():

@@ -13,6 +13,8 @@ from helpers import (
     full_box,
     full_table,
     measure_estimate_loop,
+    scanned_members,
+    scanned_side,
     swept_side,
 )
 from weylsums import complete_sums as cs
@@ -96,6 +98,21 @@ def test_enumerate_lp_rows_and_orbit_count_match_full_table(d, p, gamma):
     assert members.dtype == np.int64 and np.array_equal(members, want)
     assert lv.count_Lp(table, gamma=gamma) == len(want)
     assert lv.count_Lp(table, gamma) / p**d == len(want) / p**d
+
+
+@pytest.mark.parametrize(
+    "d, p, gamma",
+    [(2, 1009, Fraction(21, 20)), (3, 131, Fraction(19, 10)), (3, 31, 1), (4, 13, 1), (2, 2, 1), (3, 3, 1), (1, 5, 1)],
+)
+def test_enumerate_lp_rows_match_the_block_scan(d, p, gamma):
+    # rows from the orbit representatives against the lookup scan of all p^d entries; the rows
+    # at (2, 1009, 21/20) and (1, 5, 1) are empty
+    table = cs.build_table(d, p)
+    members = lv.enumerate_Lp(table, float(gamma))
+    want = scanned_members(table, float(gamma))
+    assert members.dtype == np.int64 and members.shape == (lv.count_Lp(table, float(gamma)), d)
+    assert np.array_equal(members, want)
+    assert len(members) or (d, p) in ((2, 1009), (1, 5))
 
 
 def test_enumerate_lp_rows_refused_past_cap():
@@ -210,6 +227,23 @@ def test_minimal_witness_side_matches_box_sweep(d, p, gamma):
     assert lv.minimal_witness_side(cs.build_table(d, p), gamma=gamma)["minimal_side"] == swept
     # L_p is empty for gamma=5 at (3, 31), and at d = 1, where T(a) = 0 for every a != 0
     assert (swept is None) == (gamma == 5 or d == 1) == (lv.count_Lp(table, gamma) == 0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+@pytest.mark.parametrize("d, p", [(3, 31), (3, 47), (3, 59), (4, 11)])
+def test_minimal_witness_side_matches_the_a1_scan(d, p, gamma):
+    # nested boxes {1..L}^d for L = 1, 2, 4, ... against the scan of {1..p-1}^d upward in a_1
+    table = cs.build_table(d, p)
+    assert lv.minimal_witness_side(table, gamma)["minimal_side"] == scanned_side(table, gamma)
+
+
+def test_minimal_witness_side_p_and_none_match_the_a1_scan():
+    slices = np.zeros((2, 5))
+    slices[0, 3] = 10.0  # L_p = {(0, 3)}, in no {1..L}^2: side p
+    table = cs.CompleteSumTable(d=2, p=5, slices=slices)
+    assert lv.minimal_witness_side(table)["minimal_side"] == scanned_side(table, 1.0) == 5
+    table = cs.build_table(3, 31)  # L_p is empty for gamma = 5
+    assert lv.minimal_witness_side(table, 5.0)["minimal_side"] is scanned_side(table, 5.0) is None
 
 
 def test_minimal_witness_side_zero_coordinate_members_only():
