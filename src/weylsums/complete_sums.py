@@ -170,6 +170,11 @@ class CompleteSumTable:
         """`_discrete_logs(p)`, built on first use and never saved: 2p - 1 int64."""
         return _discrete_logs(self.p)
 
+    @cached_property
+    def _powers(self) -> dict[int, np.ndarray]:
+        """slices ** (2 nu) by nu, filled by `box_moment` on first use and never saved, so every box reads one array."""
+        return {}
+
     def lookup(self, indices) -> np.ndarray:
         """|T(a)| at a = indices: d integer arrays broadcast together, as in numpy indexing.
 
@@ -518,14 +523,15 @@ def _orbit_counts(table: CompleteSumTable, box: DiscreteBox) -> np.ndarray:
     """
     d, p = table.d, table.p
     first, *rest = box.axis_values(p)
-    counts = np.zeros(table.slices.shape)
     nonzero = first[first != 0]
+    if d == 1 or not len(nonzero):
+        row = len(nonzero)
+    else:
+        row = _log_convolution(nonzero, rest[0], *table._logs) if d == 2 else _orbit_rows(table, nonzero, rest)
+    counts = np.zeros(table.slices.shape)  # after the row's temporaries are gone
     if len(nonzero) < len(first):
         counts[(0, *np.ix_(*rest))] = 1.0
-    if d == 1:
-        counts[1] = len(nonzero)
-    elif len(nonzero):
-        counts[1] = _log_convolution(nonzero, rest[0], *table._logs) if d == 2 else _orbit_rows(table, nonzero, rest)
+    counts[1] = row
     return counts
 
 
@@ -536,7 +542,9 @@ def box_moment(table: CompleteSumTable, nu: int, box: DiscreteBox) -> BoxMomentR
     orbit multiplicity in the box (`_orbit_counts`), as `mordell_moment`
     weights the slices by 1 and p - 1.  a = 0 is its own orbit, so its count
     is dropped exactly.  The counts take O(p^(d-1) + L p^(d-2)) memory, within
-    a small multiple of the table's own size.
+    a small multiple of the table's own size.  The powers |T|^(2 nu) of the
+    stored entries are taken once per table and nu, and held by the table for
+    the boxes after the first.
     """
     d, p = table.d, table.p
     if box.dim != d:
@@ -545,7 +553,11 @@ def box_moment(table: CompleteSumTable, nu: int, box: DiscreteBox) -> BoxMomentR
         raise PreconditionError(f"need 1 <= nu <= d, got nu={nu}")
     counts = _orbit_counts(table, box)
     counts[(0,) * d] = 0.0
-    total = float((counts * table.slices ** (2 * nu)).sum())
+    powers = table._powers.get(nu)
+    if powers is None:
+        powers = table._powers[nu] = table.slices ** (2 * nu)
+    counts *= powers
+    total = float(counts.sum())
     predicted = moment_main_term(d, nu) * float(box.side) ** d * float(p) ** nu
     return BoxMomentReport(d=d, p=p, nu=nu, side=box.side, value=total, predicted_main_term=predicted)
 

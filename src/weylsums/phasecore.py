@@ -9,7 +9,13 @@ the form a/q with zero quantization error.
 
 Both kernels evaluate the polynomial by one Horner scheme (`_horner`, over
 `_power` for the exponent gaps) in their own ring: uint64 products wrapping
-mod 2^64 for `frac_array`, int64 products reduced mod q for `residue_array`.
+mod 2^64 for `frac_array`, and int64 products for `residue_array`, whose
+factors are reduced mod q only where a product, or the Horner add after it,
+could reach 2^63.  Which products those are is decided from bounds known
+before any array is built (the chunk's largest n, q and the coefficients),
+by one run of the same Horner scheme over Python ints; the q^2 < 2^62 guard
+keeps a product of two reduced factors below that limit, and one reduction
+at the end brings the residues into [0, q).
 
 `unit_terms(words, q)` turns the exact words into the unit terms e(w/q)
 without a trig call per term: a table of at most 4097 unit roots per
@@ -77,16 +83,17 @@ class RationalPoint:
 def _power(base, e: int, mul):
     """base^e for e >= 1 by square-and-multiply in the ring of the product mul.
 
-    Returns base itself for e = 1 and does no square past the top bit.
+    Returns base itself for e = 1.  The bits are read from the top down, so
+    the first factor of every product is the running power (base only at the
+    first square), which the product replaces: a mul may write the product
+    over that factor's storage, but never over base's.
     """
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else mul(result, base)
-        e >>= 1
-        if not e:
-            return result
-        base = mul(base, base)
+    result = base
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
 
 
 def _horner(coeffs, exponents, n, mul):
@@ -94,7 +101,9 @@ def _horner(coeffs, exponents, n, mul):
 
     The exponents strictly increase from m_1 >= 1, and each gap costs one
     `_power` and one product, so exponents 1..d take d products and d-1 adds.
-    The adds are plain; mul reduces into the ring.
+    The adds are plain; mul reduces into the ring.  The accumulator is the
+    first factor of every product here and the only value that outlives a
+    `_power` call.
     """
     if len(coeffs) != len(exponents):
         raise ValueError("need one exponent per coefficient")
@@ -120,12 +129,41 @@ def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int) ->
 def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, hi: int) -> np.ndarray:
     """Residues of a_1 n^{m_1} + ... + a_d n^{m_d} mod q at n = lo..hi-1, exactly.
 
-    Requires q^2 < 2^62 (q < 2^31), which keeps every int64 intermediate in
-    range: each product takes factors below q, or a Horner sum t + c < 2q
-    times a power below q, and 2q * q < 2^63.
+    A product's factors are reduced mod q only where int64 could overflow.
+    Before any array is built, `_horner` runs once over Python-int bounds on
+    the magnitudes, in the same call sequence: |n| <= max(hi - 1, -lo), or
+    q - 1 once n is reduced, which it is first if it passes q, and each
+    coefficient bounds itself after its reduction mod q.  For each product
+    the run records which factors to reduce so that the product stays at
+    most 2^63 - q, which leaves room for the Horner add of a coefficient
+    c < q after it; the larger factor goes first, to below q.  The guard
+    q^2 < 2^62 (q < 2^31) makes that enough: a coefficient or n is at most q,
+    so it is never the factor to reduce, and two factors of at most q have a
+    product of at most q^2 <= 2^63 - q.  The arrays then follow the record,
+    with no scan of the data, each product written to one of two buffers
+    held for the call, and one reduction at the end brings every residue
+    into [0, q).
     """
+    q = int(q)  # the bounds below are Python ints, whatever integer type the caller passed
     if q * q >= 2**62:
         raise ValueError("modulus too large for the int64 residue path")
+    coeffs = [int(aj) % q for aj in a]
+    top = max(int(hi) - 1, -int(lo))  # |n| <= top
+    reduce_n = top > q
+    limit = 2**63 - q
+    plan = []
+
+    def plan_product(u, v):
+        reduce_u = reduce_v = False
+        while u * v > limit:
+            if u >= v:
+                u, reduce_u = q - 1, True
+            else:
+                v, reduce_v = q - 1, True
+        plan.append((reduce_u, reduce_v))
+        return u * v
+
+    _horner(coeffs, exponents, q - 1 if reduce_n else top, plan_product)
 
     n = np.arange(lo, hi, dtype=np.int64)
     quotient = np.empty_like(n)
@@ -139,7 +177,29 @@ def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, h
         r -= quotient
         return r
 
-    return _horner([aj % q for aj in a], exponents, reduce(n), lambda u, v: reduce(u * v))
+    if reduce_n:
+        reduce(n)
+    steps = iter(plan)
+    power = acc = None  # the buffers of the running power in `_power` and of the Horner accumulator
+
+    def product(u, v):
+        nonlocal power, acc
+        reduce_u, reduce_v = next(steps)
+        if reduce_u:
+            reduce(u)
+        if reduce_v and v is not u:
+            reduce(v)
+        if u is n or u is power:  # a step of `_power`
+            if power is None:
+                power = np.empty_like(n)
+            out = power
+        else:  # a Horner step, whose first factor is the accumulator or the leading coefficient
+            if acc is None:  # the accumulator takes over a spent power's buffer
+                acc, power = (power, None) if v is power else (np.empty_like(n), power)
+            out = acc
+        return np.multiply(u, v, out=out)
+
+    return reduce(_horner(coeffs, exponents, n, product))
 
 
 # Unit terms e(w/q) of exact phase words: a table of unit roots and one

@@ -1,9 +1,9 @@
 """Independent oracles shared by the module tests and the acceptance suite.
 
 Everything here recomputes results by a route different from the library:
-scalar big-integer phases and their exponential for the vectorized kernels,
-math.fsum over every term up to N for the sum evaluators, a
-one-point-per-call loop for the batched measure estimate, direct term-by-term
+scalar big-integer phases and their exponential, and residues by Python's
+pow, for the vectorized kernels, math.fsum over every term up to N for the
+sum evaluators, a one-point-per-call loop for the batched measure estimate, direct term-by-term
 summation for complete sums, the full p^d inverse FFT of the fiber counts
 of n -> (n, ..., n^d) for complete-sum tables and box moments, the
 lambda-orbit representative of each box point one by one (lambda by
@@ -84,6 +84,12 @@ def poly_phase(x, n, exponents=None):
     return Phase(acc)
 
 
+def residue_oracle(a, q, exponents, lo, hi):
+    """[a_1 n^{m_1} + ... + a_k n^{m_k} mod q for n = lo..hi-1] by Python's pow, one term at a time."""
+    pairs = list(zip(a, exponents, strict=True))
+    return [sum(aj * pow(n, m, q) for aj, m in pairs) % q for n in range(lo, hi)]
+
+
 def e_eval(t):
     """exp(2*pi*i*t) for a Phase, principal value; modulus within 1e-12 of 1."""
     ang = 2.0 * math.pi * phase_to_float(t)
@@ -108,9 +114,7 @@ def canonical_sums(x, checkpoints, exponents=None):
         coeffs, q = [xi.frac for xi in x], TURN
     if exponents is None:
         exponents = range(1, len(coeffs) + 1)
-    pairs = list(zip(coeffs, exponents, strict=True))
-    n_max = max(checkpoints)
-    words = [sum(c * pow(n, m, q) for c, m in pairs) % q for n in range(1, n_max + 1)]
+    words = residue_oracle(coeffs, q, exponents, 1, max(checkpoints) + 1)
     cos, sin = unit_terms(np.array(words, dtype=np.uint64), q).tolist()
     return [complex(math.fsum(cos[:n]), math.fsum(sin[:n])) for n in checkpoints]
 
@@ -133,17 +137,14 @@ def measure_estimate_loop(d, alpha, i, samples, seed):
 def direct_complete_sum(d, p, a):
     """T(a) by plain per-term evaluation (no FFT, no residue microbatching)."""
     total = 0j
-    for n in range(1, p + 1):
-        r = 0
-        for j, aj in enumerate(a, start=1):
-            r = (r + aj * pow(n, j, p)) % p
+    for r in residue_oracle(a, p, range(1, d + 1), 1, p + 1):
         total += np.exp(2j * np.pi * r / p)
     return total
 
 
 def unit_root_fsum(a, q, exponents):
     """sum_{n=1}^{q} e((a_1 n^{m_1} + ... + a_k n^{m_k}) / q): residues by pow, cos and sin each added by math.fsum."""
-    rs = [sum(aj * pow(n, m, q) for aj, m in zip(a, exponents)) % q for n in range(1, q + 1)]
+    rs = residue_oracle(a, q, exponents, 1, q + 1)
     return complex(
         math.fsum(math.cos(2 * math.pi * r / q) for r in rs),
         math.fsum(math.sin(2 * math.pi * r / q) for r in rs),

@@ -473,6 +473,27 @@ def test_readme_discrepancy_artifacts_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# README commands whose artifacts the residue kernel (monomial-check, weil-check) and the box
+# moments' held powers (box-moments) must reproduce byte for byte
+_README_RESIDUE = (
+    (["monomial-check", "--d", "3", "--p", "101", "--a", "7"], "monomial_check.json",
+     "a48ef35f614c90b11be42785a04a34f5086b3b02bf7797758be4312b3f58d310"),
+    (["weil-check", "--p", "101", "--coeffs", "1,2,3,4"], "weil_check.json",
+     "37789d04933999264f4acfd16e760d042749038cdedf6b7cd844a2961670b24d"),
+    (["box-moments", "--d", "2", "--p", "101", "--nu", "1", "--count", "50", "--seed", "1"], "box_moments.csv",
+     "a61f88edcba08a1b10a4650c769ef24a9f23fa65ec4326694ed336322597a0f2"),
+    (["box-moments", "--d", "2", "--p", "100003", "--nu", "2", "--count", "8", "--seed", "3"], "box_moments.csv",
+     "3af0286d37cc01884a5050b4679f303ed5cc3b255c4a74d3aceff6f70eb1dcf2"),
+)
+
+
+def test_readme_residue_and_box_artifacts_are_pinned(tmp_path):
+    for i, (argv, name, digest) in enumerate(_README_RESIDUE):
+        out = tmp_path / f"{argv[0]}-{i}"
+        assert _run([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, argv
+
+
 def test_discrepancy_commands_refuse_n_max_past_int64_split(tmp_path, capsys):
     # the gaps N x - k fit two int64 words only for N < 2^31: refused before any array is built
     tracemalloc.start()

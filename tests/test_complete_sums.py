@@ -289,6 +289,24 @@ def test_box_moment_matches_fsum_oracle(d, p):
             assert abs(cs.box_moment(table, nu, box).value - want) <= 1e-12 * max(want, 1.0), (box, nu)
 
 
+def test_box_moment_takes_each_power_once_per_table():
+    # the boxes after the first read the table's held powers, and each value keeps
+    # the bits of weighting the counts by a fresh slices ** (2 nu)
+    table = cs.build_table(3, 31)
+    rng = np.random.Generator(np.random.Philox(key=21))
+    for nu in (1, 3):
+        held = None
+        for _ in range(4):
+            box = cs.DiscreteBox(tuple(int(v) for v in rng.integers(0, 31, size=3)), int(rng.integers(1, 32)))
+            value = cs.box_moment(table, nu, box).value
+            counts = cs._orbit_counts(table, box)
+            counts[0, 0, 0] = 0.0
+            assert value == float((counts * table.slices ** (2 * nu)).sum()), (box, nu)
+            held = held if held is not None else table._powers[nu]
+            assert table._powers[nu] is held
+    assert sorted(table._powers) == [1, 3]
+
+
 def _edge_boxes(d, p):
     """Edges of the d = 2 convolution: a_2 = 0 inside and outside, only a_1 = 0, and a single a_1 != 0 with and without a_1 = 0."""
     rng = np.random.Generator(np.random.Philox(key=100 * d + p + 1))
@@ -409,7 +427,8 @@ def test_box_moment_memory_stays_within_a_few_tables():
     table = cs.build_table(3, 211)
     tracemalloc.start()
     try:
-        cs.box_moment(table, 3, cs.DiscreteBox((0, 0, 0), 211))
+        for start in (0, 1):  # the second box reads the powers the first left on the table
+            cs.box_moment(table, 3, cs.DiscreteBox((start, start, start), 211))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -420,7 +439,8 @@ def test_box_moment_memory_stays_within_a_few_tables_at_d2():
     table = cs.build_table(2, 100003)
     tracemalloc.start()
     try:
-        cs.box_moment(table, 2, cs.DiscreteBox((0, 0), 100003))
+        for start in (0, 1):  # the second box reads the powers the first left on the table
+            cs.box_moment(table, 2, cs.DiscreteBox((start, start), 100003))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -2,12 +2,13 @@
 
 import cmath
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import e_eval, phase_add, phase_sub, phase_times, poly_phase, rational_phases
+from helpers import e_eval, phase_add, phase_sub, phase_times, poly_phase, rational_phases, residue_oracle
 from weylsums.errors import InvalidDenominatorError
 from weylsums.phasecore import (
     TURN,
@@ -77,7 +78,7 @@ def test_poly_phase_dyadic_denominator_bit_exact():
         n = rng.randrange(1, 10**6)
         x = [phase_from_rational(ai, q) for ai in a]
         got = poly_phase(x, n)
-        res = (a[0] * pow(n, 1, q) + a[1] * pow(n, 2, q)) % q
+        (res,) = residue_oracle(a, q, (1, 2), n, n + 1)
         assert got == phase_from_rational(res, q)
 
 
@@ -135,9 +136,7 @@ def test_residue_array_matches_pow_at_the_largest_modulus():
     for exponents in [(1, 2, 3), (3,), (2, 5), (1, 7)]:
         a = [q - 1] * len(exponents)  # the largest residues
         for lo in (1, q - 20, 3 * q + 5):  # n runs past q and wraps
-            got = residue_array(a, q, exponents, lo, lo + 40)
-            expect = [sum(aj * pow(n, m, q) for aj, m in zip(a, exponents)) % q for n in range(lo, lo + 40)]
-            assert got.tolist() == expect
+            assert residue_array(a, q, exponents, lo, lo + 40).tolist() == residue_oracle(a, q, exponents, lo, lo + 40)
 
 
 @pytest.mark.parametrize("q", [1, 2, 97, 65537, 2**31 - 1])
@@ -147,9 +146,69 @@ def test_residue_array_matches_pow_at_random_inputs(q):
         exponents = tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 4))))
         a = [rng.randrange(-(2**40), 2**40) for _ in exponents]
         lo = rng.randrange(0, 5 * q)
-        got = residue_array(a, q, exponents, lo, lo + 50)
-        expect = [sum(aj * pow(n, m, q) for aj, m in zip(a, exponents)) % q for n in range(lo, lo + 50)]
-        assert got.tolist() == expect
+        assert residue_array(a, q, exponents, lo, lo + 50).tolist() == residue_oracle(a, q, exponents, lo, lo + 50)
+
+
+_CHUNK = 1 << 16
+_Q31 = 2**31 - 1
+
+
+@pytest.mark.parametrize("q, exponents, lo", [
+    (127**3, (3,), 127**3 - _CHUNK + 1),  # q < 2^21: n^3 < 2^63 for every n <= q, the last chunk up to n = q
+    (131**3, (3,), 2**21 - _CHUNK // 2),  # n^3 passes 2^63 at n = 2^21, in the middle of this chunk
+    (131**3, (1, 7), 131**3 - _CHUNK + 1),
+    (131**3, (1, 2, 3), 131**3 - _CHUNK + 1),
+    (_Q31, (3,), 3 * _Q31 + 5),  # n runs past q and is reduced first
+    (_Q31, (1, 7), 3 * _Q31 + 5),
+    (_Q31, (1, 2, 3), _Q31 - _CHUNK // 2),
+    (_Q31, (2, 5), 1),
+])
+def test_residue_array_whole_chunks_at_the_skip_boundaries(q, exponents, lo):
+    a = [q - 1] * len(exponents)
+    assert residue_array(a, q, exponents, lo, lo + _CHUNK).tolist() == residue_oracle(a, q, exponents, lo, lo + _CHUNK)
+
+
+def test_residue_array_takes_numpy_integers():
+    # the overflow bounds are Python ints even when q, a, lo and hi come as numpy int64
+    q = 131**3
+    lo = q + 1 - _CHUNK
+    got = residue_array([np.int64(q - 1)], np.int64(q), (3,), np.int64(lo), np.int64(q + 1))
+    assert got.tolist() == residue_oracle([q - 1], q, (3,), lo, q + 1)
+
+
+def test_residue_array_leaves_room_for_the_horner_add():
+    # at n = N the product c_3 N^2 is below 2^63 but the add of c_1 = q - 1 after it is not
+    q, N = _Q31, 2**16 + 1
+    c3 = (2**63 - 1) // N**2
+    assert c3 < q and c3 * N**2 < 2**63 <= c3 * N**2 + q - 1
+    a = (q - 1, c3)
+    assert residue_array(a, q, (1, 3), N + 1 - _CHUNK, N + 1).tolist() == residue_oracle(a, q, (1, 3), N + 1 - _CHUNK, N + 1)
+
+
+def test_residue_array_bounds_an_unreduced_n_by_itself():
+    # at n = q the Horner sum t = c_2 q + c_1 times n reaches 2^63, and times q - 1 it would not:
+    # the chunk's largest n, not q - 1, must bound an n that is not reduced
+    q = 2**30 + 3
+    c2, c1 = divmod(-(-(2**63) // q), q)
+    t = c2 * q + c1
+    assert c2 < q and t * (q - 1) <= 2**63 - q and t * q >= 2**63
+    lo = q + 1 - _CHUNK
+    assert residue_array((c1, c2), q, (1, 2), lo, q + 1).tolist() == residue_oracle((c1, c2), q, (1, 2), lo, q + 1)
+
+
+@pytest.mark.parametrize("exponents, arrays", [((3,), 3), ((1, 2, 3), 3), ((1, 7), 3), ((2, 5), 4)])
+def test_residue_array_holds_few_chunk_arrays(exponents, arrays):
+    # n, the quotient of the reductions and the product buffers: one buffer while the powers
+    # of n come from a single `_power` call, two when the accumulator outlives one
+    a = [_Q31 - 1] * len(exponents)
+    residue_array(a, _Q31, exponents, 1, _CHUNK + 1)
+    tracemalloc.start()
+    try:
+        residue_array(a, _Q31, exponents, 1, _CHUNK + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (arrays + 1 / 16) * 8 * _CHUNK
 
 
 def test_rational_point_normalizes():
