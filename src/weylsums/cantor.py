@@ -40,7 +40,7 @@ from .errors import (
     TooFewScalesError,
     WitnessNotFoundError,
 )
-from .large_values import _iroot, _member_blocks, kappa, plan_trial_count, threshold
+from .large_values import _iroot, _json_fields, _member_blocks, kappa, plan_trial_count, threshold
 from .phasecore import RationalPoint
 from .weyl_sums import weyl_sum
 
@@ -58,12 +58,6 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.corner)
-
-    def contains_box(self, other: "Box") -> bool:
-        return all(
-            c <= oc and oc + other.side <= c + self.side
-            for c, oc in zip(self.corner, other.corner)
-        )
 
 
 def unit_box(d: int) -> Box:
@@ -335,16 +329,7 @@ class LevelCertificate:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "p": self.p,
-            "cell": list(self.cell),
-            "anchor": list(self.anchor),
-            "N": self.N,
-            "value": self.value,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -410,31 +395,28 @@ def large_sum_cantor(
         thr = threshold(p, float(gamma_fr))
         m = max(_iroot(p**expo.numerator, expo.denominator), 2)  # floor(p^expo)
         sub_side = Fraction(1, p) ** int(tau)  # chart-relative side p^{-tau}
-        if sub_side >= Fraction(1, m):
-            raise PreconditionError(f"level {level}: p^-tau does not fit inside a cell")
+        # a witness lies in the central 2/5 of its cell, 3/(10m) from either edge, so the
+        # sub-box centered on it stays in the cell exactly when p^-tau / 2 <= 3/(10m)
+        if 5 * m > 3 * p ** int(tau):
+            raise PreconditionError(f"level {level}: half of p^-tau exceeds the 3/(10m) margin of a cell")
         trial = plan_trial_count(p, tau, d, gamma_fr)
         n_level = p * max(trial, 1)
         bound = 0.25 * float(gamma_fr) * n_level / math.sqrt(p)
 
+        # the lattice points a/p in the central 2/5 of the cell [i/m, (i+1)/m):
+        # ceil((10i + 3) p / (10m)) <= a < ceil((10i + 7) p / (10m))
+        central = [range(-(-(10 * i + 3) * p // (10 * m)), -(-(10 * i + 7) * p // (10 * m))) for i in range(m)]
         chart_boxes: list[Box] = []
         level_certs: list[LevelCertificate] = []
         for idx in np.ndindex(*(m,) * d):
-            # central 2/5 of the cell [i/m, (i+1)/m): offsets [3/(10m), 7/(10m))
-            lo = [Fraction(i, m) + Fraction(3, 10 * m) for i in idx]
-            hi = [Fraction(i, m) + Fraction(7, 10 * m) for i in idx]
-            witness = _first_witness(table, thr, lo, hi)
+            witness = _first_witness(table, thr, [central[i] for i in idx])
             if witness is None:
                 raise WitnessNotFoundError(
                     f"no large-sum witness in cell {idx} at level {level} (p={p}): "
                     "prime too small for the kappa_d density at this cell size",
                     level=level,
                 )
-            center = tuple(Fraction(a, p) for a in witness)
-            corner = tuple(c - sub_side / 2 for c in center)
-            cell = Box(corner=tuple(Fraction(i, m) for i in idx), side=Fraction(1, m))
-            sub = Box(corner=corner, side=sub_side)
-            if not cell.contains_box(sub):
-                raise LemmaCheckFailureError("kept sub-box escaped its cell")
+            sub = Box(corner=tuple(Fraction(a, p) - sub_side / 2 for a in witness), side=sub_side)
             value = abs(weyl_sum(RationalPoint(a=witness, q=p), n_level))
             cert = LevelCertificate(
                 level=level,
@@ -485,20 +467,16 @@ def large_sum_cantor(
     )
 
 
-def _first_witness(table, thr: float, lo: Sequence[Fraction], hi: Sequence[Fraction]):
-    """Lexicographically first member a of L_p with a/p in [lo, hi) componentwise, or None.
+def _first_witness(table, thr: float, ranges: Sequence[range]):
+    """Lexicographically first member a of L_p with a_j in ranges[j], or None.
 
-    `_member_blocks` reads the box one a_1 value at a time, so the search
-    stops at the first slab that holds a witness.
+    The ranges hold residues in [0, p).  `_member_blocks` reads the box one
+    a_1 value at a time, so the search stops at the first slab that holds a
+    witness.
     """
-    p = table.p
-    axes = []
-    for l, h in zip(lo, hi):
-        start = math.ceil(l * p)
-        stop = math.ceil(h * p)
-        if stop <= start:
-            return None
-        axes.append(np.arange(start, stop, dtype=np.int64) % p)
+    if not all(ranges):
+        return None
+    axes = [np.arange(r.start, r.stop, dtype=np.int64) for r in ranges]
     for rows in _member_blocks(table, thr, axes, 1):
         if len(rows):
             return tuple(int(v) for v in rows[0])

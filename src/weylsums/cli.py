@@ -168,7 +168,7 @@ def _run_moments(args, out: Path) -> None:
     rows = []
     for nu in range(1, args.nu + 1):
         incl = cs.mordell_moment(table, nu)
-        excl = incl - float(args.p) ** (2 * nu)  # the a = 0 term, removed as mordell_moment(include_zero=False) does
+        excl = incl - float(args.p) ** (2 * nu)  # the a = 0 term, exactly p^(2 nu)
         rows.append((args.d, args.p, nu, incl, excl, float(cs.moment_main_term(args.d, nu))))
     _write_csv(
         out / "moments.csv",

@@ -46,7 +46,6 @@ from .errors import (
     ChecksumMismatchError,
     InvalidFieldError,
     InvalidNumeratorError,
-    InvalidScalarError,
     LemmaCheckFailureError,
     NotAPermutationError,
     PreconditionError,
@@ -304,13 +303,6 @@ def weil_check(coeffs, p: int) -> WeilReport:
     return WeilReport(p=p, degree=deg, value=value, bound=bound, passed=True)
 
 
-def lambda_orbit(a, lam: int, p: int) -> tuple[int, ...]:
-    """(lambda a_1, lambda^2 a_2, ..., lambda^d a_d) mod p; preserves |T|."""
-    if lam % p == 0:
-        raise InvalidScalarError("lambda must be a nonzero residue")
-    return tuple(_orbit([int(ai) for ai in a], int(lam), p))
-
-
 def vanishing_family(d: int, p: int) -> list[tuple[int, ...]]:
     """The p-1 vectors (C(d,1)l, ..., C(d,d)l^d), l in F_p^*, all with T = 0.
 
@@ -339,21 +331,18 @@ def vanishing_family(d: int, p: int) -> list[tuple[int, ...]]:
 # moments
 
 
-def mordell_moment(table: CompleteSumTable, nu: int, include_zero: bool = True) -> float:
-    """sum over a in F_p^d of |T(a)|^{2 nu}, optionally excluding a = 0, for the table's (d, p).
+def mordell_moment(table: CompleteSumTable, nu: int) -> float:
+    """sum over a in F_p^d of |T(a)|^{2 nu}, a = 0 included, for the table's (d, p).
 
     Orbit weights are exact: the a_1 = 0 slice counts once and the a_1 = 1
-    slice p - 1 times, once for each a_1 != 0.  The a = 0 term is removed
-    exactly as p^{2 nu} (T(0) = p).
+    slice p - 1 times, once for each a_1 != 0.  The a = 0 term is p^{2 nu}
+    exactly (T(0) = p).
     """
     d, p = table.d, table.p
     if not 1 <= nu <= d:
         raise PreconditionError(f"need 1 <= nu <= d, got nu={nu}")
     s0, s1 = table.slices ** (2 * nu)
-    total = float(s0.sum()) + (p - 1) * float(s1.sum())
-    if not include_zero:
-        total -= float(p) ** (2 * nu)
-    return total
+    return float(s0.sum()) + (p - 1) * float(s1.sum())
 
 
 def moment_main_term(d: int, nu: int) -> int:
@@ -563,48 +552,49 @@ def box_moment(table: CompleteSumTable, nu: int, box: DiscreteBox) -> BoxMomentR
 
 
 # ---------------------------------------------------------------------------
-# on-disk table cache: header {magic "WSLT", version u32, d u32, p u64}, then
-# the slices |T(0, b)| and |T(1, b)|, p^(d-1) little-endian float64 each in
-# row-major order of b.
+# on-disk table cache, one self-verifying file per table: header {magic "WSLT",
+# version u32, d u32, p u64}, the 32-byte sha256 of the header and the body,
+# then the body: the slices |T(0, b)| and |T(1, b)|, p^(d-1) little-endian
+# float64 each in row-major order of b.
 
 _MAGIC = b"WSLT"
-_VERSION = 2
+_VERSION = 3
 _HEADER = struct.Struct("<4sIIQ")
+_DIGEST = hashlib.sha256().digest_size
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write data to path through a temp file in its directory and os.replace."""
+def _write_atomic(path: Path, *parts) -> None:
+    """Write parts, a sequence of buffers, to path through a temp file in its directory and os.replace."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            fh.writelines(parts)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def save_table(table: CompleteSumTable, path: str | Path) -> Path:
-    """Write the binary cache file plus a .sha256 sidecar of the file bytes.
+    """Write the table as one file, header, digest and body, replaced atomically.
 
-    The sidecar is written first and each file is replaced atomically: a save
-    cut short leaves no new table, and no table loads without the sidecar of
-    its bytes.
+    A save cut short leaves the file at path as it was: the old table, if
+    any, still loads.
     """
     path = Path(path)
-    payload = _HEADER.pack(_MAGIC, _VERSION, table.d, table.p) + np.ascontiguousarray(
-        table.slices, dtype="<f8"
-    ).tobytes()
-    digest = hashlib.sha256(payload).hexdigest()
-    _write_atomic(path.with_suffix(path.suffix + ".sha256"), (digest + "\n").encode())
-    _write_atomic(path, payload)
+    header = _HEADER.pack(_MAGIC, _VERSION, table.d, table.p)
+    body = np.ascontiguousarray(table.slices, dtype="<f8")
+    digest = hashlib.sha256(header)
+    digest.update(body)
+    _write_atomic(path, header, digest.digest(), body)
     return path
 
 
 def load_table(path: str | Path, cap: int = DEFAULT_CAP) -> CompleteSumTable:
-    """Load a cached table; it must match its .sha256 sidecar.
+    """Load a cached table; its header and body must match the digest it stores.
 
-    One handle reads the header, the length (fstat) and then the body, into
-    the slices that are hashed.  A stale or oversized file is refused by its
-    header, cap or length without reading the body.
+    One handle reads the header, the length (fstat), then the digest and the
+    body, into the slices that are hashed.  A stale or oversized file is
+    refused by its header, cap or length without reading the body.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -618,20 +608,18 @@ def load_table(path: str | Path, cap: int = DEFAULT_CAP) -> CompleteSumTable:
             raise ChecksumMismatchError(
                 f"{path} has unknown table version {version}; delete the cache and rebuild"
             )
-        _require_prime(p)
         _check_table_cap(d, p, cap)
-        expected_len = _HEADER.size + 16 * p ** (d - 1)
+        expected_len = _HEADER.size + _DIGEST + 16 * p ** (d - 1)
         size = os.fstat(fh.fileno()).st_size
-        if size != expected_len:
+        if size != expected_len:  # before the prime test, so that a damaged p reads as a damaged file
             raise ChecksumMismatchError(f"{path} has {size} bytes, expected {expected_len}")
-        sidecar = path.with_suffix(path.suffix + ".sha256")
-        if not sidecar.exists():
-            raise ChecksumMismatchError(f"{path} has no .sha256 sidecar")
+        _require_prime(p)
+        stored = fh.read(_DIGEST)
         slices = np.empty((2,) + (p,) * (d - 1), dtype="<f8")
         got = fh.readinto(slices)
     digest = hashlib.sha256(header)
     digest.update(slices)
-    if got != slices.nbytes or digest.hexdigest() != sidecar.read_text().strip():
+    if got != slices.nbytes or digest.digest() != stored:
         raise ChecksumMismatchError(f"checksum mismatch for {path}")
     return CompleteSumTable(d=d, p=p, slices=slices)
 

@@ -26,10 +26,6 @@ class InvalidNumeratorError(PreconditionError):
     """Numerator shares a factor with the modulus."""
 
 
-class InvalidScalarError(PreconditionError):
-    """Orbit scalar lambda must be a nonzero residue."""
-
-
 class NotAPermutationError(PreconditionError):
     """x -> x^d does not permute F_p (gcd(d, p-1) != 1)."""
 

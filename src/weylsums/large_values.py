@@ -20,7 +20,7 @@ denominator); floats appear only when a sum magnitude meets its bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, log, sqrt
 from typing import Sequence
@@ -328,6 +328,13 @@ def neighborhood_point(plan: AmplificationPlan, axis: int, sign: int = 1, scale:
     return tuple(fracs)
 
 
+def _json_fields(report) -> dict:
+    """A report dataclass's fields by name, with `passed` written as "pass"."""
+    fields = asdict(report)
+    fields["pass"] = fields.pop("passed")
+    return fields
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """JSON-able record of a single inequality check."""
@@ -339,13 +346,7 @@ class CheckReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "params": self.params,
-            "value": self.value,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
+        return _json_fields(self)
 
 
 def amplified_sum_check(plan: AmplificationPlan, x: Sequence[Phase]) -> CheckReport:

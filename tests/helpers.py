@@ -174,6 +174,13 @@ def box_moment_fsum(d, p, nu, box):
     return math.fsum(terms[np.any([g != 0 for g in grid], axis=0)].tolist())
 
 
+def lambda_orbit(a, lam, p):
+    """(lambda a_1, lambda^2 a_2, ..., lambda^d a_d) mod p; preserves |T|."""
+    if lam % p == 0:
+        raise PreconditionError("lambda must be a nonzero residue")
+    return tuple(int(aj) * pow(lam, j, p) % p for j, aj in enumerate(a, start=1))
+
+
 def orbit_representative(a, p):
     """(lambda a_1, ..., lambda^d a_d) mod p in Python ints, lambda = pow(a_1, -1, p), or 1 at a_1 = 0."""
     lam = pow(a[0], -1, p) if a[0] % p else 1
@@ -331,7 +338,7 @@ def lsq_slope(xs, ys):
 def audit_nesting(parent, child):
     """Each box of a child BoxCollection inside exactly one parent box; children pairwise disjoint."""
     for cb in child.boxes:
-        owners = sum(1 for pb in parent.boxes if pb.contains_box(cb))
+        owners = sum(1 for pb in parent.boxes if box_contains(pb, cb))
         if owners != 1:
             return False
     for i, a in enumerate(child.boxes):
@@ -339,6 +346,14 @@ def audit_nesting(parent, child):
             if not boxes_disjoint(a, b):
                 return False
     return True
+
+
+def box_contains(outer, inner):
+    """The half-open cantor Box inner lies inside outer."""
+    return all(
+        c <= oc and oc + inner.side <= c + outer.side
+        for c, oc in zip(outer.corner, inner.corner)
+    )
 
 
 def boxes_disjoint(a, b):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import audit_nesting, full_table
+from helpers import audit_nesting, box_contains, full_table
 from weylsums import cantor as ct
 from weylsums import complete_sums as cs
 from weylsums import large_values as lv
@@ -201,6 +201,10 @@ def test_large_sum_cantor_k1_matches_box_density_search():
             lo = F(cell_idx, m) + F(3, 10 * m)
             hi = F(cell_idx, m) + F(7, 10 * m)
             assert lo <= F(coord, 31) < hi
+    # and each kept sub-box, centered on its anchor, lies inside its cell
+    for box, cert in zip(res.collection.boxes, res.certificates):
+        assert box.corner == tuple(F(a, 31) - box.side / 2 for a in cert.anchor)
+        assert box_contains(ct.Box(corner=tuple(F(i, m) for i in cert.cell), side=F(1, m)), box)
 
 
 @pytest.mark.parametrize("p", [7, 31])
@@ -214,7 +218,7 @@ def test_first_witness_is_the_oracle_first_member(p, lo, hi):
     thr = lv.threshold(p, 1.0)
     axes = [range(math.ceil(l * p), math.ceil(h * p)) for l, h in zip(lo, hi)]
     want = next((a for a in itertools.product(*axes) if a[-1] != 0 and mags[a] >= thr), None)
-    assert ct._first_witness(cs.build_table(3, p), thr, lo, hi) == want
+    assert ct._first_witness(cs.build_table(3, p), thr, axes) == want
 
 
 def test_large_sum_cantor_witness_not_found():
@@ -232,6 +236,17 @@ def test_large_sum_cantor_preconditions():
         ct.large_sum_cantor(3, F(9, 2), F(1, 20), (31, 127), 2)  # non-integer tau
     with pytest.raises(PreconditionError):
         ct.large_sum_cantor(3, 4, F(1, 20), (127, 31), 2)  # not increasing
+
+
+def test_large_sum_cantor_sub_box_margin_is_exact(monkeypatch):
+    # at p = 5, tau = 4 the kept sub-box fits its cell's 3/(10m) margin exactly when 5m <= 3 * 5^4
+    monkeypatch.setattr(ct, "_iroot", lambda n, k: 376)
+    with pytest.raises(PreconditionError, match="margin"):
+        ct.large_sum_cantor(3, 4, F(1, 20), (5,), 1)
+    # m = 375 passes; cell (0, 0, 0) then holds no lattice point a/5 in [3/3750, 7/3750)
+    monkeypatch.setattr(ct, "_iroot", lambda n, k: 375)
+    with pytest.raises(WitnessNotFoundError):
+        ct.large_sum_cantor(3, 4, F(1, 20), (5,), 1)
 
 
 def test_jsonl_serialization():

@@ -44,13 +44,13 @@ def test_moments_csv_value(tmp_path):
 
 
 def test_moments_without_zero_is_the_library_value(tmp_path):
-    # one power sum per nu; the a = 0 term is removed as mordell_moment(include_zero=False) removes it
+    # one power sum per nu; the a = 0 term is removed exactly, as p^(2 nu)
     assert _run(["moments", "--d", "3", "--p", "31", "--nu", "3", "--out", str(tmp_path)]) == 0
     with (tmp_path / "moments.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     table = cs.build_table(3, 31)
     assert [float(r["moment_without_zero"]) for r in rows] == [
-        cs.mordell_moment(table, nu, include_zero=False) for nu in (1, 2, 3)]
+        cs.mordell_moment(table, nu) - 31.0 ** (2 * nu) for nu in (1, 2, 3)]
 
 
 def test_results_byte_identical_across_runs(tmp_path):
@@ -321,29 +321,31 @@ def test_exit_code_corrupt_cache(tmp_path, capsys):
     argv = ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache", "--out", str(out)]
     assert _run(argv) == 0
     table = out / "cache" / "table_d2_p13.wslt"
-    raw = bytearray(table.read_bytes())
-    raw[-3] ^= 0xFF
-    table.write_bytes(bytes(raw))
-    capsys.readouterr()
-    assert _run(argv) == 5
-    assert capsys.readouterr().err.startswith("corrupt cache: checksum mismatch")
-    # the same flipped byte with its sidecar deleted is refused, not loaded unchecked
-    table.with_suffix(".wslt.sha256").unlink()
-    assert _run(argv) == 5
-    assert "no .sha256 sidecar" in capsys.readouterr().err
+    good = table.read_bytes()
+    # a byte of the body, of the stored digest, and the low byte of p (13 -> 242: refused by the length)
+    for offset, message in ((-3, "checksum mismatch"), (30, "checksum mismatch"), (12, "has 260 bytes, expected 3924")):
+        raw = bytearray(good)
+        raw[offset] ^= 0xFF
+        table.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert _run(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt cache: ") and message in err
 
 
 def test_exit_code_stale_table_version(tmp_path, capsys):
-    out = tmp_path / "v1"
-    argv = ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache", "--out", str(out)]
-    table = out / "cache" / "table_d2_p13.wslt"
-    table.parent.mkdir(parents=True)
-    raw = struct.pack("<4sIIQ", b"WSLT", 1, 2, 13) + b"\x00" * (8 * 13**2)
-    table.write_bytes(raw)
-    table.with_suffix(".wslt.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
-    capsys.readouterr()
-    assert _run(argv) == 5
-    assert capsys.readouterr().err.endswith("unknown table version 1; delete the cache and rebuild\n")
+    # a version-1 p^d file, and a version-2 file of two slices with the sidecar that format kept
+    for version, body in ((1, 8 * 13**2), (2, 16 * 13)):
+        out = tmp_path / f"v{version}"
+        argv = ["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache", "--out", str(out)]
+        table = out / "cache" / "table_d2_p13.wslt"
+        table.parent.mkdir(parents=True)
+        raw = struct.pack("<4sIIQ", b"WSLT", version, 2, 13) + b"\x00" * body
+        table.write_bytes(raw)
+        table.with_suffix(".wslt.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
+        capsys.readouterr()
+        assert _run(argv) == 5
+        assert capsys.readouterr().err.endswith(f"unknown table version {version}; delete the cache and rebuild\n")
 
 
 def test_enumerate_lp_lists_rows_only_to_emit_them(tmp_path):
@@ -548,8 +550,10 @@ def test_table_cache_via_cli(tmp_path):
     for _ in range(2):
         assert _run(["moments", "--d", "2", "--p", "13", "--nu", "1", "--cache",
                      "--out", str(out)]) == 0
-    assert (out / "cache" / "table_d2_p13.wslt").exists()
-    assert (out / "cache" / "table_d2_p13.wslt.sha256").exists()
+    # one self-verifying file per table: header, digest and the two slices
+    cached = list((out / "cache").iterdir())
+    assert [f.name for f in cached] == ["table_d2_p13.wslt"]
+    assert cached[0].stat().st_size == 52 + 16 * 13
 
 
 def test_pattern_demo(tmp_path):

@@ -17,6 +17,7 @@ from helpers import (
     direct_complete_sum,
     full_box,
     full_table,
+    lambda_orbit,
     orbit_counts_bincount,
     orbit_multiplicities,
     orbit_representative,
@@ -28,7 +29,6 @@ from weylsums.errors import (
     ChecksumMismatchError,
     InvalidFieldError,
     InvalidNumeratorError,
-    InvalidScalarError,
     LemmaCheckFailureError,
     NotAPermutationError,
     PreconditionError,
@@ -143,16 +143,16 @@ def test_weil_check():
 
 
 def test_lambda_orbit():
-    assert cs.lambda_orbit((1, 1), 1, 5) == (1, 1)
-    assert cs.lambda_orbit((1, 1), 2, 5) == (2, 4)
+    assert lambda_orbit((1, 1), 1, 5) == (1, 1)
+    assert lambda_orbit((1, 1), 2, 5) == (2, 4)
     m1 = abs(cs.complete_sum(2, 5, (1, 1)))
     m2 = abs(cs.complete_sum(2, 5, (2, 4)))
     assert abs(m1 - m2) < 1e-9 * 5
-    assert cs.lambda_orbit((0, 0, 0), 3, 7) == (0, 0, 0)
+    assert lambda_orbit((0, 0, 0), 3, 7) == (0, 0, 0)
     # Python ints stay exact past int64: 2^80 = 2^19 mod 2^61 - 1
-    assert cs.lambda_orbit((1, 1), 2**40, 2**61 - 1) == (2**40, 2**19)
-    with pytest.raises(InvalidScalarError):
-        cs.lambda_orbit((1, 1), 0, 5)
+    assert lambda_orbit((1, 1), 2**40, 2**61 - 1) == (2**40, 2**19)
+    with pytest.raises(PreconditionError):
+        lambda_orbit((1, 1), 0, 5)
 
 
 def test_vanishing_family():
@@ -172,11 +172,11 @@ def test_vanishing_family_p11():
 
 def test_mordell_moments_p3():
     table = cs.build_table(2, 3)
-    m2 = cs.mordell_moment(table, 2, include_zero=True)
+    m2 = cs.mordell_moment(table, 2)
     assert abs(m2 - 135) < 1e-6 * 135
-    m1 = cs.mordell_moment(table, 1, include_zero=True)
+    m1 = cs.mordell_moment(table, 1)
     assert abs(m1 - 27) < 1e-6 * 27
-    m2x = cs.mordell_moment(table, 2, include_zero=False)
+    m2x = m2 - 3.0**4  # without a = 0, as the moments command reports it
     assert abs(m2x - 54) < 1e-6 * 54
     with pytest.raises(PreconditionError):
         cs.mordell_moment(table, 3)
@@ -184,13 +184,13 @@ def test_mordell_moments_p3():
 
 def test_parseval_identity():
     for d, p in [(1, 13), (2, 13), (3, 13), (2, 7), (3, 5)]:
-        m1 = cs.mordell_moment(cs.build_table(d, p), 1, include_zero=True)
+        m1 = cs.mordell_moment(cs.build_table(d, p), 1)
         assert abs(m1 - float(p) ** (d + 1)) < 1e-6 * float(p) ** (d + 1)
 
 
 def test_degree2_fourth_moment_closed_form():
     for p in (3, 5, 7, 11, 13):
-        m2 = cs.mordell_moment(cs.build_table(2, p), 2, include_zero=True)
+        m2 = cs.mordell_moment(cs.build_table(2, p), 2)
         expected = 2.0 * p**4 - p**3
         assert abs(m2 - expected) < 1e-6 * expected
 
@@ -223,7 +223,7 @@ def test_orbit_partition_sizes_divide_p_minus_1():
         for a2 in range(p):
             if (a1, a2) in seen:
                 continue
-            orbit = {cs.lambda_orbit((a1, a2), lam, p) for lam in range(1, p)}
+            orbit = {lambda_orbit((a1, a2), lam, p) for lam in range(1, p)}
             seen |= orbit
             assert (p - 1) % len(orbit) == 0
 
@@ -231,7 +231,7 @@ def test_orbit_partition_sizes_divide_p_minus_1():
 def test_box_moment_full_cube_consistency():
     table = cs.build_table(2, 5)
     rep = cs.box_moment(table, 1, full_box(2, 5))
-    excl = cs.mordell_moment(table, 1, include_zero=False)
+    excl = cs.mordell_moment(table, 1) - 5.0**2  # the a = 0 term, T(0) = p
     assert abs(rep.value - excl) < 1e-9
     assert abs(rep.value - 100.0) < 1e-6 * 100  # p^3 - p^2
 
@@ -518,7 +518,7 @@ def test_discrete_logs_stay_off_the_saved_file(tmp_path):
     table.lookup(([1], [2], [3]))  # builds the table's discrete logs
     assert "_logs" in vars(table)
     assert cs.save_table(table, tmp_path / "b.wslt").read_bytes() == before
-    assert len(before) == 20 + 16 * 7**2
+    assert len(before) == 52 + 16 * 7**2  # header, digest, two slices of 7^2 float64
 
 
 @pytest.mark.parametrize("d, p", LOOKUP_CASES)
@@ -528,8 +528,6 @@ def test_mordell_orbit_weights_match_full_table(d, p):
     for nu in range(1, d + 1):
         full = float((mags ** (2 * nu)).sum())
         assert abs(cs.mordell_moment(table, nu) - full) <= 1e-12 * full
-        excl = cs.mordell_moment(table, nu, include_zero=False)
-        assert abs(excl - (full - float(p) ** (2 * nu))) <= 1e-12 * full
 
 
 def test_lookup_wrong_arity():
@@ -561,23 +559,18 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_checksum_mismatch(tmp_path):
-    table = cs.build_table(2, 5)
-    path = cs.save_table(table, tmp_path / "t.wslt")
-    raw = bytearray(path.read_bytes())
-    raw[-3] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ChecksumMismatchError):
-        cs.load_table(path)
+    good = cs.save_table(cs.build_table(2, 5), tmp_path / "t.wslt").read_bytes()
+    # a byte of the body, of the stored digest, and the low byte of p (5 -> 250: refused by the length)
+    for offset, match in ((-3, "checksum mismatch"), (30, "checksum mismatch"), (12, "has 132 bytes, expected 4052")):
+        raw = bytearray(good)
+        raw[offset] ^= 0xFF
+        path = tmp_path / f"flip{offset}.wslt"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumMismatchError, match=match):
+            cs.load_table(path)
 
 
-def test_cache_missing_sidecar_refused(tmp_path):
-    path = cs.save_table(cs.build_table(2, 5), tmp_path / "t.wslt")
-    path.with_suffix(".wslt.sha256").unlink()
-    with pytest.raises(ChecksumMismatchError, match="no .sha256 sidecar"):
-        cs.load_table(path)
-
-
-def test_cache_save_writes_sidecar_first_through_temp_files(tmp_path, monkeypatch):
+def test_cache_save_writes_one_file_through_a_temp_file(tmp_path, monkeypatch):
     replaced = []
     real = os.replace
 
@@ -588,79 +581,33 @@ def test_cache_save_writes_sidecar_first_through_temp_files(tmp_path, monkeypatc
 
     monkeypatch.setattr(os, "replace", record)
     path = cs.save_table(cs.build_table(2, 5), tmp_path / "t.wslt")
-    assert replaced == ["t.wslt.sha256", "t.wslt"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.wslt", "t.wslt.sha256"]
+    assert replaced == ["t.wslt"]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.wslt"]  # no .sha256 file and no temp file
     assert cs.load_table(path).p == 5
 
 
-def test_cache_save_cut_short_never_loads(tmp_path, monkeypatch):
-    # a save over an existing pair stops after its sidecar: the old table no longer loads
-    path = cs.save_table(cs.build_table(2, 5), tmp_path / "t.wslt")
-    real = os.replace
+def test_cache_save_cut_short_keeps_the_old_table(tmp_path, monkeypatch):
+    # a save over an existing table stops at its one replace: the old table still loads
+    old = cs.build_table(2, 5)
+    path = cs.save_table(old, tmp_path / "t.wslt")
 
-    def stop_at_table(src, dst):
-        if Path(dst) == path:
-            raise KeyboardInterrupt
-        real(src, dst)
+    def stop(src, dst):
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(os, "replace", stop_at_table)
+    monkeypatch.setattr(os, "replace", stop)
     with pytest.raises(KeyboardInterrupt):
         cs.save_table(cs.build_table(2, 7), path)
     monkeypatch.undo()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.wslt", "t.wslt.sha256"]
-    with pytest.raises(ChecksumMismatchError):
-        cs.load_table(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.wslt"]
+    loaded = cs.load_table(path)
+    assert loaded.p == 5 and np.array_equal(loaded.slices, old.slices)
 
 
 def test_cache_header_validation(tmp_path):
-    # a sidecar that matches the bad bytes, so the header itself is checked
     p = tmp_path / "bad.wslt"
-    raw = b"NOPE" + b"\x00" * 32
-    p.write_bytes(raw)
-    p.with_suffix(".wslt.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
+    p.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ChecksumMismatchError, match="unknown header"):
         cs.load_table(p)
-
-
-def _write_with_sidecar(path, raw):
-    path.write_bytes(raw)
-    path.with_suffix(".wslt.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
-
-
-def _forbid_body_read(monkeypatch):
-    def refuse(self):
-        raise AssertionError(f"{self} was read whole")
-
-    monkeypatch.setattr(Path, "read_bytes", refuse)
-
-
-def test_cache_version_1_refused(tmp_path, monkeypatch):
-    # a p^d table from the earlier format, with a valid sidecar
-    path = tmp_path / "v1.wslt"
-    _write_with_sidecar(path, struct.pack("<4sIIQ", b"WSLT", 1, 2, 5) + full_table(2, 5).astype("<f8").tobytes())
-    _forbid_body_read(monkeypatch)
-    with pytest.raises(ChecksumMismatchError, match="unknown table version 1; delete the cache and rebuild"):
-        cs.load_table(path)
-
-
-def test_cache_huge_claimed_p_refused_before_reading(tmp_path, monkeypatch):
-    path = tmp_path / "huge.wslt"
-    _write_with_sidecar(path, struct.pack("<4sIIQ", b"WSLT", 2, 3, 2**61 - 1) + b"\x00" * 64)
-    _forbid_body_read(monkeypatch)
-    with pytest.raises(ResourceLimitError):
-        cs.load_table(path)
-    path.write_bytes(struct.pack("<4sIIQ", b"WSLT", 2, 2**31, 3))  # d far past any cap
-    with pytest.raises(ResourceLimitError):
-        cs.load_table(path)
-
-
-def test_cache_wrong_body_length_refused(tmp_path, monkeypatch):
-    path = cs.save_table(cs.build_table(3, 7), tmp_path / "t.wslt")
-    # 20 header bytes + 2 * 7^2 float64 = 804; a matching sidecar, so the length is what fails
-    _write_with_sidecar(path, path.read_bytes()[:-8])
-    _forbid_body_read(monkeypatch)
-    with pytest.raises(ChecksumMismatchError, match="has 796 bytes, expected 804"):
-        cs.load_table(path)
 
 
 class _TallyReader(io.BufferedReader):
@@ -681,24 +628,78 @@ class _TallyReader(io.BufferedReader):
         return count
 
 
-def test_load_table_reads_through_one_handle(tmp_path, monkeypatch):
-    good = cs.save_table(cs.build_table(3, 7), tmp_path / "t.wslt")
-    short = tmp_path / "short.wslt"
-    _write_with_sidecar(short, good.read_bytes()[:-8])
+def _tally_reads(monkeypatch):
+    """The list of tallying handles that every later Path.open of a .wslt file for reading appends to."""
     handles, open_ = [], Path.open
 
     def tally(self, mode="r", *args, **kwargs):
-        if self.suffix != ".wslt":
+        if self.suffix != ".wslt" or mode != "rb":
             return open_(self, mode, *args, **kwargs)
         handles.append(_TallyReader(io.FileIO(self, "rb")))
         return handles[-1]
 
     monkeypatch.setattr(Path, "open", tally)
+    return handles
+
+
+def test_cache_version_1_refused(tmp_path, monkeypatch):
+    # a p^d table from the earlier format
+    path = tmp_path / "v1.wslt"
+    path.write_bytes(struct.pack("<4sIIQ", b"WSLT", 1, 2, 5) + full_table(2, 5).astype("<f8").tobytes())
+    handles = _tally_reads(monkeypatch)
+    with pytest.raises(ChecksumMismatchError, match="unknown table version 1; delete the cache and rebuild"):
+        cs.load_table(path)
+    assert [h.tally for h in handles] == [20]
+
+
+def test_cache_version_2_refused_with_or_without_sidecar(tmp_path, monkeypatch):
+    # the earlier two-file format: header and slices, with the sha256 of both in a sidecar
+    path = tmp_path / "v2.wslt"
+    table = cs.build_table(2, 5)
+    raw = struct.pack("<4sIIQ", b"WSLT", 2, 2, 5) + table.slices.astype("<f8").tobytes()
+    path.write_bytes(raw)
+    sidecar = tmp_path / "v2.wslt.sha256"
+    sidecar.write_text(hashlib.sha256(raw).hexdigest() + "\n")
+    handles = _tally_reads(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ChecksumMismatchError, match="unknown table version 2; delete the cache and rebuild"):
+            cs.load_table(path)
+        sidecar.unlink(missing_ok=True)
+    assert [h.tally for h in handles] == [20, 20]  # the header alone, each time
+
+
+def test_cache_huge_claimed_p_refused_before_reading(tmp_path, monkeypatch):
+    path = tmp_path / "huge.wslt"
+    path.write_bytes(struct.pack("<4sIIQ", b"WSLT", 3, 3, 2**61 - 1) + b"\x00" * 96)
+    handles = _tally_reads(monkeypatch)
+    with pytest.raises(ResourceLimitError):
+        cs.load_table(path)
+    path.write_bytes(struct.pack("<4sIIQ", b"WSLT", 3, 2**31, 3))  # d far past any cap
+    with pytest.raises(ResourceLimitError):
+        cs.load_table(path)
+    assert [h.tally for h in handles] == [20, 20]
+
+
+def test_cache_wrong_body_length_refused(tmp_path, monkeypatch):
+    path = cs.save_table(cs.build_table(3, 7), tmp_path / "t.wslt")
+    # 20 header bytes + a 32-byte digest + 2 * 7^2 float64 = 836
+    path.write_bytes(path.read_bytes()[:-8])
+    handles = _tally_reads(monkeypatch)
+    with pytest.raises(ChecksumMismatchError, match="has 828 bytes, expected 836"):
+        cs.load_table(path)
+    assert [h.tally for h in handles] == [20]
+
+
+def test_load_table_reads_through_one_handle(tmp_path, monkeypatch):
+    good = cs.save_table(cs.build_table(3, 7), tmp_path / "t.wslt")
+    short = tmp_path / "short.wslt"
+    short.write_bytes(good.read_bytes()[:-8])
+    handles = _tally_reads(monkeypatch)
     assert np.array_equal(cs.load_table(good).slices, cs.build_table(3, 7).slices)
-    assert [h.tally for h in handles] == [804]  # the 20-byte header, then the body, one handle
-    with pytest.raises(ChecksumMismatchError, match="has 796 bytes, expected 804"):
+    assert [h.tally for h in handles] == [52 + 16 * 7**2]  # header, digest, then the body, one handle
+    with pytest.raises(ChecksumMismatchError, match="has 828 bytes, expected 836"):
         cs.load_table(short)
-    assert [h.tally for h in handles] == [804, 20]  # refused on its length after the header alone
+    assert [h.tally for h in handles] == [836, 20]  # refused on its length after the header alone
 
 
 def test_cached_table_hits_disk(tmp_path):
