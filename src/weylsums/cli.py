@@ -22,7 +22,6 @@ fresh namespace, so nothing one call sets reaches the next.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -86,12 +85,24 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _csv_refused(value):
+    raise AssertionError(f"no CSV field for a {type(value).__name__}")
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+    """The bytes csv.writer writes, in one join: floats as `_fmt` writes them, ints by str, \\r\\n line ends.
+
+    No field is quoted: the header names hold no comma, quote or line break,
+    which is asserted, and neither does a number.  Any other value is refused.
+    """
+    assert not any(c in name for name in header for c in ',"\r\n'), header
+    lines = [",".join(header)]
+    lines += [
+        ",".join([format(v, ".17g") if isinstance(v, float) else str(v) if isinstance(v, int) else _csv_refused(v) for v in row])
+        for row in rows
+    ]
+    lines.append("")
+    path.write_text("\r\n".join(lines), newline="")
 
 
 def _random_point(rng, d: int) -> tuple[Phase, ...]:

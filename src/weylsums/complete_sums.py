@@ -51,7 +51,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .phasecore import residue_array
+from .phasecore import Workspace, residue_array
 from .weyl_sums import _chunks
 
 DEFAULT_CAP = 10**7
@@ -97,7 +97,8 @@ def _unit_root_sum(a, q: int, exponents) -> complex:
     """sum_{n=1}^{q} e((a_1 n^{m_1} + ... + a_k n^{m_k}) / q) by direct summation.
 
     Residues come from `residue_array` (exact, with its int64 guard) in the
-    `_chunks` slices of the Weyl sums, so memory stays bounded whatever q is.
+    CHUNK-term `_chunks` slices, so memory stays bounded whatever q is; one
+    `Workspace` holds their arrays for the call.
     A residue r is split at k = ceil(bitlen(q) / 2) bits, and its term is
     e(r/q) = high[r >> k] * low[r & (2^k - 1)]: two gathers from tables of
     e(j 2^k / q) and e(j / q), of at most 2 sqrt(q) entries each, and one
@@ -107,15 +108,16 @@ def _unit_root_sum(a, q: int, exponents) -> complex:
     """
     high = None
     parts = []
+    work = Workspace()
     for lo, hi in _chunks(q):
-        r = residue_array(a, q, exponents, lo, hi)
+        r = residue_array(a, q, exponents, lo, hi, work)
         if high is None:  # built after residue_array's int64 guard, so a refused q allocates nothing
             k = (q.bit_length() + 1) // 2
             step = 2j * np.pi / q
             high = np.exp(step * (np.arange(((q - 1) >> k) + 1) << k))
             low = np.exp(step * np.arange(1 << k))
-            # held across chunks, so that a chunk allocates only its residues:
-            # large temporaries freed per chunk go back to the OS and fault in again
+            # held across chunks, as the residues are in work: large
+            # temporaries freed per chunk go back to the OS and fault in again
             index = np.empty(len(r), dtype=np.int64)
             terms = np.empty(len(r), dtype=np.complex128)
             rest = np.empty(len(r), dtype=np.complex128)

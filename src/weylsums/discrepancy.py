@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LemmaCheckFailureError, PreconditionError
-from .phasecore import TURN
+from .phasecore import TURN, Workspace
 from .weyl_sums import CHUNK, DENSE_LIMIT, _accumulate, _checked, _chunks, _phase_words, _trace, checkpoint_grid
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
@@ -77,8 +77,9 @@ def _sequence_words(x, N: int, m) -> tuple[np.ndarray, int]:
         raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got {N}")
     words, q = _phase_words(x, m)
     out = np.empty((len(x), N) if isinstance(x, np.ndarray) else N, dtype=np.uint64)
+    work = Workspace()
     for lo, hi in _chunks(N):
-        out[..., lo - 1:hi - 1] = words(lo, hi)
+        out[..., lo - 1:hi - 1] = words(lo, hi, work)
     return out, q
 
 
@@ -179,7 +180,7 @@ def _koksma_block(x, ns: list[int], m) -> list[KoksmaReport]:
     lengths, n_max = np.array(ns), max(ns)
     words, q = _sequence_words(x, n_max, m)
     words = words.reshape(len(ns), n_max)  # one point is one row
-    sums = _accumulate(lambda lo, hi: words[:, lo - 1 : hi - 1], q, (n_max,), lengths)
+    sums = _accumulate(lambda lo, hi, work: words[:, lo - 1 : hi - 1], q, (n_max,), lengths)
     fracs = _grid_fracs(words, q)  # words itself for q = 2^64, which the sums no longer need
     valid = np.arange(n_max) < lengths[:, None]
     fracs[~valid] = TURN - 1  # the pads sort past every row's own points
@@ -226,7 +227,7 @@ def discrepancy_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None
 def scan_rows(x, n_max: int, m: Sequence[int] | None = None) -> list[tuple[int, float, float, float, float]]:
     """(N, D_N, D*_N, |S|, |S|/D*) rows over the checkpoint grid, for CSV output; one pass of phase words."""
     words, q = _sequence_words(x, n_max, m)
-    trace = _trace(lambda lo, hi: words[lo - 1 : hi - 1], q, checkpoint_grid(n_max))
+    trace = _trace(lambda lo, hi, work: words[lo - 1 : hi - 1], q, checkpoint_grid(n_max))
     return [
         (n, d_n / TURN, d_star / TURN, mag, mag / (d_star / TURN) if d_star else 0.0)
         for (n, d_n, d_star), mag in zip(_checkpoint_units(_grid_fracs(words, q), n_max), trace.magnitudes)

@@ -12,10 +12,12 @@ Both kernels evaluate the polynomial by one Horner scheme (`_horner`, over
 mod 2^64 for `frac_array`, and int64 products for `residue_array`, whose
 factors are reduced mod q only where a product, or the Horner add after it,
 could reach 2^63.  Which products those are is decided from bounds known
-before any array is built (the chunk's largest n, q and the coefficients),
+before any array is built (the block's largest n, q and the coefficients),
 by one run of the same Horner scheme over Python ints; the q^2 < 2^62 guard
 keeps a product of two reduced factors below that limit, and one reduction
-at the end brings the residues into [0, q).
+at the end brings the residues into [0, q).  A loop over blocks passes one
+`Workspace` to every call, so the ramp of n, the products and the quotient
+are allocated once, for its first block, and reused by every later one.
 
 `unit_terms(words, q)` turns the exact words into the unit terms e(w/q)
 without a trig call per term: a table of at most 4097 unit roots per
@@ -28,6 +30,7 @@ bits adds the rest.  Each component is within 2^-53 + 2^-56 of e(w/q)
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,6 +83,57 @@ class RationalPoint:
 # vectorized kernels shared by the sum evaluators
 
 
+class Workspace:
+    """Scratch arrays that the kernels reuse from one block of terms to the next.
+
+    take(name, shape, dtype) is a C-contiguous view of the first entries of
+    the one flat buffer held under name for that numpy scalar type, grown only
+    for a larger request, so a loop allocates its arrays once, for its first
+    and largest block, and a short last block reads prefixes.  Views are kept
+    for the next request of the same shape, as blocks repeat their shapes.
+    ramp(lo, hi) is n = lo..hi-1 as int64 in a buffer of its own, shifted in
+    place from the last call's lo; the kernels read it and never write it.  A
+    view holds its values until the next request of its name.  Each kernel
+    uses names of its own for what it returns, so one workspace can serve
+    several kernels, and they share the name "scratch" for values that die
+    when the kernel returns.  A kernel called without one makes a fresh
+    workspace, which allocates every array anew.
+    """
+
+    def __init__(self):
+        self._buffers: dict[tuple, np.ndarray] = {}  # (name, dtype) -> its flat buffer
+        self._views: dict[tuple, np.ndarray] = {}  # (name, dtype, shape) -> its view
+        self._ramp = None
+        self._ramp_lo = 0
+        self.nbytes = 0  # of every array held
+
+    def take(self, name: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+        view = self._views.get((name, dtype, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self._buffers.get((name, dtype))
+            if buf is None or len(buf) < size:
+                self.nbytes -= 0 if buf is None else buf.nbytes
+                buf = self._buffers[name, dtype] = np.empty(size, dtype=dtype)
+                self.nbytes += buf.nbytes
+                self._views.clear()  # no view outlives its buffer here
+            elif len(self._views) >= 16:
+                self._views.clear()  # a few shapes repeat from block to block; the rest need not stay
+            view = self._views[name, dtype, shape] = buf[:size].reshape(shape)
+        return view
+
+    def ramp(self, lo: int, hi: int) -> np.ndarray:
+        ramp = self._ramp
+        if ramp is None or len(ramp) < hi - lo:
+            self.nbytes -= 0 if ramp is None else ramp.nbytes
+            ramp = self._ramp = np.arange(lo, hi, dtype=np.int64)
+            self.nbytes += ramp.nbytes
+        elif lo != self._ramp_lo:
+            ramp += lo - self._ramp_lo
+        self._ramp_lo = lo
+        return ramp[: hi - lo]
+
+
 def _power(base, e: int, mul):
     """base^e for e >= 1 by square-and-multiply in the ring of the product mul.
 
@@ -114,19 +168,56 @@ def _horner(coeffs, exponents, n, mul):
     return mul(t, _power(n, exponents[0], mul))
 
 
-def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int) -> np.ndarray:
+def _buffered(work: Workspace, n: np.ndarray, shape: tuple[int, ...]):
+    """A `_horner` product over n, u v by np.multiply into one of two buffers of work.
+
+    A step of `_power` (first factor n or the running power) writes the power
+    buffer, of n's shape; a Horner step writes the accumulator, of the given
+    shape, which takes over the power's buffer when the power is its spent
+    second factor and the shapes agree, so that the powers of a single
+    `_power` call and the accumulator share one buffer.  The two buffers
+    swap their workspace names at the takeover, so a later power never lands
+    on the accumulator.
+    """
+    power = acc = None
+    names = ["power", "acc"]
+
+    def product(u, v):
+        nonlocal power, acc
+        if u is n or u is power:
+            if power is None:
+                power = work.take(names[0], n.shape, n.dtype.type)
+            return np.multiply(u, v, out=power)
+        if acc is None:
+            if v is power and power.shape == shape:
+                acc, power = power, None
+                names.reverse()
+            else:
+                acc = work.take(names[1], shape, n.dtype.type)
+        return np.multiply(u, v, out=acc)
+
+    return product
+
+
+def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int, work: Workspace | None = None) -> np.ndarray:
     """uint64 phase words of the polynomial at n = lo..hi-1 (wrapping mod 2^64).
 
     Each coefficient is an int, or a (B,) uint64 array for B points at once,
-    which gives (B, hi-lo) words; the powers of n are shared by all rows.
+    which gives (B, hi-lo) words; the powers of n are shared by all rows.  The
+    words are a view of work's accumulator, valid until its next call.
     """
+    work = Workspace() if work is None else work
     coeffs = [np.asarray(xf & _MASK, dtype=np.uint64) for xf in x_fracs]
+    shape = (*max((c.shape for c in coeffs), default=()), hi - lo)
     # a 0-d coefficient stays 0-d: numpy broadcasts it faster than a (1,) array
     coeffs = [c[:, None] if c.ndim else c for c in coeffs]
-    return _horner(coeffs, exponents, np.arange(lo, hi, dtype=np.uint64), np.multiply)
+    n = work.ramp(lo, hi).view(np.uint64)
+    return _horner(coeffs, exponents, n, _buffered(work, n, shape))
 
 
-def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, hi: int) -> np.ndarray:
+def residue_array(
+    a: Sequence[int], q: int, exponents: Sequence[int], lo: int, hi: int, work: Workspace | None = None
+) -> np.ndarray:
     """Residues of a_1 n^{m_1} + ... + a_d n^{m_d} mod q at n = lo..hi-1, exactly.
 
     A product's factors are reduced mod q only where int64 could overflow.
@@ -141,8 +232,8 @@ def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, h
     so it is never the factor to reduce, and two factors of at most q have a
     product of at most q^2 <= 2^63 - q.  The arrays then follow the record,
     with no scan of the data, each product written to one of two buffers
-    held for the call, and one reduction at the end brings every residue
-    into [0, q).
+    of work, and one reduction at the end brings every residue into [0, q).
+    The residues are a view of work, valid until its next call.
     """
     q = int(q)  # the bounds below are Python ints, whatever integer type the caller passed
     if q * q >= 2**62:
@@ -165,39 +256,29 @@ def residue_array(a: Sequence[int], q: int, exponents: Sequence[int], lo: int, h
 
     _horner(coeffs, exponents, q - 1 if reduce_n else top, plan_product)
 
-    n = np.arange(lo, hi, dtype=np.int64)
-    quotient = np.empty_like(n)
+    work = Workspace() if work is None else work
+    n = work.ramp(lo, hi)
+    quotient = work.take("quotient", n.shape, np.int64)
 
-    def reduce(r):
-        # r % q as r - (r // q) q, in place: numpy floor-divides by a scalar ~3x
-        # faster than it takes %, and the quotient goes to the one buffer, since
-        # each large temporary freed per chunk costs page faults
+    def reduce(r, out=None):
+        # r % q as r - (r // q) q, in place unless out is given: numpy
+        # floor-divides by a scalar ~3x faster than it takes %
         np.floor_divide(r, q, out=quotient)
         np.multiply(quotient, q, out=quotient)
-        r -= quotient
-        return r
+        return np.subtract(r, quotient, out=r if out is None else out)
 
-    if reduce_n:
-        reduce(n)
+    if reduce_n:  # into a buffer of its own, as the ramp is read-only
+        n = reduce(n, work.take("n mod q", n.shape, np.int64))
     steps = iter(plan)
-    power = acc = None  # the buffers of the running power in `_power` and of the Horner accumulator
+    buffered = _buffered(work, n, n.shape)
 
     def product(u, v):
-        nonlocal power, acc
         reduce_u, reduce_v = next(steps)
         if reduce_u:
             reduce(u)
         if reduce_v and v is not u:
             reduce(v)
-        if u is n or u is power:  # a step of `_power`
-            if power is None:
-                power = np.empty_like(n)
-            out = power
-        else:  # a Horner step, whose first factor is the accumulator or the leading coefficient
-            if acc is None:  # the accumulator takes over a spent power's buffer
-                acc, power = (power, None) if v is power else (np.empty_like(n), power)
-            out = acc
-        return np.multiply(u, v, out=out)
+        return buffered(u, v)
 
     return reduce(_horner(coeffs, exponents, n, product))
 
@@ -255,7 +336,7 @@ def _frozen(value, dtype) -> np.ndarray:
     return a
 
 
-def unit_terms(words: np.ndarray, q: int) -> np.ndarray:
+def unit_terms(words: np.ndarray, q: int, work: Workspace | None = None) -> np.ndarray:
     """e(w/q) of every exact phase word w as one (2, *words.shape) array: its cosines, then its sines.
 
     words are uint64 phase words with q = 2^64, or residues in [0, q) with
@@ -267,30 +348,35 @@ def unit_terms(words: np.ndarray, q: int) -> np.ndarray:
     on a step, w = 0 among them, is its table entry exactly, and for
     q <= 4096 every word is.  Each component is within 2^-53 + 2^-56 of the
     exact value: half an ulp for the table entry and for the last addition,
-    and the rest from the small correction.
+    and the rest from the small correction.  The terms, and four rows of
+    words' shape as scratch, come from work; the terms are valid until its
+    next call.
     """
+    work = Workspace() if work is None else work
     table, constants = _unit_root_table(q)
+    terms = work.take("terms", (2, *words.shape), np.float64)
+    # the indices are in range; "wrap" skips the copy that take(out=) makes under "raise"
     if constants is None:
-        return table.take(words.view(np.int64), axis=1)
+        return table.take(words.view(np.int64), axis=1, out=terms, mode="wrap")
     half_k, k, mask, half, c2, c4, s1, s3 = constants
+    u, u2, sin_t, spent = work.take("scratch", (4, *words.shape), np.float64)
     # unsigned, as residues are nonnegative: a 2^64 word wraps to j = 0, and the shift is logical
-    v = words.view(np.uint64) + half_k
-    terms = table.take((v >> k).view(np.int64), axis=1)
+    v = np.add(words.view(np.uint64), half_k, out=spent.view(np.uint64))
+    table.take(np.right_shift(v, k, out=u.view(np.int64)), axis=1, out=terms, mode="wrap")
     low = v.view(np.int64)
     low &= mask
-    u = np.subtract(low, half)  # float64, exact: |u| <= 2^51
-    u2 = u * u
-    sin_t = u2 * s3
+    np.subtract(low, half, out=u)  # float64, exact: |u| <= 2^51
+    np.multiply(u, u, out=u2)
+    np.multiply(u2, s3, out=sin_t)
     sin_t += s1
     sin_t *= u
     cos_t1 = np.multiply(u2, c4, out=u)
     cos_t1 += c2
     cos_t1 *= u2
-    # the corrections go to the spent buffers, the index words among them, so
-    # that a chunk holds as few chunk-sized arrays as it can
+    # the corrections go to the spent scratch rows, the index words among them
     cos_a, sin_a = terms
     corr_c = np.multiply(cos_a, cos_t1, out=u2)
-    corr_c -= np.multiply(sin_a, sin_t, out=v.view(np.float64))
+    corr_c -= np.multiply(sin_a, sin_t, out=spent)
     corr_s = np.multiply(sin_a, cos_t1, out=cos_t1)
     corr_s += np.multiply(cos_a, sin_t, out=sin_t)
     cos_a += corr_c

@@ -9,16 +9,31 @@ Every point becomes its exact phases in one place (`_phase_words`), and every
 sum, trace and scan reduces them in one loop (`_accumulate`), which also takes
 a batch of points as rows of one array (`weyl_sum_batch`, the Koksma blocks).
 
-Terms: the loop passes each chunk of exact words and q to
+Terms: the loop passes each block of exact words and q to
 `phasecore.unit_terms`, its one call of the term kernel, which gives each
 component within 2^-53 + 2^-56 of e(phase), from a table of unit roots and
 one angle-addition step, with no trig call per term.
 
-Exact accumulation: terms are generated in fixed chunks of 2^16 and each
-chunk is reduced once by an exact reducer (`_exact_prefix_sums`), which splits
-every term into 37-bit integer limbs and sums each limb exactly in float64.
-The chunk loop carries the joined limb sums as one Python int per row, and
-each value is that int rounded once by int true division.  S(x; N) is
+Blocks: the loop makes and reduces the terms in blocks of BLOCK = 2^14.  A
+block's arrays (its phase words and their ramp of n, its terms, and the
+scratch of the term kernel and of the reducer), about 1 MiB for one point,
+stay in a 2 MiB per-core L2 cache, where a 2^16-term chunk of them streams
+through memory for every kernel pass; at N = 2^20, d = 3, 2^14 blocks were
+the fastest of 2^12..2^16 on a 2-CPU Xeon (21.5 ms at best, against 29 ms
+for 2^16).  They
+come from one `phasecore.Workspace` per call, allocated for the first block,
+reused by every later one and handed on to the next call, so that no block
+or call frees arrays that the OS takes back and faults in again.  The
+complete sums of `complete_sums` keep CHUNK = 2^16 slices: they sum each
+chunk in float and add the chunk sums in order, so their chunk size fixes
+the bits of their results.
+
+Exact accumulation: each block is reduced once by an exact reducer
+(`_exact_prefix_sums`), which splits every term into 37-bit integer limbs and
+sums each limb exactly in float64; with at most 2^16 terms per block every
+partial sum stays below 2^53, so no value depends on the block size.  The
+block loop carries the joined limb sums as one Python int per row, and each
+value is that int rounded once by int true division.  S(x; N) is
 therefore the correctly rounded sum of all N terms -- math.fsum(terms[:N]).
 The reduction adds one rounding to the term errors, so the total stays below
 N ulp, inside the 4*N*ulp budget, and a trace equals a fresh evaluation bit
@@ -32,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import cycle
 from math import log
 from typing import Iterator, Sequence
 
@@ -42,12 +58,23 @@ from .phasecore import (
     TURN,
     Phase,
     RationalPoint,
+    Workspace,
     frac_array,
     residue_array,
     unit_terms,
 )
 
 CHUNK = 1 << 16
+BLOCK = 1 << 14  # the terms per pass of `_accumulate`; its arrays stay in a 2 MiB L2
+# The workspace that an `_accumulate` call hands on to the next, if it holds at most _SPARE_BYTES:
+# a one-point workspace, 8 or 9 arrays of BLOCK words, does, and a batch's is freed.  A workspace
+# freed at the end of every call can go back to the OS (glibc trims the top of the heap) and fault
+# in again in the next call, depending on what else the process has allocated: in a fresh process
+# that imports only this module, 20 calls of mr_ratio_scan(x, 100_000) faulted 4,384 pages that
+# way, and none with the workspace handed on (Linux, glibc).  Each byte held on raises the peak RSS
+# of later work, so no more is held.
+_SPARE: list[Workspace] = []
+_SPARE_BYTES = 9 * 8 * BLOCK
 
 TorusPoint = tuple[Phase, ...]
 
@@ -61,14 +88,15 @@ def exponent_vector(m: Sequence[int]) -> tuple[int, ...]:
 
 
 def _phase_words(x, m: Sequence[int] | None):
-    """Normalize (x, m) once: (words, q) with words(lo, hi) the exact phases of n = lo..hi-1.
+    """Normalize (x, m) once: (words, q) with words(lo, hi, work) the exact phases of n = lo..hi-1.
 
-    The phase of n is words(lo, hi)[..., n - lo] / q mod 1: uint64
+    The phase of n is words(lo, hi, work)[..., n - lo] / q mod 1: uint64
     `frac_array` words with q = 2^64 for a `Phase` or a tuple of them,
     `residue_array` residues with q = x.q for a `RationalPoint`.  A (B, d)
     uint64 array is a batch of B `Phase` points, one row each, and gives
     (B, hi-lo) words.  The exponents default to 1..d and must match the point
-    dimension.
+    dimension.  The words are a view of the `Workspace` work, valid until the
+    next call with it.
     """
     if isinstance(x, Phase):
         x = (x,)
@@ -84,14 +112,14 @@ def _phase_words(x, m: Sequence[int] | None):
         raise PreconditionError("exponent vector length must match the point dimension")
     if exact:
         q = x.q
-        return (lambda lo, hi: residue_array(coeffs, q, exps, lo, hi)), q
-    return (lambda lo, hi: frac_array(coeffs, exps, lo, hi)), TURN
+        return (lambda lo, hi, work: residue_array(coeffs, q, exps, lo, hi, work)), q
+    return (lambda lo, hi, work: frac_array(coeffs, exps, lo, hi, work)), TURN
 
 
-def _chunks(N: int) -> Iterator[tuple[int, int]]:
+def _chunks(N: int, size: int = CHUNK) -> Iterator[tuple[int, int]]:
     lo = 1
     while lo <= N:
-        hi = min(lo + CHUNK, N + 1)
+        hi = min(lo + size, N + 1)
         yield lo, hi
         lo = hi
 
@@ -100,8 +128,10 @@ _LIMB_BITS = 37
 _LIMB_SCALE = float(1 << _LIMB_BITS)
 
 
-def _exact_prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> tuple[list[list[int]], int]:
-    """Exact sums of terms[:, :k] as ints over 2^(37 L): (one list over the rows for each k in ends, L).
+def _exact_prefix_sums(
+    terms: np.ndarray, ends: Sequence[int], work: Workspace | None = None
+) -> tuple[list[int], int]:
+    """Exact sums of terms[:, :k] as ints over 2^(37 L): (one flat list, each k in ends in turn over the rows, L).
 
     terms is (rows, n) with |terms| <= 1 and n <= 2^16; ends strictly
     increase from k >= 1.  The scaled terms are peeled into integer limbs of
@@ -111,11 +141,13 @@ def _exact_prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> tuple[list[lis
     magnitude <= 2^37, so with n <= 2^16 every partial sum is an integer of
     magnitude <= 2^53 and float64 sums them exactly in any order.  The L limb
     sums at each k join into one Python int I with I / 2^(37 L) the exact sum;
-    int true division rounds it correctly (half to even), as fsum does.
+    int true division rounds it correctly (half to even), as fsum does.  x and
+    its whole parts are work's scratch, so terms must not be.
     """
+    work = Workspace() if work is None else work
     starts = [0, *ends[:-1]]
-    x = terms * _LIMB_SCALE
-    whole = np.empty(x.shape)
+    x, whole = work.take("scratch", (2, *terms.shape), np.float64)
+    np.multiply(terms, _LIMB_SCALE, out=x)
     segments = []
     while True:
         np.trunc(x, out=whole)
@@ -128,69 +160,76 @@ def _exact_prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> tuple[list[lis
     acc = limb_sums[0]
     for limb in limb_sums[1:]:
         acc = [(a << _LIMB_BITS) + b for a, b in zip(acc, limb)]
-    rows = len(terms)
-    return [acc[j : j + rows] for j in range(0, len(acc), rows)], len(limb_sums)
-
-
-def _plus(acc: list[int], ints: list[int], shift: int) -> list[int]:
-    """acc + ints * 2^shift, row by row; ints itself while acc is still empty."""
-    return [a + (v << shift) for a, v in zip(acc, ints)] if acc else ints
+    return acc, len(limb_sums)
 
 
 def _accumulate(words, q: int, cps: Sequence[int], lengths: np.ndarray | None = None) -> list[list[complex]]:
     """S at each of the strictly increasing checkpoints, per row: the correctly rounded sum of its terms.
 
-    words(lo, hi) gives the exact phases of n = lo..hi-1 over q, (hi-lo,) for
-    one point or (rows, hi-lo) for a batch, as `_phase_words` returns them,
-    so the terms repeat with period q in n.  Each chunk's words go through
-    `unit_terms` here, the one call of the term kernel for every sum, trace
-    and batch.  Only n = 1..P, P = min(q, N_max), are generated.  Terms past
-    row r's own length lengths[r] (< N_max only with q >= N_max, so nothing
-    folds) are set to +0.0, which adds to no limb: the row sums exactly its
-    first lengths[r] terms.  The loop carries one exact int per row over
-    2^(37 L), shifting it to the larger scale when a chunk needs more limbs
-    than the chunks before, and keeps the exact prefix I(r) at each offset
-    r = N mod P > 0.  Every checkpoint is then floor(N/P) I(P) + I(N mod P)
-    rounded once by int true division, so it equals math.fsum over all N of
-    its terms.
+    words(lo, hi, work) gives the exact phases of n = lo..hi-1 over q,
+    (hi-lo,) for one point or (rows, hi-lo) for a batch, as `_phase_words`
+    returns them, so the terms repeat with period q in n.  The loop reads them
+    in blocks of BLOCK terms, and each block's words go through `unit_terms`
+    here, the one call of the term kernel for every sum, trace and batch.  The
+    words, the terms and the reducer's arrays all come from one `Workspace`
+    for the call, which the call then hands on to the next (`_SPARE`).  Only
+    n = 1..P, P = min(q, N_max), are generated.  Terms past row r's own
+    length lengths[r] (< N_max only with q >= N_max, so nothing folds) are set
+    to +0.0, which adds to no limb: the row sums exactly its first lengths[r]
+    terms.  The loop carries one exact int per row over 2^(37 L), shifting it
+    and the prefixes kept so far to the larger scale when a block needs more
+    limbs than the blocks before, and keeps the exact prefix I(r) at each
+    offset r = N mod P > 0, all in one flat list.  Every checkpoint is then
+    floor(N/P) I(P) + I(N mod P), in one pass over all (checkpoint, row)
+    ints, rounded once by int true division in another, so it equals
+    math.fsum over all N of its terms, whatever the block size.
     """
     period = min(q, cps[-1])
     offsets = sorted({n % period for n in cps} - {0}) if period < cps[-1] else cps[:-1]
-    prefix: dict[int, tuple[list[int], int]] = {}  # offset -> its ints per row, their L
-    acc: list[int] = []
+    try:
+        work = _SPARE.pop()  # one step, so two threads never take the same workspace
+    except IndexError:
+        work = Workspace()
+    acc: list[int] = []  # the exact int of each row's terms so far: the cos rows, then the sin rows
+    pre: list[int] = []  # the rows' prefix ints at offset 0, then at each offset in order
     scale = oi = 0
     last = None if lengths is None else np.tile(lengths, 2)[:, None]  # per cos row, then per sin row
-    for lo, hi in _chunks(period):
-        terms = unit_terms(words(lo, hi), q).reshape(-1, hi - lo)  # the cos rows, then the sin rows
+    for lo, hi in _chunks(period, BLOCK):
+        terms = unit_terms(words(lo, hi, work), q, work).reshape(-1, hi - lo)  # the cos rows, then the sin rows
         if last is not None and last.min() < hi - 1:
             terms[np.arange(lo, hi) > last] = 0.0
         oj = bisect_left(offsets, hi, oi)
         ends = [r - lo + 1 for r in offsets[oi:oj]]
         if not ends or ends[-1] < hi - lo:
             ends.append(hi - lo)
-        sums, limbs = _exact_prefix_sums(terms, ends)
-        if not acc:
-            scale = limbs
-        elif limbs > scale:
-            acc = [a << _LIMB_BITS * (limbs - scale) for a in acc]
+        sums, limbs = _exact_prefix_sums(terms, ends, work)
+        width = len(terms)
+        if not acc:  # the first block sets the scale
+            acc, pre, scale = sums[-width:], [0] * width + sums[: (oj - oi) * width], limbs
+            oi = oj
+            continue
+        if limbs > scale:
+            bits = _LIMB_BITS * (limbs - scale)
+            acc, pre = [a << bits for a in acc], [v << bits for v in pre]
             scale = limbs
         shift = _LIMB_BITS * (scale - limbs)
         if oj > oi:
-            for r, col in zip(offsets[oi:oj], sums):
-                prefix[r] = _plus(acc, col, shift), scale
+            pre += [a + (v << shift) for a, v in zip(cycle(acc), sums[: (oj - oi) * width])]
             oi = oj
-        acc = _plus(acc, sums[-1], shift)
+        acc = [a + (v << shift) for a, v in zip(acc, sums[-width:])]
+    if not _SPARE and work.nbytes <= _SPARE_BYTES:
+        _SPARE.append(work)
+    width = len(acc)
+    if period == cps[-1]:  # nothing folds: the prefix at each checkpoint but the last, in order, then the whole
+        totals = pre[width:] + acc
+    else:
+        at = dict(zip((0, *offsets), range(0, len(pre), width)))  # offset -> its place in pre
+        spans = [(n // period, at[n % period]) for n in cps]
+        totals = [b + k * a for k, j in spans for a, b in zip(acc, pre[j : j + width])]
     den = 1 << _LIMB_BITS * scale
-    values = []
-    for n in cps:
-        k, r = divmod(n, period)
-        total = acc if k == 1 else [k * a for a in acc]
-        if r:
-            ints, limbs = prefix[r]
-            total = _plus(total, ints, _LIMB_BITS * (scale - limbs))
-        values.append([t / den for t in total])
-    rows = len(acc) // 2
-    return [[complex(v[r], v[rows + r]) for v in values] for r in range(rows)]
+    values = [t / den for t in totals]
+    rows = width // 2
+    return [list(map(complex, values[r::width], values[rows + r :: width])) for r in range(rows)]
 
 
 def weyl_sum(x, N: int, m: Sequence[int] | None = None) -> complex:
@@ -204,7 +243,7 @@ def weyl_sum_batch(words: np.ndarray, N: int) -> list[complex]:
     """S(x_b; N) for each row x_b of a (B, d) uint64 array of phase words.
 
     Entry b is bit-identical to weyl_sum(tuple(Phase(w) for w in words[b]), N):
-    the rows share one chunk loop and each is reduced exactly on its own.
+    the rows share one block loop and each is reduced exactly on its own.
     Exponents are 1..d.
     """
     if N < 1:

@@ -220,8 +220,8 @@ def _no_memory(monkeypatch, out):
 
 
 def _broken_terms(monkeypatch, out):
-    def twos(words, q):  # every term 2, so |S(x; N)| = 2N breaks the trivial bound
-        terms = phasecore.unit_terms(words, q)
+    def twos(words, q, work):  # every term 2, so |S(x; N)| = 2N breaks the trivial bound
+        terms = phasecore.unit_terms(words, q, work)
         terms[0], terms[1] = 2.0, 0.0
         return terms
 
@@ -378,8 +378,8 @@ def test_box_density_cap_bounds_only_the_table(tmp_path):
 
 def test_trivial_bound_failure_exits_4(tmp_path, monkeypatch):
     # an evaluator that breaks |S| <= N is a failed lemma on every sum route, traces included
-    def twos(words, q):  # every term 2, so |S(x; N)| = 2N
-        terms = phasecore.unit_terms(words, q)
+    def twos(words, q, work):  # every term 2, so |S(x; N)| = 2N
+        terms = phasecore.unit_terms(words, q, work)
         terms[0], terms[1] = 2.0, 0.0
         return terms
 
@@ -494,6 +494,70 @@ def test_readme_residue_and_box_artifacts_are_pinned(tmp_path):
         out = tmp_path / f"{argv[0]}-{i}"
         assert _run([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, argv
+
+
+# README commands whose artifacts the Weyl-sum loop must reproduce byte for byte, whatever its
+# block size; the last line's dense and dyadic checkpoints span many blocks
+_README_STREAM = (
+    (["weyl-trace", "--x", "0/5,1/5", "--N-max", "4096"], "weyl_trace.csv",
+     "648e8b5ddc84b936e3c8bc42b70f6c8e0796340081d938659ca542371228e7ac"),
+    (["mr-scan", "--d", "2", "--count", "100", "--N-max", "100000", "--seed", "11"], "mr_scan.json",
+     "28843404c0477886ef0a238ba2de095a4cb990a9c47a38d81b603e75ff4a3e4b"),
+    (["sigma-scan", "--d", "2", "--seed", "7", "--N-max", "65536"], "sigma_scan.json",
+     "258fe70a2b88fd94f8227baaf17f3a197d6a393626a8d10b1e2e11d4a85ce739"),
+    (["exceptional-scan", "--x", "0/5,1/5", "--alpha", "0.6", "--N-max", "10000"], "exceptional_scan.json",
+     "f3e34b1f1be48d95c8dd8986001d6aed8374d61340b5c607867ab72fdbcd80b1"),
+    (["weyl-trace", "--d", "3", "--seed", "5", "--N-max", "300000"], "weyl_trace.csv",
+     "8c64ebefe7342636c65ea4a9b90cc96cd49eddaf7a77a00a729fb1502e47854e"),
+)
+
+
+def test_readme_stream_artifacts_are_pinned(tmp_path):
+    for i, (argv, name, digest) in enumerate(_README_STREAM):
+        out = tmp_path / f"{argv[0]}-{i}"
+        assert _run([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, argv
+
+
+_FAULTS_AROUND_RUN = """
+import resource, sys
+from weylsums import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.run(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux reports them")
+def test_readme_mr_scan_in_a_fresh_process_faults_few_pages(tmp_path):
+    # the Weyl-sum loop reuses one workspace for every block of a call and hands it on to the
+    # next call, so a fresh process does not fault its arrays in again for every block and point
+    src = str(Path(weylsums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["mr-scan", "--d", "2", "--count", "100", "--N-max", "100000", "--seed", "11"]
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_AROUND_RUN, *argv, "--out", str(tmp_path / "mr")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, faults = map(int, proc.stdout.split())
+    assert code == 0 and faults <= 5000, faults
+
+
+def test_write_csv_bytes_equal_csv_writer(tmp_path):
+    header = ["N", "re", "im", "magnitude"]
+    rows = [(1, -0.0, 5e-324, 1e300), (-7, 0.1, -2.5, float(2**53 + 1)), (2**70, -1e-300, 1.0, 0.0), (0, 3.0, -0.0, 7)]
+    expect = tmp_path / "expect.csv"
+    with expect.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    cli._write_csv(tmp_path / "got.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == expect.read_bytes()
+    for bad in ([(1, "a,b")], [(1, None)]):
+        with pytest.raises(AssertionError):
+            cli._write_csv(tmp_path / "bad.csv", header, bad)
+    with pytest.raises(AssertionError):
+        cli._write_csv(tmp_path / "bad.csv", ["N", "a,b"], rows)
 
 
 def test_discrepancy_commands_refuse_n_max_past_int64_split(tmp_path, capsys):

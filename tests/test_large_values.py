@@ -390,8 +390,8 @@ def test_measure_estimate_batches_match_per_point_loop(d, i):
 
 
 def test_measure_estimate_trivial_bound_checked_per_row(monkeypatch):
-    def last_row_doubled(words, q):
-        terms = phasecore.unit_terms(words, q)
+    def last_row_doubled(words, q, work):
+        terms = phasecore.unit_terms(words, q, work)
         c, s = terms
         c[-1], s[-1] = 2.0, 0.0  # |S| = 2i on the block's last row only
         return terms

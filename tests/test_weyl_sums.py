@@ -1,6 +1,7 @@
 """Weyl sum evaluators: identities, traces, scans and the trivial/perturbation bounds."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from math import log, sqrt
 
@@ -62,7 +63,8 @@ def test_trace_invariants_enforced():
 def test_trace_bit_identical_to_fresh_calls():
     rng = np.random.default_rng(1)
     x = tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=2, dtype=np.uint64))
-    cps = (3, 100, ws.CHUNK - 1, ws.CHUNK, ws.CHUNK + 1, 100_000, 2**17)
+    B, C = ws.BLOCK, ws.CHUNK  # block boundaries of `_accumulate`, CHUNK among them
+    cps = (3, 100, B - 1, B, B + 1, 3 * B + 5, C - 1, C, C + 1, 100_000, 2**17)
     tr = ws.weyl_sum_trace(x, cps)
     for n, v in zip(cps, tr.values):
         assert v == ws.weyl_sum(x, n)  # bitwise
@@ -78,14 +80,14 @@ def test_trace_bit_identical_to_fresh_calls():
     ids=["phase", "rational", "sparse"],
 )
 def test_sums_pinned_to_fsum_of_all_terms(x, m):
-    C = ws.CHUNK
-    cps = (1, 7, C - 1, C, C + 1, 2 * C, 2 * C + 5)
+    B, C = ws.BLOCK, ws.CHUNK
+    cps = (1, 7, B - 1, B, B + 1, 2 * B, 2 * B + 5, C + 1, 2 * C + 5)
     expect = canonical_sums(x, cps, m)
     assert _bits(ws.weyl_sum_trace(x, cps, m).values) == _bits(expect)
     for n, v in zip(cps, expect):
         assert _bits([ws.weyl_sum(x, n, m)]) == _bits([v])
         assert _bits(ws.weyl_sum_trace(x, (n,), m).values) == _bits([v])
-    # the dense trace of the scans: 1000 prefixes inside the first chunk
+    # the dense trace of the scans: 1000 prefixes inside the first block
     dense = ws.checkpoint_grid(2**17)
     assert _bits(ws.weyl_sum_trace(x, dense, m).values) == _bits(canonical_sums(x, dense, m))
     if m is None and not isinstance(x, RationalPoint):
@@ -113,8 +115,10 @@ def _exact_prefixes(row):
 
 def _reduced(terms, ends):
     """The reducer's ints, each checked to be the exact prefix sum, rounded once by int division."""
-    sums, limbs = ws._exact_prefix_sums(terms, ends)
+    flat, limbs = ws._exact_prefix_sums(terms, ends)
     den = 1 << ws._LIMB_BITS * limbs
+    sums = [flat[j : j + len(terms)] for j in range(0, len(flat), len(terms))]  # one list over the rows per end
+    assert len(sums) == len(ends)
     exact = [_exact_prefixes(row) for row in terms]
     for k, col in zip(ends, sums):
         assert [v << 1074 for v in col] == [e[k] * den for e in exact]
@@ -152,20 +156,20 @@ def test_exact_reducer_prefixes_of_length_one_and_chunk_sized_sums():
     ones[0, -1] = np.nextafter(1.0, 0.0)
     assert _reduced(ones, [ws.CHUNK - 1, ws.CHUNK]) == _fsum_prefixes(ones, [ws.CHUNK - 1, ws.CHUNK])
     sums, limbs = ws._exact_prefix_sums(-ones[1:], [ws.CHUNK])
-    assert sums == [[ws.CHUNK << ws._LIMB_BITS * limbs]]
+    assert sums == [ws.CHUNK << ws._LIMB_BITS * limbs]
 
 
 @pytest.mark.parametrize("q", [5, 9973, 65537, 131071])
 def test_rational_sums_folded_by_period_equal_fsum_of_all_terms(q, monkeypatch):
-    # N = kq + r for r in {0, 1, q - 1}; q > 2^16 puts the period itself across chunks
+    # N = kq + r for r in {0, 1, q - 1}; q > BLOCK puts the period itself across blocks
     folds = [k * q + r for k in (1, 2) for r in (0, 1, q - 1)]
     cps = tuple(sorted(set(ws.checkpoint_grid(3 * q - 1)) | set(folds)))
     generated = []
     real = ws.residue_array
 
-    def residues(a, q, exps, lo, hi):
+    def residues(a, q, exps, lo, hi, work):
         generated.append(hi - 1)
-        return real(a, q, exps, lo, hi)
+        return real(a, q, exps, lo, hi, work)
 
     monkeypatch.setattr(ws, "residue_array", residues)
     x = RationalPoint(a=(3, q - 7), q=q)
@@ -181,32 +185,32 @@ def _limb_count(t):
 
 
 def test_accumulator_aligns_limb_scales_across_chunks(monkeypatch):
-    C = ws.CHUNK
+    C = ws.BLOCK
     rng = np.random.default_rng(9)
     halves = rng.choice([-1.0, -0.5, 0.5, 1.0], size=C)
     fine = rng.uniform(-1.0, 1.0, size=C) * 2.0 ** -rng.integers(0, 60, size=C)
     tail = np.array([5e-324, -1.0, 0.25, 2.0**-1074, 0.75])
     re = np.concatenate([halves, fine, halves[::-1] / 2, tail])
     im = np.concatenate([fine[::-1], halves, -fine, -tail])
-    chunks = [re[i : i + C] for i in range(0, len(re), C)]
-    # more limbs, then fewer (the chunk is shifted up), then the most
-    assert [_limb_count(t) for t in chunks] == [1, 3, 1, 30]
+    blocks = [re[i : i + C] for i in range(0, len(re), C)]
+    # more limbs, then fewer (the block is shifted up), then the most
+    assert [_limb_count(t) for t in blocks] == [1, 3, 1, 30]
     cps = (1, C - 1, C, C + 1, 2 * C + 7, 3 * C, 3 * C + 1, 3 * C + 5)
 
     def plant(re, im):
         # the word w reads back the planted terms (re[w - 1], im[w - 1]) through the term kernel
-        monkeypatch.setattr(ws, "unit_terms", lambda w, q: np.array((re[w - 1], im[w - 1])))
+        monkeypatch.setattr(ws, "unit_terms", lambda w, q, work: np.array((re[w - 1], im[w - 1])))
 
     plant(re, im)
     want = [complex(math.fsum(re[:n]), math.fsum(im[:n])) for n in cps]
-    assert _bits(ws._accumulate(lambda lo, hi: np.arange(lo, hi), TURN, cps)[0]) == _bits(want)
+    assert _bits(ws._accumulate(lambda lo, hi, work: np.arange(lo, hi), TURN, cps)[0]) == _bits(want)
 
-    # the same terms repeated with a period that spans chunks and crosses the scale changes
+    # the same terms repeated with a period that spans blocks and crosses the scale changes
     q = 2 * C + 11
     period_re, period_im = re[:q], im[:q]
     seen = []
 
-    def periodic(lo, hi):
+    def periodic(lo, hi, work):
         seen.append(hi - 1)
         return np.arange(lo, hi) % q  # the word 0 of n = q reads the last planted term
 
@@ -216,6 +220,33 @@ def test_accumulator_aligns_limb_scales_across_chunks(monkeypatch):
     want = [complex(math.fsum(full_re[:n]), math.fsum(full_im[:n])) for n in cps]
     assert _bits(ws._accumulate(periodic, q, cps)[0]) == _bits(want)
     assert max(seen) == q
+
+
+def test_weyl_sum_holds_a_few_block_arrays_whatever_n():
+    # one workspace per call: the phase words, their ramp, the terms and the scratch of the term
+    # kernel and the reducer, allocated for the first block and reused by every later one
+    x = tuple(Phase(int(f)) for f in np.random.default_rng(4).integers(0, TURN, size=3, dtype=np.uint64))
+    ws.weyl_sum(x, 2**17)
+    peaks = []
+    for n in (2**17, 2**20):
+        ws._SPARE.clear()  # so that this call allocates its workspace
+        tracemalloc.start()
+        try:
+            ws.weyl_sum(x, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert max(peaks) <= (8 + 1) * 8 * ws.BLOCK  # eight block arrays, and the small ones
+    assert peaks[1] <= peaks[0] + 8 * ws.BLOCK // 16
+    # the workspace handed on by the last call: the next call allocates no block array
+    tracemalloc.start()
+    try:
+        ws.weyl_sum(x, 2**17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ws.BLOCK
 
 
 def test_trace_trivial_bound_dyadic():
