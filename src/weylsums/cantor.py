@@ -391,8 +391,8 @@ def large_sum_cantor(
 
     for level in range(1, depth + 1):
         p = primes[level - 1]
+        thr = threshold(p, float(gamma_fr))  # refuses gamma <= 0 before the first table is built
         table = build_table(d, p, cap=cap)
-        thr = threshold(p, float(gamma_fr))
         m = max(_iroot(p**expo.numerator, expo.denominator), 2)  # floor(p^expo)
         sub_side = Fraction(1, p) ** int(tau)  # chart-relative side p^{-tau}
         # a witness lies in the central 2/5 of its cell, 3/(10m) from either edge, so the

@@ -210,8 +210,9 @@ def _run_box_moments(args, out: Path) -> None:
 
 
 def _run_enumerate_lp(args, out: Path) -> None:
-    table = _table(args)
     gamma = float(args.gamma)
+    lv.threshold(args.p, gamma)  # refuses gamma <= 0 before the table is built or cached
+    table = _table(args)
     count = lv.count_Lp(table, gamma)
     members = None
     if count <= args.emit_limit:  # rows are listed only to be emitted
@@ -240,6 +241,7 @@ def _run_orbit_count(args, out: Path) -> None:
 
 
 def _run_box_density(args, out: Path) -> None:
+    lv.threshold(args.p, float(args.gamma))  # likewise
     sweep = lv.minimal_witness_side(_table(args), float(args.gamma))
     _write_json(out / "box_density.json", {"d": args.d, "p": args.p, **sweep})
 

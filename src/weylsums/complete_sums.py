@@ -11,22 +11,23 @@ and `box_moment(table, nu, box)`, which read d and p from the table.
 lambda^d a_d), lambda in F_p^*, so a (d, p)-table stores two
 (d-1)-dimensional slices: |T(0, b)|, the inverse DFT of the fiber counts of
 n -> (n^2, ..., n^d), and |T(1, b)|, the inverse DFT of the fiber sums of
-e(n/p).  `CompleteSumTable.lookup` and the box orbit counts map a to its
-representative through the table's discrete logs of p (built on first use,
-never saved): a_j != 0 goes to g^(log a_j - j log a_1), lambda = a_1^{-1},
-and lambda = 1 keeps a_1 = 0.  A table costs O(p^{d-1} log p) time and
-2 p^{d-1} stored entries.  Moments weight each stored entry by an exact
-integer orbit multiplicity: p - 1 for the a_1 = 1 slice over all of F_p^d,
-and over a box of side L the number of its points that map to the entry,
-counted without gathering the L^d points, in O(p^{d-1} + L p^{d-2}) memory:
-at d = 2 one cyclic convolution over Z/(p-1) in discrete logs, O(p log p)
-time and O(p) memory per box, and at d >= 3 one matrix product, in blocks
-small enough for OpenBLAS to run on one thread.  Individual sums
-(`complete_sum`, `monomial_complete_sum`, `weil_check`, `vanishing_family`)
-are always evaluated by direct O(p d) summation, which keeps table-vs-direct
-comparisons a real two-route check: each of the p terms is e(r/p) at an exact
-residue r, read as the product of two entries from tables of O(sqrt p) unit
-roots, and added on its own.
+e(n/p).  Only this module knows that layout; other readers go through the
+table's orbit view (`orbits`, `orbit_rows`) and `lookup`.  `lookup` and the
+box orbit counts map a to its representative through the table's discrete
+logs of p (built on first use, never saved): a_j != 0 goes to
+g^(log a_j - j log a_1), lambda = a_1^{-1}, and lambda = 1 keeps a_1 = 0.
+A table costs O(p^{d-1} log p) time and 2 p^{d-1} stored entries.  Moments
+weight each stored entry by an exact integer orbit multiplicity: its orbit
+size over F_p^d, and over a box of side L the number of the box's points
+that map to the entry, counted without gathering the L^d points, in
+O(p^{d-1} + L p^{d-2}) memory: at d = 2 one cyclic convolution over Z/(p-1)
+in discrete logs, O(p log p) time and O(p) memory per box, and at d >= 3 one
+matrix product, in blocks small enough for OpenBLAS to run on one thread.
+Individual sums (`complete_sum`, `monomial_complete_sum`, `weil_check`,
+`vanishing_family`) are always evaluated by direct O(p d) summation, which
+keeps table-vs-direct comparisons a real two-route check: each of the p terms
+is e(r/p) at an exact residue r, read as the product of two entries from
+tables of O(sqrt p) unit roots, and added on its own.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, gcd, isqrt, sqrt
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,6 +156,14 @@ def _orbit(a, lam, p: int) -> list:
     return out
 
 
+class OrbitClass(NamedTuple):
+    """One stored class of orbit representatives in a `CompleteSumTable`."""
+
+    magnitude: np.ndarray  # |T| at each representative
+    size: int  # orbit size: the exact number of points of F_p^d that each representative stands for
+    top: np.ndarray  # bool, shaped like magnitude: a_d != 0 at the representative
+
+
 @dataclass(frozen=True)
 class CompleteSumTable:
     """|T(a)| for every a in F_p^d, held as its two orbit slices.
@@ -165,6 +175,31 @@ class CompleteSumTable:
     d: int
     p: int
     slices: np.ndarray  # shape (2,) + (p,)*(d-1), float64
+
+    @cached_property
+    def orbits(self) -> tuple[OrbitClass, ...]:
+        """The stored classes, which partition F_p^d: (0, b) stands for itself, (1, b) for the p - 1 points of its orbit."""
+        top = np.arange(self.p) != 0  # a_d = b_d along the last axis; a_d = a_1 = s at d = 1
+        return tuple(OrbitClass(self.slices[s, ...], self.p - 1 if s else 1,
+                                np.broadcast_to(top if self.d > 1 else s == 1, self.slices.shape[1:]))
+                     for s in range(2))
+
+    def orbit_rows(self, marks) -> np.ndarray:
+        """The orbits of the representatives marked by one bool array per class of `orbits`: (count, d) int64 rows, lexicographic.
+
+        A marked b of the a_1 = 0 class is the row (0, b); one of the a_1 = 1 class stands for the p - 1
+        rows (lambda, lambda^2 b_2, ..., lambda^d b_d), sorted per lambda by row-major keys over a_2..a_d.
+        """
+        d, p = self.d, self.p
+        s, *b = np.nonzero(np.stack(marks))
+        lam = np.arange(1, p, dtype=np.int64)[:, None]
+        key = np.zeros((p - 1, np.count_nonzero(s)), dtype=np.int64)
+        for image in _orbit([0, *(bj[s == 1] for bj in b)], lam, p)[1:]:
+            key = key * p + image
+        key.sort(axis=1)
+        rows = [np.broadcast_to(lam, key.shape), *(key // p ** (d - j) % p for j in range(2, d + 1))]
+        heads = np.stack([np.zeros_like(s[s == 0]), *(bj[s == 0] for bj in b)], axis=1)
+        return np.concatenate([heads, np.stack(rows, axis=-1).reshape(-1, d)])
 
     @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -180,8 +215,7 @@ class CompleteSumTable:
         """|T(a)| at a = indices: d integer arrays broadcast together, as in numpy indexing.
 
         a is read at its orbit representative, whose first entry 0 or 1 picks
-        the slice: with lambda = a_1^{-1}, a_j != 0 goes to
-        g^(log a_j - j log a_1), and log[0] = 0 keeps lambda = 1 at a_1 = 0.
+        the slice; log[0] = 0 keeps lambda = 1 at a_1 = 0.
         """
         if len(indices) != self.d:
             raise PreconditionError(f"need {self.d} index arrays, got {len(indices)}")
@@ -235,15 +269,12 @@ class GaussReport:
 
 
 def gauss_magnitude_check(p: int, cap: int = DEFAULT_CAP) -> GaussReport:
-    """max over a in [0,p), b in [1,p) of ||T(a,b)| - sqrt(p)|, asserted <= 1e-9*sqrt(p).
-
-    Both orbit slices a = 0 and a = 1 are checked; every other a is an orbit image of a = 1.
-    """
+    """max over a in [0,p), b in [1,p) of ||T(a,b)| - sqrt(p)|, asserted <= 1e-9*sqrt(p), read over the table's orbit classes."""
     if p < 3:
         raise PreconditionError("the Gauss magnitude law needs p >= 3")
     _require_prime(p)
     table = build_table(2, p, cap=cap)
-    dev = float(np.abs(table.slices[:, 1:] - sqrt(p)).max())  # a_1 = 0 and 1 stand for every a_1
+    dev = max(float(np.abs(mags[top] - sqrt(p)).max()) for mags, _, top in table.orbits)
     tol = 1e-9 * sqrt(p)
     if dev > tol:
         raise LemmaCheckFailureError(
@@ -336,15 +367,12 @@ def vanishing_family(d: int, p: int) -> list[tuple[int, ...]]:
 def mordell_moment(table: CompleteSumTable, nu: int) -> float:
     """sum over a in F_p^d of |T(a)|^{2 nu}, a = 0 included, for the table's (d, p).
 
-    Orbit weights are exact: the a_1 = 0 slice counts once and the a_1 = 1
-    slice p - 1 times, once for each a_1 != 0.  The a = 0 term is p^{2 nu}
-    exactly (T(0) = p).
+    Each orbit class is summed, then weighted by its exact integer orbit
+    size.  The a = 0 term is p^{2 nu} exactly (T(0) = p).
     """
-    d, p = table.d, table.p
-    if not 1 <= nu <= d:
+    if not 1 <= nu <= table.d:
         raise PreconditionError(f"need 1 <= nu <= d, got nu={nu}")
-    s0, s1 = table.slices ** (2 * nu)
-    return float(s0.sum()) + (p - 1) * float(s1.sum())
+    return sum(size * float((mags ** (2 * nu)).sum()) for mags, size, _ in table.orbits)
 
 
 def moment_main_term(d: int, nu: int) -> int:
@@ -395,7 +423,7 @@ class BoxMomentReport:
 _BLAS_SERIAL = 4 * 65536  # multiply-adds up to which OpenBLAS runs a product on one thread (its default)
 
 
-def _orbit_rows(table: CompleteSumTable, first: np.ndarray, axes: list) -> np.ndarray:
+def _box_orbit_rows(table: CompleteSumTable, first: np.ndarray, axes: list) -> np.ndarray:
     """sum over a_1 in first of the tensor product over j = 2..d of 1[a_1^-j B_j], shaped (p,)*(d-1), for d >= 3.
 
     first holds distinct nonzero a_1, axes B_2, ..., B_d, each of distinct
@@ -504,12 +532,11 @@ def _log_convolution(first: np.ndarray, second: np.ndarray, exp: np.ndarray, log
 def _orbit_counts(table: CompleteSumTable, box: DiscreteBox) -> np.ndarray:
     """c[s][b]: how many a in the box have (s, b) as their lambda-orbit representative, shaped like table.slices.
 
-    The representative is the one `lookup` reads: lambda = a_1^{-1} for
-    a_1 != 0 and lambda = 1 for a_1 = 0.  The a_1 = 0 row is the tensor
-    product of the indicators of B_2, ..., B_d.  The a_1 != 0 row is the
-    number of nonzero a_1 at d = 1, one cyclic convolution over discrete logs
-    at d = 2 (`_log_convolution`, O(p log p) per box), and at d >= 3 one
-    `_orbit_rows` contraction over all the lambdas at once, whose
+    The representative is the one `lookup` reads.  The a_1 = 0 row is the
+    tensor product of the indicators of B_2, ..., B_d.  The a_1 != 0 row is
+    the number of nonzero a_1 at d = 1, one cyclic convolution over discrete
+    logs at d = 2 (`_log_convolution`, O(p log p) per box), and at d >= 3 one
+    `_box_orbit_rows` contraction over all the lambdas at once, whose
     L x p^(d-2) tail rows stay within the table's 2 p^(d-1) entries.
     """
     d, p = table.d, table.p
@@ -518,7 +545,7 @@ def _orbit_counts(table: CompleteSumTable, box: DiscreteBox) -> np.ndarray:
     if d == 1 or not len(nonzero):
         row = len(nonzero)
     else:
-        row = _log_convolution(nonzero, rest[0], *table._logs) if d == 2 else _orbit_rows(table, nonzero, rest)
+        row = _log_convolution(nonzero, rest[0], *table._logs) if d == 2 else _box_orbit_rows(table, nonzero, rest)
     counts = np.zeros(table.slices.shape)  # after the row's temporaries are gone
     if len(nonzero) < len(first):
         counts[(0, *np.ix_(*rest))] = 1.0
@@ -531,11 +558,9 @@ def box_moment(table: CompleteSumTable, nu: int, box: DiscreteBox) -> BoxMomentR
 
     The L^d points are never gathered: each stored entry is weighted by its
     orbit multiplicity in the box (`_orbit_counts`), as `mordell_moment`
-    weights the slices by 1 and p - 1.  a = 0 is its own orbit, so its count
-    is dropped exactly.  The counts take O(p^(d-1) + L p^(d-2)) memory, within
-    a small multiple of the table's own size.  The powers |T|^(2 nu) of the
-    stored entries are taken once per table and nu, and held by the table for
-    the boxes after the first.
+    weights it by its orbit size.  a = 0 is its own orbit, so its count is
+    dropped exactly.  The powers |T|^(2 nu) of the stored entries are taken
+    once per table and nu, and held by the table for the boxes after the first.
     """
     d, p = table.d, table.p
     if box.dim != d:

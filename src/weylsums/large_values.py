@@ -5,8 +5,8 @@ box density at scale p^{1-kappa_d} log p is what turns complete-sum lower
 bounds into large Weyl sums on whole neighborhoods.  The L_p readers
 `count_Lp(table, gamma)`, `enumerate_Lp(table, gamma, cap)` and
 `minimal_witness_side(table, gamma)` take a `CompleteSumTable` and read d
-and p from it.  They count and list those sets from the table's orbit
-slices, and read their members in a box by one block scan of lookups
+and p from it.  They count and list those sets through the table's orbit
+view, and read their members in a box by one block scan of lookups
 (`_member_blocks`, shared by `minimal_witness_side` and the Cantor witness
 search).  The module also computes the beta_d / kappa_d exponents in exact
 rationals and verifies the two amplification inequalities with their
@@ -124,24 +124,21 @@ def plan_trial_count(p: int, tau: Fraction, d: int, gamma: Fraction) -> int:
 
 
 def threshold(p: int, gamma: float) -> float:
+    """gamma sqrt(p), less the membership slack; L_p is defined for gamma > 0 only."""
+    if not gamma > 0:
+        raise PreconditionError(f"need gamma > 0, got gamma = {gamma}")
     return gamma * sqrt(p) * (1.0 - MEMBERSHIP_SLACK)
 
 
-def _member_slices(table: CompleteSumTable, gamma: float) -> np.ndarray:
-    """Which orbit representatives lie in L_p, shaped like table.slices: b_d != 0, or at d = 1 (a_d = a_1) the a_1 = 1 one."""
-    member = table.slices >= threshold(table.p, gamma)
-    member[(0,) if table.d == 1 else (..., 0)] = False
-    return member
+def _marks(table: CompleteSumTable, gamma: float) -> list:
+    """Per orbit class of the table, which representatives lie in L_p: a_d != 0 and |T| >= the threshold."""
+    thr = threshold(table.p, gamma)
+    return [(mags >= thr) & top for mags, _, top in table.orbits]
 
 
 def count_Lp(table: CompleteSumTable, gamma: float = 1.0) -> int:
-    """#L_p for the table's (d, p) from its orbit slices, without listing a member.
-
-    Each member b of the a_1 = 1 slice stands for the p - 1 members with
-    a_1 != 0 in its orbit, each b of the a_1 = 0 slice for itself.
-    """
-    zero, one = _member_slices(table, gamma)
-    return int(zero.sum()) + (table.p - 1) * int(one.sum())
+    """#L_p for the table's (d, p), each member representative weighted by its orbit size; no member is listed."""
+    return sum(c.size * int(np.count_nonzero(m)) for c, m in zip(table.orbits, _marks(table, gamma)))
 
 
 def _member_blocks(table: CompleteSumTable, thr: float, axes: Sequence[np.ndarray], step: int):
@@ -151,8 +148,6 @@ def _member_blocks(table: CompleteSumTable, thr: float, axes: Sequence[np.ndarra
     array of the rows a with a_d != 0 and |T(a)| >= thr over ``step``
     consecutive values of axes[0] (empty blocks are yielded too), read
     through `lookup`; the rows come in the lexicographic order of the axes.
-    This is the one a_d != 0 member test over looked-up entries; `count_Lp`
-    counts orbits instead.
     """
     for lo in range(0, len(axes[0]), step):
         block = [axes[0][lo : lo + step], *axes[1:]]
@@ -164,23 +159,11 @@ def _member_blocks(table: CompleteSumTable, thr: float, axes: Sequence[np.ndarra
 def enumerate_Lp(table: CompleteSumTable, gamma: float = 1.0, cap: int = DEFAULT_CAP) -> np.ndarray:
     """All a with a_d != 0 and |T(a)| >= gamma*sqrt(p): the (count, d) int64 rows, lexicographic.
 
-    The rows are refused past ``cap`` members before any is listed.  Only the
-    orbit representatives are read: a member b of the a_1 = 0 slice is the row
-    (0, b), and one of the a_1 = 1 slice stands for the p - 1 rows
-    (lambda, lambda^2 b_2, ..., lambda^d b_d), sorted per lambda by their
-    row-major keys over a_2..a_d (below p^(d-1), like a table index).
+    The rows are refused past ``cap`` members before any is listed, then
+    expanded from the member representatives by `CompleteSumTable.orbit_rows`.
     """
-    d, p = table.d, table.p
     _check_cap(count_Lp(table, gamma), cap, "L_p of {} members")
-    s, *b = np.nonzero(_member_slices(table, gamma))
-    lam = np.arange(1, p, dtype=np.int64)[:, None]
-    key = np.zeros((p - 1, np.count_nonzero(s)), dtype=np.int64)
-    for image in _orbit([0, *(bj[s == 1] for bj in b)], lam, p)[1:]:
-        key = key * p + image
-    key.sort(axis=1)
-    rows = [np.broadcast_to(lam, key.shape), *(key // p ** (d - j) % p for j in range(2, d + 1))]
-    heads = np.stack([np.zeros_like(s[s == 0]), *(bj[s == 0] for bj in b)], axis=1)
-    return np.concatenate([heads, np.stack(rows, axis=-1).reshape(-1, d)])
+    return table.orbit_rows(_marks(table, gamma))
 
 
 _ANCHOR_TRIES = 10_000  # random draws before find_anchor gives up

@@ -227,6 +227,16 @@ def test_large_sum_cantor_witness_not_found():
     assert exc.value.level == 1
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+def test_large_sum_cantor_refuses_gamma_before_any_table(gamma, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for a gamma that is refused")
+
+    monkeypatch.setattr(ct, "build_table", no_table)
+    with pytest.raises(PreconditionError, match="need gamma > 0"):
+        ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2, gamma=gamma)
+
+
 def test_large_sum_cantor_preconditions():
     with pytest.raises(PreconditionError):
         ct.large_sum_cantor(3, F(7, 2), F(1, 20), (31, 127), 2)  # tau = d + 1/2

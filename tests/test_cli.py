@@ -496,6 +496,54 @@ def test_readme_residue_and_box_artifacts_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, argv
 
 
+# README commands whose artifacts the table readers (the Gauss check, the Mordell moments and the
+# L_p counts, listings and box densities, all through the table's orbit view) must reproduce byte
+# for byte; the last line lists 9828 member rows
+_README_TABLES = (
+    (["gauss-check", "--p", "101"], "gauss_check.json",
+     "085f76e0d58f5c77bd8756ca8c98edd5eca5f61cd4d44faece0890a876ecc71e"),
+    (["moments", "--d", "2", "--p", "13", "--nu", "2"], "moments.csv",
+     "654858f5b0df9eafe12d134c68d9b0abae610734439b813bc0d9c287693375fb"),
+    (["moments", "--d", "3", "--p", "1009", "--nu", "3"], "moments.csv",
+     "11898bb80605ad86801a79cc0f9f11bae0391ccfd4e8e7f4a5de66eb13a36c48"),
+    (["enumerate-lp", "--d", "3", "--p", "31", "--gamma", "1", "--cache"], "enumerate_lp.json",
+     "5f06c2d2a46d17bed1a528c8bfa3f9e327836808c7e42ada982e78c39d81dd32"),
+    (["enumerate-lp", "--d", "2", "--p", "1009", "--gamma", "21/20"], "enumerate_lp.json",
+     "575133def9974f1792b4897faeb7bac450e4a6bf68fefaa77eb421792d257a15"),
+    (["enumerate-lp", "--d", "3", "--p", "1009", "--gamma", "3/2"], "enumerate_lp.json",
+     "3c2b3db8c1e8fb8dbb3376a9a0e9e3caeabb9fb9f53c48277d4c2c4ab6324c9c"),
+    (["box-density", "--d", "3", "--p", "31"], "box_density.json",
+     "22b24f83fc040c5447a6fc28e00616c45ab3bd3ab0b6cee73bccc918eefcbc27"),
+    (["box-density", "--d", "3", "--p", "1009"], "box_density.json",
+     "aa4e2dcff55b657d0f6608236f597b11dd25056bad44b9e10d959b083aabe203"),
+    (["enumerate-lp", "--d", "4", "--p", "13", "--gamma", "1"], "enumerate_lp.json",
+     "64ff9f8808f38fa4dc03e64507d21287b11651fb4898478cf7d008ec3860bb0b"),
+)
+
+
+def test_readme_table_artifacts_are_pinned(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for i, (argv, name, digest) in enumerate(_README_TABLES):
+        assert f"weylsums {' '.join(argv)} --out " in readme, argv
+        out = tmp_path / f"{argv[0]}-{i}"
+        assert _run([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("command", ["enumerate-lp", "box-density"])
+@pytest.mark.parametrize("gamma", ["0", "-1"])
+def test_lp_commands_refuse_gamma_at_most_zero(command, gamma, tmp_path, capsys):
+    # L_p is defined for gamma > 0; at gamma <= 0 every a_d != 0 would count as a member
+    out = tmp_path / "g"
+    assert _run([command, "--d", "2", "--p", "13", "--gamma", gamma, "--cache", "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error_class"]) == (2, "PreconditionError")
+    assert "need gamma > 0" in manifest["message"]
+    assert capsys.readouterr().err.startswith("invalid configuration: ")
+    # refused before the table is built, so no cache file is left behind
+    assert [f.name for f in out.rglob("*") if f.is_file()] == ["manifest.json"]
+
+
 # README commands whose artifacts the Weyl-sum loop must reproduce byte for byte, whatever its
 # block size; the last line's dense and dyadic checkpoints span many blocks
 _README_STREAM = (

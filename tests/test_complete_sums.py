@@ -1,5 +1,6 @@
 """Complete-sum identities, moments, tables and the cache format."""
 
+import ast
 import hashlib
 import io
 import itertools
@@ -112,6 +113,55 @@ def test_gauss_magnitude_check():
         assert rep.passed and rep.max_deviation <= 1e-9 * sqrt(p)
     with pytest.raises(PreconditionError):
         cs.gauss_magnitude_check(2)
+
+
+@pytest.mark.parametrize("cls", [0, 1])
+def test_gauss_magnitude_check_fails_on_a_planted_entry(cls, monkeypatch):
+    # one entry off by 1e-6 > 1e-9 sqrt(p) in either orbit class must fail the check, so a
+    # reading of the table that skips a class fails this test
+    p, build = 13, cs.build_table
+
+    def planted(d, q, cap=cs.DEFAULT_CAP):
+        table = build(d, q, cap=cap)
+        table.orbits[cls].magnitude[5] = sqrt(q) + 1e-6  # a_2 = 5 != 0; the view writes through
+        return table
+
+    monkeypatch.setattr(cs, "build_table", planted)
+    with pytest.raises(LemmaCheckFailureError, match="p=13"):
+        cs.gauss_magnitude_check(p)
+
+
+@pytest.mark.parametrize("d, p", [(d, p) for d in range(1, 5) for p in (2, 3, 5, 7, 13)])
+def test_orbit_view_partitions_the_space(d, p):
+    # covers p <= d, p = 1 mod d and p != 1 mod d
+    table = cs.build_table(d, p)
+    mags = full_table(d, p)
+    assert sum(c.size * c.magnitude.size for c in table.orbits) == p**d
+    for s, (magnitude, size, top) in enumerate(table.orbits):
+        assert isinstance(size, int) and size == (p - 1 if s else 1)
+        # the representatives of class s are (s, b), b in F_p^(d-1)
+        assert magnitude.shape == top.shape == (p,) * (d - 1)
+        assert np.abs(magnitude - mags[s]).max() <= 1e-12 * p
+        want_top = np.indices(top.shape)[-1] != 0 if d > 1 else np.array(s != 0)
+        assert top.dtype == bool and np.array_equal(top, want_top)
+    # every representative marked: the orbits give every point of F_p^d once, in lexicographic order
+    rows = table.orbit_rows([np.ones(c.magnitude.shape, dtype=bool) for c in table.orbits])
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, np.array(list(np.ndindex(*(p,) * d)), dtype=np.int64).reshape(-1, d))
+
+
+def test_only_complete_sums_reads_the_table_layout():
+    # the lambda-slice layout stays behind CompleteSumTable: every other module reads the
+    # table through its orbit view and lookup, never its .slices
+    readers = []
+    for path in sorted(Path(cs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "slices":
+                readers.append((path.name, node.lineno))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+                if any(isinstance(a, ast.Constant) and a.value == "slices" for a in node.args):
+                    readers.append((path.name, node.lineno))
+    assert readers and {name for name, _ in readers} == {"complete_sums.py"}, readers
 
 
 def test_monomial_complete_sum():

@@ -87,6 +87,15 @@ def test_enumerate_lp_possibly_empty_at_large_gamma():
     assert lv.count_Lp(table, 2.0) / 5**2 == 0.0
 
 
+@pytest.mark.parametrize("gamma", [0, 0.0, -1.0, float("nan")])
+def test_lp_readers_refuse_gamma_at_most_zero(gamma):
+    # every a_d != 0 clears a threshold <= 0, which is no large-value set
+    table = cs.build_table(2, 13)
+    for read in (lv.count_Lp, lv.enumerate_Lp, lv.minimal_witness_side):
+        with pytest.raises(PreconditionError, match="need gamma > 0"):
+            read(table, gamma)
+
+
 @pytest.mark.parametrize("d, p", [(1, 5), (2, 2), (2, 13), (3, 11), (3, 31), (4, 11)])
 @pytest.mark.parametrize("gamma", [1.0, 1.5])
 def test_enumerate_lp_rows_and_orbit_count_match_full_table(d, p, gamma):
