@@ -436,8 +436,8 @@ def large_sum_cantor(
             chart_boxes.append(sub)
 
         certificates.extend(level_certs)
-        # compose the chart pattern into every parent box; each copy carries its certificates
-        box_certs = level_certs * len(boxes)
+        # compose the chart pattern into every parent box; each copy carries its certificates, serialized once
+        box_certs = [c.to_json_dict() for c in level_certs] * len(boxes)
         boxes = [
             Box(
                 corner=tuple(pc + parent.side * sc for pc, sc in zip(parent.corner, sub.corner)),
@@ -454,7 +454,7 @@ def large_sum_cantor(
     collection = BoxCollection(
         depth=depth,
         boxes=tuple(boxes),
-        certificates=tuple(c.to_json_dict() for c in box_certs),
+        certificates=tuple(box_certs),
     )
     return LargeSumCantorResult(
         collection=collection,

@@ -27,7 +27,13 @@ Individual sums (`complete_sum`, `monomial_complete_sum`, `weil_check`,
 `vanishing_family`) are always evaluated by direct O(p d) summation, which
 keeps table-vs-direct comparisons a real two-route check: each of the p terms
 is e(r/p) at an exact residue r, read as the product of two entries from
-tables of O(sqrt p) unit roots, and added on its own.
+tables of O(sqrt p) unit roots, and added on its own.  One loop
+(`_unit_root_sum`) forms the terms in the Weyl sums' 2^14-term blocks,
+through the workspace they hand on, and sums them in float per 2^16-term
+chunk, a full chunk as the pairwise tree of its four block sums, so the chunk
+size fixes the bits of every result.  A monomial sum over n <= p^d reads its
+residues from the p-adic split n = u + p^(d-1) v (`_monomial_residues`):
+one product, one add and one reduction per term.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .phasecore import Workspace, residue_array
-from .weyl_sums import _chunks
+from .weyl_sums import _SPARE, _SPARE_BYTES, BLOCK, CHUNK, _chunks
 
 DEFAULT_CAP = 10**7
 
@@ -95,39 +101,65 @@ def _check_cap(count: int, cap: int, what: str = "table of {} entries") -> None:
         raise ResourceLimitError(f"{what.format(count)} exceeds the cap of {cap}; raise the cap")
 
 
-def _unit_root_sum(a, q: int, exponents) -> complex:
-    """sum_{n=1}^{q} e((a_1 n^{m_1} + ... + a_k n^{m_k}) / q) by direct summation.
+def _unit_root_sum(residues, q: int) -> complex:
+    """sum_{n=1}^{q} e(r_n / q) by direct summation, for exact residues r_n in [0, q).
 
-    Residues come from `residue_array` (exact, with its int64 guard) in the
-    CHUNK-term `_chunks` slices, so memory stays bounded whatever q is; one
-    `Workspace` holds their arrays for the call.
+    residues(lo, hi, work) gives r_n for n = lo..hi-1 as int64, a view of
+    the `Workspace` work that the loop may overwrite, as `_accumulate` takes
+    its words.  The terms are formed in BLOCK blocks through the workspace
+    that `weyl_sums._SPARE` hands on, and handed on again as `_accumulate`
+    hands it on.  The loop's own arrays are the term kernel's "terms" and
+    "scratch" buffers, float64 viewed as complex128 and int64, so it adds no
+    buffer to a workspace that a Weyl sum has used.
     A residue r is split at k = ceil(bitlen(q) / 2) bits, and its term is
     e(r/q) = high[r >> k] * low[r & (2^k - 1)]: two gathers from tables of
     e(j 2^k / q) and e(j / q), of at most 2 sqrt(q) entries each, and one
     complex product.  Each table entry is np.exp of a rounded argument below
     2 pi, so a term is within ~8 ulp of e(r/q), about as close as np.exp of
-    the full argument; all q terms are still added one by one.
+    the full argument; all q terms are still added one by one.  They are
+    summed in float per CHUNK = 2^16 terms and the chunk sums are added in
+    order, so the bits of a result are fixed by CHUNK, not BLOCK: a full
+    chunk's sum is (s_0 + s_1) + (s_2 + s_3) over its four block sums, which
+    is numpy's own pairwise split of a 2^16-term array, and a short last
+    chunk is formed in one array of its own and summed whole.
     """
+    try:
+        work = _SPARE.pop()  # one step, so two threads never take the same workspace
+    except IndexError:
+        work = Workspace()
     high = None
     parts = []
-    work = Workspace()
-    for lo, hi in _chunks(q):
-        r = residue_array(a, q, exponents, lo, hi, work)
-        if high is None:  # built after residue_array's int64 guard, so a refused q allocates nothing
-            k = (q.bit_length() + 1) // 2
-            step = 2j * np.pi / q
-            high = np.exp(step * (np.arange(((q - 1) >> k) + 1) << k))
-            low = np.exp(step * np.arange(1 << k))
-            # held across chunks, as the residues are in work: large
-            # temporaries freed per chunk go back to the OS and fault in again
-            index = np.empty(len(r), dtype=np.int64)
-            terms = np.empty(len(r), dtype=np.complex128)
-            rest = np.empty(len(r), dtype=np.complex128)
-        m = len(r)
-        # the indices are in range; "wrap" skips the copy that take(out=) makes under "raise"
-        np.take(high, np.right_shift(r, k, out=index[:m]), out=terms[:m], mode="wrap")
-        np.take(low, np.bitwise_and(r, (1 << k) - 1, out=r), out=rest[:m], mode="wrap")
-        parts.append(np.multiply(terms[:m], rest[:m], out=terms[:m]).sum())
+    for start, stop in _chunks(q):
+        whole = None if stop - start == CHUNK else np.empty(stop - start, dtype=np.complex128)
+        sums = []
+        for lo in range(start, stop, BLOCK):
+            hi = min(lo + BLOCK, stop)
+            r = residues(lo, hi, work)
+            if high is None:  # built after the first residues, so that a q refused by residue_array allocates nothing
+                k = (q.bit_length() + 1) // 2
+                step = 2j * np.pi / q
+                high = np.exp(step * (np.arange(((q - 1) >> k) + 1) << k))
+                low = np.exp(step * np.arange(1 << k))
+            m = hi - lo
+            scratch = work.take("scratch", (4 * m,), np.float64)
+            rest, index = scratch[: 2 * m].view(np.complex128), scratch[2 * m : 3 * m].view(np.int64)
+            if whole is None:
+                terms = work.take("terms", (2 * m,), np.float64).view(np.complex128)
+            else:
+                terms = whole[lo - start : hi - start]
+            # the indices are in range; "wrap" skips the copy that take(out=) makes under "raise"
+            np.take(high, np.right_shift(r, k, out=index), out=terms, mode="wrap")
+            np.take(low, np.bitwise_and(r, (1 << k) - 1, out=r), out=rest, mode="wrap")
+            np.multiply(terms, rest, out=terms)
+            if whole is None:
+                sums.append(terms.sum())
+        if whole is None:
+            s0, s1, s2, s3 = sums  # CHUNK = 4 BLOCK, halved twice as numpy's pairwise sum halves it
+            parts.append((s0 + s1) + (s2 + s3))
+        else:
+            parts.append(whole.sum())
+    if not _SPARE and work.nbytes <= _SPARE_BYTES:
+        _SPARE.append(work)
     # start from the first part, not 0j, so a one-chunk sum keeps its exact bits
     return complex(sum(parts[1:], parts[0]))
 
@@ -140,7 +172,7 @@ def complete_sum(d: int, p: int, a) -> complex:
     a = tuple(int(ai) % p for ai in a)
     if len(a) != d:
         raise PreconditionError(f"coefficient vector must have length {d}")
-    return _unit_root_sum(a, p, range(1, d + 1))
+    return _unit_root_sum(lambda lo, hi, work: residue_array(a, p, range(1, d + 1), lo, hi, work), p)
 
 
 def _orbit(a, lam, p: int) -> list:
@@ -283,15 +315,63 @@ def gauss_magnitude_check(p: int, cap: int = DEFAULT_CAP) -> GaussReport:
     return GaussReport(p=p, max_deviation=dev, tolerance=tol, passed=True)
 
 
+def _monomial_residues(a: int, p: int, d: int):
+    """residues(lo, hi, work) of a n^d mod q = p^d at n = lo..hi-1, for `_unit_root_sum`, by the p-adic split of n.
+
+    With P = p^(d-1), n = u + P v for 0 <= u < P, and
+    a n^d = a u^d + v (d a u^(d-1) P) (mod q), since P^2 = 0 mod q for d >= 2.
+    The two tables of the P values of a u^d and of d a u^(d-1) P mod q come
+    from `residue_array` once, so a term costs one product, one add and one
+    reduction.  Every value before the reduction is below (p + 1) q < 2^47,
+    as residue_array's guard holds q < 2^31 and p <= sqrt(q).  The residues
+    go to work's "acc" and the reduction's quotient to its "power", the
+    buffers of the phase-word kernel, viewed as int64.
+    """
+    q, P = p**d, p ** (d - 1)
+    head = residue_array((a,), q, (d,), 0, P)
+    slope = residue_array((d * a * P,), q, (d - 1,), 0, P)
+
+    def fill(out, u0, u1, v, rows):  # the rows v, v + 1, ... of head + v slope, each over u = u0..u1-1
+        grid = out.reshape(rows, u1 - u0)
+        np.multiply(slope[u0:u1], np.arange(v, v + rows)[:, None], out=grid)
+        grid += head[u0:u1]
+
+    def residues(lo, hi, work):
+        m = hi - lo
+        r = work.take("acc", (m,), np.uint64).view(np.int64)
+        v, u = divmod(lo, P)
+        first = min(P - u, m)
+        rows, last = divmod(m - first, P)
+        fill(r[:first], u, u + first, v, 1)
+        if rows:
+            fill(r[first : m - last], 0, P, v + 1, rows)
+        if last:
+            fill(r[m - last :], 0, last, v + 1 + rows, 1)
+        quotient = work.take("power", (m,), np.uint64).view(np.int64)
+        np.floor_divide(r, q, out=quotient)  # r % q as r - (r // q) q: faster than np.remainder by a scalar
+        np.multiply(quotient, q, out=quotient)
+        return np.subtract(r, quotient, out=r)
+
+    return residues
+
+
 def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> complex:
-    """sum_{n=1}^{p^d} e(a n^d / p^d); equals p^{d-1} for gcd(a, p) = 1 and d >= 2."""
+    """sum_{n=1}^{p^d} e(a n^d / p^d) by direct summation, checked against p^{d-1}.
+
+    The identity holds for gcd(a, p) = 1 and d >= 2 except at (d, p) = (2, 2)
+    and (4, 2), where the sum is 2 + 2 e(a/4) and 8 + 8 e(a/16); those two
+    are refused.  Each residue comes from the p-adic split of n
+    (`_monomial_residues`).
+    """
     if d < 2:
         raise PreconditionError("monomial sums are for d >= 2")
     _require_prime(p)
     if gcd(a, p) != 1:
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")
+    if p == 2 and d in (2, 4):
+        raise PreconditionError(f"the monomial sum is not p^(d-1) at (d, p) = ({d}, 2), one of its two exceptions")
     _check_cap(p**d, cap, "sum of {} terms")
-    value = _unit_root_sum((a,), p**d, (d,))
+    value = _unit_root_sum(_monomial_residues(a, p, d), p**d)
     expected = float(p ** (d - 1))
     if abs(value - expected) > 1e-6 * expected:
         raise LemmaCheckFailureError(

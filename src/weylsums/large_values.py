@@ -20,7 +20,7 @@ denominator); floats appear only when a sum magnitude meets its bound.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, log, sqrt
 from typing import Sequence
@@ -312,10 +312,10 @@ def neighborhood_point(plan: AmplificationPlan, axis: int, sign: int = 1, scale:
 
 
 def _json_fields(report) -> dict:
-    """A report dataclass's fields by name, with `passed` written as "pass"."""
-    fields = asdict(report)
-    fields["pass"] = fields.pop("passed")
-    return fields
+    """A report dataclass's fields by name, with `passed` written as "pass": the field values themselves, not deep copies."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    out["pass"] = out.pop("passed")
+    return out
 
 
 @dataclass(frozen=True)

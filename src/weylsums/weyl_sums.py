@@ -24,9 +24,11 @@ for 2^16).  They
 come from one `phasecore.Workspace` per call, allocated for the first block,
 reused by every later one and handed on to the next call, so that no block
 or call frees arrays that the OS takes back and faults in again.  The
-complete sums of `complete_sums` keep CHUNK = 2^16 slices: they sum each
-chunk in float and add the chunk sums in order, so their chunk size fixes
-the bits of their results.
+complete sums of `complete_sums` form their terms in the same blocks, from
+the same handed-on workspace, but sum them in float per CHUNK = 2^16 terms,
+each chunk's four block sums added as numpy's pairwise sum of the whole
+chunk would add them, and the chunk sums in order, so CHUNK, not BLOCK,
+fixes the bits of their results.
 
 Exact accumulation: each block is reduced once by an exact reducer
 (`_exact_prefix_sums`), which splits every term into 37-bit integer limbs and
@@ -66,8 +68,9 @@ from .phasecore import (
 
 CHUNK = 1 << 16
 BLOCK = 1 << 14  # the terms per pass of `_accumulate`; its arrays stay in a 2 MiB L2
-# The workspace that an `_accumulate` call hands on to the next, if it holds at most _SPARE_BYTES:
-# a one-point workspace, 8 or 9 arrays of BLOCK words, does, and a batch's is freed.  A workspace
+# The workspace that an `_accumulate` call, or a complete sum (`complete_sums._unit_root_sum`), hands
+# on to the next, if it holds at most _SPARE_BYTES: a one-point workspace, 8 or 9 arrays of BLOCK
+# words, does, and so does one that a complete sum also used, and a batch's is freed.  A workspace
 # freed at the end of every call can go back to the OS (glibc trims the top of the heap) and fault
 # in again in the next call, depending on what else the process has allocated: in a fresh process
 # that imports only this module, 20 calls of mr_ratio_scan(x, 100_000) faulted 4,384 pages that

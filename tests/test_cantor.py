@@ -174,6 +174,20 @@ def test_large_sum_cantor_acceptance_shape():
     assert res.epsilon_requested == 0.05
 
 
+def test_large_sum_cantor_serializes_each_certificate_once(monkeypatch):
+    calls = []
+    to_json_dict = ct.LevelCertificate.to_json_dict
+    monkeypatch.setattr(ct.LevelCertificate, "to_json_dict", lambda cert: calls.append(cert) or to_json_dict(cert))
+    res = ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2)
+    assert calls == list(res.certificates)
+    # the 64 box rows: the 8 level-2 certificates, in cell order, under each of the 8 parent boxes
+    last = [to_json_dict(c) for c in res.certificates[8:]]
+    assert list(res.collection.certificates) == last * 8
+    assert last[0] == {"level": 2, "p": 127, "cell": res.certificates[8].cell, "anchor": res.certificates[8].anchor,
+                       "N": res.certificates[8].N, "value": res.certificates[8].value,
+                       "bound": res.certificates[8].bound, "pass": True}
+
+
 def test_large_sum_cantor_boxes_nest():
     res1 = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)
     res2 = ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2)

@@ -254,6 +254,9 @@ def _no_cantor_build(monkeypatch, out):
         (2, "PreconditionError", "invalid configuration", ["moments", "--d", "2", "--p", "13", "--nu", "3"], None),
         (3, "ResourceLimitError", "resource limit", ["monomial-check", "--d", "3", "--p", "101", "--cap", "1000"],
          None),
+        # the two inputs at which the monomial sum is not p^(d-1): refused, not a failed lemma
+        (2, "PreconditionError", "invalid configuration", ["monomial-check", "--d", "2", "--p", "2", "--a", "1"], None),
+        (2, "PreconditionError", "invalid configuration", ["monomial-check", "--d", "4", "--p", "2"], None),
         (3, "MemoryError", "resource limit", ["weyl-trace", "--N-max", "20"], _no_memory),
         (4, "LemmaCheckFailureError", "lemma check failed", ["weyl-trace", "--N-max", "20"], _broken_terms),
         (4, "LemmaCheckFailureError", "lemma check failed", ["koksma-check", "--count", "3", "--N-max", "20"],
@@ -267,8 +270,8 @@ def _no_cantor_build(monkeypatch, out):
         (2, "PreconditionError", "invalid configuration",
          ["box-moments", "--d", "1", "--p", "13", "--nu", "1", "--cache"], _no_table),
     ],
-    ids=["invalid-config", "moments-nu-0", "moments-nu-above-d", "cap", "out-of-memory", "lemma-check",
-         "koksma-check", "corrupt-cache", "cantor-dim-scales", "box-moments-d1"],
+    ids=["invalid-config", "moments-nu-0", "moments-nu-above-d", "cap", "monomial-d2-p2", "monomial-d4-p2",
+         "out-of-memory", "lemma-check", "koksma-check", "corrupt-cache", "cantor-dim-scales", "box-moments-d1"],
 )
 def test_failed_run_writes_manifest(code, error_class, prefix, argv, setup, tmp_path, monkeypatch, capsys):
     out = tmp_path / "fail"
@@ -480,6 +483,9 @@ def test_readme_discrepancy_artifacts_are_pinned(tmp_path):
 _README_RESIDUE = (
     (["monomial-check", "--d", "3", "--p", "101", "--a", "7"], "monomial_check.json",
      "a48ef35f614c90b11be42785a04a34f5086b3b02bf7797758be4312b3f58d310"),
+    # q = 131^3 > 2^21, where the residues' Horner scheme reduces n^2 first; a short last chunk
+    (["monomial-check", "--d", "3", "--p", "131", "--a", "26"], "monomial_check.json",
+     "bb46acaa61913ee9b947d7093cbb087896b4f7b26b89ef9a480c495d576faa46"),
     (["weil-check", "--p", "101", "--coeffs", "1,2,3,4"], "weil_check.json",
      "37789d04933999264f4acfd16e760d042749038cdedf6b7cd844a2961670b24d"),
     (["box-moments", "--d", "2", "--p", "101", "--nu", "1", "--count", "50", "--seed", "1"], "box_moments.csv",
@@ -494,6 +500,21 @@ def test_readme_residue_and_box_artifacts_are_pinned(tmp_path):
         out = tmp_path / f"{argv[0]}-{i}"
         assert _run([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, argv
+
+
+# the README cantor-build line: each of its 64 box rows carries a level certificate, and a certificate
+# serialized once per level must read as one serialized per box
+_README_CANTOR = (
+    ["cantor-build", "--d", "3", "--tau", "4", "--primes", "31,127", "--depth", "2"],
+    {"cantor_boxes.jsonl": "1af69d8d747da6aff7d7c9c36cab3af7b6e1c7b09d107caf9daa48f9f32fbf1f",
+     "cantor_summary.json": "36a2cfce20e5f9f263a15073f46cc4944dc336e11a682fa26b4f45e6f1fe2bc5"},
+)
+
+
+def test_readme_cantor_artifacts_are_pinned(tmp_path):
+    argv, digests = _README_CANTOR
+    assert _run([*argv, "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
 # README commands whose artifacts the table readers (the Gauss check, the Mordell moments and the

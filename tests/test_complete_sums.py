@@ -6,6 +6,8 @@ import io
 import itertools
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from math import comb, isqrt, sqrt
 from pathlib import Path
@@ -13,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import weylsums
 from helpers import (
     box_moment_fsum,
+    chunked_unit_root_sum,
     direct_complete_sum,
     full_box,
     full_table,
@@ -25,6 +29,8 @@ from helpers import (
     unit_root_fsum,
 )
 from weylsums import complete_sums as cs
+from weylsums import weyl_sums as ws
+from weylsums.phasecore import Phase, Workspace, residue_array
 from weylsums.errors import (
     BinomialVanishingError,
     ChecksumMismatchError,
@@ -82,7 +88,7 @@ def test_complete_sum_rejects_int64_overflow_before_allocating():
     ],
 )
 def test_unit_root_sum_matches_fsum_oracle(a, q, exponents):
-    got = cs._unit_root_sum(a, q, exponents)
+    got = cs._unit_root_sum(lambda lo, hi, work: residue_array(a, q, exponents, lo, hi, work), q)
     want = unit_root_fsum(a, q, exponents)
     assert abs(got.real - want.real) <= q * 2**-48
     assert abs(got.imag - want.imag) <= q * 2**-48
@@ -173,6 +179,134 @@ def test_monomial_complete_sum():
     for d in (1, 0, -1):
         with pytest.raises(PreconditionError):
             cs.monomial_complete_sum(d, 5, 1)
+
+
+def test_monomial_identity_sweep_refuses_exactly_its_two_exceptions():
+    # sum_{n <= p^d} e(a n^d / p^d) = p^(d-1) for gcd(a, p) = 1 and d >= 2, checked by the fsum oracle over
+    # d = 2..8, p in {2, 3, 5, 7} and p^d <= 3 10^4, at every unit a mod p and at a = p + 1 and p^d - 1: it
+    # fails only at (d, p) = (2, 2) and (4, 2), the two inputs that are refused
+    refused = []
+    for p in (2, 3, 5, 7):
+        for d in range(2, 9):
+            q = p**d
+            if q > 3 * 10**4:
+                break
+            for a in sorted({*range(1, p), p + 1, q - 1}):
+                want = unit_root_fsum((a,), q, (d,))
+                holds = abs(want - p ** (d - 1)) <= 1e-9 * q
+                try:
+                    got = cs.monomial_complete_sum(d, p, a)
+                except PreconditionError:
+                    assert not holds, (d, p, a)
+                    refused.append((d, p, a))
+                    continue
+                assert holds, (d, p, a)
+                assert abs(got - want) <= q * 2**-48, (d, p, a)
+    assert {(d, p) for d, p, _ in refused} == {(2, 2), (4, 2)}
+
+
+@pytest.mark.parametrize(
+    "kind, d, p, a",
+    [
+        *[("monomial", d, p, a) for d, p in [(2, 3), (2, 101), (2, 1009), (3, 5), (4, 13), (5, 7), (5, 11)] for a in (1, p - 1)],
+        *[("monomial", 3, p, a) for p in (2, 3, 101, 113) for a in (1, 7 % p or 1)],
+        ("monomial", 3, 131, 26),  # q > 2^21, where the reference's Horner scheme reduces n^2 first; a short last chunk
+        ("monomial", 16, 2, 1),  # q = 2^16 and 2^17: whole chunks only
+        ("monomial", 17, 2, 3),
+        # q just below, at and just above a multiple of 2^16
+        *[("complete", 2, p, (3, 5)) for p in (65521, 65537, 131071, 131101)],
+        ("complete", 3, 2097169, (1, 2, 3)),  # q > 2^21
+        ("complete", 5, 101, (1, 2, 3, 4, 5)),
+    ],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_complete_sums_equal_the_chunked_reference_bit_for_bit(kind, d, p, a):
+    # the block loop sums each full chunk as the tree of its four block sums and a short last chunk
+    # whole, so it keeps the bits of the sums formed and added one 2^16-term chunk at a time
+    if kind == "monomial":
+        assert cs.monomial_complete_sum(d, p, a, cap=10**8) == chunked_unit_root_sum((a,), p**d, (d,))
+    else:
+        assert cs.complete_sum(d, p, a) == chunked_unit_root_sum(a, p, range(1, d + 1))
+
+
+def _blocks(q, sizes):
+    """(lo, hi) over n = 1..q, in blocks of the given sizes in turn."""
+    lo = 1
+    for size in itertools.cycle(sizes):
+        if lo > q:
+            return
+        yield lo, min(lo + size, q + 1)
+        lo += size
+
+
+@pytest.mark.parametrize("d, p, a", [(2, 2, 1), (2, 5, 3), (2, 101, 7), (3, 7, 3), (3, 101, 7), (3, 131, 26), (4, 11, 2), (5, 5, 4)])
+def test_monomial_split_residues_equal_residue_array(d, p, a):
+    # the loop's BLOCK blocks, then uneven ones of P - 1, P and P + 1 terms and single terms, so that
+    # u = n mod P wraps inside blocks and at their edges; the last block of each ends at n = q
+    q, P = p**d, p ** (d - 1)
+    residues = cs._monomial_residues(a, p, d)
+    work = Workspace()
+    uneven = [min(size, ws.BLOCK) for size in (max(P - 1, 1), P, P + 1, 1, 1, 3)]
+    for sizes in ([ws.BLOCK], uneven):
+        for lo, hi in _blocks(q, sizes):
+            assert np.array_equal(residues(lo, hi, work), residue_array((a,), q, (d,), lo, hi)), (lo, hi)
+        assert hi == q + 1
+
+
+def test_block_tree_equals_numpy_sum_of_whole_chunks():
+    # numpy sums a 2^16-term complex array pairwise, halving it down to 2^14-term blocks, so the
+    # tree of the four block sums is the sum of the whole chunk, bit for bit
+    B = ws.BLOCK
+    assert ws.CHUNK == 4 * B
+    rng = np.random.default_rng(27)
+    for scale in (1.0, 1e-3, 1e8):
+        for _ in range(20):
+            x = (rng.standard_normal(ws.CHUNK) + 1j * rng.standard_normal(ws.CHUNK)) * scale
+            s = [x[j * B : (j + 1) * B].sum() for j in range(4)]
+            assert (s[0] + s[1]) + (s[2] + s[3]) == x.sum()
+    terms = np.exp(2j * np.pi * rng.integers(0, 131**3, ws.CHUNK) / 131**3)
+    s = [terms[j * B : (j + 1) * B].sum() for j in range(4)]
+    assert (s[0] + s[1]) + (s[2] + s[3]) == terms.sum()
+
+
+_FAULTS_OF_A_SECOND_CALL = """
+import resource
+from weylsums import complete_sums as cs
+cs.monomial_complete_sum(3, 131, 7)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cs.monomial_complete_sum(3, 131, 7)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux reports them")
+def test_second_monomial_sum_faults_few_pages():
+    # the block loop's arrays come from the workspace the first call hands on, so the second call
+    # faults in only its tables and its short last chunk, not a fresh workspace
+    src = str(Path(weylsums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_OF_A_SECOND_CALL], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 400
+
+
+def test_monomial_sum_hands_on_the_weyl_sum_workspace():
+    # the complete sum takes its arrays from the Weyl sum's buffers, so the workspace stays within
+    # _SPARE_BYTES and is handed on to the next Weyl sum, which allocates no block array
+    x = tuple(Phase(int(f)) for f in np.random.default_rng(5).integers(0, 1 << 64, size=3, dtype=np.uint64))
+    ws._SPARE.clear()
+    ws.weyl_sum(x, 2**17)
+    (work,) = ws._SPARE
+    cs.monomial_complete_sum(3, 131, 7)
+    assert ws._SPARE == [work] and work.nbytes <= ws._SPARE_BYTES
+    tracemalloc.start()
+    try:
+        ws.weyl_sum(x, 2**17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ws._SPARE == [work] and peak < 8 * ws.BLOCK
 
 
 def test_weil_check():
