@@ -1,31 +1,39 @@
-"""Pattern-based Cantor constructions with exact rational geometry.
+"""Pattern-based Cantor constructions on integer lattices.
 
 An (a, b, c)-pattern splits a side-a box into (a/b)^d cells and keeps one
 side-c sub-box per cell.  Iterating patterns along a schedule (delta_k, ell_k)
 with q_k = (delta_{k-1}/ell_k)^d produces the nested collections whose
-intersection has dimension liminf log(prod q_i) / (-log delta_k).  All box
-corners and sides are Fractions: nesting, disjointness and the natural-measure
-weights are checked exactly, never with tolerances.
+intersection has dimension liminf log(prod q_i) / (-log delta_k).  The boxes
+of a level share one side and, with their corners, one denominator, so a
+level is integers: (n, d) Python-int corners C, a side S and a denominator D,
+box i being prod_j [C_ij, C_ij + S) / D.  A pattern is a level in the chart
+of the unit cube, over a denominator E, and one step, `compose`, copies it
+into every box of a level: corners C E + S * offset, side S s, denominator
+D E, with no gcd.  Python ints carry the denominators past 2^63 (2^32 per
+seeded-random level).  Nesting, disjointness, grid counts and the natural
+weights are exact, never tolerances; Fractions stay at the boundaries
+(pattern and schedule input, the scales, the weights, the JSONL "n/d" rows).
 
 The large-sum-guided construction keeps, inside every cell, a sub-box centered on
 a point a/p of the large-sum set L_p, so each kept box carries a certificate
 |S(a/p; N)| >= 0.25*gamma*N*p^{-1/2} verified by direct evaluation; the
 witness is the first member the L_p block scan of `large_values` finds in the
-cell's central box.  Placing
-level-(k+1) anchors inside a level-k box in global coordinates would force
-p_{k+1} beyond anything enumerable (the lattice spacing 1/p_{k+1} must drop
-under p_k^{-tau}), so levels compose in parent-relative charts instead: every
-parent box is an affine copy of the torus and the level-k anchors are genuine
-torus points of L_{p_k}/p_k in that chart.  The schedule then has
+cell's central box.  Placing level-(k+1) anchors inside a level-k box in
+global coordinates would force p_{k+1} beyond anything enumerable (the
+lattice spacing 1/p_{k+1} must drop under p_k^{-tau}), so levels compose in
+parent-relative charts instead: every parent box is an affine copy of the
+torus and the level-k anchors are genuine torus points of L_{p_k}/p_k in
+that chart, composed by the same step.  The schedule then has
 delta_k = prod_{i<=k} p_i^{-tau}, and the run reports the effective epsilon
 its integer cell counts achieved next to the requested one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,6 +45,7 @@ from .errors import (
     InvalidScheduleError,
     LemmaCheckFailureError,
     PreconditionError,
+    ResourceLimitError,
     TooFewScalesError,
     WitnessNotFoundError,
 )
@@ -46,24 +55,8 @@ from .weyl_sums import weyl_sum
 
 PlacementRule = str  # "corner" | "centered" | "seeded-random"
 _RULES = ("corner", "centered", "seeded-random")
-
-
-@dataclass(frozen=True)
-class Box:
-    """Half-open axis-aligned cube: prod_j [corner_j, corner_j + side)."""
-
-    corner: tuple[Fraction, ...]
-    side: Fraction
-
-    @property
-    def dim(self) -> int:
-        return len(self.corner)
-
-
-def unit_box(d: int) -> Box:
-    if d < 1:
-        raise PreconditionError("dimension must be >= 1")
-    return Box(corner=(Fraction(0),) * d, side=Fraction(1))
+# floor(p^(kappa_d - eps)) is an integer root of p^numerator, whose work grows with the denominator
+MAX_EXPONENT_DENOMINATOR = 10**4
 
 
 @dataclass(frozen=True)
@@ -93,30 +86,78 @@ class PatternSpec:
         return int(self.a / self.b)
 
 
-def make_pattern(box: Box, spec: PatternSpec) -> list[Box]:
-    """One side-c box in each of the (a/b)^d cells of ``box``; deterministic given seed."""
-    if box.side != spec.a:
-        raise InvalidPatternError(f"box side {box.side} != pattern a {spec.a}")
-    d = box.dim
+@dataclass(frozen=True, eq=False)
+class BoxCollection:
+    """Depth-k level: box i is prod_j [corners[i, j], corners[i, j] + side) / denom.
+
+    ``corners`` is an (n, d) object array of Python ints.  The boxes are
+    pairwise disjoint and nested in the boxes of the level above.
+    """
+
+    depth: int
+    corners: np.ndarray
+    side: int
+    denom: int
+    certificates: tuple[dict | None, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.corners)
+
+    def natural_weight(self) -> Fraction:
+        """nu_k(B) = 1 / #C_k per depth-k box; the weights sum to 1 exactly."""
+        return Fraction(1, len(self))
+
+    def to_jsonl(self) -> str:
+        def reduced(n: int) -> str:
+            g = math.gcd(n, self.denom)
+            return f"{n // g}/{self.denom // g}"
+
+        side = reduced(self.side)
+        lines = []
+        for row, cert in zip(self.corners.tolist(), self.certificates or (None,) * len(self)):
+            entry = {"depth": self.depth, "corner": [reduced(c) for c in row], "side": side}
+            if cert is not None:
+                entry["certificate"] = cert
+            lines.append(json.dumps(entry, sort_keys=True))
+        return "\n".join(lines) + "\n"
+
+
+def compose(parent: BoxCollection, chart: BoxCollection) -> BoxCollection:
+    """The chart level, drawn in the unit cube, copied into every parent box, parent by parent."""
+    corners = parent.corners[:, None, :] * chart.denom + parent.side * chart.corners[None, :, :]
+    return BoxCollection(parent.depth + chart.depth, corners.reshape(-1, corners.shape[-1]),
+                         parent.side * chart.side, parent.denom * chart.denom)
+
+
+def _check_box_count(boxes: int, d: int) -> None:
+    if boxes * d > DEFAULT_CAP:
+        raise ResourceLimitError(f"{boxes} boxes of {d} corner coordinates exceed the cap of {DEFAULT_CAP}")
+
+
+def make_pattern(spec: PatternSpec, d: int) -> BoxCollection:
+    """The pattern in the chart of its side-a box, the unit cube: one side-c/a box per cell.
+
+    Cells run in `np.ndindex` order; a seeded-random pattern draws d words
+    in [0, 2^32) per cell from one Philox stream keyed by the seed.
+    """
+    if d < 1:
+        raise PreconditionError("dimension must be >= 1")
     m = spec.cells_per_axis
-    slack = spec.b - spec.c
-    rng = None
-    if spec.rule == "seeded-random":
+    _check_box_count(m**d, d)
+    cells = np.indices((m,) * d).reshape(d, -1).T.astype(object)
+    slack = (spec.b - spec.c) / spec.a  # room around the kept box in its cell, in chart units
+    if spec.rule == "corner":
+        step, words = Fraction(0), 0
+    elif spec.rule == "centered":
+        step, words = slack / 2, 1
+    else:  # seeded-random
+        step = slack / (1 << 32)
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    out: list[Box] = []
-    for idx in np.ndindex(*(m,) * d):
-        cell_corner = tuple(box.corner[j] + idx[j] * spec.b for j in range(d))
-        if spec.rule == "corner":
-            corner = cell_corner
-        elif spec.rule == "centered":
-            corner = tuple(cc + slack / 2 for cc in cell_corner)
-        else:  # seeded-random
-            draws = rng.integers(0, 1 << 32, size=d)
-            corner = tuple(
-                cc + slack * Fraction(int(u), 1 << 32) for cc, u in zip(cell_corner, draws)
-            )
-        out.append(Box(corner=corner, side=spec.c))
-    return out
+        words = rng.integers(0, 1 << 32, size=cells.shape).astype(object)
+    side = spec.c / spec.a
+    denom = math.lcm(m, side.denominator, step.denominator)
+    corners = cells * (denom // m) + int(step * denom) * words
+    return BoxCollection(depth=1, corners=corners, side=int(side * denom), denom=denom)
 
 
 @dataclass(frozen=True)
@@ -177,55 +218,26 @@ def geometric_schedule(d: int, ratios: Sequence[tuple[int, Fraction]]) -> Cantor
     return CantorSchedule(d=d, deltas=tuple(deltas), ells=tuple(ells))
 
 
-@dataclass(frozen=True)
-class BoxCollection:
-    """Depth-k collection: prod q_i pairwise-disjoint boxes nested in the parents."""
-
-    depth: int
-    boxes: tuple[Box, ...]
-    certificates: tuple[dict | None, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return self.boxes[0].dim if self.boxes else 0
-
-    def natural_weight(self) -> Fraction:
-        """nu_k(B) = 1 / #C_k per depth-k box; the weights sum to 1 exactly."""
-        return Fraction(1, len(self.boxes))
-
-    def to_jsonl(self) -> str:
-        lines = []
-        certs = self.certificates or (None,) * len(self.boxes)
-        for b, cert in zip(self.boxes, certs):
-            row = {
-                "depth": self.depth,
-                "corner": [f"{c.numerator}/{c.denominator}" for c in b.corner],
-                "side": f"{b.side.numerator}/{b.side.denominator}",
-            }
-            if cert is not None:
-                row["certificate"] = cert
-            lines.append(json.dumps(row, sort_keys=True))
-        return "\n".join(lines) + "\n"
-
-
 def build_cantor(
     schedule: CantorSchedule,
     depth: int,
     rule: PlacementRule = "centered",
     seed: int = 0,
 ) -> BoxCollection:
-    """Iterate the schedule's patterns to ``depth``; cardinality audited exactly."""
+    """Iterate the schedule's patterns to ``depth`` from the unit cube; cardinality audited exactly.
+
+    A collection past DEFAULT_CAP corner coordinates is refused before the first level.
+    """
     if depth < 0 or depth > schedule.depth:
         raise InvalidScheduleError(f"depth must lie in [0, {schedule.depth}]")
-    boxes = [unit_box(schedule.d)]
-    expected = 1
+    expected = math.prod(schedule.q(k) for k in range(1, depth + 1))
+    _check_box_count(expected, schedule.d)
+    level = BoxCollection(depth=0, corners=np.zeros((1, schedule.d), dtype=object), side=1, denom=1)
     for k in range(1, depth + 1):
-        spec = schedule.pattern(k, rule=rule, seed=seed + k)
-        boxes = [sub for parent in boxes for sub in make_pattern(parent, spec)]
-        expected *= schedule.q(k)
-        if len(boxes) != expected:
-            raise InvalidScheduleError("cardinality audit failed")
-    return BoxCollection(depth=depth, boxes=tuple(boxes))
+        level = compose(level, make_pattern(schedule.pattern(k, rule=rule, seed=seed + k), schedule.d))
+    if len(level) != expected:
+        raise InvalidScheduleError("cardinality audit failed")
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +310,13 @@ def box_counting_dimension(collection: BoxCollection, scales: Sequence) -> float
 
 
 def _grid_count(collection: BoxCollection, eps: Fraction) -> int:
+    # x = C / D lies in the eps-grid cell floor(x / eps) = floor(C q / (D n)) for eps = n / q
+    num, den = collection.denom * eps.numerator, eps.denominator
+    lo = collection.corners * den // num
+    hi = -((collection.corners + collection.side) * -den // num) if collection.side else lo + 1
     cells: set[tuple[int, ...]] = set()
-    for b in collection.boxes:
-        ranges = []
-        for c in b.corner:
-            lo = math.floor(c / eps)
-            if b.side == 0:
-                ranges.append(range(lo, lo + 1))
-            else:
-                hi = math.ceil((c + b.side) / eps) - 1
-                ranges.append(range(lo, hi + 1))
-        for idx in np.ndindex(*(len(r) for r in ranges)):
-            cells.add(tuple(r[i] for r, i in zip(ranges, idx)))
+    for row_lo, row_hi in zip(lo.tolist(), hi.tolist()):
+        cells.update(itertools.product(*map(range, row_lo, row_hi)))
     return len(cells)
 
 
@@ -383,9 +390,12 @@ def large_sum_cantor(
     if not 0 <= eps < kap:
         raise PreconditionError(f"need 0 <= epsilon < kappa_d = {kap}")
     expo = kap - eps  # > 0, so floor(p^expo) >= 1
+    if expo.denominator > MAX_EXPONENT_DENOMINATOR:
+        raise PreconditionError(f"need kappa_d - epsilon = {expo} with denominator at most {MAX_EXPONENT_DENOMINATOR}")
     gamma_fr = Fraction(gamma).limit_denominator(10**9)
+    tau = int(tau)
 
-    boxes = [unit_box(d)]
+    boxes = BoxCollection(depth=0, corners=np.zeros((1, d), dtype=object), side=1, denom=1)
     ratios: list[tuple[int, Fraction]] = []  # (m_k, p_k^-tau) per level, as geometric_schedule takes them
     certificates: list[LevelCertificate] = []
 
@@ -394,10 +404,9 @@ def large_sum_cantor(
         thr = threshold(p, float(gamma_fr))  # refuses gamma <= 0 before the first table is built
         table = build_table(d, p, cap=cap)
         m = max(_iroot(p**expo.numerator, expo.denominator), 2)  # floor(p^expo)
-        sub_side = Fraction(1, p) ** int(tau)  # chart-relative side p^{-tau}
         # a witness lies in the central 2/5 of its cell, 3/(10m) from either edge, so the
         # sub-box centered on it stays in the cell exactly when p^-tau / 2 <= 3/(10m)
-        if 5 * m > 3 * p ** int(tau):
+        if 5 * m > 3 * p**tau:
             raise PreconditionError(f"level {level}: half of p^-tau exceeds the 3/(10m) margin of a cell")
         trial = plan_trial_count(p, tau, d, gamma_fr)
         n_level = p * max(trial, 1)
@@ -406,7 +415,6 @@ def large_sum_cantor(
         # the lattice points a/p in the central 2/5 of the cell [i/m, (i+1)/m):
         # ceil((10i + 3) p / (10m)) <= a < ceil((10i + 7) p / (10m))
         central = [range(-(-(10 * i + 3) * p // (10 * m)), -(-(10 * i + 7) * p // (10 * m))) for i in range(m)]
-        chart_boxes: list[Box] = []
         level_certs: list[LevelCertificate] = []
         for idx in np.ndindex(*(m,) * d):
             witness = _first_witness(table, thr, [central[i] for i in idx])
@@ -416,7 +424,6 @@ def large_sum_cantor(
                     "prime too small for the kappa_d density at this cell size",
                     level=level,
                 )
-            sub = Box(corner=tuple(Fraction(a, p) - sub_side / 2 for a in witness), side=sub_side)
             value = abs(weyl_sum(RationalPoint(a=witness, q=p), n_level))
             cert = LevelCertificate(
                 level=level,
@@ -433,31 +440,21 @@ def large_sum_cantor(
                     f"certificate failed at level {level}, cell {idx}: {value} < {bound}"
                 )
             level_certs.append(cert)
-            chart_boxes.append(sub)
 
         certificates.extend(level_certs)
-        # compose the chart pattern into every parent box; each copy carries its certificates, serialized once
+        # each copy of the chart carries its certificates, serialized once
         box_certs = [c.to_json_dict() for c in level_certs] * len(boxes)
-        boxes = [
-            Box(
-                corner=tuple(pc + parent.side * sc for pc, sc in zip(parent.corner, sub.corner)),
-                side=parent.side * sub.side,
-            )
-            for parent in boxes
-            for sub in chart_boxes
-        ]
-        ratios.append((m, sub_side))
+        # the sub-box of side p^-tau centered on a/p has chart corner (2 a p^(tau-1) - 1) / (2 p^tau)
+        anchors = np.array([c.anchor for c in level_certs], dtype=object)
+        chart = BoxCollection(depth=1, corners=anchors * (2 * p ** (tau - 1)) - 1, side=2, denom=2 * p**tau)
+        boxes = compose(boxes, chart)
+        ratios.append((m, Fraction(1, p**tau)))
 
     schedule = geometric_schedule(d, ratios)
     dim_value = dimension_formula(schedule, depth)
-    eps_eff = float(kap) - (float(tau) / d) * dim_value
-    collection = BoxCollection(
-        depth=depth,
-        boxes=tuple(boxes),
-        certificates=tuple(box_certs),
-    )
+    eps_eff = float(kap) - (tau / d) * dim_value
     return LargeSumCantorResult(
-        collection=collection,
+        collection=replace(boxes, certificates=tuple(box_certs)),
         schedule=schedule,
         certificates=tuple(certificates),
         cells_per_axis=tuple(m for m, _ in ratios),

@@ -323,7 +323,7 @@ def _run_cantor_build(args, out: Path) -> None:
             "primes": list(args.primes),
             "depth": args.depth,
             "cells_per_axis": list(result.cells_per_axis),
-            "box_count": len(result.collection.boxes),
+            "box_count": len(result.collection),
             "certificates_pass": all(c.passed for c in result.certificates),
             "dimension_value": result.dimension_value,
             "epsilon_requested": result.epsilon_requested,
@@ -359,9 +359,7 @@ def _run_pattern_demo(args, out: Path) -> None:
     if args.cells < 1:
         raise PreconditionError("cells must be >= 1")
     spec = ct.PatternSpec(a=Fraction(1), b=Fraction(1, args.cells), c=args.c, rule=args.rule, seed=args.seed)
-    boxes = ct.make_pattern(ct.unit_box(args.d), spec)
-    coll = ct.BoxCollection(depth=1, boxes=tuple(boxes))
-    (out / "pattern.jsonl").write_text(coll.to_jsonl())
+    (out / "pattern.jsonl").write_text(ct.make_pattern(spec, args.d).to_jsonl())
 
 
 def _run_discrepancy(args, out: Path) -> None:

@@ -13,12 +13,14 @@ images, for the orbit multiplicities and table lookups, the block scan over
 all of F_p^d for L_p rows, masks over listed L_p member rows and the upward
 a_1 scan for box density, and for the discrepancy both an
 O(N^2) sweep over the endpoint grid with all four one-sided-limit
-combinations and the linear closed form over sorted Python ints.
+combinations and the linear closed form over sorted Python ints, and for
+Cantor levels the per-box Fraction patterns, compositions and grid counts.
 """
 
 import bisect
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -358,30 +360,77 @@ def lsq_slope(xs, ys):
     )
 
 
+def level_boxes(level):
+    """The boxes of a cantor level as (corner, side) pairs of Fractions."""
+    side = Fraction(level.side, level.denom)
+    return [(tuple(Fraction(c, level.denom) for c in row), side) for row in level.corners.tolist()]
+
+
 def audit_nesting(parent, child):
-    """Each box of a child BoxCollection inside exactly one parent box; children pairwise disjoint."""
-    for cb in child.boxes:
-        owners = sum(1 for pb in parent.boxes if box_contains(pb, cb))
+    """Each box of a child level inside exactly one parent box; children pairwise disjoint."""
+    parents, children = level_boxes(parent), level_boxes(child)
+    for cb in children:
+        owners = sum(1 for pb in parents if box_contains(pb, cb))
         if owners != 1:
             return False
-    for i, a in enumerate(child.boxes):
-        for b in child.boxes[i + 1 :]:
+    for i, a in enumerate(children):
+        for b in children[i + 1 :]:
             if not boxes_disjoint(a, b):
                 return False
     return True
 
 
 def box_contains(outer, inner):
-    """The half-open cantor Box inner lies inside outer."""
+    """The half-open (corner, side) box inner lies inside outer."""
+    (outer_corner, outer_side), (inner_corner, inner_side) = outer, inner
     return all(
-        c <= oc and oc + inner.side <= c + outer.side
-        for c, oc in zip(outer.corner, inner.corner)
+        c <= oc and oc + inner_side <= c + outer_side
+        for c, oc in zip(outer_corner, inner_corner)
     )
 
 
 def boxes_disjoint(a, b):
-    """Two half-open cantor Boxes share no point: they are apart along some axis."""
+    """Two half-open (corner, side) boxes share no point: they are apart along some axis."""
+    (a_corner, a_side), (b_corner, b_side) = a, b
     return any(
-        c + a.side <= oc or oc + b.side <= c
-        for c, oc in zip(a.corner, b.corner)
+        c + a_side <= oc or oc + b_side <= c
+        for c, oc in zip(a_corner, b_corner)
     )
+
+
+def fraction_pattern(box, spec):
+    """The (a, b, c)-pattern in a side-a (corner, side) box, one Fraction box per cell."""
+    corner, side = box
+    assert side == spec.a
+    m, slack = spec.cells_per_axis, spec.b - spec.c
+    rng = np.random.Generator(np.random.Philox(key=spec.seed)) if spec.rule == "seeded-random" else None
+    out = []
+    for idx in np.ndindex(*(m,) * len(corner)):
+        cell = [c + i * spec.b for c, i in zip(corner, idx)]
+        if spec.rule == "corner":
+            shift = [0] * len(cell)
+        elif spec.rule == "centered":
+            shift = [slack / 2] * len(cell)
+        else:
+            shift = [slack * Fraction(int(u), 1 << 32) for u in rng.integers(0, 1 << 32, size=len(cell))]
+        out.append((tuple(c + s for c, s in zip(cell, shift)), spec.c))
+    return out
+
+
+def fraction_cantor(schedule, depth, rule="centered", seed=0):
+    """`cantor.build_cantor` as Fraction boxes: each level's pattern made anew in every parent box."""
+    boxes = [((Fraction(0),) * schedule.d, Fraction(1))]
+    for k in range(1, depth + 1):
+        spec = schedule.pattern(k, rule=rule, seed=seed + k)
+        boxes = [sub for parent in boxes for sub in fraction_pattern(parent, spec)]
+    return boxes
+
+
+def fraction_grid_count(boxes, eps):
+    """eps-grid cells meeting the half-open (corner, side) boxes, by Fraction floor and ceil."""
+    cells = set()
+    for corner, side in boxes:
+        lo = [math.floor(c / eps) for c in corner]
+        hi = [lo_j + 1 if side == 0 else math.ceil((c + side) / eps) for lo_j, c in zip(lo, corner)]
+        cells.update(itertools.product(*map(range, lo, hi)))
+    return len(cells)

@@ -5,9 +5,18 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import audit_nesting, box_contains, full_table
+from helpers import (
+    audit_nesting,
+    box_contains,
+    fraction_cantor,
+    fraction_grid_count,
+    fraction_pattern,
+    full_table,
+    level_boxes,
+)
 from weylsums import cantor as ct
 from weylsums import complete_sums as cs
 from weylsums import large_values as lv
@@ -15,6 +24,7 @@ from weylsums.errors import (
     InvalidPatternError,
     InvalidScheduleError,
     PreconditionError,
+    ResourceLimitError,
     TooFewScalesError,
     WitnessNotFoundError,
 )
@@ -24,20 +34,20 @@ F = Fraction
 
 def test_pattern_corner_count():
     spec = ct.PatternSpec(a=F(1), b=F(1, 3), c=F(1, 10), rule="corner")
-    boxes = ct.make_pattern(ct.unit_box(2), spec)
+    boxes = level_boxes(ct.make_pattern(spec, 2))
     assert len(boxes) == 9
-    assert all(b.side == F(1, 10) for b in boxes)
-    assert boxes[0].corner == (F(0), F(0))
+    assert all(side == F(1, 10) for _, side in boxes)
+    assert boxes[0][0] == (F(0), F(0))
 
 
 def test_pattern_centered():
     spec = ct.PatternSpec(a=F(1), b=F(1, 2), c=F(1, 8), rule="centered")
-    boxes = ct.make_pattern(ct.unit_box(2), spec)
+    boxes = level_boxes(ct.make_pattern(spec, 2))
     assert len(boxes) == 4
     # each box centered in its half-cell: corner = cell + (1/2 - 1/8)/2
     off = (F(1, 2) - F(1, 8)) / 2
-    assert boxes[0].corner == (off, off)
-    assert boxes[-1].corner == (F(1, 2) + off, F(1, 2) + off)
+    assert boxes[0][0] == (off, off)
+    assert boxes[-1][0] == (F(1, 2) + off, F(1, 2) + off)
 
 
 def test_pattern_invalid_ratio():
@@ -52,14 +62,14 @@ def test_pattern_invalid_order():
 
 def test_pattern_seeded_random_deterministic_and_contained():
     spec = ct.PatternSpec(a=F(1), b=F(1, 4), c=F(1, 64), rule="seeded-random", seed=9)
-    b1 = ct.make_pattern(ct.unit_box(2), spec)
-    b2 = ct.make_pattern(ct.unit_box(2), spec)
+    b1 = level_boxes(ct.make_pattern(spec, 2))
+    b2 = level_boxes(ct.make_pattern(spec, 2))
     assert b1 == b2
-    cells = ct.make_pattern(ct.unit_box(2), ct.PatternSpec(a=F(1), b=F(1, 4), c=F(1, 4) - F(1, 10**9), rule="corner"))
-    for sub in b1:
+    cells = level_boxes(ct.make_pattern(ct.PatternSpec(a=F(1), b=F(1, 4), c=F(1, 4) - F(1, 10**9), rule="corner"), 2))
+    for sub_corner, sub_side in b1:
         assert any(
-            all(cc <= sc and sc + sub.side <= cc + F(1, 4) for cc, sc in zip(cell.corner, sub.corner))
-            for cell in (ct.Box(corner=c.corner, side=F(1, 4)) for c in cells)
+            all(cc <= sc and sc + sub_side <= cc + F(1, 4) for cc, sc in zip(cell_corner, sub_corner))
+            for cell_corner, _ in cells
         )
 
 
@@ -74,15 +84,15 @@ def test_schedule_validation():
 def test_build_cantor_q4_depth3():
     sched = ct.geometric_schedule(2, [(2, F(1, 4))] * 3)
     coll = ct.build_cantor(sched, 3)
-    assert len(coll.boxes) == 64
-    assert all(b.side == F(1, 64) for b in coll.boxes)
+    assert len(coll) == 64
+    assert all(side == F(1, 64) for _, side in level_boxes(coll))
     assert sched.q(1) == 4
 
 
 def test_build_cantor_depth0_unit_cube():
     sched = ct.geometric_schedule(2, [(2, F(1, 4))])
     coll = ct.build_cantor(sched, 0)
-    assert coll.boxes == (ct.unit_box(2),)
+    assert level_boxes(coll) == [((F(0), F(0)), F(1))]
 
 
 def test_nesting_and_disjointness_audit():
@@ -97,7 +107,7 @@ def test_natural_weight_sums_to_one():
     coll = ct.build_cantor(sched, 3)
     w = coll.natural_weight()
     assert w == F(1, 64)
-    assert w * len(coll.boxes) == 1
+    assert w * len(coll) == 1
 
 
 def test_dimension_formula_q4_exact():
@@ -123,15 +133,19 @@ def test_dimension_formula_preconditions():
         ct.dimension_formula(sched, 5)
 
 
+def _unit_cube(d):
+    return ct.BoxCollection(depth=0, corners=np.zeros((1, d), dtype=object), side=1, denom=1)
+
+
 def test_box_counting_full_cube():
-    coll = ct.BoxCollection(depth=0, boxes=(ct.unit_box(2),))
+    coll = _unit_cube(2)
     dim = ct.box_counting_dimension(coll, [F(1, 4), F(1, 16), F(1, 64), F(1, 256)])
     assert abs(dim - 2.0) <= 0.05
 
 
 def test_box_counting_single_point():
-    pt = ct.Box(corner=(F(1, 3), F(2, 7)), side=F(0))
-    coll = ct.BoxCollection(depth=0, boxes=(pt,))
+    # the point (1/3, 2/7) = (7/21, 6/21): a box of side 0
+    coll = ct.BoxCollection(depth=0, corners=np.array([[7, 6]], dtype=object), side=0, denom=21)
     dim = ct.box_counting_dimension(coll, [F(1, 4), F(1, 16), F(1, 64)])
     assert abs(dim) <= 0.05
 
@@ -154,7 +168,7 @@ def test_formula_matches_box_counting_constant_q():
 
 
 def test_box_counting_scale_preconditions():
-    coll = ct.BoxCollection(depth=0, boxes=(ct.unit_box(2),))
+    coll = _unit_cube(2)
     with pytest.raises(TooFewScalesError):
         ct.box_counting_dimension(coll, [F(1, 4), F(1, 8)])
     with pytest.raises(TooFewScalesError):
@@ -163,7 +177,7 @@ def test_box_counting_scale_preconditions():
 
 def test_large_sum_cantor_acceptance_shape():
     res = ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2)
-    assert len(res.collection.boxes) == 64
+    assert len(res.collection) == 64
     assert res.cells_per_axis == (2, 2)
     assert len(res.certificates) == 16
     assert all(c.passed for c in res.certificates)
@@ -192,6 +206,66 @@ def test_large_sum_cantor_boxes_nest():
     res1 = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)
     res2 = ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2)
     assert audit_nesting(res1.collection, res2.collection)
+    # the Fraction chart composition: each level-2 sub-box, centered on a/127 in the chart of its parent
+    charts = [tuple(F(a, 127) - F(1, 2 * 127**4) for a in c.anchor) for c in res2.certificates[8:]]
+    want = [(tuple(pc + side * cc for pc, cc in zip(corner, chart)), side * F(1, 127**4))
+            for corner, side in level_boxes(res1.collection) for chart in charts]
+    assert level_boxes(res2.collection) == want
+
+
+_SCHEDULES = [[(2, F(1, 5)), (3, F(2, 7)), (2, F(1, 3))], [(3, F(1, 4)), (2, F(3, 7))]]
+
+
+@pytest.mark.parametrize("rule", ["corner", "centered", "seeded-random"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("ratios", _SCHEDULES)
+def test_levels_and_grid_counts_equal_the_fraction_reference(ratios, d, rule):
+    sched = ct.geometric_schedule(d, ratios)
+    for depth in range(len(ratios) + 1):
+        level = ct.build_cantor(sched, depth, rule=rule, seed=11)
+        boxes = fraction_cantor(sched, depth, rule=rule, seed=11)
+        assert level.depth == depth and level_boxes(level) == boxes
+        for eps in (F(1, 3), F(2, 37), F(1, 45)):
+            assert ct._grid_count(level, eps) == fraction_grid_count(boxes, eps)
+    if rule == "seeded-random":
+        assert level.denom > 1 << 63  # a factor 2^32 per level, carried in Python ints
+
+
+@pytest.mark.parametrize("rule", ["corner", "centered", "seeded-random"])
+def test_make_pattern_equals_the_fraction_pattern_in_a_side_a_box(rule):
+    # a pattern in the chart of the unit cube, scaled into a side-a box, is the pattern drawn in that box
+    spec = ct.PatternSpec(a=F(2, 9), b=F(2, 27), c=F(1, 50), rule=rule, seed=4)
+    chart = ct.make_pattern(spec, 2)
+    box = ((F(1, 3), F(5, 9)), F(2, 9))
+    want = fraction_pattern(box, spec)
+    assert [(tuple(c + box[1] * o for c, o in zip(box[0], corner)), box[1] * side)
+            for corner, side in level_boxes(chart)] == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_batched_philox_draw_equals_the_per_cell_draw(d):
+    # make_pattern draws all cells' words at once; the earlier per-cell loop drew d words per cell
+    for cells in range(1, 65):
+        per_cell = np.random.Generator(np.random.Philox(key=cells))
+        want = [per_cell.integers(0, 1 << 32, size=d) for _ in range(cells)]
+        got = np.random.Generator(np.random.Philox(key=cells)).integers(0, 1 << 32, size=(cells, d))
+        assert np.array_equal(got, np.array(want))
+
+
+def test_box_count_is_refused_before_the_first_level(monkeypatch):
+    assert ct._check_box_count(ct.DEFAULT_CAP // 2, 2) is None
+    with pytest.raises(ResourceLimitError):
+        ct._check_box_count(ct.DEFAULT_CAP // 2 + 1, 2)
+    with pytest.raises(ResourceLimitError):
+        ct.make_pattern(ct.PatternSpec(a=F(1), b=F(1, 3000), c=F(1, 10**5)), 2)
+
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was built for a box count that is refused")
+
+    monkeypatch.setattr(ct, "make_pattern", no_level)
+    # 150^4 boxes at depth 2
+    with pytest.raises(ResourceLimitError, match="exceed the cap"):
+        ct.build_cantor(ct.geometric_schedule(2, [(150, F(1, 300))] * 2), 2)
 
 
 def test_dimension_formula_at_depth_one_is_the_large_sum_cantor_value():
@@ -216,9 +290,9 @@ def test_large_sum_cantor_k1_matches_box_density_search():
             hi = F(cell_idx, m) + F(7, 10 * m)
             assert lo <= F(coord, 31) < hi
     # and each kept sub-box, centered on its anchor, lies inside its cell
-    for box, cert in zip(res.collection.boxes, res.certificates):
-        assert box.corner == tuple(F(a, 31) - box.side / 2 for a in cert.anchor)
-        assert box_contains(ct.Box(corner=tuple(F(i, m) for i in cert.cell), side=F(1, m)), box)
+    for (corner, side), cert in zip(level_boxes(res.collection), res.certificates):
+        assert corner == tuple(F(a, 31) - side / 2 for a in cert.anchor)
+        assert box_contains((tuple(F(i, m) for i in cert.cell), F(1, m)), (corner, side))
 
 
 @pytest.mark.parametrize("p", [7, 31])
@@ -251,6 +325,23 @@ def test_large_sum_cantor_refuses_gamma_before_any_table(gamma, monkeypatch):
         ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2, gamma=gamma)
 
 
+@pytest.mark.parametrize("epsilon", [F(1, 10001), F(1, 10000019), 1 / 1000003])
+def test_large_sum_cantor_refuses_a_fine_epsilon_before_any_table(epsilon, monkeypatch):
+    # floor(p^(kappa_d - eps)) is an integer root whose work grows with the exponent's denominator
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for an epsilon that is refused")
+
+    monkeypatch.setattr(ct, "build_table", no_table)
+    with pytest.raises(PreconditionError, match="denominator at most 10000"):
+        ct.large_sum_cantor(3, 4, epsilon, (31,), 1)
+
+
+def test_large_sum_cantor_takes_an_exponent_denominator_at_the_bound():
+    # kappa_3 - 1/10000 = 2499/10000
+    res = ct.large_sum_cantor(3, 4, F(1, 10000), (31,), 1)
+    assert res.cells_per_axis == (2,) and len(res.collection) == 8
+
+
 def test_large_sum_cantor_preconditions():
     with pytest.raises(PreconditionError):
         ct.large_sum_cantor(3, F(7, 2), F(1, 20), (31, 127), 2)  # tau = d + 1/2
@@ -276,7 +367,7 @@ def test_large_sum_cantor_sub_box_margin_is_exact(monkeypatch):
 def test_jsonl_serialization():
     res = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)
     lines = res.collection.to_jsonl().strip().split("\n")
-    assert len(lines) == len(res.collection.boxes)
+    assert len(lines) == len(res.collection)
     row = json.loads(lines[0])
     assert row["depth"] == 1
     assert row["side"] == "1/923521"  # 31^{-4}

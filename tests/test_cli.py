@@ -246,6 +246,20 @@ def _no_cantor_build(monkeypatch, out):
     monkeypatch.setattr(cli.ct, "build_cantor", refuse)
 
 
+def _no_cantor_level(monkeypatch, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Cantor level was built before the box count was checked")
+
+    monkeypatch.setattr(cli.ct, "make_pattern", refuse)
+
+
+def _no_cantor_table(monkeypatch, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built before epsilon was checked")
+
+    monkeypatch.setattr(cli.ct, "build_table", refuse)
+
+
 @pytest.mark.parametrize(
     "code, error_class, prefix, argv, setup",
     [
@@ -266,12 +280,23 @@ def _no_cantor_build(monkeypatch, out):
         # 2 scales, 1/300 and 1/90000; the collection would hold 150^2 boxes
         (2, "TooFewScalesError", "invalid configuration",
          ["cantor-dim", "--d", "2", "--cells", "150", "--shrink", "300", "--depth", "1"], _no_cantor_build),
+        # 3 scales spanning 300^2; 150^4 boxes of 2 coordinates against the cap of 10^7
+        (3, "ResourceLimitError", "resource limit",
+         ["cantor-dim", "--d", "2", "--cells", "150", "--shrink", "300", "--depth", "2"], _no_cantor_level),
+        # 4000^2 boxes of 2 coordinates
+        (3, "ResourceLimitError", "resource limit",
+         ["pattern-demo", "--d", "2", "--cells", "4000", "--c", "1/100000"], None),
+        # kappa_3 - epsilon = 1/4 - 1/10000019 has denominator 40000076: its integer root ran past a minute
+        (2, "PreconditionError", "invalid configuration",
+         ["cantor-build", "--d", "3", "--tau", "4", "--primes", "31", "--depth", "1", "--epsilon", "1/10000019"],
+         _no_cantor_table),
         # A_1(1) = 1! - 1 = 0: no box-moment ratio, refused before the table is built or cached
         (2, "PreconditionError", "invalid configuration",
          ["box-moments", "--d", "1", "--p", "13", "--nu", "1", "--cache"], _no_table),
     ],
     ids=["invalid-config", "moments-nu-0", "moments-nu-above-d", "cap", "monomial-d2-p2", "monomial-d4-p2",
-         "out-of-memory", "lemma-check", "koksma-check", "corrupt-cache", "cantor-dim-scales", "box-moments-d1"],
+         "out-of-memory", "lemma-check", "koksma-check", "corrupt-cache", "cantor-dim-scales", "cantor-dim-boxes",
+         "pattern-demo-boxes", "cantor-build-epsilon", "box-moments-d1"],
 )
 def test_failed_run_writes_manifest(code, error_class, prefix, argv, setup, tmp_path, monkeypatch, capsys):
     out = tmp_path / "fail"
@@ -515,6 +540,30 @@ def test_readme_cantor_artifacts_are_pinned(tmp_path):
     argv, digests = _README_CANTOR
     assert _run([*argv, "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+# the README cantor-dim and pattern-demo lines, each also under the corner and seeded-random rules: the
+# integer levels' grid counts and reduced "n/d" rows, seeded-random denominators past 2^63 among them
+_CANTOR_GEOMETRY = (
+    (["cantor-dim", "--d", "2", "--cells", "2", "--shrink", "4", "--depth", "4"], "cantor_dim.json", {
+        (): "0671045390e14b32ea3bbd5e3d1f6353cb0e7a49f2623ef5780790142651a9c6",
+        ("--rule", "corner"): "a41dcb0716af3846028c9bea4b81d68a90a737ed2a5dad5d471fd1f86caae998",
+        ("--rule", "seeded-random", "--seed", "7"): "95dccdc7f3240f5289d876428ab6c773e5c87de1037670242f09feebba3c939f",
+    }),
+    (["pattern-demo", "--d", "2", "--cells", "3", "--c", "1/10"], "pattern.jsonl", {
+        (): "7dc45ab6e6ea6dea2ba1bd35e54be387225b366b374da4326251c55db655ef7c",
+        ("--rule", "corner"): "679091fa3586aefeeea3d468e72153b7ab4252099ce03ba25baa5ef3570824ed",
+        ("--rule", "seeded-random", "--seed", "7"): "aa1bbcc84bf5e071b7704ab8ee4228c0ca6e4c60ebb58a7b636413187b1e1397",
+    }),
+)
+
+
+def test_cantor_geometry_artifacts_are_pinned(tmp_path):
+    for argv, name, digests in _CANTOR_GEOMETRY:
+        for i, (rule, digest) in enumerate(digests.items()):
+            out = tmp_path / f"{argv[0]}-{i}"
+            assert _run([*argv, *rule, "--out", str(out)]) == 0
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (argv, rule)
 
 
 # README commands whose artifacts the table readers (the Gauss check, the Mordell moments and the
