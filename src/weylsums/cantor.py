@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complete_sums import DEFAULT_CAP, build_table
+from .complete_sums import DEFAULT_CAP, _require_prime, build_table
 from .errors import (
     InvalidPatternError,
     InvalidScheduleError,
@@ -49,7 +49,7 @@ from .errors import (
     TooFewScalesError,
     WitnessNotFoundError,
 )
-from .large_values import _iroot, _json_fields, _member_blocks, kappa, plan_trial_count, threshold
+from .large_values import _as_fraction, _iroot, _json_fields, _member_blocks, kappa, plan_trial_count, threshold
 from .phasecore import RationalPoint
 from .weyl_sums import weyl_sum
 
@@ -129,9 +129,11 @@ def compose(parent: BoxCollection, chart: BoxCollection) -> BoxCollection:
                          parent.side * chart.side, parent.denom * chart.denom)
 
 
-def _check_box_count(boxes: int, d: int) -> None:
-    if boxes * d > DEFAULT_CAP:
-        raise ResourceLimitError(f"{boxes} boxes of {d} corner coordinates exceed the cap of {DEFAULT_CAP}")
+def _check_box_count(cells: int, d: int, e: int = 1) -> None:
+    """Refuse cells^e boxes of d corner coordinates past DEFAULT_CAP, by bit lengths before the power is formed."""
+    if e * (cells.bit_length() - 1) >= DEFAULT_CAP.bit_length() or cells**e * d > DEFAULT_CAP:
+        base = cells if cells < 1 << 64 else f"(2^{cells.bit_length() - 1} or more)"
+        raise ResourceLimitError(f"{base}^{e} boxes of {d} corner coordinates exceed the cap of {DEFAULT_CAP}")
 
 
 def make_pattern(spec: PatternSpec, d: int) -> BoxCollection:
@@ -143,7 +145,7 @@ def make_pattern(spec: PatternSpec, d: int) -> BoxCollection:
     if d < 1:
         raise PreconditionError("dimension must be >= 1")
     m = spec.cells_per_axis
-    _check_box_count(m**d, d)
+    _check_box_count(m, d, d)
     cells = np.indices((m,) * d).reshape(d, -1).T.astype(object)
     slack = (spec.b - spec.c) / spec.a  # room around the kept box in its cell, in chart units
     if spec.rule == "corner":
@@ -198,8 +200,12 @@ class CantorSchedule:
     def delta(self, k: int) -> Fraction:
         return Fraction(1) if k == 0 else self.deltas[k - 1]
 
+    def cells(self, k: int) -> int:
+        """Cells per axis of level k's pattern, delta_{k-1}/ell_k."""
+        return int(self.delta(k - 1) / self.ells[k - 1])
+
     def q(self, k: int) -> int:
-        return int(self.delta(k - 1) / self.ells[k - 1]) ** self.d
+        return self.cells(k) ** self.d
 
     def pattern(self, k: int, rule: PlacementRule = "centered", seed: int = 0) -> PatternSpec:
         return PatternSpec(
@@ -230,8 +236,9 @@ def build_cantor(
     """
     if depth < 0 or depth > schedule.depth:
         raise InvalidScheduleError(f"depth must lie in [0, {schedule.depth}]")
-    expected = math.prod(schedule.q(k) for k in range(1, depth + 1))
-    _check_box_count(expected, schedule.d)
+    cells = math.prod(schedule.cells(k) for k in range(1, depth + 1))
+    _check_box_count(cells, schedule.d, schedule.d)
+    expected = cells**schedule.d
     level = BoxCollection(depth=0, corners=np.zeros((1, schedule.d), dtype=object), side=1, denom=1)
     for k in range(1, depth + 1):
         level = compose(level, make_pattern(schedule.pattern(k, rule=rule, seed=seed + k), schedule.d))
@@ -259,19 +266,9 @@ def dimension_formula(schedule: CantorSchedule, k_max: int) -> float:
     for k in range(1, k_max + 1):
         prod_q *= schedule.q(k)
         dk = schedule.delta(k)
-        val = _log_int(prod_q) / (_log_int(dk.denominator) - _log_int(dk.numerator))
+        val = math.log(prod_q) / (math.log(dk.denominator) - math.log(dk.numerator))
         best = val if best is None or val < best else best
     return best
-
-
-def _log_int(n: int) -> float:
-    """log of a (possibly huge) positive integer without float overflow."""
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    if n.bit_length() <= 1022:
-        return math.log(n)
-    shift = n.bit_length() - 64
-    return math.log(n >> shift) + shift * math.log(2.0)
 
 
 def checked_scales(scales: Sequence) -> list[Fraction]:
@@ -314,6 +311,8 @@ def _grid_count(collection: BoxCollection, eps: Fraction) -> int:
     num, den = collection.denom * eps.numerator, eps.denominator
     lo = collection.corners * den // num
     hi = -((collection.corners + collection.side) * -den // num) if collection.side else lo + 1
+    if (hi - lo).prod(axis=1).sum() > DEFAULT_CAP:  # the cells the set below would visit, as Python ints
+        raise ResourceLimitError(f"the boxes meet more than {DEFAULT_CAP} grid cells at one box-counting scale")
     cells: set[tuple[int, ...]] = set()
     for row_lo, row_hi in zip(lo.tolist(), hi.tolist()):
         cells.update(itertools.product(*map(range, row_lo, row_hi)))
@@ -356,7 +355,7 @@ def large_sum_cantor(
     epsilon,
     primes: Sequence[int],
     depth: int,
-    gamma: float = 1.0,
+    gamma=1,
     cap: int = DEFAULT_CAP,
 ) -> LargeSumCantorResult:
     """Cantor set whose kept boxes are centered on large-sum anchors, with certificates.
@@ -367,9 +366,10 @@ def large_sum_cantor(
     keeps the sub-box of side p_k^{-tau} centered at the witness.  N_k is the
     plan trial count p_k * floor(0.25 gamma^{1/d} p_k^{(2tau-1)/2d-1}) when
     that floor is positive, else p_k (anchor periodicity still certifies the
-    bound at the center).  Raises WitnessNotFoundError with the failing level
-    when a cell has no witness, and LemmaCheckFailureError if a certificate
-    inequality fails, which would be an implementation bug.
+    bound at the center).  epsilon and gamma are taken as exact rationals, a
+    float by `large_values._as_fraction`.  Raises WitnessNotFoundError with
+    the failing level when a cell has no witness, and LemmaCheckFailureError
+    if a certificate inequality fails, which would be an implementation bug.
     """
     tau = Fraction(tau)
     if tau.denominator != 1:
@@ -385,15 +385,25 @@ def large_sum_cantor(
         raise PreconditionError("need one prime per level")
     if any(b <= a for a, b in zip(primes, primes[1:])):
         raise PreconditionError("primes must be strictly increasing")
-    eps = Fraction(epsilon).limit_denominator(10**9) if isinstance(epsilon, float) else Fraction(epsilon)
+    eps = _as_fraction(epsilon)
     kap = kappa(d)
     if not 0 <= eps < kap:
         raise PreconditionError(f"need 0 <= epsilon < kappa_d = {kap}")
     expo = kap - eps  # > 0, so floor(p^expo) >= 1
     if expo.denominator > MAX_EXPONENT_DENOMINATOR:
         raise PreconditionError(f"need kappa_d - epsilon = {expo} with denominator at most {MAX_EXPONENT_DENOMINATOR}")
-    gamma_fr = Fraction(gamma).limit_denominator(10**9)
+    gamma_fr = _as_fraction(gamma)
+    threshold(primes[0], float(gamma_fr))  # refuses gamma <= 0 before any table is built
     tau = int(tau)
+    # N_k <= gamma^(1/d) p^((2 tau - 1)/(2d)) / 4 goes into the float of its bound: refused past the
+    # float range by its logarithm, before plan_trial_count forms a power of p (a tau past 2^64,
+    # already far past that range, counts as 2^64, so that it converts to a float)
+    log_gamma = math.log2(gamma_fr.numerator) - math.log2(gamma_fr.denominator)
+    for p in primes[:depth]:
+        _require_prime(p)
+        log_n = (math.log2(p) * (min(tau, 1 << 64) - 0.5) + log_gamma) / d - 2
+        if log_n >= 1024 - 1e-6:
+            raise PreconditionError(f"at p = {p} the trial length N of about 2^{log_n:.0f} is past the float range")
 
     boxes = BoxCollection(depth=0, corners=np.zeros((1, d), dtype=object), side=1, denom=1)
     ratios: list[tuple[int, Fraction]] = []  # (m_k, p_k^-tau) per level, as geometric_schedule takes them
@@ -401,7 +411,7 @@ def large_sum_cantor(
 
     for level in range(1, depth + 1):
         p = primes[level - 1]
-        thr = threshold(p, float(gamma_fr))  # refuses gamma <= 0 before the first table is built
+        thr = threshold(p, float(gamma_fr))
         table = build_table(d, p, cap=cap)
         m = max(_iroot(p**expo.numerator, expo.denominator), 2)  # floor(p^expo)
         # a witness lies in the central 2/5 of its cell, 3/(10m) from either edge, so the

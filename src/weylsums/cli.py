@@ -77,10 +77,6 @@ def _uint64(text: str) -> int:
     return v
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -90,7 +86,7 @@ def _csv_refused(value):
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The bytes csv.writer writes, in one join: floats as `_fmt` writes them, ints by str, \\r\\n line ends.
+    """The bytes csv.writer writes, in one join: floats by format(v, ".17g"), ints by str, \\r\\n line ends.
 
     No field is quoted: the header names hold no comma, quote or line break,
     which is asserted, and neither does a number.  Any other value is refused.
@@ -312,7 +308,7 @@ def _run_measure_estimate(args, out: Path) -> None:
 
 def _run_cantor_build(args, out: Path) -> None:
     result = ct.large_sum_cantor(
-        args.d, args.tau, args.epsilon, args.primes, args.depth, gamma=float(args.gamma), cap=args.cap
+        args.d, args.tau, args.epsilon, args.primes, args.depth, gamma=args.gamma, cap=args.cap
     )
     (out / "cantor_boxes.jsonl").write_text(result.collection.to_jsonl())
     _write_json(

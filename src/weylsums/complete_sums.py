@@ -101,6 +101,15 @@ def _check_cap(count: int, cap: int, what: str = "table of {} entries") -> None:
         raise ResourceLimitError(f"{what.format(count)} exceeds the cap of {cap}; raise the cap")
 
 
+def _check_power_cap(p: int, e: int, cap: int, what: str, factor: int = 1) -> None:
+    """Refuse factor * p^e > cap, by bit lengths before the power is formed when it is far past the cap.
+
+    The message writes the count as p^e, never in full.
+    """
+    if e * (p.bit_length() - 1) >= cap.bit_length() or factor * p**e > cap:
+        raise ResourceLimitError(f"{what.format(f'{p}^{e}')} exceeds the cap of {cap}; raise the cap")
+
+
 def _unit_root_sum(residues, q: int) -> complex:
     """sum_{n=1}^{q} e(r_n / q) by direct summation, for exact residues r_n in [0, q).
 
@@ -259,9 +268,7 @@ class CompleteSumTable:
 
 def _check_table_cap(d: int, p: int, cap: int) -> None:
     """Refuse a table of more than cap stored entries, 2 p^(d-1)."""
-    if d - 1 >= cap.bit_length():  # p^(d-1) >= 2^(d-1) > cap; the power is never formed
-        raise ResourceLimitError(f"table of 2*{p}^{d - 1} entries exceeds the cap of {cap}; raise the cap")
-    _check_cap(2 * p ** (d - 1), cap)
+    _check_power_cap(p, d - 1, cap, "table of 2*{} entries", factor=2)
 
 
 def build_table(d: int, p: int, cap: int = DEFAULT_CAP) -> CompleteSumTable:
@@ -324,8 +331,8 @@ def _monomial_residues(a: int, p: int, d: int):
     from `residue_array` once, so a term costs one product, one add and one
     reduction.  Every value before the reduction is below (p + 1) q < 2^47,
     as residue_array's guard holds q < 2^31 and p <= sqrt(q).  The residues
-    go to work's "acc" and the reduction's quotient to its "power", the
-    buffers of the phase-word kernel, viewed as int64.
+    go to work's "acc" of the phase-word kernel, viewed as int64, and the
+    reduction's quotient to the residue kernel's "quotient".
     """
     q, P = p**d, p ** (d - 1)
     head = residue_array((a,), q, (d,), 0, P)
@@ -347,7 +354,7 @@ def _monomial_residues(a: int, p: int, d: int):
             fill(r[first : m - last], 0, P, v + 1, rows)
         if last:
             fill(r[m - last :], 0, last, v + 1 + rows, 1)
-        quotient = work.take("power", (m,), np.uint64).view(np.int64)
+        quotient = work.take("quotient", (m,), np.int64)
         np.floor_divide(r, q, out=quotient)  # r % q as r - (r // q) q: faster than np.remainder by a scalar
         np.multiply(quotient, q, out=quotient)
         return np.subtract(r, quotient, out=r)
@@ -370,7 +377,7 @@ def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> com
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")
     if p == 2 and d in (2, 4):
         raise PreconditionError(f"the monomial sum is not p^(d-1) at (d, p) = ({d}, 2), one of its two exceptions")
-    _check_cap(p**d, cap, "sum of {} terms")
+    _check_power_cap(p, d, cap, "sum of {} terms")
     value = _unit_root_sum(_monomial_residues(a, p, d), p**d)
     expected = float(p ** (d - 1))
     if abs(value - expected) > 1e-6 * expected:

@@ -92,6 +92,17 @@ def radius_units(p: int, tau: Fraction) -> int:
     return _iroot(((1 << (64 * v)) - 1) // p**u, v)
 
 
+def _check_grid_radius(p: int, tau: Fraction) -> None:
+    """Refuse a radius p^{-tau} below the 2^-64 step of the phase grid, where `radius_units` is 0.
+
+    That is p^u >= 2^{64 v} for tau = u/v, decided by bit lengths before the
+    power is formed when it is far past 2^{64 v}.
+    """
+    u, v = tau.numerator, tau.denominator
+    if (p.bit_length() - 1) * u >= 64 * v or p**u >= 1 << (64 * v):
+        raise PreconditionError(f"p^-tau = {p}^-({tau}) is below the 2^-64 step of the phase grid")
+
+
 def _wrapped_units(frac: int, target_num: int, target_den: int) -> Fraction:
     """Exact torus distance |frac/2^64 - target_num/target_den| as a Fraction."""
     diff = (Fraction(frac, TURN) - Fraction(target_num, target_den)) % 1
@@ -288,6 +299,7 @@ def amplification_plan(
     gamma = _as_fraction(gamma)
     if 2 * tau <= 2 * d + 1:
         raise PreconditionError(f"need tau > d + 1/2, got tau={tau}, d={d}")
+    _check_grid_radius(p, tau)
     m = plan_trial_count(p, tau, d, gamma)
     if m < 1:
         raise PrimeTooSmallError(
@@ -384,14 +396,18 @@ def monomial_amplified_check(
     if gcd(a, p) != 1:
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")
     tau = _as_fraction(tau)
+    _check_grid_radius(p, tau)
+    u, v = tau.numerator, tau.denominator
+    # admissible iff 4 N^d <= p^{tau-1}, i.e. (4 N^d)^v <= p^{u-v} in integers; N >= p^d fails it
+    # whenever d^2 >= tau - 1, which is refused before p^d is formed
+    if d * d * v >= u - v:
+        raise PrimeTooSmallError(f"p^d exceeds 0.25^(1/d) p^((tau-1)/d) at d={d}, tau={tau}; admissible range is empty")
     q = p**d
     if N is None:
         N = q
-    u, v = tau.numerator, tau.denominator
     if N < q or N % q != 0:
         raise PreconditionError(f"need p^d | N and N >= p^d, got N={N}")
-    # admissible iff 4 N^d <= p^{tau-1}, i.e. (4 N^d)^v <= p^{u-v} in integers
-    if u <= v or (4 * N**d) ** v > p ** (u - v):
+    if (4 * N**d) ** v > p ** (u - v):
         raise PrimeTooSmallError(
             f"N={N} exceeds 0.25^(1/d) p^((tau-1)/d); admissible range is empty or smaller"
         )

@@ -7,17 +7,18 @@ phase evaluation free of the N^d rounding growth that floating-point radians
 would suffer.  A separate residue path (`RationalPoint`) evaluates phases of
 the form a/q with zero quantization error.
 
-Both kernels evaluate the polynomial by one Horner scheme (`_horner`, over
-`_power` for the exponent gaps) in their own ring: uint64 products wrapping
-mod 2^64 for `frac_array`, and int64 products for `residue_array`, whose
-factors are reduced mod q only where a product, or the Horner add after it,
-could reach 2^63.  Which products those are is decided from bounds known
-before any array is built (the block's largest n, q and the coefficients),
-by one run of the same Horner scheme over Python ints; the q^2 < 2^62 guard
-keeps a product of two reduced factors below that limit, and one reduction
-at the end brings the residues into [0, q).  A loop over blocks passes one
-`Workspace` to every call, so the ramp of n, the products and the quotient
-are allocated once, for its first block, and reused by every later one.
+Both kernels evaluate the polynomial by one Horner scheme (`_horner`, one
+product by n per unit of each exponent gap, written over the accumulator) in
+their own ring: uint64 products wrapping mod 2^64 for `frac_array`, and int64
+products for `residue_array`, whose accumulator is reduced mod q only where a
+product, or the Horner add after it, could reach 2^63.  Which products those
+are is decided from bounds known before any array is built (the block's
+largest n, q and the coefficients), by one run of the same Horner scheme over
+Python ints; n is at most q and the q^2 < 2^62 guard keeps a reduced
+accumulator times n below that limit, and one reduction at the end brings
+the residues into [0, q).  A loop over blocks passes one `Workspace` to every
+call, so the ramp of n, the accumulator and the quotient are allocated once,
+for its first block, and reused by every later one.
 
 `unit_terms(words, q)` turns the exact words into the unit terms e(w/q)
 without a trig call per term: a table of at most 4097 unit roots per
@@ -134,69 +135,26 @@ class Workspace:
         return ramp[: hi - lo]
 
 
-def _power(base, e: int, mul):
-    """base^e for e >= 1 by square-and-multiply in the ring of the product mul.
-
-    Returns base itself for e = 1.  The bits are read from the top down, so
-    the first factor of every product is the running power (base only at the
-    first square), which the product replaces: a mul may write the product
-    over that factor's storage, but never over base's.
-    """
-    result = base
-    for bit in bin(e)[3:]:
-        result = mul(result, result)
-        if bit == "1":
-            result = mul(result, base)
-    return result
-
-
 def _horner(coeffs, exponents, n, mul):
     """c_1 n^{m_1} + ... + c_d n^{m_d} = n^{m_1} (c_1 + n^{m_2-m_1} (c_2 + ...)) in the ring of mul.
 
-    The exponents strictly increase from m_1 >= 1, and each gap costs one
-    `_power` and one product, so exponents 1..d take d products and d-1 adds.
-    The adds are plain; mul reduces into the ring.  The accumulator is the
-    first factor of every product here and the only value that outlives a
-    `_power` call.
+    The exponents strictly increase from m_1 >= 1, and the accumulator is
+    multiplied by n once per unit of each gap, so exponents m_1 < ... < m_d
+    take m_d products and d-1 adds.  The accumulator is the first factor of
+    every product and n the second, so a mul may write the product over the
+    accumulator; the first product's first factor is c_d itself.  The adds
+    are plain; mul reduces into the ring.
     """
     if len(coeffs) != len(exponents):
         raise ValueError("need one exponent per coefficient")
     t = coeffs[-1]
     for j in range(len(coeffs) - 1, 0, -1):
-        t = mul(t, _power(n, exponents[j] - exponents[j - 1], mul))
+        for _ in range(exponents[j] - exponents[j - 1]):
+            t = mul(t, n)
         t += coeffs[j - 1]
-    return mul(t, _power(n, exponents[0], mul))
-
-
-def _buffered(work: Workspace, n: np.ndarray, shape: tuple[int, ...]):
-    """A `_horner` product over n, u v by np.multiply into one of two buffers of work.
-
-    A step of `_power` (first factor n or the running power) writes the power
-    buffer, of n's shape; a Horner step writes the accumulator, of the given
-    shape, which takes over the power's buffer when the power is its spent
-    second factor and the shapes agree, so that the powers of a single
-    `_power` call and the accumulator share one buffer.  The two buffers
-    swap their workspace names at the takeover, so a later power never lands
-    on the accumulator.
-    """
-    power = acc = None
-    names = ["power", "acc"]
-
-    def product(u, v):
-        nonlocal power, acc
-        if u is n or u is power:
-            if power is None:
-                power = work.take(names[0], n.shape, n.dtype.type)
-            return np.multiply(u, v, out=power)
-        if acc is None:
-            if v is power and power.shape == shape:
-                acc, power = power, None
-                names.reverse()
-            else:
-                acc = work.take(names[1], shape, n.dtype.type)
-        return np.multiply(u, v, out=acc)
-
-    return product
+    for _ in range(exponents[0]):
+        t = mul(t, n)
+    return t
 
 
 def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int, work: Workspace | None = None) -> np.ndarray:
@@ -211,8 +169,8 @@ def frac_array(x_fracs: Sequence, exponents: Sequence[int], lo: int, hi: int, wo
     shape = (*max((c.shape for c in coeffs), default=()), hi - lo)
     # a 0-d coefficient stays 0-d: numpy broadcasts it faster than a (1,) array
     coeffs = [c[:, None] if c.ndim else c for c in coeffs]
-    n = work.ramp(lo, hi).view(np.uint64)
-    return _horner(coeffs, exponents, n, _buffered(work, n, shape))
+    acc = work.take("acc", shape, np.uint64)
+    return _horner(coeffs, exponents, work.ramp(lo, hi).view(np.uint64), functools.partial(np.multiply, out=acc))
 
 
 def residue_array(
@@ -220,18 +178,18 @@ def residue_array(
 ) -> np.ndarray:
     """Residues of a_1 n^{m_1} + ... + a_d n^{m_d} mod q at n = lo..hi-1, exactly.
 
-    A product's factors are reduced mod q only where int64 could overflow.
-    Before any array is built, `_horner` runs once over Python-int bounds on
-    the magnitudes, in the same call sequence: |n| <= max(hi - 1, -lo), or
-    q - 1 once n is reduced, which it is first if it passes q, and each
-    coefficient bounds itself after its reduction mod q.  For each product
-    the run records which factors to reduce so that the product stays at
-    most 2^63 - q, which leaves room for the Horner add of a coefficient
-    c < q after it; the larger factor goes first, to below q.  The guard
-    q^2 < 2^62 (q < 2^31) makes that enough: a coefficient or n is at most q,
-    so it is never the factor to reduce, and two factors of at most q have a
-    product of at most q^2 <= 2^63 - q.  The arrays then follow the record,
-    with no scan of the data, each product written to one of two buffers
+    The accumulator is reduced mod q before a product only where int64
+    could overflow.  Before any array is built, `_horner` runs once over
+    Python-int bounds on the magnitudes, in the same call sequence:
+    |n| <= max(hi - 1, -lo), or q - 1 once n is reduced, which it is first
+    if it passes q, and each coefficient bounds itself after its reduction
+    mod q.  For each product the run records whether to reduce the
+    accumulator, to below q, so that the product stays at most 2^63 - q,
+    which leaves room for the Horner add of a coefficient c < q after it.
+    The guard q^2 < 2^62 (q < 2^31) makes that enough: n is at most q, so a
+    reduced accumulator times n is at most (q - 1) q <= 2^63 - q, and n is
+    never the factor to reduce.  The arrays then follow the record, with no
+    scan of the data, each product written over the one accumulator buffer
     of work, and one reduction at the end brings every residue into [0, q).
     The residues are a view of work, valid until its next call.
     """
@@ -244,21 +202,17 @@ def residue_array(
     limit = 2**63 - q
     plan = []
 
-    def plan_product(u, v):
-        reduce_u = reduce_v = False
-        while u * v > limit:
-            if u >= v:
-                u, reduce_u = q - 1, True
-            else:
-                v, reduce_v = q - 1, True
-        plan.append((reduce_u, reduce_v))
-        return u * v
+    def plan_product(t, n):
+        reduce_t = t * n > limit
+        plan.append(reduce_t)
+        return (q - 1 if reduce_t else t) * n
 
     _horner(coeffs, exponents, q - 1 if reduce_n else top, plan_product)
 
     work = Workspace() if work is None else work
     n = work.ramp(lo, hi)
     quotient = work.take("quotient", n.shape, np.int64)
+    acc = work.take("acc", n.shape, np.int64)
 
     def reduce(r, out=None):
         # r % q as r - (r // q) q, in place unless out is given: numpy
@@ -270,15 +224,11 @@ def residue_array(
     if reduce_n:  # into a buffer of its own, as the ramp is read-only
         n = reduce(n, work.take("n mod q", n.shape, np.int64))
     steps = iter(plan)
-    buffered = _buffered(work, n, n.shape)
 
-    def product(u, v):
-        reduce_u, reduce_v = next(steps)
-        if reduce_u:
-            reduce(u)
-        if reduce_v and v is not u:
-            reduce(v)
-        return buffered(u, v)
+    def product(t, n):
+        if next(steps):
+            reduce(t)
+        return np.multiply(t, n, out=acc)
 
     return reduce(_horner(coeffs, exponents, n, product))
 

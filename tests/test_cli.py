@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -627,6 +628,9 @@ _README_STREAM = (
      "f3e34b1f1be48d95c8dd8986001d6aed8374d61340b5c607867ab72fdbcd80b1"),
     (["weyl-trace", "--d", "3", "--seed", "5", "--N-max", "300000"], "weyl_trace.csv",
      "8c64ebefe7342636c65ea4a9b90cc96cd49eddaf7a77a00a729fb1502e47854e"),
+    # sparse exponents 1, 4, 9: exponent gaps of 3 and 5, each multiplied in by n one unit at a time
+    (["weyl-trace", "--d", "3", "--seed", "5", "--m", "1,4,9", "--N-max", "100000"], "weyl_trace.csv",
+     "2f272b1339006660cd57f542d7f0aee313641e3c6fcc4e51c8b78765bbbd8d53"),
 )
 
 
@@ -635,6 +639,57 @@ def test_readme_stream_artifacts_are_pinned(tmp_path):
         out = tmp_path / f"{argv[0]}-{i}"
         assert _run([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, argv
+
+
+# inputs whose size was once formed or visited before it was compared with a cap: a grid of 10^12
+# cells per box, powers p^d and cells^d, a p^-tau below the 2^-64 phase grid and a trial length
+# past the float range; each is refused by its size alone, with a short message
+_OVERSIZED = (
+    (["cantor-dim", "--shrink", "18446744073709551617"], 3),
+    (["cantor-dim", "--d", "2", "--cells", "2", "--shrink", "1000000", "--depth", "2"], 3),
+    (["amplify", "--d", "2", "--p", "257", "--tau", "10000"], 2),
+    (["amplify", "--d", "2", "--p", "257", "--tau", "1000000"], 2),
+    (["amplify-mono", "--d", "2", "--p", "5", "--tau", "40"], 2),
+    (["cantor-build", "--d", "3", "--tau", "10000", "--primes", "31", "--depth", "1"], 2),
+    (["cantor-build", "--d", "3", "--tau", "1000000", "--primes", "31", "--depth", "1"], 2),
+    (["monomial-check", "--d", "1000", "--p", "5"], 3),
+    (["monomial-check", "--d", "1000000000000", "--p", "5"], 3),
+    (["pattern-demo", "--d", "100000"], 3),
+)
+
+_UNDER_ONE_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from weylsums import cli
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the address space as Linux counts it")
+def test_oversized_inputs_are_refused_by_their_size(tmp_path):
+    src = str(Path(weylsums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for i, (argv, code) in enumerate(_OVERSIZED):
+        out = tmp_path / str(i)
+        proc = subprocess.run([sys.executable, "-c", _UNDER_ONE_GIB, *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == code, (argv, proc.stderr[-2000:])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == code and manifest["error_class"], argv
+        assert len(manifest["message"]) < 300, (argv, manifest["message"][:300])
+
+
+def test_cantor_build_takes_gamma_exactly(tmp_path, monkeypatch):
+    # the parsed Fraction reaches the trial count unrounded, and a gamma below 2^-32 is not read as 0
+    seen = []
+    count = cli.ct.plan_trial_count
+    monkeypatch.setattr(cli.ct, "plan_trial_count", lambda p, tau, d, gamma: seen.append(gamma) or count(p, tau, d, gamma))
+    argv = ["cantor-build", "--d", "3", "--tau", "4", "--primes", "31", "--depth", "1"]
+    for i, gamma in enumerate(["999999937/1000000000", "1/10000000000"]):
+        assert _run([*argv, "--gamma", gamma, "--out", str(tmp_path / str(i))]) == 0
+        summary = json.loads((tmp_path / str(i) / "cantor_summary.json").read_text())
+        assert summary["certificates_pass"] and summary["box_count"] == 8
+    assert seen == [Fraction(999999937, 10**9), Fraction(1, 10**10)]
 
 
 _FAULTS_AROUND_RUN = """

@@ -129,6 +129,21 @@ def test_frac_array_matches_scalar_poly_phase():
         assert [int(v) for v in arr[b]] == [poly_phase(x, n).frac for n in range(1000, 1040)]
 
 
+def test_frac_array_batch_with_gaps_equals_the_one_point_call():
+    # exponents (2, 5, 8): each gap multiplied in by n, one unit at a time, over the (B, hi-lo)
+    # accumulator; the top coefficient is a row of words or one word broadcast to every row
+    words = np.random.default_rng(9).integers(0, TURN, size=(5, 3), dtype=np.uint64)
+    lo = 2**40 + 3
+    for top in (words[:, 2], words[0, 2]):
+        arr = frac_array([words[:, 0], words[:, 1], top], (2, 5, 8), lo, lo + 70)
+        assert arr.shape == (5, 70)
+        for b, row in enumerate(words):
+            one = frac_array([int(row[0]), int(row[1]), int(np.broadcast_to(top, 5)[b])], (2, 5, 8), lo, lo + 70)
+            assert np.array_equal(arr[b], one)
+    x = [Phase(int(w)) for w in words[0]]
+    assert [int(v) for v in arr[0]] == [poly_phase(x, n, (2, 5, 8)).frac for n in range(lo, lo + 70)]
+
+
 def test_residue_array_matches_pow_at_the_largest_modulus():
     # q = 2^31 - 1 is the largest q with q^2 < 2^62: there the Horner sums
     # t + c < 2q times a power below q come within a factor 2 of 2^63
@@ -196,10 +211,10 @@ def test_residue_array_bounds_an_unreduced_n_by_itself():
     assert residue_array((c1, c2), q, (1, 2), lo, q + 1).tolist() == residue_oracle((c1, c2), q, (1, 2), lo, q + 1)
 
 
-@pytest.mark.parametrize("exponents, arrays", [((3,), 3), ((1, 2, 3), 3), ((1, 7), 3), ((2, 5), 4)])
+@pytest.mark.parametrize("exponents, arrays", [((3,), 3), ((1, 2, 3), 3), ((1, 7), 3), ((2, 5), 3)])
 def test_residue_array_holds_few_chunk_arrays(exponents, arrays):
-    # n, the quotient of the reductions and the product buffers: one buffer while the powers
-    # of n come from a single `_power` call, two when the accumulator outlives one
+    # n, the quotient of the reductions and one accumulator, which every product by n is
+    # written over, whatever the exponent gaps
     a = [_Q31 - 1] * len(exponents)
     residue_array(a, _Q31, exponents, 1, _CHUNK + 1)
     tracemalloc.start()
