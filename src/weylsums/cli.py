@@ -332,7 +332,7 @@ def _run_cantor_dim(args, out: Path) -> None:
     if args.cells < 1 or args.shrink < 1:
         raise PreconditionError("cells and shrink must be >= 1")
     shrink = Fraction(1, args.shrink)
-    # refused before the boxes are built, whose number grows as cells^(d depth)
+    ct._check_box_count(args.cells, args.d, args.d * args.depth)  # before the depth + 1 scales are formed
     scales = ct.checked_scales([shrink**k for k in range(1, args.depth + 2)])
     sched = ct.geometric_schedule(args.d, [(args.cells, shrink)] * args.depth)
     coll = ct.build_cantor(sched, args.depth, rule=args.rule, seed=args.seed)

@@ -24,16 +24,16 @@ O(p^{d-1} + L p^{d-2}) memory: at d = 2 one cyclic convolution over Z/(p-1)
 in discrete logs, O(p log p) time and O(p) memory per box, and at d >= 3 one
 matrix product, in blocks small enough for OpenBLAS to run on one thread.
 Individual sums (`complete_sum`, `monomial_complete_sum`, `weil_check`,
-`vanishing_family`) are always evaluated by direct O(p d) summation, which
-keeps table-vs-direct comparisons a real two-route check: each of the p terms
-is e(r/p) at an exact residue r, read as the product of two entries from
-tables of O(sqrt p) unit roots, and added on its own.  One loop
-(`_unit_root_sum`) forms the terms in the Weyl sums' 2^14-term blocks,
-through the workspace they hand on, and sums them in float per 2^16-term
-chunk, a full chunk as the pairwise tree of its four block sums, so the chunk
-size fixes the bits of every result.  A monomial sum over n <= p^d reads its
-residues from the p-adic split n = u + p^(d-1) v (`_monomial_residues`):
-one product, one add and one reduction per term.
+`vanishing_family`) are always evaluated by direct summation, every term
+formed and added, which keeps table-vs-direct comparisons a real two-route
+check.  Over F_p (`_unit_root_sum`) each term is e(r/p) at an exact residue
+r, the product of two entries from tables of O(sqrt p) unit roots, formed in
+the Weyl sums' 2^14-term blocks through the workspace they hand on and summed
+in float per 2^16-term chunk, a full chunk as the pairwise tree of its four
+block sums, so the chunk size fixes the bits of every result.  A monomial sum
+over n < p^d (`monomial_complete_sum`) splits n = u + p^(d-1) v: each term is
+exactly e(a u^d / p^d) e(v t_u / p), a product of entries from tables of
+p^(d-1) and p unit roots, summed pairwise per block and over the blocks.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .phasecore import Workspace, residue_array
-from .weyl_sums import _SPARE, _SPARE_BYTES, BLOCK, CHUNK, _chunks
+from .phasecore import Workspace, _unit_root_table, _unit_terms, residue_array
+from .weyl_sums import BLOCK, CHUNK, _chunks, _hand_on, _spare_workspace
 
 DEFAULT_CAP = 10**7
 
@@ -132,10 +132,7 @@ def _unit_root_sum(residues, q: int) -> complex:
     is numpy's own pairwise split of a 2^16-term array, and a short last
     chunk is formed in one array of its own and summed whole.
     """
-    try:
-        work = _SPARE.pop()  # one step, so two threads never take the same workspace
-    except IndexError:
-        work = Workspace()
+    work = _spare_workspace()
     high = None
     parts = []
     for start, stop in _chunks(q):
@@ -167,8 +164,7 @@ def _unit_root_sum(residues, q: int) -> complex:
             parts.append((s0 + s1) + (s2 + s3))
         else:
             parts.append(whole.sum())
-    if not _SPARE and work.nbytes <= _SPARE_BYTES:
-        _SPARE.append(work)
+    _hand_on(work, BLOCK)
     # start from the first part, not 0j, so a one-chunk sum keeps its exact bits
     return complex(sum(parts[1:], parts[0]))
 
@@ -322,53 +318,35 @@ def gauss_magnitude_check(p: int, cap: int = DEFAULT_CAP) -> GaussReport:
     return GaussReport(p=p, max_deviation=dev, tolerance=tol, passed=True)
 
 
-def _monomial_residues(a: int, p: int, d: int):
-    """residues(lo, hi, work) of a n^d mod q = p^d at n = lo..hi-1, for `_unit_root_sum`, by the p-adic split of n.
+def _monomial_factors(a: int, p: int, d: int, work: Workspace):
+    """head[s, w] = e(a u^d / p^d) at u = s p + w < P = p^(d-1), roots[j] = e(j P / p^d), slope[w] = d a w^(d-1) mod p.
 
-    With P = p^(d-1), n = u + P v for 0 <= u < P, and
-    a n^d = a u^d + v (d a u^(d-1) P) (mod q), since P^2 = 0 mod q for d >= 2.
-    The two tables of the P values of a u^d and of d a u^(d-1) P mod q come
-    from `residue_array` once, so a term costs one product, one add and one
-    reduction.  Every value before the reduction is below (p + 1) q < 2^47,
-    as residue_array's guard holds q < 2^31 and p <= sqrt(q).  The residues
-    go to work's "acc" of the phase-word kernel, viewed as int64, and the
-    reduction's quotient to the residue kernel's "quotient".
+    The residues are exact, and each component of a unit root is within 2^-53 + 2^-56 (`unit_terms`, in BLOCK
+    blocks, from a table of p^d built for the call, so that no 32-64 KiB table per modulus stays cached).
     """
     q, P = p**d, p ** (d - 1)
-    head = residue_array((a,), q, (d,), 0, P)
-    slope = residue_array((d * a * P,), q, (d - 1,), 0, P)
-
-    def fill(out, u0, u1, v, rows):  # the rows v, v + 1, ... of head + v slope, each over u = u0..u1-1
-        grid = out.reshape(rows, u1 - u0)
-        np.multiply(slope[u0:u1], np.arange(v, v + rows)[:, None], out=grid)
-        grid += head[u0:u1]
-
-    def residues(lo, hi, work):
-        m = hi - lo
-        r = work.take("acc", (m,), np.uint64).view(np.int64)
-        v, u = divmod(lo, P)
-        first = min(P - u, m)
-        rows, last = divmod(m - first, P)
-        fill(r[:first], u, u + first, v, 1)
-        if rows:
-            fill(r[first : m - last], 0, P, v + 1, rows)
-        if last:
-            fill(r[m - last :], 0, last, v + 1 + rows, 1)
-        quotient = work.take("quotient", (m,), np.int64)
-        np.floor_divide(r, q, out=quotient)  # r % q as r - (r // q) q: faster than np.remainder by a scalar
-        np.multiply(quotient, q, out=quotient)
-        return np.subtract(r, quotient, out=r)
-
-    return residues
+    words = np.concatenate([residue_array((a,), q, (d,), 0, P), np.arange(0, q, P)])
+    table = _unit_root_table.__wrapped__(q)
+    roots = np.empty(P + p, dtype=np.complex128)
+    parts = roots.view(np.float64).reshape(-1, 2).T  # the real parts, then the imaginary parts
+    for lo in range(0, P + p, BLOCK):
+        parts[:, lo : lo + BLOCK] = _unit_terms(words[lo : lo + BLOCK], *table, work)
+    return roots[:P].reshape(-1, p), roots[P:], residue_array((d * a,), p, (d - 1,), 0, p)
 
 
 def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> complex:
-    """sum_{n=1}^{p^d} e(a n^d / p^d) by direct summation, checked against p^{d-1}.
+    """sum_{n=0}^{p^d - 1} e(a n^d / p^d) by direct summation, checked against p^{d-1}.
 
     The identity holds for gcd(a, p) = 1 and d >= 2 except at (d, p) = (2, 2)
     and (4, 2), where the sum is 2 + 2 e(a/4) and 8 + 8 e(a/16); those two
-    are refused.  Each residue comes from the p-adic split of n
-    (`_monomial_residues`).
+    are refused.  With P = p^(d-1), n = u + P v (u < P, v < p), w = u mod p
+    and P^2 = 0 mod p^d, the term of n is exactly head[u] roots[v slope[w] mod p]
+    (`_monomial_factors`), within 2^-50 of e(a n^d / p^d): each factor errs by
+    at most sqrt(2) (2^-53 + 2^-56) and the complex product adds sqrt(2) 2^-52.
+    The terms go in blocks in the order of n, head seen as (P / p, p): BLOCK // P
+    whole rows v, head times a (rows, 1, p) gather of factors, while a row fits
+    in BLOCK, else pieces of BLOCK // p rows of head times one row of factors.
+    numpy sums each block, then the block sums, pairwise; the loop's arrays are workspace views.
     """
     if d < 2:
         raise PreconditionError("monomial sums are for d >= 2")
@@ -378,8 +356,30 @@ def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> com
     if p == 2 and d in (2, 4):
         raise PreconditionError(f"the monomial sum is not p^(d-1) at (d, p) = ({d}, 2), one of its two exceptions")
     _check_power_cap(p, d, cap, "sum of {} terms")
-    value = _unit_root_sum(_monomial_residues(a, p, d), p**d)
-    expected = float(p ** (d - 1))
+    P = p ** (d - 1)
+    rows, span = min(p, max(1, BLOCK // P)), min(P // p, max(1, BLOCK // p))  # rows v, and rows of head, a block
+    work = _spare_workspace()
+    head, roots, slope = _monomial_factors(a, p, d, work)
+    terms = work.take("terms", (2 * rows * span * p,), np.float64).view(np.complex128)
+    scratch = work.take("scratch", (3 * rows * p,), np.float64)
+    factors = scratch[: 2 * rows * p].view(np.complex128).reshape(rows, 1, p)
+    lowered = scratch[2 * rows * p :].view(np.uint64).reshape(rows, p)
+    index = work.take("acc", (rows, p), np.uint64).view(np.int64)  # v slope mod p over the block's rows v
+    np.remainder(np.multiply.outer(np.arange(rows), slope, out=index), p, out=index)
+    step, wrap = (rows * slope % p).view(np.uint64), index.view(np.uint64)
+    sums = []
+    for v in range(0, p, rows):
+        k = min(rows, p - v)
+        np.take(roots, index[:k], out=factors[:k, 0], mode="wrap")  # in range; "wrap" skips a copy
+        for s in range(0, len(head), span):
+            part = head[s : s + span]
+            block = terms[: k * part.size].reshape(k, *part.shape)
+            sums.append(np.multiply(part, factors[:k], out=block).sum())
+        wrap += step  # below 2p; the unsigned minimum with wrap - p subtracts p where wrap >= p
+        np.minimum(wrap, np.subtract(wrap, p, out=lowered), out=wrap)
+    _hand_on(work, rows * span * p)
+    value = complex(np.sum(sums))
+    expected = float(P)
     if abs(value - expected) > 1e-6 * expected:
         raise LemmaCheckFailureError(
             f"monomial sum at (d={d}, p={p}, a={a}) is {value}, expected {expected}"

@@ -48,6 +48,7 @@ from .phasecore import TURN, Phase, phase_from_rational
 from .weyl_sums import CHUNK, monomial_sum, weyl_sum, weyl_sum_batch
 
 MEMBERSHIP_SLACK = 1e-9  # relative slack absorbing float noise at the threshold
+MAX_TAU_DENOMINATOR = 100  # tau = u/v enters integer roots of degree v and 2 d^2 v; a run took 7-45 s at v = 10^4
 
 
 def beta(d: int) -> Fraction:
@@ -96,9 +97,11 @@ def _check_grid_radius(p: int, tau: Fraction) -> None:
     """Refuse a radius p^{-tau} below the 2^-64 step of the phase grid, where `radius_units` is 0.
 
     That is p^u >= 2^{64 v} for tau = u/v, decided by bit lengths before the
-    power is formed when it is far past 2^{64 v}.
+    power is formed when it is far past 2^{64 v}; a v past MAX_TAU_DENOMINATOR goes first.
     """
     u, v = tau.numerator, tau.denominator
+    if v > MAX_TAU_DENOMINATOR:
+        raise PreconditionError(f"need tau = {tau} with denominator at most {MAX_TAU_DENOMINATOR}")
     if (p.bit_length() - 1) * u >= 64 * v or p**u >= 1 << (64 * v):
         raise PreconditionError(f"p^-tau = {p}^-({tau}) is below the 2^-64 step of the phase grid")
 

@@ -302,8 +302,11 @@ def unit_terms(words: np.ndarray, q: int, work: Workspace | None = None) -> np.n
     words' shape as scratch, come from work; the terms are valid until its
     next call.
     """
+    return _unit_terms(words, *_unit_root_table(q), work)
+
+
+def _unit_terms(words: np.ndarray, table, constants, work: Workspace | None) -> np.ndarray:  # at a `_unit_root_table`
     work = Workspace() if work is None else work
-    table, constants = _unit_root_table(q)
     terms = work.take("terms", (2, *words.shape), np.float64)
     # the indices are in range; "wrap" skips the copy that take(out=) makes under "raise"
     if constants is None:

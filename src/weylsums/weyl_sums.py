@@ -68,9 +68,9 @@ from .phasecore import (
 
 CHUNK = 1 << 16
 BLOCK = 1 << 14  # the terms per pass of `_accumulate`; its arrays stay in a 2 MiB L2
-# The workspace that an `_accumulate` call, or a complete sum (`complete_sums._unit_root_sum`), hands
-# on to the next, if it holds at most _SPARE_BYTES: a one-point workspace, 8 or 9 arrays of BLOCK
-# words, does, and so does one that a complete sum also used, and a batch's is freed.  A workspace
+# The workspace that an `_accumulate` call or a complete sum hands on to the next, if none is held and
+# its loop took at most BLOCK terms a block: one point's, 8 or 9 arrays of BLOCK words, at most _SPARE_BYTES.
+# A batch of more takes it and grows it, and then frees it rather than hand on larger buffers.  A workspace
 # freed at the end of every call can go back to the OS (glibc trims the top of the heap) and fault
 # in again in the next call, depending on what else the process has allocated: in a fresh process
 # that imports only this module, 20 calls of mr_ratio_scan(x, 100_000) faulted 4,384 pages that
@@ -80,6 +80,18 @@ _SPARE: list[Workspace] = []
 _SPARE_BYTES = 9 * 8 * BLOCK
 
 TorusPoint = tuple[Phase, ...]
+
+
+def _spare_workspace() -> Workspace:  # the workspace the last call handed on, or a fresh one
+    try:
+        return _SPARE.pop()  # one step, so two threads never take the same workspace
+    except IndexError:
+        return Workspace()
+
+
+def _hand_on(work: Workspace, terms: int) -> None:  # to the next call, if none is held and work is one point's
+    if terms <= BLOCK and not _SPARE and work.nbytes <= _SPARE_BYTES:
+        _SPARE.append(work)
 
 
 def exponent_vector(m: Sequence[int]) -> tuple[int, ...]:
@@ -175,7 +187,7 @@ def _accumulate(words, q: int, cps: Sequence[int], lengths: np.ndarray | None = 
     in blocks of BLOCK terms, and each block's words go through `unit_terms`
     here, the one call of the term kernel for every sum, trace and batch.  The
     words, the terms and the reducer's arrays all come from one `Workspace`
-    for the call, which the call then hands on to the next (`_SPARE`).  Only
+    for the call, handed on (`_SPARE`) if a block has at most BLOCK words.  Only
     n = 1..P, P = min(q, N_max), are generated.  Terms past row r's own
     length lengths[r] (< N_max only with q >= N_max, so nothing folds) are set
     to +0.0, which adds to no limb: the row sums exactly its first lengths[r]
@@ -189,10 +201,7 @@ def _accumulate(words, q: int, cps: Sequence[int], lengths: np.ndarray | None = 
     """
     period = min(q, cps[-1])
     offsets = sorted({n % period for n in cps} - {0}) if period < cps[-1] else cps[:-1]
-    try:
-        work = _SPARE.pop()  # one step, so two threads never take the same workspace
-    except IndexError:
-        work = Workspace()
+    work = _spare_workspace()
     acc: list[int] = []  # the exact int of each row's terms so far: the cos rows, then the sin rows
     pre: list[int] = []  # the rows' prefix ints at offset 0, then at each offset in order
     scale = oi = 0
@@ -220,9 +229,8 @@ def _accumulate(words, q: int, cps: Sequence[int], lengths: np.ndarray | None = 
             pre += [a + (v << shift) for a, v in zip(cycle(acc), sums[: (oj - oi) * width])]
             oi = oj
         acc = [a + (v << shift) for a, v in zip(acc, sums[-width:])]
-    if not _SPARE and work.nbytes <= _SPARE_BYTES:
-        _SPARE.append(work)
     width = len(acc)
+    _hand_on(work, width // 2 * min(period, BLOCK))  # a block's words over its rows
     if period == cps[-1]:  # nothing folds: the prefix at each checkpoint but the last, in order, then the whole
         totals = pre[width:] + acc
     else:

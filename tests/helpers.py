@@ -5,7 +5,8 @@ scalar big-integer phases and their exponential, and residues by Python's
 pow, for the vectorized kernels, math.fsum over every term up to N for the
 sum evaluators, a one-point-per-call loop for the batched measure estimate, direct term-by-term
 summation for complete sums, and their Horner residues summed in whole 2^16-term chunks for the
-block loop, the full p^d inverse FFT of the fiber counts
+block loop, the monomial sums' factored terms formed one row at a time for theirs, unit roots in
+80-bit long double for the term kernels, the full p^d inverse FFT of the fiber counts
 of n -> (n, ..., n^d) for complete-sum tables and box moments, the
 lambda-orbit representative of each box point one by one (lambda by
 Python's modular inverse), and at d = 2 one bincount of the box's orbit
@@ -30,7 +31,7 @@ from weylsums.complete_sums import DiscreteBox
 from weylsums.discrepancy import PointSet1D
 from weylsums.errors import PreconditionError
 from weylsums.phasecore import TURN, Phase, RationalPoint, Workspace, phase_from_rational, residue_array, unit_terms
-from weylsums.weyl_sums import CHUNK, _chunks, weyl_sum
+from weylsums.weyl_sums import BLOCK, CHUNK, _chunks, weyl_sum
 
 TWO64 = 1 << 64
 
@@ -174,6 +175,45 @@ def chunked_unit_root_sum(a, q, exponents):
             low = np.exp(step * np.arange(1 << k))
         parts.append((high[r >> k] * low[r & ((1 << k) - 1)]).sum())
     return complex(sum(parts[1:], parts[0]))
+
+
+def factored_monomial_sum(a, p, d):
+    """sum_{n=0}^{p^d - 1} e(a n^d / p^d) as the library forms and adds its factored terms.
+
+    The tables are built here from `residue_array` and `unit_terms`:
+    head[u] = e(a u^d / p^d) for u < P = p^(d-1), roots[j] = e(j P / p^d)
+    and slope[w] = d a w^(d-1) mod p.  Row v of n = u + P v is formed in one
+    array, head[u] * roots[v slope[u mod p] mod p], and the rows are cut into
+    the library's blocks: BLOCK // P whole rows while a row fits, else pieces
+    of BLOCK // p times p terms within each row.  One np.sum per block and one
+    over the block sums: the reference that
+    `complete_sums.monomial_complete_sum` must equal bit for bit.
+    """
+    q, P = p**d, p ** (d - 1)
+
+    def roots_of(words, m):
+        out = np.empty(len(words), dtype=np.complex128)
+        out.real, out.imag = unit_terms(words, m)
+        return out
+
+    head, roots = roots_of(residue_array((a,), q, (d,), 0, P), q), roots_of(np.arange(0, q, P), q)
+    slope = residue_array((d * a,), p, (d - 1,), 0, p)
+    rows = [head * np.tile(roots[v * slope % p], P // p) for v in range(p)]
+    if P <= BLOCK:
+        k = BLOCK // P
+        blocks = [np.concatenate(rows[v : v + k]) for v in range(0, p, k)]
+    else:
+        size = max(1, BLOCK // p) * p
+        blocks = [row[s : s + size] for row in rows for s in range(0, P, size)]
+    return complex(np.sum([block.sum() for block in blocks]))
+
+
+def long_double_unit_terms(words, q):
+    """cos and sin of 2 pi w / q in 80-bit long double: each word is exact there, then two roundings."""
+    w = np.asarray(words, dtype=np.uint64)
+    exact = (w >> np.uint64(32)).astype(np.longdouble) * 2.0**32 + (w & np.uint64(2**32 - 1)).astype(np.longdouble)
+    angle = 8 * np.arctan(np.longdouble(1)) * (exact / np.longdouble(float(q)))
+    return np.cos(angle), np.sin(angle)
 
 
 def full_table(d, p):

@@ -504,14 +504,20 @@ def test_readme_discrepancy_artifacts_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-# README commands whose artifacts the residue kernel (monomial-check, weil-check) and the box
+# README commands whose artifacts the complete-sum kernels (monomial-check, weil-check) and the box
 # moments' held powers (box-moments) must reproduce byte for byte
 _README_RESIDUE = (
     (["monomial-check", "--d", "3", "--p", "101", "--a", "7"], "monomial_check.json",
-     "a48ef35f614c90b11be42785a04a34f5086b3b02bf7797758be4312b3f58d310"),
-    # q = 131^3 > 2^21, where the residues' Horner scheme reduces n^2 first; a short last chunk
+     "33baf74b6a0eac8731a58dd6e9436b6c74ee2ab0e8e55fb7aec9d9a13b5c227b"),
+    # P = 131^2 > 2^14: each row v of the factored terms is cut into two blocks
     (["monomial-check", "--d", "3", "--p", "131", "--a", "26"], "monomial_check.json",
-     "bb46acaa61913ee9b947d7093cbb087896b4f7b26b89ef9a480c495d576faa46"),
+     "015fb72d8f4dc20d46e0521820713964fbe66f5145ddd83d0e660c6bfd48146f"),
+    # d = 2: 16 whole rows per block, one gather of factors per term
+    (["monomial-check", "--d", "2", "--p", "1009", "--a", "3"], "monomial_check.json",
+     "dbcca88b6a166b574d1855192d30062b36ecbc23601fd95fccb21fddbc21feda"),
+    # d = 4: a row v of P = 53^3 terms is cut into blocks of 309 rows of 53 head entries times one row of factors
+    (["monomial-check", "--d", "4", "--p", "53", "--a", "3"], "monomial_check.json",
+     "2efd7b1f010f00a7744f22191477b2f70381f44f756c379d6b0b75a63e48eaa9"),
     (["weil-check", "--p", "101", "--coeffs", "1,2,3,4"], "weil_check.json",
      "37789d04933999264f4acfd16e760d042749038cdedf6b7cd844a2961670b24d"),
     (["box-moments", "--d", "2", "--p", "101", "--nu", "1", "--count", "50", "--seed", "1"], "box_moments.csv",
@@ -642,14 +648,20 @@ def test_readme_stream_artifacts_are_pinned(tmp_path):
 
 
 # inputs whose size was once formed or visited before it was compared with a cap: a grid of 10^12
-# cells per box, powers p^d and cells^d, a p^-tau below the 2^-64 phase grid and a trial length
-# past the float range; each is refused by its size alone, with a short message
+# cells per box, powers p^d and cells^d, a p^-tau below the 2^-64 phase grid, a tau of a large
+# denominator, a trial length past the float range and a depth of 10^6 levels; each is refused by its
+# size alone, with a short message
 _OVERSIZED = (
     (["cantor-dim", "--shrink", "18446744073709551617"], 3),
     (["cantor-dim", "--d", "2", "--cells", "2", "--shrink", "1000000", "--depth", "2"], 3),
     (["amplify", "--d", "2", "--p", "257", "--tau", "10000"], 2),
     (["amplify", "--d", "2", "--p", "257", "--tau", "1000000"], 2),
     (["amplify-mono", "--d", "2", "--p", "5", "--tau", "40"], 2),
+    # a tau whose denominator sets the degree of the radius and trial-count roots
+    (["amplify", "--d", "2", "--p", "257", "--tau", "3000001/1000000"], 2),
+    (["amplify-mono", "--d", "2", "--p", "5", "--tau", "12000001/1000000"], 2),
+    (["cantor-build", "--d", "3", "--tau", "4000001/1000000", "--primes", "31", "--depth", "1"], 2),
+    (["cantor-dim", "--depth", "1000000"], 3),  # 2^(2 10^6) boxes, refused before the scales
     (["cantor-build", "--d", "3", "--tau", "10000", "--primes", "31", "--depth", "1"], 2),
     (["cantor-build", "--d", "3", "--tau", "1000000", "--primes", "31", "--depth", "1"], 2),
     (["monomial-check", "--d", "1000", "--p", "5"], 3),

@@ -20,9 +20,11 @@ from helpers import (
     box_moment_fsum,
     chunked_unit_root_sum,
     direct_complete_sum,
+    factored_monomial_sum,
     full_box,
     full_table,
     lambda_orbit,
+    long_double_unit_terms,
     orbit_counts_bincount,
     orbit_multiplicities,
     orbit_representative,
@@ -30,7 +32,7 @@ from helpers import (
 )
 from weylsums import complete_sums as cs
 from weylsums import weyl_sums as ws
-from weylsums.phasecore import Phase, Workspace, residue_array
+from weylsums.phasecore import Phase, Workspace, _unit_root_table, residue_array
 from weylsums.errors import (
     BinomialVanishingError,
     ChecksumMismatchError,
@@ -208,10 +210,11 @@ def test_monomial_identity_sweep_refuses_exactly_its_two_exceptions():
 @pytest.mark.parametrize(
     "kind, d, p, a",
     [
+        # d = 2: rows of P = p gathered factors, whole rows per block; d >= 3: rows of head times one row of factors
         *[("monomial", d, p, a) for d, p in [(2, 3), (2, 101), (2, 1009), (3, 5), (4, 13), (5, 7), (5, 11)] for a in (1, p - 1)],
         *[("monomial", 3, p, a) for p in (2, 3, 101, 113) for a in (1, 7 % p or 1)],
-        ("monomial", 3, 131, 26),  # q > 2^21, where the reference's Horner scheme reduces n^2 first; a short last chunk
-        ("monomial", 16, 2, 1),  # q = 2^16 and 2^17: whole chunks only
+        ("monomial", 3, 131, 26),  # P = 131^2 > BLOCK: each row is cut into two blocks
+        ("monomial", 16, 2, 1),  # P = 2^15 and 2^16: rows of two and four whole blocks
         ("monomial", 17, 2, 3),
         # q just below, at and just above a multiple of 2^16
         *[("complete", 2, p, (3, 5)) for p in (65521, 65537, 131071, 131101)],
@@ -221,10 +224,11 @@ def test_monomial_identity_sweep_refuses_exactly_its_two_exceptions():
     ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v),
 )
 def test_complete_sums_equal_the_chunked_reference_bit_for_bit(kind, d, p, a):
-    # the block loop sums each full chunk as the tree of its four block sums and a short last chunk
-    # whole, so it keeps the bits of the sums formed and added one 2^16-term chunk at a time
+    # the prime-modulus block loop sums each full chunk as the tree of its four block sums and a short
+    # last chunk whole, so it keeps the bits of the sums formed and added one 2^16-term chunk at a time;
+    # the monomial loop keeps those of its factored terms formed one row at a time and cut into its blocks
     if kind == "monomial":
-        assert cs.monomial_complete_sum(d, p, a, cap=10**8) == chunked_unit_root_sum((a,), p**d, (d,))
+        assert cs.monomial_complete_sum(d, p, a, cap=10**8) == factored_monomial_sum(a, p, d)
     else:
         assert cs.complete_sum(d, p, a) == chunked_unit_root_sum(a, p, range(1, d + 1))
 
@@ -239,18 +243,36 @@ def _blocks(q, sizes):
         lo += size
 
 
+# the per-term bound of `monomial_complete_sum`'s docstring, plus 2^-60 for the rounding of the reference
+_MONOMIAL_TERM_BOUND = 2.0**-50 + 2.0**-60
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference needs an 80-bit long double; here it has fewer than 64 mantissa bits")
 @pytest.mark.parametrize("d, p, a", [(2, 2, 1), (2, 5, 3), (2, 101, 7), (3, 7, 3), (3, 101, 7), (3, 131, 26), (4, 11, 2), (5, 5, 4)])
 def test_monomial_split_residues_equal_residue_array(d, p, a):
-    # the loop's BLOCK blocks, then uneven ones of P - 1, P and P + 1 terms and single terms, so that
-    # u = n mod P wraps inside blocks and at their edges; the last block of each ends at n = q
+    # n = u + P v splits a n^d mod q into head's residue at u plus P (v slope[u mod p] mod p), exactly,
+    # and each factored term head[u] roots[v slope[u mod p] mod p] is within the per-term bound of
+    # e(r_n / q) at residue_array's residue r_n; over the loop's BLOCK blocks, then uneven ones of
+    # P - 1, P and P + 1 terms and single terms, so that u = n mod P wraps at P and at p inside blocks
+    # and at their edges; the last block of each ends at n = q, where v = p
     q, P = p**d, p ** (d - 1)
-    residues = cs._monomial_residues(a, p, d)
-    work = Workspace()
+    head, roots, slope = cs._monomial_factors(a, p, d, Workspace())
+    assert head.shape == (P // p, p) and roots.shape == slope.shape == (p,)
+    first = residue_array((a,), q, (d,), 0, P)
+    worst = 0.0
     uneven = [min(size, ws.BLOCK) for size in (max(P - 1, 1), P, P + 1, 1, 1, 3)]
     for sizes in ([ws.BLOCK], uneven):
         for lo, hi in _blocks(q, sizes):
-            assert np.array_equal(residues(lo, hi, work), residue_array((a,), q, (d,), lo, hi)), (lo, hi)
+            v, u = np.divmod(np.arange(lo, hi), P)
+            index = v * slope[u % p] % p
+            r = residue_array((a,), q, (d,), lo, hi)
+            assert np.array_equal((first[u] + P * index) % q, r), (lo, hi)
+            terms = head.ravel()[u] * roots[index]
+            cos, sin = long_double_unit_terms(r, q)
+            worst = max(worst, float(np.max(np.hypot(terms.real - cos, terms.imag - sin))))
         assert hi == q + 1
+    assert worst <= _MONOMIAL_TERM_BOUND
 
 
 def test_block_tree_equals_numpy_sum_of_whole_chunks():
@@ -307,6 +329,15 @@ def test_monomial_sum_hands_on_the_weyl_sum_workspace():
     finally:
         tracemalloc.stop()
     assert ws._SPARE == [work] and peak < 8 * ws.BLOCK
+
+
+def test_monomial_sum_leaves_no_unit_root_table_cached():
+    # the unit-root table of p^d is built for the call, so the cache neither gains an entry per
+    # monomial modulus nor reads one
+    before = _unit_root_table.cache_info()
+    for d, p in [(3, 101), (3, 131), (2, 1009)]:
+        cs.monomial_complete_sum(d, p, 7)
+    assert _unit_root_table.cache_info() == before
 
 
 def test_weil_check():

@@ -8,7 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import e_eval, phase_add, phase_sub, phase_times, poly_phase, rational_phases, residue_oracle
+from helpers import (
+    e_eval,
+    long_double_unit_terms,
+    phase_add,
+    phase_sub,
+    phase_times,
+    poly_phase,
+    rational_phases,
+    residue_oracle,
+)
 from weylsums.errors import InvalidDenominatorError
 from weylsums.phasecore import (
     TURN,
@@ -255,14 +264,6 @@ def test_kernels_reject_mismatched_exponents():
         residue_array((1, 1), 7, (1,), 1, 4)
 
 
-def _unit_reference(words: np.ndarray, q: int):
-    """cos and sin of 2 pi w / q in 80-bit long double: each word is exact there, then two roundings."""
-    w = np.asarray(words, dtype=np.uint64)
-    exact = (w >> np.uint64(32)).astype(np.longdouble) * 2.0**32 + (w & np.uint64(2**32 - 1)).astype(np.longdouble)
-    angle = 8 * np.arctan(np.longdouble(1)) * (exact / np.longdouble(float(q)))
-    return np.cos(angle), np.sin(angle)
-
-
 def _edge_words(q: int) -> list[int]:
     """0, q - 1, and around steps j 2^k of the table and the step boundaries j 2^k +- 2^(k-1)."""
     k = max(0, (q - 1).bit_length() - 12)
@@ -287,7 +288,7 @@ def test_unit_terms_within_documented_bound_of_long_double_reference(q):
     words = np.concatenate([np.array(_edge_words(q), dtype=dtype), rng.integers(0, q, size=20000, dtype=dtype)])
     terms = unit_terms(words, q)
     assert terms.shape == (2, len(words)) and terms.dtype == np.float64
-    for got, ref in zip(terms, _unit_reference(words, q)):
+    for got, ref in zip(terms, long_double_unit_terms(words, q)):
         assert float(np.max(np.abs(got.astype(np.longdouble) - ref))) <= _UNIT_TERM_BOUND
     # a (B, n) batch: the same terms row by row, to the bit
     batch = rng.integers(0, q, size=(3, 500), dtype=dtype)
@@ -295,7 +296,7 @@ def test_unit_terms_within_documented_bound_of_long_double_reference(q):
     assert terms.shape == (2, 3, 500)
     for b in range(3):
         assert np.array_equal(terms[:, b], unit_terms(batch[b], q))
-    for got, ref in zip(terms, _unit_reference(batch.ravel(), q)):
+    for got, ref in zip(terms, long_double_unit_terms(batch.ravel(), q)):
         assert float(np.max(np.abs(got.ravel().astype(np.longdouble) - ref))) <= _UNIT_TERM_BOUND
 
 

@@ -249,6 +249,21 @@ def test_weyl_sum_holds_a_few_block_arrays_whatever_n():
     assert peak < 8 * ws.BLOCK
 
 
+def test_a_batch_hands_on_no_workspace_larger_than_one_points():
+    # 20 rows at N = 1000 put more than BLOCK words in a block and fill "terms" past one point's 2 BLOCK
+    # floats, yet stay under _SPARE_BYTES: the batch grows the spare it takes and then frees it, where
+    # the next call would carry its bytes or drop it when it grows
+    words = np.random.default_rng(13).integers(0, TURN, size=(20, 3), dtype=np.uint64)
+    ws._SPARE.clear()
+    ws.weyl_sum(tuple(Phase(int(w)) for w in words[0]), 1000)
+    assert len(ws._SPARE) == 1
+    ws.weyl_sum_batch(words, 1000)
+    assert ws._SPARE == []
+    ws.weyl_sum_batch(words[:16], 1000)  # 16 rows of 1000 terms: at most BLOCK words, one point's buffers
+    (work,) = ws._SPARE
+    assert work._buffers[("terms", np.float64)].size <= 2 * ws.BLOCK and work.nbytes <= ws._SPARE_BYTES
+
+
 def test_trace_trivial_bound_dyadic():
     rng = np.random.default_rng(2)
     x = tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=2, dtype=np.uint64))
