@@ -108,17 +108,27 @@ class BoxCollection:
         return Fraction(1, len(self))
 
     def to_jsonl(self) -> str:
+        """One row per box, each the line json.dumps(row, sort_keys=True) writes.
+
+        A certificate dict that several rows carry is serialized once and
+        spliced in as the row's first key, where "certificate" sorts.
+        """
+
         def reduced(n: int) -> str:
             g = math.gcd(n, self.denom)
             return f"{n // g}/{self.denom // g}"
 
         side = reduced(self.side)
+        serialized: dict[int, str] = {}  # id of a certificate dict -> its JSON
         lines = []
         for row, cert in zip(self.corners.tolist(), self.certificates or (None,) * len(self)):
-            entry = {"depth": self.depth, "corner": [reduced(c) for c in row], "side": side}
+            line = json.dumps({"depth": self.depth, "corner": [reduced(c) for c in row], "side": side}, sort_keys=True)
             if cert is not None:
-                entry["certificate"] = cert
-            lines.append(json.dumps(entry, sort_keys=True))
+                text = serialized.get(id(cert))
+                if text is None:
+                    text = serialized[id(cert)] = json.dumps(cert, sort_keys=True)
+                line = f'{{"certificate": {text}, {line[1:]}'
+            lines.append(line)
         return "\n".join(lines) + "\n"
 
 

@@ -81,22 +81,33 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_refused(value):
-    raise AssertionError(f"no CSV field for a {type(value).__name__}")
+def _csv_field(t: type) -> str:
+    """The %-format of a CSV field of type t: %d for an int (a numpy integer too), %.17g for a float."""
+    if t is int or issubclass(t, np.integer):
+        return "%d"
+    if issubclass(t, float):
+        return "%.17g"
+    raise AssertionError(f"no CSV field for a {t.__name__}")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """The bytes csv.writer writes, in one join: floats by format(v, ".17g"), ints by str, \\r\\n line ends.
 
-    No field is quoted: the header names hold no comma, quote or line break,
-    which is asserted, and neither does a number.  Any other value is refused.
+    No field is quoted: a header name that holds a comma, quote or line break
+    is refused, and no number holds one.  Each row is formatted by one
+    %-template, made once per signature of its field types; a field of any
+    other type is refused.
     """
-    assert not any(c in name for name in header for c in ',"\r\n'), header
+    if any(c in name for name in header for c in ',"\r\n'):
+        raise AssertionError(f"a CSV header name needs quoting: {header}")
+    templates: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
-    lines += [
-        ",".join([format(v, ".17g") if isinstance(v, float) else str(v) if isinstance(v, int) else _csv_refused(v) for v in row])
-        for row in rows
-    ]
+    for row in rows:  # tuples, as % takes them
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(map(_csv_field, types))
+        lines.append(template % row)
     lines.append("")
     path.write_text("\r\n".join(lines), newline="")
 
@@ -333,6 +344,12 @@ def _run_cantor_dim(args, out: Path) -> None:
         raise PreconditionError("cells and shrink must be >= 1")
     shrink = Fraction(1, args.shrink)
     ct._check_box_count(args.cells, args.d, args.d * args.depth)  # before the depth + 1 scales are formed
+    # The finest scale is shrink^-(depth + 1).  A run that the box count (cells >= 2: depth + 1 <= b bits
+    # of DEFAULT_CAP) and the grid count at that scale (shrink^d <= DEFAULT_CAP) let through has scales of
+    # at most b^2 bits; one cell per axis leaves the depth unbounded, so the bits are refused here.
+    bits, cap = (args.depth + 1) * args.shrink.bit_length(), ct.DEFAULT_CAP.bit_length() ** 2
+    if bits > cap:
+        raise ResourceLimitError(f"box-counting scales down to shrink^-{args.depth + 1}, {bits} bits, exceed the cap of {cap}")
     scales = ct.checked_scales([shrink**k for k in range(1, args.depth + 2)])
     sched = ct.geometric_schedule(args.d, [(args.cells, shrink)] * args.depth)
     coll = ct.build_cantor(sched, args.depth, rule=args.rule, seed=args.seed)

@@ -180,15 +180,16 @@ def _koksma_block(x, ns: list[int], m) -> list[KoksmaReport]:
     lengths, n_max = np.array(ns), max(ns)
     words, q = _sequence_words(x, n_max, m)
     words = words.reshape(len(ns), n_max)  # one point is one row
-    sums = _accumulate(lambda lo, hi, work: words[:, lo - 1 : hi - 1], q, (n_max,), lengths)
+    re, im = _accumulate(lambda lo, hi, work: words[:, lo - 1 : hi - 1], q, (n_max,), lengths)
+    mags = _checked(re[:, 0], im[:, 0], lengths)
     fracs = _grid_fracs(words, q)  # words itself for q = 2^64, which the sums no longer need
     valid = np.arange(n_max) < lengths[:, None]
     fracs[~valid] = TURN - 1  # the pads sort past every row's own points
     fracs.sort(axis=-1)
     units = _units(lengths[:, None], fracs, np.tile(np.arange(n_max), (len(ns), 1)), valid)
     reports = []
-    for n, row, (_, d_units) in zip(ns, sums, units):
-        s_mag, d_star = abs(_checked(row[0], n)), d_units / TURN
+    for n, s_mag, (_, d_units) in zip(ns, mags.tolist(), units):
+        d_star = d_units / TURN
         bound = KOKSMA_CONSTANT * d_star + 1e-6
         reports.append(KoksmaReport(n, s_mag, d_star, bound, s_mag / d_star if d_star > 0 else 0.0, s_mag <= bound))
     return reports

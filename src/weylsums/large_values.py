@@ -45,7 +45,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .phasecore import TURN, Phase, phase_from_rational
-from .weyl_sums import CHUNK, monomial_sum, weyl_sum, weyl_sum_batch
+from .weyl_sums import CHUNK, moduli, monomial_sum, weyl_sum, weyl_sum_batch
 
 MEMBERSHIP_SLACK = 1e-9  # relative slack absorbing float noise at the threshold
 MAX_TAU_DENOMINATOR = 100  # tau = u/v enters integer roots of degree v and 2 d^2 v; a run took 7-45 s at v = 10^4
@@ -479,7 +479,7 @@ def measure_estimate(d: int, alpha: float, i: int, samples: int, seed: int = 0) 
     block = max(1, CHUNK // i)
     for start in range(0, samples, block):
         words = rng.integers(0, TURN, size=(min(block, samples - start), d), dtype=np.uint64)
-        hits += sum(abs(v) >= cut for v in weyl_sum_batch(words, i))
+        hits += int(np.count_nonzero(moduli(weyl_sum_batch(words, i)) >= cut))
     est = hits / samples
     half = 1.96 * sqrt(max(est * (1.0 - est), 0.0) / samples)
     return MeasureReport(

@@ -33,22 +33,33 @@ fixes the bits of their results.
 Exact accumulation: each block is reduced once by an exact reducer
 (`_exact_prefix_sums`), which splits every term into 37-bit integer limbs and
 sums each limb exactly in float64; with at most 2^16 terms per block every
-partial sum stays below 2^53, so no value depends on the block size.  The
-block loop carries the joined limb sums as one Python int per row, and each
-value is that int rounded once by int true division.  S(x; N) is
-therefore the correctly rounded sum of all N terms -- math.fsum(terms[:N]).
-The reduction adds one rounding to the term errors, so the total stays below
-N ulp, inside the 4*N*ulp budget, and a trace equals a fresh evaluation bit
-for bit at every checkpoint.  The terms repeat with the period q of the
-point, so only n = 1..min(q, N) are generated: a rational point a/q is summed
-over one period, S(N) = floor(N/q) I(q) + I(N mod q) on the exact ints, with
-the same one rounding.  A `Phase` point has q = 2^64 > N, so nothing folds.
+partial sum stays below 2^53, so no value depends on the block size.  When
+one block holds a whole sum that does not fold and its terms need at most two
+limbs (each term a multiple of 2^-74, as every term of magnitude at least
+2^-22 is), each value is S1 2^-37 + S2 2^-74 for limb sums S1, S2: one IEEE
+addition of two exact doubles, which numpy rounds correctly, half to even,
+with no Python object per row (`_rounded`).  Otherwise the block loop
+carries the joined limb sums as one Python int per row, and each value is
+that int rounded once by int true division.  Either way S(x; N) is the
+correctly rounded sum of all N terms -- math.fsum(terms[:N]).  The reduction
+adds one rounding to the term errors, so the total stays below N ulp, inside
+the 4*N*ulp budget, and a trace equals a fresh evaluation bit for bit at
+every checkpoint.  The terms repeat with the period q of the point, so only
+n = 1..min(q, N) are generated: a rational point a/q is summed over one
+period, S(N) = floor(N/q) I(q) + I(N mod q) on the exact ints, with the same
+one rounding.  A `Phase` point has q = 2^64 > N, so nothing folds.
+
+Values: the loop returns float64 (re, im) arrays of (rows, checkpoints), and
+each caller checks the trivial bound |S| <= N on a whole array at once
+(`_checked`).  |S| is libm's hypot, which abs(complex) also calls, taken by
+`_checked` or `moduli`: np.abs of complex128 differs from it in the last bit
+for about a third of random values.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import cycle
 from math import log
 from typing import Iterator, Sequence
@@ -143,10 +154,8 @@ _LIMB_BITS = 37
 _LIMB_SCALE = float(1 << _LIMB_BITS)
 
 
-def _exact_prefix_sums(
-    terms: np.ndarray, ends: Sequence[int], work: Workspace | None = None
-) -> tuple[list[int], int]:
-    """Exact sums of terms[:, :k] as ints over 2^(37 L): (one flat list, each k in ends in turn over the rows, L).
+def _exact_prefix_sums(terms: np.ndarray, ends: Sequence[int], work: Workspace | None = None) -> np.ndarray:
+    """Exact sums of terms[:, :k], each k in ends in turn, as L limb sums: an (L, len(ends), rows) float64 array.
 
     terms is (rows, n) with |terms| <= 1 and n <= 2^16; ends strictly
     increase from k >= 1.  The scaled terms are peeled into integer limbs of
@@ -154,10 +163,10 @@ def _exact_prefix_sums(
     is zero everywhere: every split is exact and any finite double runs out of
     bits, so no exponent range is assumed.  Each limb is an integer of
     magnitude <= 2^37, so with n <= 2^16 every partial sum is an integer of
-    magnitude <= 2^53 and float64 sums them exactly in any order.  The L limb
-    sums at each k join into one Python int I with I / 2^(37 L) the exact sum;
-    int true division rounds it correctly (half to even), as fsum does.  x and
-    its whole parts are work's scratch, so terms must not be.
+    magnitude <= 2^53 and float64 sums them exactly in any order.  The exact
+    sum at k is the sum over j of limbs[j, k] 2^(-37 (j + 1)): `_joined` makes
+    it one Python int over 2^(37 L), and `_rounded` rounds it in numpy when
+    L <= 2.  x and its whole parts are work's scratch, so terms must not be.
     """
     work = Workspace() if work is None else work
     starts = [0, *ends[:-1]]
@@ -171,15 +180,40 @@ def _exact_prefix_sums(
         if not np.logical_or.reduce(x, axis=None):  # x.any() without its Python wrapper
             break
         x *= _LIMB_SCALE
-    limb_sums = np.array(segments).cumsum(axis=1).astype(np.int64).reshape(len(segments), -1).tolist()
-    acc = limb_sums[0]
-    for limb in limb_sums[1:]:
+    limbs = np.array(segments)
+    return limbs.cumsum(axis=1) if len(ends) > 1 else limbs
+
+
+def _joined(limbs: np.ndarray) -> list[int]:
+    """The exact sums of `_exact_prefix_sums` as ints over 2^(37 L), in one flat list: each end, over the rows."""
+    ints = limbs.astype(np.int64).reshape(len(limbs), -1).tolist()
+    acc = ints[0]
+    for limb in ints[1:]:
         acc = [(a << _LIMB_BITS) + b for a, b in zip(acc, limb)]
-    return acc, len(limb_sums)
+    return acc
 
 
-def _accumulate(words, q: int, cps: Sequence[int], lengths: np.ndarray | None = None) -> list[list[complex]]:
-    """S at each of the strictly increasing checkpoints, per row: the correctly rounded sum of its terms.
+def _rounded(limbs: np.ndarray) -> np.ndarray:
+    """The exact sums of `_exact_prefix_sums` with L <= 2 limbs, each correctly rounded: (len(ends), rows) float64.
+
+    The limb sums S1, S2 are integers of magnitude <= 2^53, so S1 and
+    S2 2^-37 are exact doubles and S1 + S2 2^-37 is one IEEE addition: the
+    exact sum rounded half to even, as int true division rounds
+    (S1 2^37 + S2) / 2^74.  The scaling by 2^-37 is exact, since a nonzero
+    sum is at least 2^-74.  Each term's second limb is +0.0 or a nonzero
+    integer, so S2 is never -0.0 and neither is S1 + S2 2^-37; S1 alone is
+    -0.0 for a row of -0.0 terms, and adding +0.0 makes it the +0.0 that int
+    true division gives for the int 0.
+    """
+    if len(limbs) == 1:
+        return limbs[0] / _LIMB_SCALE + 0.0
+    return (limbs[1] / _LIMB_SCALE + limbs[0]) / _LIMB_SCALE
+
+
+def _accumulate(
+    words, q: int, cps: Sequence[int], lengths: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """S at each of the strictly increasing checkpoints, per row, correctly rounded: (re, im), each (rows, checkpoints).
 
     words(lo, hi, work) gives the exact phases of n = lo..hi-1 over q,
     (hi-lo,) for one point or (rows, hi-lo) for a batch, as `_phase_words`
@@ -191,13 +225,19 @@ def _accumulate(words, q: int, cps: Sequence[int], lengths: np.ndarray | None = 
     n = 1..P, P = min(q, N_max), are generated.  Terms past row r's own
     length lengths[r] (< N_max only with q >= N_max, so nothing folds) are set
     to +0.0, which adds to no limb: the row sums exactly its first lengths[r]
-    terms.  The loop carries one exact int per row over 2^(37 L), shifting it
+    terms.
+
+    When one block holds the whole sum, unfolded (N_max <= BLOCK and
+    N_max <= q), and its terms need at most two limbs, the values are its limb
+    sums rounded in numpy (`_rounded`), with no Python object per row.
+    Otherwise the loop carries one exact int per row over 2^(37 L), shifting it
     and the prefixes kept so far to the larger scale when a block needs more
     limbs than the blocks before, and keeps the exact prefix I(r) at each
     offset r = N mod P > 0, all in one flat list.  Every checkpoint is then
     floor(N/P) I(P) + I(N mod P), in one pass over all (checkpoint, row)
-    ints, rounded once by int true division in another, so it equals
-    math.fsum over all N of its terms, whatever the block size.
+    ints, rounded once by int true division in another.  Either way each value
+    is its exact sum rounded once, half to even, so it equals math.fsum over
+    all N of its terms, whatever the route or the block size.
     """
     period = min(q, cps[-1])
     offsets = sorted({n % period for n in cps} - {0}) if period < cps[-1] else cps[:-1]
@@ -214,44 +254,72 @@ def _accumulate(words, q: int, cps: Sequence[int], lengths: np.ndarray | None = 
         ends = [r - lo + 1 for r in offsets[oi:oj]]
         if not ends or ends[-1] < hi - lo:
             ends.append(hi - lo)
-        sums, limbs = _exact_prefix_sums(terms, ends, work)
+        limbs = _exact_prefix_sums(terms, ends, work)
         width = len(terms)
+        if hi - lo == cps[-1] and len(limbs) <= 2:  # the one block of an unfolded sum: its ends are cps
+            values = _rounded(limbs)
+            break
+        sums, count = _joined(limbs), len(limbs)
         if not acc:  # the first block sets the scale
-            acc, pre, scale = sums[-width:], [0] * width + sums[: (oj - oi) * width], limbs
+            acc, pre, scale = sums[-width:], [0] * width + sums[: (oj - oi) * width], count
             oi = oj
             continue
-        if limbs > scale:
-            bits = _LIMB_BITS * (limbs - scale)
+        if count > scale:
+            bits = _LIMB_BITS * (count - scale)
             acc, pre = [a << bits for a in acc], [v << bits for v in pre]
-            scale = limbs
-        shift = _LIMB_BITS * (scale - limbs)
+            scale = count
+        shift = _LIMB_BITS * (scale - count)
         if oj > oi:
             pre += [a + (v << shift) for a, v in zip(cycle(acc), sums[: (oj - oi) * width])]
             oi = oj
         acc = [a + (v << shift) for a, v in zip(acc, sums[-width:])]
-    width = len(acc)
+    else:  # no block broke off to `_rounded`: the int route
+        if period == cps[-1]:  # nothing folds: the prefix at each checkpoint but the last, in order, then the whole
+            totals = pre[width:] + acc
+        else:
+            at = dict(zip((0, *offsets), range(0, len(pre), width)))  # offset -> its place in pre
+            spans = [(n // period, at[n % period]) for n in cps]
+            totals = [b + k * a for k, j in spans for a, b in zip(acc, pre[j : j + width])]
+        den = 1 << _LIMB_BITS * scale
+        values = np.array([t / den for t in totals]).reshape(-1, width)
     _hand_on(work, width // 2 * min(period, BLOCK))  # a block's words over its rows
-    if period == cps[-1]:  # nothing folds: the prefix at each checkpoint but the last, in order, then the whole
-        totals = pre[width:] + acc
-    else:
-        at = dict(zip((0, *offsets), range(0, len(pre), width)))  # offset -> its place in pre
-        spans = [(n // period, at[n % period]) for n in cps]
-        totals = [b + k * a for k, j in spans for a, b in zip(acc, pre[j : j + width])]
-    den = 1 << _LIMB_BITS * scale
-    values = [t / den for t in totals]
     rows = width // 2
-    return [list(map(complex, values[r::width], values[rows + r :: width])) for r in range(rows)]
+    return values[:, :rows].T, values[:, rows:].T
+
+
+def moduli(values: np.ndarray) -> np.ndarray:
+    """|v| of each complex v by libm's hypot, as abs(complex) takes it: np.abs of complex128 may differ in the last bit."""
+    return np.hypot(values.real, values.imag)
+
+
+def _checked(re: np.ndarray, im: np.ndarray, ns) -> np.ndarray:
+    """|re + i im|, each within the trivial bound |S| <= N of its entry of ns (an int or an array of them).
+
+    The bound has a few ulps of slack for the rounded terms.  The moduli are
+    libm's hypot, as in `moduli`.
+    """
+    mags = np.hypot(re, im)
+    bound = ns * (1.0 + 1e-12)
+    over = mags > bound
+    if over.any():
+        k = over.argmax()
+        raise LemmaCheckFailureError(
+            f"trivial bound violated: |S| = {mags.flat[k]} > N = {np.broadcast_to(ns, mags.shape).flat[k]}"
+        )
+    return mags
 
 
 def weyl_sum(x, N: int, m: Sequence[int] | None = None) -> complex:
     """S(x; N) with certified accumulation error below N ulp."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    return _checked(_accumulate(*_phase_words(x, m), (N,))[0][0], N)
+    re, im = _accumulate(*_phase_words(x, m), (N,))
+    _checked(re, im, N)
+    return complex(re[0, 0], im[0, 0])
 
 
-def weyl_sum_batch(words: np.ndarray, N: int) -> list[complex]:
-    """S(x_b; N) for each row x_b of a (B, d) uint64 array of phase words.
+def weyl_sum_batch(words: np.ndarray, N: int) -> np.ndarray:
+    """S(x_b; N) for each row x_b of a (B, d) uint64 array of phase words, as a (B,) complex128 array.
 
     Entry b is bit-identical to weyl_sum(tuple(Phase(w) for w in words[b]), N):
     the rows share one block loop and each is reduced exactly on its own.
@@ -259,14 +327,15 @@ def weyl_sum_batch(words: np.ndarray, N: int) -> list[complex]:
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    return [_checked(v[0], N) for v in _accumulate(*_phase_words(words, None), (N,))]
+    re, im = _accumulate(*_phase_words(words, None), (N,))
+    _checked(re, im, N)
+    return _complex(re[:, 0], im[:, 0])
 
 
-def _checked(value: complex, N: int) -> complex:
-    # trivial bound |S| <= N, with a few ulps of slack for the rounded terms
-    if abs(value) > N * (1.0 + 1e-12):
-        raise LemmaCheckFailureError(f"trivial bound violated: |S| = {abs(value)} > N = {N}")
-    return value
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    values = np.empty(re.shape, np.complex128)
+    values.real, values.imag = re, im
+    return values
 
 
 def monomial_sum(x, N: int, d: int) -> complex:
@@ -278,24 +347,25 @@ def monomial_sum(x, N: int, d: int) -> complex:
 
 @dataclass(frozen=True)
 class SumTrace:
-    """(N, S(x;N)) samples along strictly increasing checkpoints."""
+    """(N, S(x;N)) samples along strictly increasing checkpoints, with |S(x;N)| at each."""
 
     checkpoints: tuple[int, ...]
     values: tuple[complex, ...]
+    magnitudes: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
+        ns = np.array(self.checkpoints)
+        if (np.diff(ns) <= 0).any():
             raise PreconditionError("checkpoints must be strictly increasing")
-        for n, v in zip(self.checkpoints, self.values):
-            if abs(v) > n * (1.0 + 1e-12):
-                raise PreconditionError("trace magnitude exceeds the trivial bound")
-
-    @property
-    def magnitudes(self) -> tuple[float, ...]:
-        return tuple(abs(v) for v in self.values)
+        if len(self.values) != len(ns):
+            raise PreconditionError("need one value per checkpoint")
+        mags = moduli(np.array(self.values, dtype=np.complex128))
+        if (mags > ns * (1.0 + 1e-12)).any():
+            raise PreconditionError("trace magnitude exceeds the trivial bound")
+        object.__setattr__(self, "magnitudes", tuple(mags.tolist()))
 
     def rows(self) -> list[tuple[int, float, float, float]]:
-        return [(n, v.real, v.imag, abs(v)) for n, v in zip(self.checkpoints, self.values)]
+        return [(n, v.real, v.imag, mag) for n, v, mag in zip(self.checkpoints, self.values, self.magnitudes)]
 
 
 def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None) -> SumTrace:
@@ -307,8 +377,9 @@ def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None
 
 
 def _trace(words, q: int, cps: tuple[int, ...]) -> SumTrace:
-    values = _accumulate(words, q, cps)[0]
-    return SumTrace(checkpoints=cps, values=tuple(_checked(v, n) for n, v in zip(cps, values)))
+    re, im = (v[0] for v in _accumulate(words, q, cps))
+    _checked(re, im, np.array(cps))
+    return SumTrace(checkpoints=cps, values=tuple(_complex(re, im).tolist()))
 
 
 DENSE_LIMIT = 1000  # the checkpoint grid holds every N up to here

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,25 @@ def test_large_sum_cantor_serializes_each_certificate_once(monkeypatch):
     assert last[0] == {"level": 2, "p": 127, "cell": res.certificates[8].cell, "anchor": res.certificates[8].anchor,
                        "N": res.certificates[8].N, "value": res.certificates[8].value,
                        "bound": res.certificates[8].bound, "pass": True}
+
+
+def test_box_rows_are_the_json_dumps_of_each_row():
+    res = ct.large_sum_cantor(3, 4, F(1, 20), (31, 127), 2)
+    coll = res.collection
+    # rows without a certificate, and with shared, distinct and missing ones
+    plain = ct.BoxCollection(coll.depth, coll.corners, coll.side, coll.denom)
+    first = {"level": 1, "note": "a \"quoted\" value, \u00e9", "nested": {"b": [1, 2.5], "a": None}}
+    mixed = replace(coll, certificates=(first, None, dict(first)) + coll.certificates[3:])
+    for boxes in (coll, plain, mixed):
+        want = []
+        for row, cert in zip(boxes.corners.tolist(), boxes.certificates or (None,) * len(boxes)):
+            reduced = [F(n, boxes.denom) for n in (*row, boxes.side)]
+            reduced = [f"{r.numerator}/{r.denominator}" for r in reduced]
+            entry = {"depth": boxes.depth, "corner": reduced[:-1], "side": reduced[-1]}
+            if cert is not None:
+                entry["certificate"] = cert
+            want.append(json.dumps(entry, sort_keys=True))
+        assert boxes.to_jsonl().splitlines() == want
 
 
 def test_large_sum_cantor_boxes_nest():

@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weylsums
@@ -637,6 +638,11 @@ _README_STREAM = (
     # sparse exponents 1, 4, 9: exponent gaps of 3 and 5, each multiplied in by n one unit at a time
     (["weyl-trace", "--d", "3", "--seed", "5", "--m", "1,4,9", "--N-max", "100000"], "weyl_trace.csv",
      "2f272b1339006660cd57f542d7f0aee313641e3c6fcc4e51c8b78765bbbd8d53"),
+    # batches of 4096 points of 16 terms, rounded in numpy unless a block's terms need three limbs
+    (["measure-estimate", "--d", "2", "--alpha", "0.4", "--i", "16", "--samples", "10000"], "measure_estimate.json",
+     "3d6a16f20143406796ff4349a9cc65e9c8004357d1ab26bc1c1b1871c700e65e"),
+    (["measure-estimate", "--d", "2", "--alpha", "0.4", "--i", "16", "--samples", "1000000"], "measure_estimate.json",
+     "94950b2b76c27e44274744dca1eda8c152a00b29a7c7750e5b4509ccefdae145"),
 )
 
 
@@ -662,6 +668,7 @@ _OVERSIZED = (
     (["amplify-mono", "--d", "2", "--p", "5", "--tau", "12000001/1000000"], 2),
     (["cantor-build", "--d", "3", "--tau", "4000001/1000000", "--primes", "31", "--depth", "1"], 2),
     (["cantor-dim", "--depth", "1000000"], 3),  # 2^(2 10^6) boxes, refused before the scales
+    (["cantor-dim", "--cells", "1", "--depth", "100000"], 3),  # one box, refused by the bits of its scales
     (["cantor-build", "--d", "3", "--tau", "10000", "--primes", "31", "--depth", "1"], 2),
     (["cantor-build", "--d", "3", "--tau", "1000000", "--primes", "31", "--depth", "1"], 2),
     (["monomial-check", "--d", "1000", "--p", "5"], 3),
@@ -743,6 +750,17 @@ def test_write_csv_bytes_equal_csv_writer(tmp_path):
             cli._write_csv(tmp_path / "bad.csv", header, bad)
     with pytest.raises(AssertionError):
         cli._write_csv(tmp_path / "bad.csv", ["N", "a,b"], rows)
+
+
+def test_write_csv_prints_numpy_numbers_as_python_numbers(tmp_path):
+    # a numpy integer is not an int: it is printed as one, and not refused or printed as a float
+    rows = [(np.int64(2**62 + 1), np.float64(0.1), np.uint64(2**64 - 1)), (2**62 + 1, 0.1, 2**64 - 1)]
+    cli._write_csv(tmp_path / "np.csv", ["a", "b", "c"], rows)
+    lines = (tmp_path / "np.csv").read_bytes().split(b"\r\n")
+    assert lines[1] == lines[2] == b"4611686018427387905,0.10000000000000001,18446744073709551615"
+    for bad in ([(np.float32(0.5),)], [(True,)], [(np.bool_(True),)]):
+        with pytest.raises(AssertionError):
+            cli._write_csv(tmp_path / "bad.csv", ["a"], bad)
 
 
 def test_discrepancy_commands_refuse_n_max_past_int64_split(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from helpers import canonical_sums, direct_complete_sum, phase_from_float, rational_phases
 from weylsums import complete_sums as cs
 from weylsums import discrepancy as dc
+from weylsums import large_values as lv
 from weylsums import weyl_sums as ws
 from weylsums.errors import PreconditionError
 from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
@@ -23,6 +24,12 @@ def _zero(d):
 
 def _bits(values):
     return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def _row(sums, r=0):
+    """Row r of the (re, im) arrays that `_accumulate` returns, as complex values."""
+    re, im = sums
+    return list(map(complex, re[r].tolist(), im[r].tolist()))
 
 
 def test_weyl_sum_at_zero():
@@ -115,8 +122,8 @@ def _exact_prefixes(row):
 
 def _reduced(terms, ends):
     """The reducer's ints, each checked to be the exact prefix sum, rounded once by int division."""
-    flat, limbs = ws._exact_prefix_sums(terms, ends)
-    den = 1 << ws._LIMB_BITS * limbs
+    limbs = ws._exact_prefix_sums(terms, ends)
+    flat, den = ws._joined(limbs), 1 << ws._LIMB_BITS * len(limbs)
     sums = [flat[j : j + len(terms)] for j in range(0, len(flat), len(terms))]  # one list over the rows per end
     assert len(sums) == len(ends)
     exact = [_exact_prefixes(row) for row in terms]
@@ -155,8 +162,8 @@ def test_exact_reducer_prefixes_of_length_one_and_chunk_sized_sums():
     ones = np.array([np.ones(ws.CHUNK), -np.ones(ws.CHUNK)])
     ones[0, -1] = np.nextafter(1.0, 0.0)
     assert _reduced(ones, [ws.CHUNK - 1, ws.CHUNK]) == _fsum_prefixes(ones, [ws.CHUNK - 1, ws.CHUNK])
-    sums, limbs = ws._exact_prefix_sums(-ones[1:], [ws.CHUNK])
-    assert sums == [ws.CHUNK << ws._LIMB_BITS * limbs]
+    limbs = ws._exact_prefix_sums(-ones[1:], [ws.CHUNK])
+    assert ws._joined(limbs) == [ws.CHUNK << ws._LIMB_BITS * len(limbs)]
 
 
 @pytest.mark.parametrize("q", [5, 9973, 65537, 131071])
@@ -181,7 +188,7 @@ def test_rational_sums_folded_by_period_equal_fsum_of_all_terms(q, monkeypatch):
 
 
 def _limb_count(t):
-    return ws._exact_prefix_sums(t[None, :], [len(t)])[1]
+    return len(ws._exact_prefix_sums(t[None, :], [len(t)]))
 
 
 def test_accumulator_aligns_limb_scales_across_chunks(monkeypatch):
@@ -203,7 +210,7 @@ def test_accumulator_aligns_limb_scales_across_chunks(monkeypatch):
 
     plant(re, im)
     want = [complex(math.fsum(re[:n]), math.fsum(im[:n])) for n in cps]
-    assert _bits(ws._accumulate(lambda lo, hi, work: np.arange(lo, hi), TURN, cps)[0]) == _bits(want)
+    assert _bits(_row(ws._accumulate(lambda lo, hi, work: np.arange(lo, hi), TURN, cps))) == _bits(want)
 
     # the same terms repeated with a period that spans blocks and crosses the scale changes
     q = 2 * C + 11
@@ -218,8 +225,133 @@ def test_accumulator_aligns_limb_scales_across_chunks(monkeypatch):
     cps = tuple(sorted({k * q + r for k in (0, 1, 5) for r in (1, C, C + 1, q - 1)} | {q, 3 * q}))
     full_re, full_im = np.tile(period_re, 6), np.tile(period_im, 6)
     want = [complex(math.fsum(full_re[:n]), math.fsum(full_im[:n])) for n in cps]
-    assert _bits(ws._accumulate(periodic, q, cps)[0]) == _bits(want)
+    assert _bits(_row(ws._accumulate(periodic, q, cps))) == _bits(want)
     assert max(seen) == q
+
+
+_ULP1 = 2.0**-52  # the ulp of 1.0
+
+
+def _rounding_rows():
+    """Rows of 8 terms whose sums need at most two limbs: half-ulp ties both ways, cancellation, signs."""
+    h = _ULP1 / 2
+    rows = [
+        [1.0, h],  # a tie: 1 + 2^-53 rounds down to the even 1.0
+        [1.0 + _ULP1, h],  # a tie: rounds up to the even 1 + 2^-51
+        [-1.0, -h],
+        [-1.0 - _ULP1, -h],
+        [0.75, h / 2],  # ties at the ulp 2^-53 of 0.75
+        [0.75 + h, h / 2],
+        [0.5, 0.5, h / 2, h / 2],  # a tie reached over four terms
+        [1.0, 2.0**-40, h, 2.0**-74],  # past a tie by the last bit of a 35-bit second limb sum: up
+        [1.0, 2.0**-40, h, -(2.0**-74)],  # short of it: down
+        [0.3, -0.3, 0.7, -0.7, 1 / 3, -1 / 3],  # cancels exactly to +0.0
+        [-0.0] * 8,  # the int 0 is +0.0, whatever the signs of the zero terms
+        list(-np.random.default_rng(31).uniform(0.5, 1.0, size=8)),
+        list(np.random.default_rng(32).uniform(-1.0, 1.0, size=8)),
+    ]
+    return np.array([r + [0.0] * (8 - len(r)) for r in rows])
+
+
+def _int_route(limbs):
+    den = 1 << ws._LIMB_BITS * len(limbs)
+    return np.array([t / den for t in ws._joined(limbs)]).reshape(limbs.shape[1:])
+
+
+@pytest.mark.parametrize("limb_count", [1, 2])
+def test_limb_sums_rounded_in_numpy_equal_the_int_join_and_fsum(limb_count):
+    terms = _rounding_rows() if limb_count == 2 else np.array([
+        [0.5, -0.25, 1.0, -1.0, 2.0**-37, 0.0, -0.5, 0.25],
+        [-0.0] * 8,
+        [-1.0, -0.5, -(2.0**-37), -0.0, -0.25, -1.0, -1.0, -0.125],
+        [1.0, -1.0, 0.5, -0.5, 0.0, -0.0, 2.0**-36, -(2.0**-36)],
+    ])
+    ends = list(range(1, 9))
+    limbs = ws._exact_prefix_sums(terms, ends)
+    assert len(limbs) == limb_count
+    rounded = ws._rounded(limbs)
+    assert [v.hex() for v in rounded.ravel()] == [v.hex() for v in _int_route(limbs).ravel()]
+    want = [[math.fsum(row[:k]) for row in terms] for k in ends]  # one list over the rows per end
+    assert [v.hex() for v in rounded.ravel()] == [(v + 0.0).hex() for col in want for v in col]
+    assert [v.hex() for v in rounded[:, 1 if limb_count == 1 else 10]] == ["0x0.0p+0"] * 8
+    if limb_count == 2:
+        assert rounded[-1, :9].tolist() == [1.0, 1.0 + 2 * _ULP1, -1.0, -1.0 - 2 * _ULP1, 0.75, 0.75 + _ULP1,
+                                            1.0, 1.0 + 2.0**-40 + _ULP1, 1.0 + 2.0**-40]
+
+
+def _plant(monkeypatch, re, im):
+    """Words of a batch that read back the planted terms through the term kernel: row r's term n is
+    (re[r, n - 1], im[r, n - 1]).  Returns the words and the list of the limb counts `_rounded` saw."""
+    flat_re, flat_im = re.ravel(), im.ravel()
+    monkeypatch.setattr(ws, "unit_terms", lambda w, q, work: np.array((flat_re[w], flat_im[w])))
+    rounded, real = [], ws._rounded
+    monkeypatch.setattr(ws, "_rounded", lambda limbs: rounded.append(len(limbs)) or real(limbs))
+    idx = np.arange(re.size).reshape(re.shape)
+    return (lambda lo, hi, work: idx[:, lo - 1 : hi - 1]), rounded
+
+
+def _fsum_rows(re, im, cps):
+    return [[complex(math.fsum(a[:n]), math.fsum(b[:n])) for n in cps] for a, b in zip(re, im)]
+
+
+@pytest.mark.parametrize(
+    "deep, n, numpy_route",
+    [(None, 1000, True), (2.0**-37, 1000, True), (2.0**-80, 1000, False), (5e-324, 1000, False),
+     (None, ws.BLOCK + 5, False)],
+    ids=["L2", "L1", "L3", "L30", "two-blocks"],
+)
+def test_accumulate_rounds_in_numpy_only_one_unfolded_block_of_two_limbs(deep, n, numpy_route, monkeypatch):
+    rng = np.random.default_rng(41)
+    if deep == 2.0**-37:  # terms of one limb: multiples of 2^-37
+        re, im = (rng.integers(-(2**37), 2**37, size=(6, n)) / 2.0**37 for _ in range(2))
+    else:
+        re, im = rng.uniform(-1.0, 1.0, size=(2, 6, n))
+        re[:, :4] = _rounding_rows()[:6, :4]  # ties, within the first checkpoints
+        if deep is not None:
+            im[3, 2] = -deep  # one term of one row sets the limb count of the block
+    words, rounded = _plant(monkeypatch, re, im)
+    cps = (1, 2, 3, 4, 7, 999, n)
+    limbs = len(ws._exact_prefix_sums(np.concatenate([re, im]), [n]))
+    assert limbs == {None: 2, 2.0**-37: 1, 2.0**-80: 3, 5e-324: 30}[deep]
+    want = _fsum_rows(re, im, cps)
+    sums = ws._accumulate(words, TURN, cps)
+    assert [_bits(_row(sums, r)) for r in range(6)] == [_bits(w) for w in want]
+    assert rounded == ([limbs] if numpy_route else [])
+    # a fold takes the int route: the same terms with period n, summed to 3n
+    rounded.clear()
+    folded = ws._accumulate(words, n, (n, 3 * n))
+    assert rounded == []
+    want = _fsum_rows(np.tile(re, 3), np.tile(im, 3), (n, 3 * n))
+    assert [_bits(_row(folded, r)) for r in range(6)] == [_bits(w) for w in want]
+
+
+def test_batch_blocks_switch_routes_with_the_same_bits(monkeypatch):
+    # measure-estimate's blocks in miniature: four calls of five rows each, the second and the last
+    # with one term of three limbs, each value equal to the row summed alone and to fsum
+    rng = np.random.default_rng(43)
+    re, im = rng.uniform(-1.0, 1.0, size=(2, 20, 16))
+    re[7, 5], im[19, 15] = 2.0**-80, -(2.0**-75)
+    words, rounded = _plant(monkeypatch, re, im)
+    got = []
+    for b in range(4):
+        rows = slice(5 * b, 5 * b + 5)
+        got += list(map(complex, *(v[:, 0].tolist() for v in ws._accumulate(
+            lambda lo, hi, work: words(lo, hi, work)[rows], TURN, (16,)))))
+    assert rounded == [2, 2]
+    alone = [_row(ws._accumulate(lambda lo, hi, work: words(lo, hi, work)[r : r + 1], TURN, (16,)))[0]
+             for r in range(20)]
+    assert rounded == [2, 2] + [2] * 18  # each row alone: rows 7 and 19 need three limbs
+    want = [w[0] for w in _fsum_rows(re, im, (16,))]
+    assert _bits(got) == _bits(alone) == _bits(want)
+
+
+@pytest.mark.parametrize("unit", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), None])
+def test_measure_estimate_tie_at_i_1_is_a_hit(unit, monkeypatch):
+    # |S(x; 1)| = 1 = 1^alpha: a tie that the 1e-12 slack keeps a hit, for exact unit terms and real ones
+    if unit is not None:
+        monkeypatch.setattr(ws, "unit_terms", lambda w, q, work: np.multiply.outer(unit, np.ones(w.shape)))
+    for d in (1, 2, 3):
+        assert lv.measure_estimate(d, 0.4, 1, 1000, seed=d).estimate == 1.0
 
 
 def test_weyl_sum_holds_a_few_block_arrays_whatever_n():
