@@ -139,11 +139,12 @@ def compose(parent: BoxCollection, chart: BoxCollection) -> BoxCollection:
                          parent.side * chart.side, parent.denom * chart.denom)
 
 
-def _check_box_count(cells: int, d: int, e: int = 1) -> None:
-    """Refuse cells^e boxes of d corner coordinates past DEFAULT_CAP, by bit lengths before the power is formed."""
-    if e * (cells.bit_length() - 1) >= DEFAULT_CAP.bit_length() or cells**e * d > DEFAULT_CAP:
+def _check_box_count(cells: int, d: int, e: int = 1, scales: int = 1) -> None:
+    """Refuse cells^e boxes of d corner coordinates, read at `scales` grid scales, past DEFAULT_CAP, by bit lengths first."""
+    if e * (cells.bit_length() - 1) >= DEFAULT_CAP.bit_length() or cells**e * d * scales > DEFAULT_CAP:
         base = cells if cells < 1 << 64 else f"(2^{cells.bit_length() - 1} or more)"
-        raise ResourceLimitError(f"{base}^{e} boxes of {d} corner coordinates exceed the cap of {DEFAULT_CAP}")
+        at = f" at {scales} grid scales" if scales > 1 else ""
+        raise ResourceLimitError(f"{base}^{e} boxes of {d} corner coordinates{at} exceed the cap of {DEFAULT_CAP}")
 
 
 def make_pattern(spec: PatternSpec, d: int) -> BoxCollection:

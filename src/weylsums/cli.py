@@ -343,7 +343,8 @@ def _run_cantor_dim(args, out: Path) -> None:
     if args.cells < 1 or args.shrink < 1:
         raise PreconditionError("cells and shrink must be >= 1")
     shrink = Fraction(1, args.shrink)
-    ct._check_box_count(args.cells, args.d, args.d * args.depth)  # before the depth + 1 scales are formed
+    # before the depth + 1 scales are formed: each grid count reads every box's Python-int corner
+    ct._check_box_count(args.cells, args.d, args.d * args.depth, scales=args.depth + 1)
     # The finest scale is shrink^-(depth + 1).  A run that the box count (cells >= 2: depth + 1 <= b bits
     # of DEFAULT_CAP) and the grid count at that scale (shrink^d <= DEFAULT_CAP) let through has scales of
     # at most b^2 bits; one cell per axis leaves the depth unbounded, so the bits are refused here.

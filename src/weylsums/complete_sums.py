@@ -26,14 +26,13 @@ matrix product, in blocks small enough for OpenBLAS to run on one thread.
 Individual sums (`complete_sum`, `monomial_complete_sum`, `weil_check`,
 `vanishing_family`) are always evaluated by direct summation, every term
 formed and added, which keeps table-vs-direct comparisons a real two-route
-check.  Over F_p (`_unit_root_sum`) each term is e(r/p) at an exact residue
-r, the product of two entries from tables of O(sqrt p) unit roots, formed in
-the Weyl sums' 2^14-term blocks through the workspace they hand on and summed
-in float per 2^16-term chunk, a full chunk as the pairwise tree of its four
-block sums, so the chunk size fixes the bits of every result.  A monomial sum
-over n < p^d (`monomial_complete_sum`) splits n = u + p^(d-1) v: each term is
-exactly e(a u^d / p^d) e(v t_u / p), a product of entries from tables of
-p^(d-1) and p unit roots, summed pairwise per block and over the blocks.
+check.  Over F_p, T(a) is the Weyl sum S(a/p; p) at the exact rational point
+a/p (`weyl_sums.weyl_sum`): each term is `unit_terms` at an exact residue, and
+the p terms are summed exactly and rounded once, as every Weyl sum is.  A
+monomial sum over n < p^d (`monomial_complete_sum`) splits n = u + p^(d-1) v:
+each term is exactly e(a u^d / p^d) e(v t_u / p), a product of entries from
+tables of p^(d-1) and p unit roots, summed pairwise per block and over the
+blocks.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .phasecore import Workspace, _unit_root_table, _unit_terms, residue_array
-from .weyl_sums import BLOCK, CHUNK, _chunks, _hand_on, _spare_workspace
+from .phasecore import RationalPoint, Workspace, _unit_root_table, _unit_terms, residue_array
+from .weyl_sums import BLOCK, _hand_on, _spare_workspace, weyl_sum
 
 DEFAULT_CAP = 10**7
 
@@ -110,74 +109,20 @@ def _check_power_cap(p: int, e: int, cap: int, what: str, factor: int = 1) -> No
         raise ResourceLimitError(f"{what.format(f'{p}^{e}')} exceeds the cap of {cap}; raise the cap")
 
 
-def _unit_root_sum(residues, q: int) -> complex:
-    """sum_{n=1}^{q} e(r_n / q) by direct summation, for exact residues r_n in [0, q).
-
-    residues(lo, hi, work) gives r_n for n = lo..hi-1 as int64, a view of
-    the `Workspace` work that the loop may overwrite, as `_accumulate` takes
-    its words.  The terms are formed in BLOCK blocks through the workspace
-    that `weyl_sums._SPARE` hands on, and handed on again as `_accumulate`
-    hands it on.  The loop's own arrays are the term kernel's "terms" and
-    "scratch" buffers, float64 viewed as complex128 and int64, so it adds no
-    buffer to a workspace that a Weyl sum has used.
-    A residue r is split at k = ceil(bitlen(q) / 2) bits, and its term is
-    e(r/q) = high[r >> k] * low[r & (2^k - 1)]: two gathers from tables of
-    e(j 2^k / q) and e(j / q), of at most 2 sqrt(q) entries each, and one
-    complex product.  Each table entry is np.exp of a rounded argument below
-    2 pi, so a term is within ~8 ulp of e(r/q), about as close as np.exp of
-    the full argument; all q terms are still added one by one.  They are
-    summed in float per CHUNK = 2^16 terms and the chunk sums are added in
-    order, so the bits of a result are fixed by CHUNK, not BLOCK: a full
-    chunk's sum is (s_0 + s_1) + (s_2 + s_3) over its four block sums, which
-    is numpy's own pairwise split of a 2^16-term array, and a short last
-    chunk is formed in one array of its own and summed whole.
-    """
-    work = _spare_workspace()
-    high = None
-    parts = []
-    for start, stop in _chunks(q):
-        whole = None if stop - start == CHUNK else np.empty(stop - start, dtype=np.complex128)
-        sums = []
-        for lo in range(start, stop, BLOCK):
-            hi = min(lo + BLOCK, stop)
-            r = residues(lo, hi, work)
-            if high is None:  # built after the first residues, so that a q refused by residue_array allocates nothing
-                k = (q.bit_length() + 1) // 2
-                step = 2j * np.pi / q
-                high = np.exp(step * (np.arange(((q - 1) >> k) + 1) << k))
-                low = np.exp(step * np.arange(1 << k))
-            m = hi - lo
-            scratch = work.take("scratch", (4 * m,), np.float64)
-            rest, index = scratch[: 2 * m].view(np.complex128), scratch[2 * m : 3 * m].view(np.int64)
-            if whole is None:
-                terms = work.take("terms", (2 * m,), np.float64).view(np.complex128)
-            else:
-                terms = whole[lo - start : hi - start]
-            # the indices are in range; "wrap" skips the copy that take(out=) makes under "raise"
-            np.take(high, np.right_shift(r, k, out=index), out=terms, mode="wrap")
-            np.take(low, np.bitwise_and(r, (1 << k) - 1, out=r), out=rest, mode="wrap")
-            np.multiply(terms, rest, out=terms)
-            if whole is None:
-                sums.append(terms.sum())
-        if whole is None:
-            s0, s1, s2, s3 = sums  # CHUNK = 4 BLOCK, halved twice as numpy's pairwise sum halves it
-            parts.append((s0 + s1) + (s2 + s3))
-        else:
-            parts.append(whole.sum())
-    _hand_on(work, BLOCK)
-    # start from the first part, not 0j, so a one-chunk sum keeps its exact bits
-    return complex(sum(parts[1:], parts[0]))
-
-
 def complete_sum(d: int, p: int, a) -> complex:
-    """T(a) = sum_{n=1}^{p} e_p(a_1 n + ... + a_d n^d) by direct summation."""
+    """T(a) = sum_{n=1}^{p} e_p(a_1 n + ... + a_d n^d): the Weyl sum S(a/p; p) at the exact point a/p.
+
+    Every term is formed and added; each component of a term is within
+    2^-53 + 2^-56 of its exact value (`phasecore.unit_terms`), and their sum
+    is rounded once, so each component of T is math.fsum of the p terms'.
+    """
     _require_prime(p)
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    a = tuple(int(ai) % p for ai in a)
+    a = tuple(map(int, a))
     if len(a) != d:
         raise PreconditionError(f"coefficient vector must have length {d}")
-    return _unit_root_sum(lambda lo, hi, work: residue_array(a, p, range(1, d + 1), lo, hi, work), p)
+    return weyl_sum(RationalPoint(a, p), p)
 
 
 def _orbit(a, lam, p: int) -> list:
@@ -401,9 +346,12 @@ def weil_check(coeffs, p: int) -> WeilReport:
 
     ``coeffs`` lists f's coefficients from the constant term upward; the
     degree is taken after reduction mod p.  Nonconstant f with deg f < p
-    required.  The check allows 1e-9 + p 2^-40 over the bound for rounding,
-    which grows with the p float64 terms: at deg 1 the bound is 0, and
-    |T| = 0 reads ~1e-9 at p ~ 10^7.
+    required.  Each term component of `complete_sum` is within
+    eps = 2^-53 + 2^-56, so the terms' exact sum is within sqrt(2) p eps of T;
+    one rounding per component (2^-53 relative) and hypot (one ulp) put the
+    value below (|T| + sqrt(2) p eps)(1 + 2^-53)(1 + 2^-52) < |T| (1 + 2^-51)
+    + p 2^-52.  A value above bound (1 + 2^-50) + p 2^-50 fails: the margins
+    of 2 and 4 cover the roundings of the bound and of this tolerance.
     """
     _require_prime(p)
     c = [int(v) % p for v in coeffs]
@@ -416,7 +364,7 @@ def weil_check(coeffs, p: int) -> WeilReport:
         raise PreconditionError("need deg f < p")
     value = abs(complete_sum(deg, p, c[1:]))  # e(c_0/p) is a unit factor
     bound = (deg - 1) * sqrt(p)
-    if value > bound + 1e-9 + p * 2**-40:
+    if value > bound * (1 + 2**-50) + p * 2**-50:
         raise LemmaCheckFailureError(
             f"Weil bound violated for deg={deg}, p={p}: {value} > {bound}"
         )
@@ -427,7 +375,8 @@ def vanishing_family(d: int, p: int) -> list[tuple[int, ...]]:
     """The p-1 vectors (C(d,1)l, ..., C(d,d)l^d), l in F_p^*, all with T = 0.
 
     Exists because x -> x^d permutes F_p when gcd(d, p-1) = 1; each member is
-    re-verified by direct summation (|T| <= 1e-9 p).
+    re-verified by direct summation: |T| <= p 2^-50, the tolerance that
+    `weil_check` derives, at bound 0.
     """
     _require_prime(p)
     if gcd(d, p - 1) != 1:
@@ -439,7 +388,7 @@ def vanishing_family(d: int, p: int) -> list[tuple[int, ...]]:
     family = []
     for vec in zip(*(image.tolist() for image in images)):
         mag = abs(complete_sum(d, p, vec))
-        if mag > 1e-9 * p:
+        if mag > p * 2**-50:
             raise LemmaCheckFailureError(
                 f"family member {vec} has |T| = {mag}, expected 0"
             )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd, log, sqrt
+from math import exp, gcd, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -73,10 +73,16 @@ def _as_fraction(x) -> Fraction:
 
 
 def _iroot(n: int, k: int) -> int:
-    """The largest r with r**k <= n, for n >= 0 and k >= 1 (integer Newton from above)."""
+    """The largest r with r**k <= n, for n >= 0 and k >= 1 (integer Newton from above).
+
+    The start m 2^s > n^(1/k) comes from float logs (log takes big ints), raised by 2^-16, far above
+    their error, so each step about doubles the correct bits, where 2^ceil(bits/k) took ~k steps.
+    """
     if n < 1:
         return 0
-    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    e = log(n) / k
+    s = max(0, int(e / log(2)) - 60)
+    r = (int(exp(e - s * log(2)) * (1 + 2**-16)) + 1) << s
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k
         if s >= r:

@@ -23,12 +23,9 @@ the fastest of 2^12..2^16 on a 2-CPU Xeon (21.5 ms at best, against 29 ms
 for 2^16).  They
 come from one `phasecore.Workspace` per call, allocated for the first block,
 reused by every later one and handed on to the next call, so that no block
-or call frees arrays that the OS takes back and faults in again.  The
-complete sums of `complete_sums` form their terms in the same blocks, from
-the same handed-on workspace, but sum them in float per CHUNK = 2^16 terms,
-each chunk's four block sums added as numpy's pairwise sum of the whole
-chunk would add them, and the chunk sums in order, so CHUNK, not BLOCK,
-fixes the bits of their results.
+or call frees arrays that the OS takes back and faults in again.  A
+complete sum T(a) over F_p is this loop's sum at the rational point a/p with
+N = p (`complete_sums.complete_sum`).
 
 Exact accumulation: each block is reduced once by an exact reducer
 (`_exact_prefix_sums`), which splits every term into 37-bit integer limbs and
@@ -79,7 +76,7 @@ from .phasecore import (
 
 CHUNK = 1 << 16
 BLOCK = 1 << 14  # the terms per pass of `_accumulate`; its arrays stay in a 2 MiB L2
-# The workspace that an `_accumulate` call or a complete sum hands on to the next, if none is held and
+# The workspace that an `_accumulate` or `monomial_complete_sum` call hands on to the next, if none is held and
 # its loop took at most BLOCK terms a block: one point's, 8 or 9 arrays of BLOCK words, at most _SPARE_BYTES.
 # A batch of more takes it and grows it, and then frees it rather than hand on larger buffers.  A workspace
 # freed at the end of every call can go back to the OS (glibc trims the top of the heap) and fault

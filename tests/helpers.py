@@ -4,9 +4,8 @@ Everything here recomputes results by a route different from the library:
 scalar big-integer phases and their exponential, and residues by Python's
 pow, for the vectorized kernels, math.fsum over every term up to N for the
 sum evaluators, a one-point-per-call loop for the batched measure estimate, direct term-by-term
-summation for complete sums, and their Horner residues summed in whole 2^16-term chunks for the
-block loop, the monomial sums' factored terms formed one row at a time for theirs, unit roots in
-80-bit long double for the term kernels, the full p^d inverse FFT of the fiber counts
+summation for complete sums, the monomial sums' factored terms formed one row at a time for their
+block loop, unit roots in 80-bit long double for the term kernels, the full p^d inverse FFT of the fiber counts
 of n -> (n, ..., n^d) for complete-sum tables and box moments, the
 lambda-orbit representative of each box point one by one (lambda by
 Python's modular inverse), and at d = 2 one bincount of the box's orbit
@@ -30,8 +29,8 @@ from weylsums import large_values as lv
 from weylsums.complete_sums import DiscreteBox
 from weylsums.discrepancy import PointSet1D
 from weylsums.errors import PreconditionError
-from weylsums.phasecore import TURN, Phase, RationalPoint, Workspace, phase_from_rational, residue_array, unit_terms
-from weylsums.weyl_sums import BLOCK, CHUNK, _chunks, weyl_sum
+from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational, residue_array, unit_terms
+from weylsums.weyl_sums import BLOCK, CHUNK, weyl_sum
 
 TWO64 = 1 << 64
 
@@ -153,28 +152,6 @@ def unit_root_fsum(a, q, exponents):
         math.fsum(math.cos(2 * math.pi * r / q) for r in rs),
         math.fsum(math.sin(2 * math.pi * r / q) for r in rs),
     )
-
-
-def chunked_unit_root_sum(a, q, exponents):
-    """sum_{n=1}^{q} e((a_1 n^{m_1} + ... + a_k n^{m_k}) / q) as the library summed it in whole 2^16-term chunks.
-
-    Residues by Horner (`residue_array`) per CHUNK-term chunk, each term
-    high[r >> k] * low[r & (2^k - 1)] from the same two tables of unit roots,
-    one np.sum per chunk and the chunk sums added in order: the reference
-    that the block loop of `complete_sums._unit_root_sum` must equal bit for bit.
-    """
-    high = None
-    parts = []
-    work = Workspace()
-    for lo, hi in _chunks(q):
-        r = residue_array(a, q, exponents, lo, hi, work)
-        if high is None:
-            k = (q.bit_length() + 1) // 2
-            step = 2j * np.pi / q
-            high = np.exp(step * (np.arange(((q - 1) >> k) + 1) << k))
-            low = np.exp(step * np.arange(1 << k))
-        parts.append((high[r >> k] * low[r & ((1 << k) - 1)]).sum())
-    return complex(sum(parts[1:], parts[0]))
 
 
 def factored_monomial_sum(a, p, d):

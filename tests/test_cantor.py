@@ -288,6 +288,15 @@ def test_box_count_is_refused_before_the_first_level(monkeypatch):
         ct.build_cantor(ct.geometric_schedule(2, [(150, F(1, 300))] * 2), 2)
 
 
+def test_box_count_at_grid_scales_counts_every_scale():
+    # cantor-dim reads every box's corner at each of its depth + 1 scales: 2^18 boxes at 19 scales pass
+    # the cap of 10^7, 2^19 at 20 do not, nor 2^20 at 21
+    assert ct._check_box_count(2, 1, 18, scales=19) is None
+    for e in (19, 20):
+        with pytest.raises(ResourceLimitError, match=f"2\\^{e} boxes of 1 corner coordinates at {e + 1} grid scales"):
+            ct._check_box_count(2, 1, e, scales=e + 1)
+
+
 def test_dimension_formula_at_depth_one_is_the_large_sum_cantor_value():
     # one level: log q_1 / -log delta_1 with q_1 = m^3 and delta_1 = 31^-4
     res = ct.large_sum_cantor(3, 4, F(1, 20), (31,), 1)

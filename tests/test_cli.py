@@ -520,7 +520,10 @@ _README_RESIDUE = (
     (["monomial-check", "--d", "4", "--p", "53", "--a", "3"], "monomial_check.json",
      "2efd7b1f010f00a7744f22191477b2f70381f44f756c379d6b0b75a63e48eaa9"),
     (["weil-check", "--p", "101", "--coeffs", "1,2,3,4"], "weil_check.json",
-     "37789d04933999264f4acfd16e760d042749038cdedf6b7cd844a2961670b24d"),
+     "63ca4637ea2efddd948fff11bf5128168237354393afa3e6e79e26256815f8c2"),
+    # seven blocks of the Weyl-sum loop, joined as exact ints before the one rounding
+    (["weil-check", "--p", "100003", "--coeffs", "1,2,3,4,5,6"], "weil_check.json",
+     "a7e2f92799df7fb4f8760b630456695ee76b88db3faf0bd68a01ebeaf057edb1"),
     (["box-moments", "--d", "2", "--p", "101", "--nu", "1", "--count", "50", "--seed", "1"], "box_moments.csv",
      "a61f88edcba08a1b10a4650c769ef24a9f23fa65ec4326694ed336322597a0f2"),
     (["box-moments", "--d", "2", "--p", "100003", "--nu", "2", "--count", "8", "--seed", "3"], "box_moments.csv",
@@ -669,6 +672,9 @@ _OVERSIZED = (
     (["cantor-build", "--d", "3", "--tau", "4000001/1000000", "--primes", "31", "--depth", "1"], 2),
     (["cantor-dim", "--depth", "1000000"], 3),  # 2^(2 10^6) boxes, refused before the scales
     (["cantor-dim", "--cells", "1", "--depth", "100000"], 3),  # one box, refused by the bits of its scales
+    # 2^20 and 2^23 boxes of one coordinate, each read at the depth + 1 grid scales: once past a minute
+    (["cantor-dim", "--d", "1", "--cells", "2", "--shrink", "4", "--depth", "20"], 3),
+    (["cantor-dim", "--d", "1", "--cells", "2", "--shrink", "4", "--depth", "23"], 3),
     (["cantor-build", "--d", "3", "--tau", "10000", "--primes", "31", "--depth", "1"], 2),
     (["cantor-build", "--d", "3", "--tau", "1000000", "--primes", "31", "--depth", "1"], 2),
     (["monomial-check", "--d", "1000", "--p", "5"], 3),

@@ -18,7 +18,7 @@ import pytest
 import weylsums
 from helpers import (
     box_moment_fsum,
-    chunked_unit_root_sum,
+    canonical_sums,
     direct_complete_sum,
     factored_monomial_sum,
     full_box,
@@ -32,7 +32,7 @@ from helpers import (
 )
 from weylsums import complete_sums as cs
 from weylsums import weyl_sums as ws
-from weylsums.phasecore import Phase, Workspace, _unit_root_table, residue_array
+from weylsums.phasecore import Phase, RationalPoint, Workspace, _unit_root_table, residue_array
 from weylsums.errors import (
     BinomialVanishingError,
     ChecksumMismatchError,
@@ -81,19 +81,23 @@ def test_complete_sum_rejects_int64_overflow_before_allocating():
         ((1,), 1, (1,)),
         ((1,), 2, (1,)),
         ((2, 1), 3, (1, 2)),
-        # 2^j - 1, 2^j, 2^j + 1: the split k = ceil(bitlen(q) / 2) moves at 2^j for even j
+        # 2^j - 1, 2^j, 2^j + 1: past q = 2^12 the unit-root table no longer holds every residue, and
+        # `unit_terms` adds its angle-addition step
         *[((3, 5, 7), q, (1, 2, 3)) for j in (4, 5, 12) for q in (2**j - 1, 2**j, 2**j + 1)],
-        ((5, 7), 65537, (2, 5)),  # two chunks
+        ((5, 7), 65537, (2, 5)),  # five blocks
         ((2,), 7**3, (3,)),  # composite moduli p^d
         ((4, 9), 11**2, (2, 5)),
         ((1, 2, 3), 5**4, (1, 2, 3)),
     ],
 )
 def test_unit_root_sum_matches_fsum_oracle(a, q, exponents):
-    got = cs._unit_root_sum(lambda lo, hi, work: residue_array(a, q, exponents, lo, hi, work), q)
-    want = unit_root_fsum(a, q, exponents)
-    assert abs(got.real - want.real) <= q * 2**-48
-    assert abs(got.imag - want.imag) <= q * 2**-48
+    # a sum of unit roots over one period of any modulus is the Weyl sum at the rational point a/q, N = q,
+    # and equals math.fsum of its terms; at a prime q with exponents 1..d it is also the complete sum
+    x = RationalPoint(a, q)
+    got = ws.weyl_sum(x, q, m=exponents)
+    assert got == canonical_sums(x, [q], exponents)[0]
+    if cs.is_prime(q) and exponents == tuple(range(1, len(a) + 1)):
+        assert cs.complete_sum(len(a), q, a) == got
 
 
 def test_is_prime():
@@ -216,21 +220,21 @@ def test_monomial_identity_sweep_refuses_exactly_its_two_exceptions():
         ("monomial", 3, 131, 26),  # P = 131^2 > BLOCK: each row is cut into two blocks
         ("monomial", 16, 2, 1),  # P = 2^15 and 2^16: rows of two and four whole blocks
         ("monomial", 17, 2, 3),
-        # q just below, at and just above a multiple of 2^16
-        *[("complete", 2, p, (3, 5)) for p in (65521, 65537, 131071, 131101)],
+        # one block and two at p just below and above BLOCK = 2^14, then several past 2^16 = 4 BLOCK and 2^17
+        *[("complete", 2, p, (3, 5)) for p in (16381, 16411, 65521, 65537, 131071, 131101)],
         ("complete", 3, 2097169, (1, 2, 3)),  # q > 2^21
         ("complete", 5, 101, (1, 2, 3, 4, 5)),
     ],
     ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v),
 )
 def test_complete_sums_equal_the_chunked_reference_bit_for_bit(kind, d, p, a):
-    # the prime-modulus block loop sums each full chunk as the tree of its four block sums and a short
-    # last chunk whole, so it keeps the bits of the sums formed and added one 2^16-term chunk at a time;
-    # the monomial loop keeps those of its factored terms formed one row at a time and cut into its blocks
+    # a complete sum over F_p is math.fsum of its p terms, however many blocks they take; the monomial
+    # loop keeps the bits of its factored terms formed one row at a time and cut into its blocks
     if kind == "monomial":
         assert cs.monomial_complete_sum(d, p, a, cap=10**8) == factored_monomial_sum(a, p, d)
     else:
-        assert cs.complete_sum(d, p, a) == chunked_unit_root_sum(a, p, range(1, d + 1))
+        x = RationalPoint(a, p)
+        assert cs.complete_sum(d, p, a) == ws.weyl_sum(x, p) == canonical_sums(x, [p])[0]
 
 
 def _blocks(q, sizes):
@@ -349,12 +353,30 @@ def test_weil_check():
     assert abs(rep.value - sqrt(5)) < 1e-9
     rep = cs.weil_check([0, 1, 0, 1], 7)  # f = X^3 + X
     assert rep.value <= 2 * sqrt(7) + 1e-9
-    rep = cs.weil_check([0, 1], 10000019)  # T = 0; rounding alone reads ~1e-9 at this p
+    rep = cs.weil_check([0, 1], 10000019)  # T = 0; the rounded terms read ~1e-11 at this p
     assert rep.passed and rep.bound == 0.0 and rep.value <= 10000019 * 2**-40
     with pytest.raises(PreconditionError):
         cs.weil_check([3], 7)
     with pytest.raises(PreconditionError):
         cs.weil_check([0, 7], 7)  # reduces to a constant mod 7
+
+
+def test_weil_and_vanishing_checks_fail_a_kernel_that_errs_by_1e_12_per_term(monkeypatch):
+    # at degree 1 and on the vanishing family T = 0 exactly: cosines that err by 1e-12 move |T| by
+    # p 1e-12, past the p 2^-50 that the per-term bound allows, though inside 1e-9 + p 2^-40 and 1e-9 p
+    unit_terms = ws.unit_terms
+
+    def skewed(words, q, work=None):
+        terms = unit_terms(words, q, work)
+        terms[0] += 1e-12
+        return terms
+
+    assert cs.weil_check([0, 1], 101).passed and len(cs.vanishing_family(3, 5)) == 4
+    monkeypatch.setattr(ws, "unit_terms", skewed)
+    with pytest.raises(LemmaCheckFailureError, match="Weil bound violated for deg=1, p=101"):
+        cs.weil_check([0, 1], 101)
+    with pytest.raises(LemmaCheckFailureError, match="expected 0"):
+        cs.vanishing_family(3, 5)
 
 
 def test_lambda_orbit():

@@ -339,6 +339,21 @@ def test_iroot_exhaustive_and_large():
         assert lv._iroot(n, k) == 3**200 + 1 and lv._iroot(n - 1, k) == 3**200
 
 
+def test_iroot_of_random_n_up_to_4096_bits_and_degree_up_to_10_4():
+    # the float start must stay above the root at every size, and Newton from it must land on the floor
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        bits = int(rng.integers(1, 4097))
+        n = int.from_bytes(rng.bytes(bits // 8 + 1), "big") >> (8 - bits % 8) | 1 << (bits - 1)
+        k = int(rng.choice([1, 2, 3, 7, 64, 1000, 10**4, int(rng.integers(1, 10**4 + 1))]))
+        r = lv._iroot(n, k)
+        assert r**k <= n < (r + 1) ** k, (bits, k)
+    for k in (10**4, 9973):  # perfect powers and their neighbours at high degree
+        for root in (2, 3, 1000003):
+            n = root**k
+            assert lv._iroot(n, k) == root and lv._iroot(n - 1, k) == root - 1 and lv._iroot(n + 1, k) == root
+
+
 def test_radius_units_is_sharp():
     for p, tau in [(7, Fraction(3)), (101, Fraction(7, 2)), (4099, Fraction(4))]:
         r = lv.radius_units(p, tau)
