@@ -139,12 +139,12 @@ def compose(parent: BoxCollection, chart: BoxCollection) -> BoxCollection:
                          parent.side * chart.side, parent.denom * chart.denom)
 
 
-def _check_box_count(cells: int, d: int, e: int = 1, scales: int = 1) -> None:
-    """Refuse cells^e boxes of d corner coordinates, read at `scales` grid scales, past DEFAULT_CAP, by bit lengths first."""
+def _check_box_count(cells: int, d: int, e: int = 1, scales: int = 1, what: str = "corner coordinates") -> None:
+    """Refuse cells^e boxes of d values (what they are), read at `scales` grid scales, past DEFAULT_CAP, by bit lengths first."""
     if e * (cells.bit_length() - 1) >= DEFAULT_CAP.bit_length() or cells**e * d * scales > DEFAULT_CAP:
         base = cells if cells < 1 << 64 else f"(2^{cells.bit_length() - 1} or more)"
         at = f" at {scales} grid scales" if scales > 1 else ""
-        raise ResourceLimitError(f"{base}^{e} boxes of {d} corner coordinates{at} exceed the cap of {DEFAULT_CAP}")
+        raise ResourceLimitError(f"{base}^{e} boxes of {d} {what}{at} exceed the cap of {DEFAULT_CAP}")
 
 
 def make_pattern(spec: PatternSpec, d: int) -> BoxCollection:
@@ -379,8 +379,11 @@ def large_sum_cantor(
     that floor is positive, else p_k (anchor periodicity still certifies the
     bound at the center).  epsilon and gamma are taken as exact rationals, a
     float by `large_values._as_fraction`.  Raises WitnessNotFoundError with
-    the failing level when a cell has no witness, and LemmaCheckFailureError
-    if a certificate inequality fails, which would be an implementation bug.
+    the failing level when a cell has no witness, LemmaCheckFailureError
+    if a certificate inequality fails, which would be an implementation bug,
+    and ResourceLimitError before a level's boxes are composed if they would
+    pass DEFAULT_CAP: prod_k m_k^d rows of 3d + 6 values, each box's corner
+    and its certificate.
     """
     tau = Fraction(tau)
     if tau.denominator != 1:
@@ -419,6 +422,7 @@ def large_sum_cantor(
     boxes = BoxCollection(depth=0, corners=np.zeros((1, d), dtype=object), side=1, denom=1)
     ratios: list[tuple[int, Fraction]] = []  # (m_k, p_k^-tau) per level, as geometric_schedule takes them
     certificates: list[LevelCertificate] = []
+    cells = 1  # prod_k m_k over the levels so far
 
     for level in range(1, depth + 1):
         p = primes[level - 1]
@@ -462,6 +466,10 @@ def large_sum_cantor(
                 )
             level_certs.append(cert)
 
+        # before the boxes are composed: prod_k m_k^d of them so far, each a row of its d corner
+        # coordinates and its level certificate's 2d + 6 values
+        cells *= m
+        _check_box_count(cells, 3 * d + 6, d, what="corner coordinates and certificate values")
         certificates.extend(level_certs)
         # each copy of the chart carries its certificates, serialized once
         box_certs = [c.to_json_dict() for c in level_certs] * len(boxes)

@@ -30,6 +30,7 @@ import time
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -94,20 +95,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     """The bytes csv.writer writes, in one join: floats by format(v, ".17g"), ints by str, \\r\\n line ends.
 
     No field is quoted: a header name that holds a comma, quote or line break
-    is refused, and no number holds one.  Each row is formatted by one
-    %-template, made once per signature of its field types; a field of any
-    other type is refused.
+    is refused, and no number holds one.  Each run of rows with one signature
+    of field types is formatted by one %-template, its row template repeated
+    once per row, over all the run's fields at once; a field of any other
+    type is refused.
     """
     if any(c in name for name in header for c in ',"\r\n'):
         raise AssertionError(f"a CSV header name needs quoting: {header}")
-    templates: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
-    for row in rows:  # tuples, as % takes them
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = templates[types] = ",".join(map(_csv_field, types))
-        lines.append(template % row)
+    for types, run in groupby(rows, lambda row: tuple(map(type, row))):
+        run = list(run)
+        template = ",".join(map(_csv_field, types))
+        lines.append("\r\n".join([template] * len(run)) % tuple(chain.from_iterable(run)))
     lines.append("")
     path.write_text("\r\n".join(lines), newline="")
 

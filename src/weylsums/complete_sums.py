@@ -292,6 +292,22 @@ def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> com
     whole rows v, head times a (rows, 1, p) gather of factors, while a row fits
     in BLOCK, else pieces of BLOCK // p rows of head times one row of factors.
     numpy sums each block, then the block sums, pairwise; the loop's arrays are workspace views.
+
+    The check decides through a bound on the computed sum.  Each component of
+    a term is within 2^-50 of its exact value and at most 1 + 2^-50 in
+    magnitude.  numpy sums a contiguous array of n doubles pairwise (complex
+    values as their real and imaginary parts apart): at most 16 values run
+    into each of 8 accumulators, 3 levels join them, at most 7 values are
+    added after, and an array of more than 128 is halved first, so every value
+    passes at most D(n) = 25 + bitlen(n) additions.  Such a sum is within
+    gamma_D sum |x_i| of its exact value, gamma_D = D u / (1 - D u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).  A block
+    of at most m terms has D(2m); the B block sums, whose components add up to
+    at most N = p^d times a factor below 1 + 2^-40, have D(2B).  As gamma_D
+    times that factor is below D 2^-52, each component of the value is within
+    N (2^-50 + (D(2m) + D(2B)) 2^-52) of p^(d-1) or of 0: 1.8e-8 at (3, 101),
+    where the value errs by 2.3e-13 (the earlier 1e-6 relative tolerance
+    allowed 1.0e-2), and 1.4e-7 at (4, 53).
     """
     if d < 2:
         raise PreconditionError("monomial sums are for d >= 2")
@@ -325,11 +341,17 @@ def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> com
     _hand_on(work, rows * span * p)
     value = complex(np.sum(sums))
     expected = float(P)
-    if abs(value - expected) > 1e-6 * expected:
+    bound = p**d * (2.0**-50 + (_pairwise_depth(2 * rows * span * p) + _pairwise_depth(2 * len(sums))) * 2.0**-52)
+    if max(abs(value.real - expected), abs(value.imag)) > bound:
         raise LemmaCheckFailureError(
             f"monomial sum at (d={d}, p={p}, a={a}) is {value}, expected {expected}"
         )
     return value
+
+
+def _pairwise_depth(n: int) -> int:
+    """At most this many additions on any value's path through numpy's pairwise sum of n doubles."""
+    return 25 + n.bit_length()
 
 
 @dataclass(frozen=True)

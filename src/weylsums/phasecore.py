@@ -237,6 +237,7 @@ def residue_array(
 # angle-addition step (the table-lookup method of Tang, ARITH 1991).
 
 _TABLE_BITS = 12
+_TWO52 = 2.0**52
 
 
 @functools.lru_cache(maxsize=32)
@@ -252,7 +253,7 @@ def _unit_root_table(q: int):
     reduced exactly to a quarter turn plus |g| <= 1/8 turn, so quarter turns
     are exact; cos and sin of 2 pi g are taken in long double and rounded
     once to float64.  constants are 2^(k-1), k and 2^k - 1 as 0-d uint64,
-    uint64 and int64, then 2^(k-1), c2, c4, s1 and s3 as 0-d float64 with
+    uint64 and int64, then 2^52 + 2^(k-1), c2, c4, s1 and s3 as 0-d float64 with
     cos t - 1 = c2 u^2 + c4 u^4 (the t^6 term is below 2^-65) and
     sin t = s1 u + s3 u^3, the t^5 term folded into s1 and s3 by Chebyshev
     economization on |t| <= T (error below T^5 / 1920 < 2^-57).  They are
@@ -274,7 +275,7 @@ def _unit_root_table(q: int):
         return table, None
     a = two_pi / np.longdouble(float(q))
     tt = (a * half) ** 2  # T^2
-    coeffs = (half, -a**2 / 2, a**4 / 24, a * (1 - tt * tt / 384), a**3 * (tt / 96 - np.longdouble(1) / 6))
+    coeffs = (_TWO52 + half, -a**2 / 2, a**4 / 24, a * (1 - tt * tt / 384), a**3 * (tt / 96 - np.longdouble(1) / 6))
     # read-only 0-d arrays: a ufunc takes them faster than Python or numpy scalars
     ints = (_frozen(half, np.uint64), _frozen(k, np.uint64), _frozen((1 << k) - 1, np.int64))
     return table, ints + tuple(_frozen(c, np.float64) for c in coeffs)
@@ -284,6 +285,9 @@ def _frozen(value, dtype) -> np.ndarray:
     a = np.array(value, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+_TWO52_BITS = _frozen(np.float64(_TWO52).view(np.int64), np.int64)  # the exponent bits of 2^52
 
 
 def unit_terms(words: np.ndarray, q: int, work: Workspace | None = None) -> np.ndarray:
@@ -311,14 +315,16 @@ def _unit_terms(words: np.ndarray, table, constants, work: Workspace | None) -> 
     # the indices are in range; "wrap" skips the copy that take(out=) makes under "raise"
     if constants is None:
         return table.take(words.view(np.int64), axis=1, out=terms, mode="wrap")
-    half_k, k, mask, half, c2, c4, s1, s3 = constants
+    half_k, k, mask, shifted_half, c2, c4, s1, s3 = constants
     u, u2, sin_t, spent = work.take("scratch", (4, *words.shape), np.float64)
-    # unsigned, as residues are nonnegative: a 2^64 word wraps to j = 0, and the shift is logical
+    # unsigned, as residues are nonnegative: a 2^64 word wraps to j = 0, and the shift is logical; each
+    # op writes its own dtype, so that numpy runs no casting loop
     v = np.add(words.view(np.uint64), half_k, out=spent.view(np.uint64))
-    table.take(np.right_shift(v, k, out=u.view(np.int64)), axis=1, out=terms, mode="wrap")
+    table.take(np.right_shift(v, k, out=u.view(np.uint64)).view(np.int64), axis=1, out=terms, mode="wrap")
     low = v.view(np.int64)
     low &= mask
-    np.subtract(low, half, out=u)  # float64, exact: |u| <= 2^51
+    low |= _TWO52_BITS  # the double 2^52 + low, exactly, as low < 2^k <= 2^52
+    np.subtract(low.view(np.float64), shifted_half, out=u)  # exact: |u| <= 2^51
     np.multiply(u, u, out=u2)
     np.multiply(u2, s3, out=sin_t)
     sin_t += s1

@@ -30,35 +30,43 @@ N = p (`complete_sums.complete_sum`).
 Exact accumulation: each block is reduced once by an exact reducer
 (`_exact_prefix_sums`), which splits every term into 37-bit integer limbs and
 sums each limb exactly in float64; with at most 2^16 terms per block every
-partial sum stays below 2^53, so no value depends on the block size.  When
-one block holds a whole sum that does not fold and its terms need at most two
-limbs (each term a multiple of 2^-74, as every term of magnitude at least
-2^-22 is), each value is S1 2^-37 + S2 2^-74 for limb sums S1, S2: one IEEE
+partial sum stays below 2^53, so no value depends on the block size.  The
+terms repeat with the period q of the point, so only n = 1..P, P = min(q, N),
+are generated: a rational point a/q is summed over one period,
+S(N) = floor(N/q) I(q) + I(N mod q), and a `Phase` point has q = 2^64 > N,
+so nothing folds.  A checkpoint N <= min(P, BLOCK) is an unfolded prefix of
+the first block.  When that block's terms need at most two limbs (each term a
+multiple of 2^-74, as every term of magnitude at least 2^-22 is), the value
+at each such N is S1 2^-37 + S2 2^-74 for its limb sums S1, S2: one IEEE
 addition of two exact doubles, which numpy rounds correctly, half to even,
-with no Python object per row (`_rounded`).  Otherwise the block loop
-carries the joined limb sums as one Python int per row, and each value is
-that int rounded once by int true division.  Either way S(x; N) is the
-correctly rounded sum of all N terms -- math.fsum(terms[:N]).  The reduction
-adds one rounding to the term errors, so the total stays below N ulp, inside
-the 4*N*ulp budget, and a trace equals a fresh evaluation bit for bit at
-every checkpoint.  The terms repeat with the period q of the point, so only
-n = 1..min(q, N) are generated: a rational point a/q is summed over one
-period, S(N) = floor(N/q) I(q) + I(N mod q) on the exact ints, with the same
-one rounding.  A `Phase` point has q = 2^64 > N, so nothing folds.
+with no Python object per row or checkpoint (`_rounded`).  That covers a
+whole sum of at most BLOCK terms, a batch of them, and the dense checkpoints
+N <= 1000 of a trace.  The checkpoints past the first block, a few dyadic N
+or the folded N > P of a rational point, and every checkpoint when the first
+block needs three limbs or more, take the int carry: the block loop carries
+the joined limb sums as one Python int per row, forms floor(N/P) I(P) +
+I(N mod P) on the exact ints, and rounds each value once by int true
+division.  Either way S(x; N) is the correctly rounded sum of all N terms --
+math.fsum(terms[:N]).  The reduction adds one rounding to the term errors, so
+the total stays below N ulp, inside the 4*N*ulp budget, and a trace equals a
+fresh evaluation bit for bit at every checkpoint.
 
-Values: the loop returns float64 (re, im) arrays of (rows, checkpoints), and
-each caller checks the trivial bound |S| <= N on a whole array at once
-(`_checked`).  |S| is libm's hypot, which abs(complex) also calls, taken by
-`_checked` or `moduli`: np.abs of complex128 differs from it in the last bit
-for about a third of random values.
+Values: the loop returns float64 (re, im) arrays of (rows, checkpoints), the
+first block's rounded checkpoints and then the int carry's, and each caller
+checks the trivial bound |S| <= N on a whole array at once (`_checked`).  A
+trace keeps the moduli `_checked` took (`SumTrace`), and its CSV rows are
+read from its arrays.  |S| is libm's hypot, which abs(complex) also calls,
+taken by `_checked` or `moduli`: np.abs of complex128 differs from it in the
+last bit for about a third of random values.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import cycle
 from math import log
+from operator import lt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -224,24 +232,31 @@ def _accumulate(
     to +0.0, which adds to no limb: the row sums exactly its first lengths[r]
     terms.
 
-    When one block holds the whole sum, unfolded (N_max <= BLOCK and
-    N_max <= q), and its terms need at most two limbs, the values are its limb
-    sums rounded in numpy (`_rounded`), with no Python object per row.
-    Otherwise the loop carries one exact int per row over 2^(37 L), shifting it
-    and the prefixes kept so far to the larger scale when a block needs more
-    limbs than the blocks before, and keeps the exact prefix I(r) at each
-    offset r = N mod P > 0, all in one flat list.  Every checkpoint is then
-    floor(N/P) I(P) + I(N mod P), in one pass over all (checkpoint, row)
-    ints, rounded once by int true division in another.  Either way each value
-    is its exact sum rounded once, half to even, so it equals math.fsum over
-    all N of its terms, whatever the route or the block size.
+    The checkpoints N <= min(P, BLOCK), cps[:head], are prefixes of the
+    first block, each an end of its limb sums.  If that block's terms need at
+    most two limbs, their values are those limb sums rounded in numpy
+    (`_rounded`), with no Python object per row or checkpoint, and the int
+    route below runs for the rest only: the same limb sums, at the offsets the
+    rest need in the first block and at its end, start its carry.  Otherwise
+    every checkpoint takes the int route.  It carries one exact int per row
+    over 2^(37 L), shifting it and the prefixes kept so far to the larger
+    scale when a block needs more limbs than the blocks before, and keeps the
+    exact prefix I(r) at each offset r = N mod P > 0, all in one flat list.
+    Each of its checkpoints is then floor(N/P) I(P) + I(N mod P), in one pass
+    over all (checkpoint, row) ints, rounded once by int true division in
+    another.  Either way each value is its exact sum rounded once, half to
+    even, so it equals math.fsum over all N of its terms, whatever the route
+    or the block size.
     """
     period = min(q, cps[-1])
-    offsets = sorted({n % period for n in cps} - {0}) if period < cps[-1] else cps[:-1]
+    folds = period < cps[-1]
+    offsets = sorted({n % period for n in cps} - {0}) if folds else cps[:-1]
+    head = bisect_right(cps, min(period, BLOCK))  # cps[:head] are prefixes of the first block
     work = _spare_workspace()
     acc: list[int] = []  # the exact int of each row's terms so far: the cos rows, then the sin rows
     pre: list[int] = []  # the rows' prefix ints at offset 0, then at each offset in order
     scale = oi = 0
+    first = None  # the values at cps[:head], if the first block rounded them
     last = None if lengths is None else np.tile(lengths, 2)[:, None]  # per cos row, then per sin row
     for lo, hi in _chunks(period, BLOCK):
         terms = unit_terms(words(lo, hi, work), q, work).reshape(-1, hi - lo)  # the cos rows, then the sin rows
@@ -253,9 +268,17 @@ def _accumulate(
             ends.append(hi - lo)
         limbs = _exact_prefix_sums(terms, ends, work)
         width = len(terms)
-        if hi - lo == cps[-1] and len(limbs) <= 2:  # the one block of an unfolded sum: its ends are cps
-            values = _rounded(limbs)
-            break
+        if head and lo == 1 and len(limbs) <= 2:  # the first block's checkpoints, each an end of it
+            # cps[:head] are the first head ends unless a fold put other offsets among them
+            at = slice(head) if ends[head - 1] == cps[head - 1] else np.searchsorted(ends, cps[:head])
+            first = _rounded(limbs[:, at])
+            if head == len(cps):
+                values = first
+                break
+            cps = cps[head:]  # the int route's: past the first block, or folded
+            offsets = sorted({n % period for n in cps} - {0}) if folds else cps[:-1]
+            oj = bisect_left(offsets, hi)
+            limbs = limbs[:, [*np.searchsorted(ends, offsets[:oj]), -1]]  # their offsets here, then the block's end
         sums, count = _joined(limbs), len(limbs)
         if not acc:  # the first block sets the scale
             acc, pre, scale = sums[-width:], [0] * width + sums[: (oj - oi) * width], count
@@ -270,8 +293,8 @@ def _accumulate(
             pre += [a + (v << shift) for a, v in zip(cycle(acc), sums[: (oj - oi) * width])]
             oi = oj
         acc = [a + (v << shift) for a, v in zip(acc, sums[-width:])]
-    else:  # no block broke off to `_rounded`: the int route
-        if period == cps[-1]:  # nothing folds: the prefix at each checkpoint but the last, in order, then the whole
+    else:  # the int route, for the checkpoints that the first block did not round
+        if not folds:  # the prefix at each checkpoint but the last, in order, then the whole
             totals = pre[width:] + acc
         else:
             at = dict(zip((0, *offsets), range(0, len(pre), width)))  # offset -> its place in pre
@@ -279,6 +302,8 @@ def _accumulate(
             totals = [b + k * a for k, j in spans for a, b in zip(acc, pre[j : j + width])]
         den = 1 << _LIMB_BITS * scale
         values = np.array([t / den for t in totals]).reshape(-1, width)
+        if first is not None:
+            values = np.concatenate((first, values))
     _hand_on(work, width // 2 * min(period, BLOCK))  # a block's words over its rows
     rows = width // 2
     return values[:, :rows].T, values[:, rows:].T
@@ -344,7 +369,11 @@ def monomial_sum(x, N: int, d: int) -> complex:
 
 @dataclass(frozen=True)
 class SumTrace:
-    """(N, S(x;N)) samples along strictly increasing checkpoints, with |S(x;N)| at each."""
+    """(N, S(x;N)) samples along strictly increasing checkpoints, with |S(x;N)| at each.
+
+    Built from its checkpoints and values, it checks them and takes the
+    moduli; `_trace` builds it from the arrays it has checked already.
+    """
 
     checkpoints: tuple[int, ...]
     values: tuple[complex, ...]
@@ -361,22 +390,31 @@ class SumTrace:
             raise PreconditionError("trace magnitude exceeds the trivial bound")
         object.__setattr__(self, "magnitudes", tuple(mags.tolist()))
 
+    @classmethod
+    def _of_checked(cls, cps: tuple[int, ...], re: np.ndarray, im: np.ndarray, mags: np.ndarray) -> SumTrace:
+        """The trace at validated checkpoints of values that `_checked` bounded as mags: nothing is checked again."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "checkpoints", cps)
+        object.__setattr__(trace, "values", tuple(_complex(re, im).tolist()))
+        object.__setattr__(trace, "magnitudes", tuple(mags.tolist()))
+        return trace
+
     def rows(self) -> list[tuple[int, float, float, float]]:
-        return [(n, v.real, v.imag, mag) for n, v, mag in zip(self.checkpoints, self.values, self.magnitudes)]
+        values = np.array(self.values, dtype=np.complex128)
+        return list(zip(self.checkpoints, values.real.tolist(), values.imag.tolist(), self.magnitudes))
 
 
 def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None) -> SumTrace:
     """One generation pass; each entry bit-identical to a fresh weyl_sum call."""
-    cps = tuple(int(n) for n in checkpoints)
-    if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
+    cps = tuple(map(int, checkpoints))
+    if not cps or cps[0] < 1 or not all(map(lt, cps, cps[1:])):
         raise PreconditionError("checkpoints must be strictly increasing and >= 1")
     return _trace(*_phase_words(x, m), cps)
 
 
 def _trace(words, q: int, cps: tuple[int, ...]) -> SumTrace:
     re, im = (v[0] for v in _accumulate(words, q, cps))
-    _checked(re, im, np.array(cps))
-    return SumTrace(checkpoints=cps, values=tuple(_complex(re, im).tolist()))
+    return SumTrace._of_checked(cps, re, im, _checked(re, im, np.array(cps)))
 
 
 DENSE_LIMIT = 1000  # the checkpoint grid holds every N up to here

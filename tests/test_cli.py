@@ -636,6 +636,12 @@ _README_STREAM = (
      "258fe70a2b88fd94f8227baaf17f3a197d6a393626a8d10b1e2e11d4a85ce739"),
     (["exceptional-scan", "--x", "0/5,1/5", "--alpha", "0.6", "--N-max", "10000"], "exceptional_scan.json",
      "f3e34b1f1be48d95c8dd8986001d6aed8374d61340b5c607867ab72fdbcd80b1"),
+    # rational points that fold: the first block's checkpoints (every N <= 1000, then 1024 at q = 1453, and
+    # 1024..4096 at q = 8093) rounded in numpy, the dyadic N past the period through the int carry
+    (["weyl-trace", "--x", "1316/1453,525/1453", "--N-max", "131072"], "weyl_trace.csv",
+     "31083604c4482a013df856d968995566bd9365a610ccc4b5239957d43c681f49"),
+    (["exceptional-scan", "--x", "4511/8093,5407/8093", "--alpha", "0.7", "--N-max", "131072"], "exceptional_scan.json",
+     "94c8ba4e5cb33211fa04a42f067b0b9a185abcb06f1955468d3e8919829d83d7"),
     (["weyl-trace", "--d", "3", "--seed", "5", "--N-max", "300000"], "weyl_trace.csv",
      "8c64ebefe7342636c65ea4a9b90cc96cd49eddaf7a77a00a729fb1502e47854e"),
     # sparse exponents 1, 4, 9: exponent gaps of 3 and 5, each multiplied in by n one unit at a time
@@ -675,6 +681,8 @@ _OVERSIZED = (
     # 2^20 and 2^23 boxes of one coordinate, each read at the depth + 1 grid scales: once past a minute
     (["cantor-dim", "--d", "1", "--cells", "2", "--shrink", "4", "--depth", "20"], 3),
     (["cantor-dim", "--d", "1", "--cells", "2", "--shrink", "4", "--depth", "23"], 3),
+    # 2^21 boxes of 8 cells per level, each row with its certificate: once 36 s, then out of memory under 2 GiB
+    (["cantor-build", "--d", "3", "--tau", "4", "--primes", "31,37,41,43,47,53,59", "--depth", "7"], 3),
     (["cantor-build", "--d", "3", "--tau", "10000", "--primes", "31", "--depth", "1"], 2),
     (["cantor-build", "--d", "3", "--tau", "1000000", "--primes", "31", "--depth", "1"], 2),
     (["monomial-check", "--d", "1000", "--p", "5"], 3),
@@ -743,14 +751,18 @@ def test_readme_mr_scan_in_a_fresh_process_faults_few_pages(tmp_path):
 def test_write_csv_bytes_equal_csv_writer(tmp_path):
     header = ["N", "re", "im", "magnitude"]
     rows = [(1, -0.0, 5e-324, 1e300), (-7, 0.1, -2.5, float(2**53 + 1)), (2**70, -1e-300, 1.0, 0.0), (0, 3.0, -0.0, 7)]
-    expect = tmp_path / "expect.csv"
-    with expect.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
-    cli._write_csv(tmp_path / "got.csv", header, rows)
-    assert (tmp_path / "got.csv").read_bytes() == expect.read_bytes()
+    # each run of one type signature is formatted at once: the signature changes partway, back, to a
+    # shorter row and back again
+    mixed = [*rows, (5, 0.5, -0.25, 1.5), (6, 1e-7, 2.0, 3.5), (8, 9, 10), (11, 0.125, 0.0, 1e-320)]
+    for name, case in (("trace", rows), ("mixed", mixed), ("empty", [])):
+        expect = tmp_path / f"expect-{name}.csv"
+        with expect.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in case:
+                writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+        cli._write_csv(tmp_path / "got.csv", header, case)
+        assert (tmp_path / "got.csv").read_bytes() == expect.read_bytes(), name
     for bad in ([(1, "a,b")], [(1, None)]):
         with pytest.raises(AssertionError):
             cli._write_csv(tmp_path / "bad.csv", header, bad)

@@ -379,6 +379,28 @@ def test_weil_and_vanishing_checks_fail_a_kernel_that_errs_by_1e_12_per_term(mon
         cs.vanishing_family(3, 5)
 
 
+@pytest.mark.parametrize("d, p, a", [(2, 1009, 3), (4, 53, 3)])
+def test_monomial_check_fails_a_kernel_that_errs_by_1e_12_per_term(d, p, a, monkeypatch):
+    # cosines of both factor tables that err by 1e-12 move the sum by 1.5e-7 and 3.1e-7: past the bound
+    # p^d (2^-50 + (D(2m) + D(2B)) 2^-52) that the per-term bound and the pairwise sums allow (1.7e-8 and
+    # 1.4e-7), though far inside the 1e-6 relative tolerance that the check used before
+    unit_terms = cs._unit_terms
+
+    def skewed(words, table, constants, work):
+        terms = unit_terms(words, table, constants, work)
+        terms[0] += 1e-12
+        return terms
+
+    expected = p ** (d - 1)
+    value = cs.monomial_complete_sum(d, p, a)
+    assert max(abs(value.real - expected), abs(value.imag)) < 1e-12
+    monkeypatch.setattr(cs, "_unit_terms", skewed)
+    with pytest.raises(LemmaCheckFailureError, match=f"monomial sum at \\(d={d}, p={p}, a={a}\\)") as failure:
+        cs.monomial_complete_sum(d, p, a)
+    value = complex(str(failure.value).split(" is ")[1].split(", expected")[0])
+    assert 1e-7 < abs(value - expected) < 1e-6 * expected
+
+
 def test_lambda_orbit():
     assert lambda_orbit((1, 1), 1, 5) == (1, 1)
     assert lambda_orbit((1, 1), 2, 5) == (2, 4)

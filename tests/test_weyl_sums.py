@@ -316,13 +316,106 @@ def test_accumulate_rounds_in_numpy_only_one_unfolded_block_of_two_limbs(deep, n
     want = _fsum_rows(re, im, cps)
     sums = ws._accumulate(words, TURN, cps)
     assert [_bits(_row(sums, r)) for r in range(6)] == [_bits(w) for w in want]
-    assert rounded == ([limbs] if numpy_route else [])
-    # a fold takes the int route: the same terms with period n, summed to 3n
+    assert rounded == ([limbs] if limbs <= 2 else [])  # the first block's checkpoints, whether it is the last or not
+    # a fold takes the int route past its period: the same terms with period n, summed to 3n; n is the
+    # first block's end, rounded in numpy if that block holds the period and needs at most two limbs
     rounded.clear()
     folded = ws._accumulate(words, n, (n, 3 * n))
-    assert rounded == []
+    assert rounded == ([limbs] if numpy_route else [])
     want = _fsum_rows(np.tile(re, 3), np.tile(im, 3), (n, 3 * n))
     assert [_bits(_row(folded, r)) for r in range(6)] == [_bits(w) for w in want]
+
+
+def _int_routed(monkeypatch, *args):
+    """`_accumulate(*args)` with no checkpoint rounded by its first block: every value through the int carry."""
+    with monkeypatch.context() as m:
+        m.setattr(ws, "bisect_right", lambda a, x: 0)
+        return ws._accumulate(*args)
+
+
+def _planted_rows(first_limbs, n):
+    """(re, im) of 13 rows of n terms: ties, exact cancellation and rows of -0.0 first, then random terms.
+
+    The first block's terms need first_limbs limbs: multiples of 2^-37 for one, the rounding rows for
+    two, and one term of 2^-80 more for three.
+    """
+    rng = np.random.default_rng(53 + first_limbs)
+    re, im = rng.uniform(-1.0, 1.0, size=(2, 13, n))
+    if first_limbs == 1:
+        re, im = (np.rint(t * 2.0**37) / 2.0**37 for t in (re, im))
+        re[:, :6] = [[0.5, -0.5, 2.0**-37, -(2.0**-37), 0.0, 0.0]] * 13  # cancels to +0.0 at 2 and 4
+    else:
+        re[:, :8] = _rounding_rows()
+        im[:, :8] = _rounding_rows()[::-1]
+    re[10] = im[10] = -0.0  # a row of -0.0 terms sums to +0.0 at every checkpoint
+    if first_limbs == 3:
+        im[5, 3] = 2.0**-80
+    return re, im
+
+
+@pytest.mark.parametrize("first_limbs", [1, 2, 3])
+@pytest.mark.parametrize("period", [None, 700, ws.BLOCK - 1, ws.BLOCK + 3], ids=["unfolded", "P700", "P=B-1", "P=B+3"])
+def test_first_block_checkpoints_rounded_in_numpy_equal_fsum_and_the_int_route(first_limbs, period, monkeypatch):
+    # the checkpoints N <= min(P, BLOCK) are prefixes of the first block, rounded in numpy from its limb sums when
+    # its terms need at most two limbs; the rest (past BLOCK, or folded past P) take the int carry
+    B = ws.BLOCK
+    n = B + 40 if period is None else period
+    re, im = _planted_rows(first_limbs, n)
+    words, rounded = _plant(monkeypatch, re, im)
+    if period is None:
+        q, cps = TURN, (1, 2, 3, 4, 5, 8, 999, B - 1, B, B + 1, n)
+        full_re, full_im = re, im
+    else:
+        P = q = period
+        cps = sorted({1, 2, 4, 8, P - 1, P, P + 1, 2 * P - 1, 2 * P, 2 * P + 1, 5 * P + 3, B - 1, B, B + 1} - {0})
+        full_re, full_im = np.tile(re, cps[-1] // P + 1), np.tile(im, cps[-1] // P + 1)
+    cps = tuple(cps)
+    head = sum(c <= min(q, cps[-1], B) for c in cps)
+    sums = ws._accumulate(words, q, cps)
+    want = _fsum_rows(full_re, full_im, cps)
+    assert [_bits(_row(sums, r)) for r in range(13)] == [_bits(w) for w in want]
+    assert {v.hex() for v in (*sums[0][10], *sums[1][10])} == {"0x0.0p+0"}
+    assert rounded == ([first_limbs] if first_limbs <= 2 and head else [])
+    rounded.clear()
+    assert [_bits(_row(_int_routed(monkeypatch, words, q, cps), r)) for r in range(13)] == [_bits(w) for w in want]
+    assert rounded == []
+
+
+@pytest.mark.parametrize(
+    "x",
+    [tuple(Phase(int(f)) for f in np.random.default_rng(17).integers(0, TURN, size=3, dtype=np.uint64)),
+     RationalPoint(a=(4511, 5407), q=8093), RationalPoint(a=(3, 1, 4), q=ws.BLOCK + 7),
+     RationalPoint(a=(1316, 525), q=1453)],
+    ids=["phase", "rational-8093", "rational-B+7", "rational-1453"],
+)
+def test_traces_around_block_and_period_equal_fsum_and_the_int_route(x, monkeypatch):
+    B = ws.BLOCK
+    P = getattr(x, "q", 3 * B)
+    cps = tuple(sorted({1, 2, 999, 1000, 1024, B - 1, B, B + 1, P - 1, P, P + 1, 2 * P + 3, 3 * B}))
+    tr = ws.weyl_sum_trace(x, cps)
+    assert _bits(tr.values) == _bits(canonical_sums(x, cps))
+    words, q = ws._phase_words(x, None)
+    assert _bits(_row(_int_routed(monkeypatch, words, q, cps))) == _bits(tr.values)
+    # the trace from the checked arrays equals one built from its values, which checks them again
+    again = ws.SumTrace(checkpoints=tr.checkpoints, values=tr.values)
+    assert again == tr and again.magnitudes == tr.magnitudes and again.rows() == tr.rows()
+    assert tr.rows() == [(n, v.real, v.imag, abs(v)) for n, v in zip(cps, tr.values)]
+
+
+@pytest.mark.parametrize("n", [1000, ws.BLOCK + 5])
+def test_batch_rows_cut_at_their_lengths_equal_fsum_and_the_int_route(n, monkeypatch):
+    # koksma's blocks: each row sums its first lengths[r] terms, the zeros past them add to no limb
+    rng = np.random.default_rng(59)
+    re, im = rng.uniform(-1.0, 1.0, size=(2, 13, n))
+    re[:, :8], im[:, :8] = _rounding_rows(), _rounding_rows()[::-1]
+    lengths = np.array([n, 1, 2, 3, 4, 5, 6, 7, 8, 9, n - 1, n // 2, 17])
+    words, rounded = _plant(monkeypatch, re, im)
+    sums = ws._accumulate(words, TURN, (n,), lengths)
+    want = [[complex(math.fsum(a[:k]), math.fsum(b[:k]))] for a, b, k in zip(re, im, lengths)]
+    assert [_bits(_row(sums, r)) for r in range(13)] == [_bits(w) for w in want]
+    assert rounded == ([2] if n <= ws.BLOCK else [])
+    int_sums = _int_routed(monkeypatch, words, TURN, (n,), lengths)
+    assert [_bits(_row(int_sums, r)) for r in range(13)] == [_bits(w) for w in want]
 
 
 def test_batch_blocks_switch_routes_with_the_same_bits(monkeypatch):
