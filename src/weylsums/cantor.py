@@ -39,13 +39,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .complete_sums import DEFAULT_CAP, _require_prime, build_table
+from .complete_sums import DEFAULT_CAP, _check_size, _require_prime, build_table
 from .errors import (
     InvalidPatternError,
     InvalidScheduleError,
     LemmaCheckFailureError,
     PreconditionError,
-    ResourceLimitError,
     TooFewScalesError,
     WitnessNotFoundError,
 )
@@ -139,14 +138,6 @@ def compose(parent: BoxCollection, chart: BoxCollection) -> BoxCollection:
                          parent.side * chart.side, parent.denom * chart.denom)
 
 
-def _check_box_count(cells: int, d: int, e: int = 1, scales: int = 1, what: str = "corner coordinates") -> None:
-    """Refuse cells^e boxes of d values (what they are), read at `scales` grid scales, past DEFAULT_CAP, by bit lengths first."""
-    if e * (cells.bit_length() - 1) >= DEFAULT_CAP.bit_length() or cells**e * d * scales > DEFAULT_CAP:
-        base = cells if cells < 1 << 64 else f"(2^{cells.bit_length() - 1} or more)"
-        at = f" at {scales} grid scales" if scales > 1 else ""
-        raise ResourceLimitError(f"{base}^{e} boxes of {d} {what}{at} exceed the cap of {DEFAULT_CAP}")
-
-
 def make_pattern(spec: PatternSpec, d: int) -> BoxCollection:
     """The pattern in the chart of its side-a box, the unit cube: one side-c/a box per cell.
 
@@ -156,7 +147,7 @@ def make_pattern(spec: PatternSpec, d: int) -> BoxCollection:
     if d < 1:
         raise PreconditionError("dimension must be >= 1")
     m = spec.cells_per_axis
-    _check_box_count(m, d, d)
+    _check_size(f"{{}} boxes of {d} corner coordinates exceed the cap of {{}}", m, d, factor=d)
     cells = np.indices((m,) * d).reshape(d, -1).T.astype(object)
     slack = (spec.b - spec.c) / spec.a  # room around the kept box in its cell, in chart units
     if spec.rule == "corner":
@@ -248,7 +239,8 @@ def build_cantor(
     if depth < 0 or depth > schedule.depth:
         raise InvalidScheduleError(f"depth must lie in [0, {schedule.depth}]")
     cells = math.prod(schedule.cells(k) for k in range(1, depth + 1))
-    _check_box_count(cells, schedule.d, schedule.d)
+    _check_size(f"{{}} boxes of {schedule.d} corner coordinates exceed the cap of {{}}",
+                cells, schedule.d, factor=schedule.d)
     expected = cells**schedule.d
     level = BoxCollection(depth=0, corners=np.zeros((1, schedule.d), dtype=object), side=1, denom=1)
     for k in range(1, depth + 1):
@@ -322,8 +314,8 @@ def _grid_count(collection: BoxCollection, eps: Fraction) -> int:
     num, den = collection.denom * eps.numerator, eps.denominator
     lo = collection.corners * den // num
     hi = -((collection.corners + collection.side) * -den // num) if collection.side else lo + 1
-    if (hi - lo).prod(axis=1).sum() > DEFAULT_CAP:  # the cells the set below would visit, as Python ints
-        raise ResourceLimitError(f"the boxes meet more than {DEFAULT_CAP} grid cells at one box-counting scale")
+    # the cells the set below would visit, as Python ints
+    _check_size("{} grid cells met at one box-counting scale exceed the cap of {}", (hi - lo).prod(axis=1).sum())
     cells: set[tuple[int, ...]] = set()
     for row_lo, row_hi in zip(lo.tolist(), hi.tolist()):
         cells.update(itertools.product(*map(range, row_lo, row_hi)))
@@ -469,7 +461,8 @@ def large_sum_cantor(
         # before the boxes are composed: prod_k m_k^d of them so far, each a row of its d corner
         # coordinates and its level certificate's 2d + 6 values
         cells *= m
-        _check_box_count(cells, 3 * d + 6, d, what="corner coordinates and certificate values")
+        _check_size(f"{{}} boxes of {3 * d + 6} corner coordinates and certificate values exceed the cap of {{}}",
+                    cells, d, factor=3 * d + 6)
         certificates.extend(level_certs)
         # each copy of the chart carries its certificates, serialized once
         box_certs = [c.to_json_dict() for c in level_certs] * len(boxes)

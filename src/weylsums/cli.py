@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 invalid configuration, 3 resource limit (a cap or
 out of memory), 4 lemma-check failure, 5 corrupt cache.  The manifest records
 the exit code as ``exit_code``; a run that fails with code 2-5 still writes
 it, with ``error_class`` (the exception's class name) and ``message`` added.
-An argument the parser rejects exits 2 before the output directory is known
-and writes nothing.
+Codes 2-5 map the package's own errors (`errors.WeylSumsError`) and
+MemoryError only; any other exception is a bug, and exits 1 with its
+traceback.  An argument the parser rejects exits 2 before the output
+directory is known and writes nothing.
 
 `run` may be called any number of times in one process: the parser is built
 on first use and shared by every later call, and each call parses into a
@@ -43,6 +45,7 @@ from . import large_values as lv
 from . import weyl_sums as ws
 from .errors import (
     ChecksumMismatchError,
+    InvalidScheduleError,
     LemmaCheckFailureError,
     PreconditionError,
     ResourceLimitError,
@@ -64,7 +67,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _primes_list(text: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
@@ -111,7 +114,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\r\n".join(lines), newline="")
 
 
+def _check_drawn(d: int) -> None:
+    """Refuse a drawn point of d < 1 coordinates, or of more uint64 words than numpy addresses (2^63 bytes)."""
+    if not 1 <= d < 1 << 60:
+        raise PreconditionError("a drawn point needs 1 <= --d < 2^60")
+
+
 def _random_point(rng, d: int) -> tuple[Phase, ...]:
+    _check_drawn(d)
     return tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=d, dtype=np.uint64))
 
 
@@ -129,9 +139,9 @@ def _point_from_args(args):
     if args.seed is not None:
         raise PreconditionError("--x and --seed exclude each other")
     try:
-        parts = [Fraction(v) for v in args.x.split(",")]
-    except ZeroDivisionError as exc:
-        raise PreconditionError(f"--x has a zero denominator: {args.x!r}") from exc
+        parts = [_fraction(v) for v in args.x.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise PreconditionError(f"--x is not a comma list of rationals: {args.x!r}") from exc
     if args.d is not None and args.d != len(parts):
         raise PreconditionError(f"--x is {len(parts)}-dimensional but --d is {args.d}")
     args.d = len(parts)
@@ -169,8 +179,7 @@ def _run_monomial_check(args, out: Path) -> None:
 
 
 def _run_weil_check(args, out: Path) -> None:
-    coeffs = [int(v) for v in args.coeffs.split(",")]
-    report = cs.weil_check(coeffs, args.p)
+    report = cs.weil_check(args.coeffs, args.p)
     _write_json(out / "weil_check.json", asdict(report))
 
 
@@ -237,12 +246,11 @@ def _run_enumerate_lp(args, out: Path) -> None:
 
 
 def _run_orbit_count(args, out: Path) -> None:
-    a = tuple(int(v) for v in args.a.split(","))
-    box = cs.DiscreteBox(starts=(0,) * len(a), side=args.side)
-    rep = lv.orbit_in_box_count(a, args.p, box)
+    box = cs.DiscreteBox(starts=(0,) * len(args.a), side=args.side)
+    rep = lv.orbit_in_box_count(args.a, args.p, box)
     _write_json(
         out / "orbit_count.json",
-        {"p": args.p, "a": list(a), "side": args.side, "count": rep.count, "reference": rep.reference},
+        {"p": args.p, "a": list(args.a), "side": args.side, "count": rep.count, "reference": rep.reference},
     )
 
 
@@ -339,17 +347,19 @@ def _run_cantor_build(args, out: Path) -> None:
 
 
 def _run_cantor_dim(args, out: Path) -> None:
-    if args.cells < 1 or args.shrink < 1:
-        raise PreconditionError("cells and shrink must be >= 1")
+    if args.d < 1:  # d and depth are exponents of the box count below
+        raise InvalidScheduleError("dimension must be >= 1")
+    if args.cells < 1 or args.shrink < 1 or args.depth < 0:
+        raise PreconditionError("cells and shrink must be >= 1, and depth >= 0")
     shrink = Fraction(1, args.shrink)
     # before the depth + 1 scales are formed: each grid count reads every box's Python-int corner
-    ct._check_box_count(args.cells, args.d, args.d * args.depth, scales=args.depth + 1)
+    cs._check_size(f"{{}} boxes of {args.d} corner coordinates at {args.depth + 1} grid scales exceed the cap of {{}}",
+                   args.cells, args.d * args.depth, factor=args.d * (args.depth + 1))
     # The finest scale is shrink^-(depth + 1).  A run that the box count (cells >= 2: depth + 1 <= b bits
     # of DEFAULT_CAP) and the grid count at that scale (shrink^d <= DEFAULT_CAP) let through has scales of
     # at most b^2 bits; one cell per axis leaves the depth unbounded, so the bits are refused here.
-    bits, cap = (args.depth + 1) * args.shrink.bit_length(), ct.DEFAULT_CAP.bit_length() ** 2
-    if bits > cap:
-        raise ResourceLimitError(f"box-counting scales down to shrink^-{args.depth + 1}, {bits} bits, exceed the cap of {cap}")
+    cs._check_size(f"box-counting scales down to shrink^-{args.depth + 1}, {{}} bits, exceed the cap of {{}}",
+                   (args.depth + 1) * args.shrink.bit_length(), cap=cs.DEFAULT_CAP.bit_length() ** 2)
     scales = ct.checked_scales([shrink**k for k in range(1, args.depth + 2)])
     sched = ct.geometric_schedule(args.d, [(args.cells, shrink)] * args.depth)
     coll = ct.build_cantor(sched, args.depth, rule=args.rule, seed=args.seed)
@@ -386,6 +396,7 @@ def _run_koksma_check(args, out: Path) -> None:
         raise PreconditionError("need count >= 1")
     if not 1 <= args.n_max < dc.N_LIMIT:
         raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got N-max = {args.n_max}")
+    _check_drawn(args.d)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     draws = [(rng.integers(0, TURN, size=args.d, dtype=np.uint64), rng.integers(1, args.n_max + 1))
              for _ in range(args.count)]  # a point's d words, then its N, point by point
@@ -424,7 +435,7 @@ def _add_point(sp):
     sp.add_argument("--seed", type=_uint64, default=None, help="Philox key of a drawn point (default 0)")
     sp.add_argument("--d", type=int, default=None, help="dimension of a drawn point (default 2)")
     sp.add_argument("--x", help="exact rational point 'a1/q1,a2/q2,...'")
-    sp.add_argument("--m", type=_primes_list, default=None, help="sparse exponents")
+    sp.add_argument("--m", type=_int_list, default=None, help="sparse exponents")
 
 
 @functools.cache
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gauss-check", help="Gauss magnitude law over all (a, b), b != 0")
     _add_common(sp, cap=True)
     sp.add_argument("--p", type=int)
-    sp.add_argument("--primes", type=_primes_list, help="comma list; overrides --p")
+    sp.add_argument("--primes", type=_int_list, help="comma list; overrides --p")
     sp.set_defaults(func=_run_gauss_check)
 
     sp = sub.add_parser("monomial-check", help="complete monomial sum = p^(d-1)")
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weil-check", help="character-sum magnitude vs (deg-1) sqrt(p)")
     _add_common(sp, p=True)
-    sp.add_argument("--coeffs", required=True, help="f coefficients, constant first, comma list")
+    sp.add_argument("--coeffs", type=_int_list, required=True, help="f coefficients, constant first, comma list")
     sp.set_defaults(func=_run_weil_check)
 
     sp = sub.add_parser("moments", help="power moments of |T| over F_p^d")
@@ -469,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orbit-count", help="lambda-orbit points inside an origin-cornered box")
     _add_common(sp, p=True)
-    sp.add_argument("--a", default="1,1", help="nonzero prefix coefficients, comma list")
+    sp.add_argument("--a", type=_int_list, default="1,1", help="nonzero prefix coefficients, comma list")
     sp.add_argument("--side", type=int, required=True)
     sp.set_defaults(func=_run_orbit_count)
 
@@ -523,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, d=3, cap=True)
     sp.add_argument("--tau", type=_fraction, required=True)
     sp.add_argument("--epsilon", type=_fraction, default=Fraction(1, 20))
-    sp.add_argument("--primes", type=_primes_list, required=True)
+    sp.add_argument("--primes", type=_int_list, required=True)
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--gamma", type=_fraction, default=Fraction(1))
     sp.set_defaults(func=_run_cantor_build)
@@ -584,7 +595,7 @@ def run(argv=None) -> int:
         status = _failure(EXIT_CORRUPT_CACHE, "corrupt cache", exc)
     except LemmaCheckFailureError as exc:
         status = _failure(EXIT_LEMMA_FAILURE, "lemma check failed", exc)
-    except (PreconditionError, WeylSumsError, ValueError) as exc:
+    except WeylSumsError as exc:
         status = _failure(EXIT_INVALID_CONFIG, "invalid configuration", exc)
     wall = time.monotonic() - start
     config = {

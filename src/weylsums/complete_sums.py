@@ -95,18 +95,17 @@ def _require_prime(p: int) -> None:
         raise InvalidFieldError(f"{p} is not prime")
 
 
-def _check_cap(count: int, cap: int, what: str = "table of {} entries") -> None:
-    if count > cap:
-        raise ResourceLimitError(f"{what.format(count)} exceeds the cap of {cap}; raise the cap")
+def _check_size(what: str, base: int, e: int = 1, cap: int = DEFAULT_CAP, factor: int = 1) -> None:
+    """Refuse a size of factor * base^e (base >= 0, e >= 0, factor >= 1) past cap, with what.format(size, cap).
 
-
-def _check_power_cap(p: int, e: int, cap: int, what: str, factor: int = 1) -> None:
-    """Refuse factor * p^e > cap, by bit lengths before the power is formed when it is far past the cap.
-
-    The message writes the count as p^e, never in full.
+    Bit lengths decide first: e (bitlen(base) - 1) >= bitlen(cap) puts base^e
+    past cap, so the power is formed only when it has fewer than bitlen(cap)
+    + e bits.  The message writes the size as base^e (base alone for e = 1),
+    never in full, and a base past 2^64 by its bit length.
     """
-    if e * (p.bit_length() - 1) >= cap.bit_length() or factor * p**e > cap:
-        raise ResourceLimitError(f"{what.format(f'{p}^{e}')} exceeds the cap of {cap}; raise the cap")
+    if e * (base.bit_length() - 1) >= cap.bit_length() or factor * base**e > cap:
+        size = base if base < 1 << 64 else f"(2^{base.bit_length() - 1} or more)"
+        raise ResourceLimitError(what.format(size if e == 1 else f"{size}^{e}", cap))
 
 
 def complete_sum(d: int, p: int, a) -> complex:
@@ -207,18 +206,13 @@ class CompleteSumTable:
                                  for j, aj in enumerate(a, start=1))]
 
 
-def _check_table_cap(d: int, p: int, cap: int) -> None:
-    """Refuse a table of more than cap stored entries, 2 p^(d-1)."""
-    _check_power_cap(p, d - 1, cap, "table of 2*{} entries", factor=2)
-
-
 def build_table(d: int, p: int, cap: int = DEFAULT_CAP) -> CompleteSumTable:
     """Both orbit slices via one (d-1)-dimensional inverse FFT each."""
     _require_prime(p)
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    _check_table_cap(d, p, cap)
-    _check_cap(p, cap, "fiber pass of {} residues")  # more than the 2 entries at d = 1
+    _check_size("table of 2*{} entries exceeds the cap of {}; raise the cap", p, d - 1, cap, factor=2)
+    _check_size("fiber pass of {} residues exceeds the cap of {}; raise the cap", p, cap=cap)  # more than 2 at d = 1
     n = np.arange(p, dtype=np.int64)
     fiber = np.zeros(p, dtype=np.int64)  # row-major index of (n^2, ..., n^d)
     for pw in _orbit([1] * d, n, p)[1:]:  # the orbit of (1, ..., 1) under lambda = n
@@ -316,7 +310,7 @@ def monomial_complete_sum(d: int, p: int, a: int, cap: int = DEFAULT_CAP) -> com
         raise InvalidNumeratorError(f"gcd({a}, {p}) != 1")
     if p == 2 and d in (2, 4):
         raise PreconditionError(f"the monomial sum is not p^(d-1) at (d, p) = ({d}, 2), one of its two exceptions")
-    _check_power_cap(p, d, cap, "sum of {} terms")
+    _check_size("sum of {} terms exceeds the cap of {}; raise the cap", p, d, cap)
     P = p ** (d - 1)
     rows, span = min(p, max(1, BLOCK // P)), min(P // p, max(1, BLOCK // p))  # rows v, and rows of head, a block
     work = _spare_workspace()
@@ -693,7 +687,7 @@ def load_table(path: str | Path, cap: int = DEFAULT_CAP) -> CompleteSumTable:
             raise ChecksumMismatchError(
                 f"{path} has unknown table version {version}; delete the cache and rebuild"
             )
-        _check_table_cap(d, p, cap)
+        _check_size("table of 2*{} entries exceeds the cap of {}; raise the cap", p, d - 1, cap, factor=2)
         expected_len = _HEADER.size + _DIGEST + 16 * p ** (d - 1)
         size = os.fstat(fh.fileno()).st_size
         if size != expected_len:  # before the prime test, so that a damaged p reads as a damaged file

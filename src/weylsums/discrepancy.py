@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import LemmaCheckFailureError, PreconditionError
 from .phasecore import TURN, Workspace
-from .weyl_sums import CHUNK, DENSE_LIMIT, _accumulate, _checked, _chunks, _phase_words, _trace, checkpoint_grid
+from .weyl_sums import CHUNK, DENSE_LIMIT, _accumulate, _chunks, _phase_words, _trace, checkpoint_grid
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
 N_LIMIT = 1 << 31  # the gaps N x - k fit two int64 words below this
@@ -180,8 +180,7 @@ def _koksma_block(x, ns: list[int], m) -> list[KoksmaReport]:
     lengths, n_max = np.array(ns), max(ns)
     words, q = _sequence_words(x, n_max, m)
     words = words.reshape(len(ns), n_max)  # one point is one row
-    re, im = _accumulate(lambda lo, hi, work: words[:, lo - 1 : hi - 1], q, (n_max,), lengths)
-    mags = _checked(re[:, 0], im[:, 0], lengths)
+    mags = _accumulate(lambda lo, hi, work: words[:, lo - 1 : hi - 1], q, (n_max,), lengths)[2][:, 0]
     fracs = _grid_fracs(words, q)  # words itself for q = 2^64, which the sums no longer need
     valid = np.arange(n_max) < lengths[:, None]
     fracs[~valid] = TURN - 1  # the pads sort past every row's own points

@@ -31,7 +31,7 @@ from .complete_sums import (
     DEFAULT_CAP,
     CompleteSumTable,
     DiscreteBox,
-    _check_cap,
+    _check_size,
     _orbit,
     _require_prime,
     complete_sum,
@@ -45,7 +45,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .phasecore import TURN, Phase, phase_from_rational
-from .weyl_sums import CHUNK, moduli, monomial_sum, weyl_sum, weyl_sum_batch
+from .weyl_sums import CHUNK, _accumulate, _phase_words, monomial_sum, weyl_sum
 
 MEMBERSHIP_SLACK = 1e-9  # relative slack absorbing float noise at the threshold
 MAX_TAU_DENOMINATOR = 100  # tau = u/v enters integer roots of degree v and 2 d^2 v; a run took 7-45 s at v = 10^4
@@ -144,9 +144,10 @@ def plan_trial_count(p: int, tau: Fraction, d: int, gamma: Fraction) -> int:
 
 
 def threshold(p: int, gamma: float) -> float:
-    """gamma sqrt(p), less the membership slack; L_p is defined for gamma > 0 only."""
+    """gamma sqrt(p), less the membership slack; L_p is defined for prime p and gamma > 0 only."""
     if not gamma > 0:
         raise PreconditionError(f"need gamma > 0, got gamma = {gamma}")
+    _require_prime(p)
     return gamma * sqrt(p) * (1.0 - MEMBERSHIP_SLACK)
 
 
@@ -182,7 +183,7 @@ def enumerate_Lp(table: CompleteSumTable, gamma: float = 1.0, cap: int = DEFAULT
     The rows are refused past ``cap`` members before any is listed, then
     expanded from the member representatives by `CompleteSumTable.orbit_rows`.
     """
-    _check_cap(count_Lp(table, gamma), cap, "L_p of {} members")
+    _check_size("L_p of {} members exceeds the cap of {}; raise the cap", count_Lp(table, gamma), cap=cap)
     return table.orbit_rows(_marks(table, gamma))
 
 
@@ -467,8 +468,10 @@ def measure_estimate(d: int, alpha: float, i: int, samples: int, seed: int = 0) 
     Philox (counter-based) keyed by the seed, one draw stream in a fixed
     order, so the result is reproducible for a given seed under any split of
     the work.  Samples are drawn and summed in blocks of floor(2^16 / i)
-    points (at least one), one `weyl_sum_batch` call each, so memory stays at
-    about one 2^16-term chunk whatever the sample count.
+    points (at least one), each summed as one batch by the Weyl-sum loop
+    (`weyl_sums._accumulate`), which checks the trivial bound and returns the
+    moduli counted here, so memory stays at about one 2^16-term chunk
+    whatever the sample count.
     """
     if samples < 10**3:
         raise PreconditionError("need at least 10^3 samples")
@@ -476,16 +479,18 @@ def measure_estimate(d: int, alpha: float, i: int, samples: int, seed: int = 0) 
         raise PreconditionError("need 0 < alpha < 1/2")
     if i < 1:
         raise PreconditionError("i must be >= 1")
+    block = max(1, CHUNK // i)
+    if not 1 <= d < (1 << 60) // block:  # a block's uint64 words, as many as numpy addresses (2^63 bytes)
+        raise PreconditionError(f"need 1 <= d < 2^60 / {block} for blocks of {block} points")
     rng = np.random.Generator(np.random.Philox(key=seed))
     thr = float(i) ** alpha
     # relative slack so exact ties (|S(x;1)| = 1 = threshold) are not decided
     # by trigonometric rounding noise
     cut = thr * (1.0 - 1e-12)
     hits = 0
-    block = max(1, CHUNK // i)
     for start in range(0, samples, block):
         words = rng.integers(0, TURN, size=(min(block, samples - start), d), dtype=np.uint64)
-        hits += int(np.count_nonzero(moduli(weyl_sum_batch(words, i)) >= cut))
+        hits += int(np.count_nonzero(_accumulate(*_phase_words(words, None), (i,))[2] >= cut))
     est = hits / samples
     half = 1.96 * sqrt(max(est * (1.0 - est), 0.0) / samples)
     return MeasureReport(

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidDenominatorError
+from .errors import InvalidDenominatorError, PreconditionError
 
 TURN_BITS = 64
 TURN = 1 << TURN_BITS
@@ -146,7 +146,7 @@ def _horner(coeffs, exponents, n, mul):
     are plain; mul reduces into the ring.
     """
     if len(coeffs) != len(exponents):
-        raise ValueError("need one exponent per coefficient")
+        raise PreconditionError("need one exponent per coefficient")
     t = coeffs[-1]
     for j in range(len(coeffs) - 1, 0, -1):
         for _ in range(exponents[j] - exponents[j - 1]):
@@ -195,7 +195,7 @@ def residue_array(
     """
     q = int(q)  # the bounds below are Python ints, whatever integer type the caller passed
     if q * q >= 2**62:
-        raise ValueError("modulus too large for the int64 residue path")
+        raise PreconditionError("modulus too large for the int64 residue path, which needs q < 2^31")
     coeffs = [int(aj) % q for aj in a]
     top = max(int(hi) - 1, -int(lo))  # |n| <= top
     reduce_n = top > q

@@ -51,13 +51,15 @@ math.fsum(terms[:N]).  The reduction adds one rounding to the term errors, so
 the total stays below N ulp, inside the 4*N*ulp budget, and a trace equals a
 fresh evaluation bit for bit at every checkpoint.
 
-Values: the loop returns float64 (re, im) arrays of (rows, checkpoints), the
-first block's rounded checkpoints and then the int carry's, and each caller
-checks the trivial bound |S| <= N on a whole array at once (`_checked`).  A
-trace keeps the moduli `_checked` took (`SumTrace`), and its CSV rows are
-read from its arrays.  |S| is libm's hypot, which abs(complex) also calls,
-taken by `_checked` or `moduli`: np.abs of complex128 differs from it in the
-last bit for about a third of random values.
+Values: the loop returns float64 (re, im, |S|) arrays of (rows,
+checkpoints), the first block's rounded checkpoints and then the int
+carry's.  It checks the trivial bound |S| <= N on the whole array at once,
+where it holds each value's N: its checkpoint, or its row's length in a
+Koksma block.  A trace keeps those moduli (`SumTrace`), and its CSV rows are
+read from its arrays; `measure_estimate` counts its hits on them.  |S| is
+libm's hypot, which abs(complex) also calls, taken by the loop or `SumTrace`:
+np.abs of complex128 differs from it in the last bit for about a third of
+random values.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ _SPARE: list[Workspace] = []
 _SPARE_BYTES = 9 * 8 * BLOCK
 
 TorusPoint = tuple[Phase, ...]
+_TRIVIAL_SLACK = 1.0 + 1e-12  # |S| <= N times this: a few ulps of slack for the rounded terms
 
 
 def _spare_workspace() -> Workspace:  # the workspace the last call handed on, or a fresh one
@@ -217,8 +220,8 @@ def _rounded(limbs: np.ndarray) -> np.ndarray:
 
 def _accumulate(
     words, q: int, cps: Sequence[int], lengths: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """S at each of the strictly increasing checkpoints, per row, correctly rounded: (re, im), each (rows, checkpoints).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S at each of the strictly increasing checkpoints, per row, correctly rounded: (re, im, |S|), each (rows, checkpoints).
 
     words(lo, hi, work) gives the exact phases of n = lo..hi-1 over q,
     (hi-lo,) for one point or (rows, hi-lo) for a batch, as `_phase_words`
@@ -247,7 +250,12 @@ def _accumulate(
     another.  Either way each value is its exact sum rounded once, half to
     even, so it equals math.fsum over all N of its terms, whatever the route
     or the block size.
+
+    Every value is checked against the trivial bound |S| <= N of its N, the
+    checkpoint or the row's length, times _TRIVIAL_SLACK; |S| is libm's hypot,
+    as abs(complex) takes it.
     """
+    ns = np.array(cps) if lengths is None else lengths[:, None]  # the N of each value
     period = min(q, cps[-1])
     folds = period < cps[-1]
     offsets = sorted({n % period for n in cps} - {0}) if folds else cps[:-1]
@@ -306,37 +314,22 @@ def _accumulate(
             values = np.concatenate((first, values))
     _hand_on(work, width // 2 * min(period, BLOCK))  # a block's words over its rows
     rows = width // 2
-    return values[:, :rows].T, values[:, rows:].T
-
-
-def moduli(values: np.ndarray) -> np.ndarray:
-    """|v| of each complex v by libm's hypot, as abs(complex) takes it: np.abs of complex128 may differ in the last bit."""
-    return np.hypot(values.real, values.imag)
-
-
-def _checked(re: np.ndarray, im: np.ndarray, ns) -> np.ndarray:
-    """|re + i im|, each within the trivial bound |S| <= N of its entry of ns (an int or an array of them).
-
-    The bound has a few ulps of slack for the rounded terms.  The moduli are
-    libm's hypot, as in `moduli`.
-    """
+    re, im = values[:, :rows].T, values[:, rows:].T
     mags = np.hypot(re, im)
-    bound = ns * (1.0 + 1e-12)
-    over = mags > bound
+    over = mags > ns * _TRIVIAL_SLACK
     if over.any():
         k = over.argmax()
         raise LemmaCheckFailureError(
             f"trivial bound violated: |S| = {mags.flat[k]} > N = {np.broadcast_to(ns, mags.shape).flat[k]}"
         )
-    return mags
+    return re, im, mags
 
 
 def weyl_sum(x, N: int, m: Sequence[int] | None = None) -> complex:
     """S(x; N) with certified accumulation error below N ulp."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    re, im = _accumulate(*_phase_words(x, m), (N,))
-    _checked(re, im, N)
+    re, im, _ = _accumulate(*_phase_words(x, m), (N,))
     return complex(re[0, 0], im[0, 0])
 
 
@@ -349,8 +342,7 @@ def weyl_sum_batch(words: np.ndarray, N: int) -> np.ndarray:
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    re, im = _accumulate(*_phase_words(words, None), (N,))
-    _checked(re, im, N)
+    re, im, _ = _accumulate(*_phase_words(words, None), (N,))
     return _complex(re[:, 0], im[:, 0])
 
 
@@ -372,7 +364,7 @@ class SumTrace:
     """(N, S(x;N)) samples along strictly increasing checkpoints, with |S(x;N)| at each.
 
     Built from its checkpoints and values, it checks them and takes the
-    moduli; `_trace` builds it from the arrays it has checked already.
+    moduli; `_trace` builds it from the arrays that `_accumulate` checked.
     """
 
     checkpoints: tuple[int, ...]
@@ -385,14 +377,15 @@ class SumTrace:
             raise PreconditionError("checkpoints must be strictly increasing")
         if len(self.values) != len(ns):
             raise PreconditionError("need one value per checkpoint")
-        mags = moduli(np.array(self.values, dtype=np.complex128))
-        if (mags > ns * (1.0 + 1e-12)).any():
+        values = np.array(self.values, dtype=np.complex128)
+        mags = np.hypot(values.real, values.imag)
+        if (mags > ns * _TRIVIAL_SLACK).any():
             raise PreconditionError("trace magnitude exceeds the trivial bound")
         object.__setattr__(self, "magnitudes", tuple(mags.tolist()))
 
     @classmethod
     def _of_checked(cls, cps: tuple[int, ...], re: np.ndarray, im: np.ndarray, mags: np.ndarray) -> SumTrace:
-        """The trace at validated checkpoints of values that `_checked` bounded as mags: nothing is checked again."""
+        """The trace at validated checkpoints of values that `_accumulate` bounded as mags: nothing is checked again."""
         trace = object.__new__(cls)
         object.__setattr__(trace, "checkpoints", cps)
         object.__setattr__(trace, "values", tuple(_complex(re, im).tolist()))
@@ -413,8 +406,7 @@ def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None
 
 
 def _trace(words, q: int, cps: tuple[int, ...]) -> SumTrace:
-    re, im = (v[0] for v in _accumulate(words, q, cps))
-    return SumTrace._of_checked(cps, re, im, _checked(re, im, np.array(cps)))
+    return SumTrace._of_checked(cps, *(v[0] for v in _accumulate(words, q, cps)))
 
 
 DENSE_LIMIT = 1000  # the checkpoint grid holds every N up to here

@@ -273,9 +273,10 @@ def test_batched_philox_draw_equals_the_per_cell_draw(d):
 
 
 def test_box_count_is_refused_before_the_first_level(monkeypatch):
-    assert ct._check_box_count(ct.DEFAULT_CAP // 2, 2) is None
+    boxes = "{} boxes of 2 corner coordinates exceed the cap of {}"
+    assert ct._check_size(boxes, ct.DEFAULT_CAP // 2, factor=2) is None
     with pytest.raises(ResourceLimitError):
-        ct._check_box_count(ct.DEFAULT_CAP // 2 + 1, 2)
+        ct._check_size(boxes, ct.DEFAULT_CAP // 2 + 1, factor=2)
     with pytest.raises(ResourceLimitError):
         ct.make_pattern(ct.PatternSpec(a=F(1), b=F(1, 3000), c=F(1, 10**5)), 2)
 
@@ -291,10 +292,13 @@ def test_box_count_is_refused_before_the_first_level(monkeypatch):
 def test_box_count_at_grid_scales_counts_every_scale():
     # cantor-dim reads every box's corner at each of its depth + 1 scales: 2^18 boxes at 19 scales pass
     # the cap of 10^7, 2^19 at 20 do not, nor 2^20 at 21
-    assert ct._check_box_count(2, 1, 18, scales=19) is None
+    def boxes(e):
+        return f"{{}} boxes of 1 corner coordinates at {e + 1} grid scales exceed the cap of {{}}"
+
+    assert ct._check_size(boxes(18), 2, 18, factor=19) is None
     for e in (19, 20):
         with pytest.raises(ResourceLimitError, match=f"2\\^{e} boxes of 1 corner coordinates at {e + 1} grid scales"):
-            ct._check_box_count(2, 1, e, scales=e + 1)
+            ct._check_size(boxes(e), 2, e, factor=e + 1)
 
 
 def test_dimension_formula_at_depth_one_is_the_large_sum_cantor_value():

@@ -1,6 +1,7 @@
 """CLI wiring: artifacts, manifests, determinism and exit codes."""
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import weylsums
-from weylsums import cli, phasecore
+from weylsums import cli, errors, phasecore
 from weylsums import complete_sums as cs
 
 
@@ -147,6 +148,9 @@ def test_unknown_flag_rejected():
         ["moments", "--p", "13", "--force"],
         ["weil-check", "--p", "13", "--coeffs", "0,1,1", "--seed", "1"],
         ["orbit-count", "--p", "13", "--side", "3", "--cap", "100"],
+        # comma lists of integers are parsed by the parser, as --primes and --m are
+        ["weil-check", "--p", "101", "--coeffs", "x"],
+        ["orbit-count", "--p", "101", "--a", "1,x", "--side", "3"],
     ],
 )
 def test_flags_only_on_commands_that_read_them(argv, tmp_path):
@@ -295,10 +299,15 @@ def _no_cantor_table(monkeypatch, out):
         # A_1(1) = 1! - 1 = 0: no box-moment ratio, refused before the table is built or cached
         (2, "PreconditionError", "invalid configuration",
          ["box-moments", "--d", "1", "--p", "13", "--nu", "1", "--cache"], _no_table),
+        # refused where they arise, not by numpy's or the int64 guard's ValueError
+        (2, "PreconditionError", "invalid configuration", ["weyl-trace", "--x", "abc"], None),
+        (2, "PreconditionError", "invalid configuration", ["weyl-trace", "--d", "-1"], None),
+        (2, "PreconditionError", "invalid configuration", ["weyl-trace", "--x", "1/3037000500"], None),
     ],
     ids=["invalid-config", "moments-nu-0", "moments-nu-above-d", "cap", "monomial-d2-p2", "monomial-d4-p2",
          "out-of-memory", "lemma-check", "koksma-check", "corrupt-cache", "cantor-dim-scales", "cantor-dim-boxes",
-         "pattern-demo-boxes", "cantor-build-epsilon", "box-moments-d1"],
+         "pattern-demo-boxes", "cantor-build-epsilon", "box-moments-d1", "x-not-rational", "drawn-d-negative",
+         "x-past-int64"],
 )
 def test_failed_run_writes_manifest(code, error_class, prefix, argv, setup, tmp_path, monkeypatch, capsys):
     out = tmp_path / "fail"
@@ -314,6 +323,37 @@ def test_failed_run_writes_manifest(code, error_class, prefix, argv, setup, tmp_
     assert manifest["message"] != ""
     # the manifest is the only file a failed run adds
     assert sorted(f.name for f in out.iterdir() if f.is_file()) == ["manifest.json"]
+
+
+def test_run_maps_only_package_errors():
+    # a ValueError is a bug, shown with its traceback: the package raises none, catches one only where
+    # an argparse type turns it into a parser rejection, and run's handlers name only package errors
+    # and MemoryError
+    tree = ast.parse(Path(cli.__file__).read_text())
+    parser_types = {kw.value.id for kw in ast.walk(tree)
+                    if isinstance(kw, ast.keyword) and kw.arg == "type" and isinstance(kw.value, ast.Name)}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # node -> the innermost function around it; ast.walk reaches outer functions first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(raised, "id", None) == "ValueError":
+                    found.append(("raise", path.name, node.lineno))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                if "ValueError" in names and owner.get(node) not in parser_types:
+                    found.append(("except", path.name, node.lineno))
+                if owner.get(node) == "run" and path.name == "cli.py":
+                    for name in names - {"MemoryError"}:
+                        cls = getattr(errors, name, None)
+                        if not (isinstance(cls, type) and issubclass(cls, errors.WeylSumsError)):
+                            found.append((name, path.name, node.lineno))
+    assert "_fraction" in parser_types and not found, found
 
 
 def test_version_flag():

@@ -13,7 +13,7 @@ from weylsums import complete_sums as cs
 from weylsums import discrepancy as dc
 from weylsums import large_values as lv
 from weylsums import weyl_sums as ws
-from weylsums.errors import PreconditionError
+from weylsums.errors import LemmaCheckFailureError, PreconditionError
 from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
 from weylsums.large_values import radius_units
 
@@ -27,8 +27,8 @@ def _bits(values):
 
 
 def _row(sums, r=0):
-    """Row r of the (re, im) arrays that `_accumulate` returns, as complex values."""
-    re, im = sums
+    """Row r of the (re, im) arrays that `_accumulate` returns with the moduli, as complex values."""
+    re, im, _ = sums
     return list(map(complex, re[r].tolist(), im[r].tolist()))
 
 
@@ -284,6 +284,7 @@ def _plant(monkeypatch, re, im):
     (re[r, n - 1], im[r, n - 1]).  Returns the words and the list of the limb counts `_rounded` saw."""
     flat_re, flat_im = re.ravel(), im.ravel()
     monkeypatch.setattr(ws, "unit_terms", lambda w, q, work: np.array((flat_re[w], flat_im[w])))
+    monkeypatch.setattr(ws, "_TRIVIAL_SLACK", math.inf)  # planted terms are not unit terms: |S| may pass N
     rounded, real = [], ws._rounded
     monkeypatch.setattr(ws, "_rounded", lambda limbs: rounded.append(len(limbs)) or real(limbs))
     idx = np.arange(re.size).reshape(re.shape)
@@ -418,6 +419,22 @@ def test_batch_rows_cut_at_their_lengths_equal_fsum_and_the_int_route(n, monkeyp
     assert [_bits(_row(int_sums, r)) for r in range(13)] == [_bits(w) for w in want]
 
 
+def test_accumulate_bounds_each_value_by_its_own_n(monkeypatch):
+    # |S| <= N for each value, N its checkpoint or its row's own length, and the moduli come back with
+    # the values: row 0's terms are all 1, row 1's are 2 and then 1, so |S(N)| = N + 1 on row 1
+    re = np.ones((2, 16))
+    re[1, 0] = 2.0
+    slack = ws._TRIVIAL_SLACK
+    words, _ = _plant(monkeypatch, re, np.zeros((2, 16)))
+    monkeypatch.setattr(ws, "_TRIVIAL_SLACK", slack)  # the bound that _plant lifts, put back
+    re0, im0, mags = ws._accumulate(lambda lo, hi, work: words(lo, hi, work)[:1], TURN, (1, 8, 16))
+    assert mags.tolist() == [[1.0, 8.0, 16.0]] == [list(map(abs, _row((re0, im0, mags))))]
+    with pytest.raises(LemmaCheckFailureError, match=r"\|S\| = 9\.0 > N = 8$"):
+        ws._accumulate(words, TURN, (8, 16))
+    with pytest.raises(LemmaCheckFailureError, match=r"\|S\| = 5\.0 > N = 4$"):
+        ws._accumulate(words, TURN, (16,), np.array([16, 4]))
+
+
 def test_batch_blocks_switch_routes_with_the_same_bits(monkeypatch):
     # measure-estimate's blocks in miniature: four calls of five rows each, the second and the last
     # with one term of three limbs, each value equal to the row summed alone and to fsum
@@ -429,7 +446,7 @@ def test_batch_blocks_switch_routes_with_the_same_bits(monkeypatch):
     for b in range(4):
         rows = slice(5 * b, 5 * b + 5)
         got += list(map(complex, *(v[:, 0].tolist() for v in ws._accumulate(
-            lambda lo, hi, work: words(lo, hi, work)[rows], TURN, (16,)))))
+            lambda lo, hi, work: words(lo, hi, work)[rows], TURN, (16,))[:2])))
     assert rounded == [2, 2]
     alone = [_row(ws._accumulate(lambda lo, hi, work: words(lo, hi, work)[r : r + 1], TURN, (16,)))[0]
              for r in range(20)]
