@@ -39,14 +39,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .complete_sums import DEFAULT_CAP, _check_size, _require_prime, build_table
+from .complete_sums import _require_prime, build_table
 from .errors import (
+    DEFAULT_CAP,
     InvalidPatternError,
     InvalidScheduleError,
     LemmaCheckFailureError,
     PreconditionError,
     TooFewScalesError,
     WitnessNotFoundError,
+    _check_size,
 )
 from .large_values import _as_fraction, _iroot, _json_fields, _member_blocks, kappa, plan_trial_count, threshold
 from .phasecore import RationalPoint

@@ -32,7 +32,7 @@ import time
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +44,14 @@ from . import discrepancy as dc
 from . import large_values as lv
 from . import weyl_sums as ws
 from .errors import (
+    DEFAULT_CAP,
     ChecksumMismatchError,
     InvalidScheduleError,
     LemmaCheckFailureError,
     PreconditionError,
     ResourceLimitError,
     WeylSumsError,
+    _check_size,
 )
 from .phasecore import TURN, Phase, RationalPoint
 
@@ -85,33 +87,23 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_field(t: type) -> str:
-    """The %-format of a CSV field of type t: %d for an int (a numpy integer too), %.17g for a float."""
-    if t is int or issubclass(t, np.integer):
-        return "%d"
-    if issubclass(t, float):
-        return "%.17g"
-    raise AssertionError(f"no CSV field for a {t.__name__}")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """The bytes csv.writer writes of the rows of columns: ints by str, floats by format(v, ".17g"), \\r\\n line ends.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The bytes csv.writer writes, in one join: floats by format(v, ".17g"), ints by str, \\r\\n line ends.
-
-    No field is quoted: a header name that holds a comma, quote or line break
-    is refused, and no number holds one.  Each run of rows with one signature
-    of field types is formatted by one %-template, its row template repeated
-    once per row, over all the run's fields at once; a field of any other
-    type is refused.
+    Each column is a numpy array of an integer dtype, formatted %d, or of
+    float64, formatted %.17g; a column of any other type is refused, and so is
+    a header name that holds a comma, quote or line break, the one thing that
+    csv.writer would quote.  One %-template, its row repeated once per row,
+    formats every field at once.
     """
     if any(c in name for name in header for c in ',"\r\n'):
         raise AssertionError(f"a CSV header name needs quoting: {header}")
-    lines = [",".join(header)]
-    for types, run in groupby(rows, lambda row: tuple(map(type, row))):
-        run = list(run)
-        template = ",".join(map(_csv_field, types))
-        lines.append("\r\n".join([template] * len(run)) % tuple(chain.from_iterable(run)))
-    lines.append("")
-    path.write_text("\r\n".join(lines), newline="")
+    kinds = [getattr(column, "dtype", None) for column in columns]
+    if not all(k is not None and (k.kind in "iu" or k == np.float64) for k in kinds):
+        raise AssertionError(f"no CSV field for a column of {kinds}")
+    row = "\r\n" + ",".join("%d" if k.kind in "iu" else "%.17g" for k in kinds)
+    fields = chain.from_iterable(zip(*(column.tolist() for column in columns), strict=True))
+    path.write_text(",".join(header) + row * len(columns[0]) % tuple(fields) + "\r\n", newline="")
 
 
 def _check_drawn(d: int) -> None:
@@ -191,15 +183,14 @@ def _table(args):
 def _run_moments(args, out: Path) -> None:
     cs.moment_main_term(args.d, args.nu)  # refuses nu outside 1..d before the table is built
     table = _table(args)
-    rows = []
-    for nu in range(1, args.nu + 1):
-        incl = cs.mordell_moment(table, nu)
-        excl = incl - float(args.p) ** (2 * nu)  # the a = 0 term, exactly p^(2 nu)
-        rows.append((args.d, args.p, nu, incl, excl, float(cs.moment_main_term(args.d, nu))))
+    nus = range(1, args.nu + 1)
+    incl = np.array([cs.mordell_moment(table, nu) for nu in nus])
+    zero = np.array([float(args.p) ** (2 * nu) for nu in nus])  # the a = 0 term, exactly p^(2 nu)
     _write_csv(
         out / "moments.csv",
         ["d", "p", "nu", "moment_with_zero", "moment_without_zero", "main_term_A"],
-        rows,
+        [np.full(len(nus), args.d), np.full(len(nus), args.p), np.array(nus), incl, incl - zero,
+         np.array([float(cs.moment_main_term(args.d, nu)) for nu in nus])],
     )
 
 
@@ -211,16 +202,16 @@ def _run_box_moments(args, out: Path) -> None:
     table = _table(args)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     lmin = min(max(int(float(args.p) ** 0.8) + 1, 2), args.p)
-    rows = []
+    reps = []
     for _ in range(args.count):
         side = int(rng.integers(lmin, args.p + 1))
         starts = tuple(int(v) for v in rng.integers(0, args.p, size=args.d))
-        rep = cs.box_moment(table, args.nu, cs.DiscreteBox(starts=starts, side=side))
-        rows.append((args.d, args.p, args.nu, side, rep.value, rep.predicted_main_term, rep.ratio))
+        reps.append(cs.box_moment(table, args.nu, cs.DiscreteBox(starts=starts, side=side)))
     _write_csv(
         out / "box_moments.csv",
         ["d", "p", "nu", "side", "value", "predicted", "ratio"],
-        rows,
+        [np.full(args.count, args.d), np.full(args.count, args.p), np.full(args.count, args.nu),
+         *(np.array([getattr(r, f) for r in reps]) for f in ("side", "value", "predicted_main_term", "ratio"))],
     )
 
 
@@ -278,7 +269,8 @@ def _run_amplify_mono(args, out: Path) -> None:
 def _run_weyl_trace(args, out: Path) -> None:
     x = _point_from_args(args)
     trace = ws.weyl_sum_trace(x, ws.checkpoint_grid(args.n_max), m=args.m)
-    _write_csv(out / "weyl_trace.csv", ["N", "re", "im", "magnitude"], trace.rows())
+    _write_csv(out / "weyl_trace.csv", ["N", "re", "im", "magnitude"],
+               [trace.checkpoints, trace.values.real, trace.values.imag, trace.magnitudes])
 
 
 def _run_mr_scan(args, out: Path) -> None:
@@ -353,13 +345,13 @@ def _run_cantor_dim(args, out: Path) -> None:
         raise PreconditionError("cells and shrink must be >= 1, and depth >= 0")
     shrink = Fraction(1, args.shrink)
     # before the depth + 1 scales are formed: each grid count reads every box's Python-int corner
-    cs._check_size(f"{{}} boxes of {args.d} corner coordinates at {args.depth + 1} grid scales exceed the cap of {{}}",
-                   args.cells, args.d * args.depth, factor=args.d * (args.depth + 1))
+    _check_size(f"{{}} boxes of {args.d} corner coordinates at {args.depth + 1} grid scales exceed the cap of {{}}",
+                args.cells, args.d * args.depth, factor=args.d * (args.depth + 1))
     # The finest scale is shrink^-(depth + 1).  A run that the box count (cells >= 2: depth + 1 <= b bits
     # of DEFAULT_CAP) and the grid count at that scale (shrink^d <= DEFAULT_CAP) let through has scales of
     # at most b^2 bits; one cell per axis leaves the depth unbounded, so the bits are refused here.
-    cs._check_size(f"box-counting scales down to shrink^-{args.depth + 1}, {{}} bits, exceed the cap of {{}}",
-                   (args.depth + 1) * args.shrink.bit_length(), cap=cs.DEFAULT_CAP.bit_length() ** 2)
+    _check_size(f"box-counting scales down to shrink^-{args.depth + 1}, {{}} bits, exceed the cap of {{}}",
+                (args.depth + 1) * args.shrink.bit_length(), cap=DEFAULT_CAP.bit_length() ** 2)
     scales = ct.checked_scales([shrink**k for k in range(1, args.depth + 2)])
     sched = ct.geometric_schedule(args.d, [(args.cells, shrink)] * args.depth)
     coll = ct.build_cantor(sched, args.depth, rule=args.rule, seed=args.seed)
@@ -387,8 +379,8 @@ def _run_pattern_demo(args, out: Path) -> None:
 
 def _run_discrepancy(args, out: Path) -> None:
     x = _point_from_args(args)
-    rows = dc.scan_rows(x, args.n_max, m=args.m)
-    _write_csv(out / "discrepancy.csv", ["N", "D_N", "D_star_N", "S_magnitude", "ratio"], rows)
+    _write_csv(out / "discrepancy.csv", ["N", "D_N", "D_star_N", "S_magnitude", "ratio"],
+               dc.scan_rows(x, args.n_max, m=args.m))
 
 
 def _run_koksma_check(args, out: Path) -> None:
@@ -397,6 +389,7 @@ def _run_koksma_check(args, out: Path) -> None:
     if not 1 <= args.n_max < dc.N_LIMIT:
         raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got N-max = {args.n_max}")
     _check_drawn(args.d)
+    _check_size(f"{{}} drawn points of {args.d} words exceed the cap of {{}}", args.count, factor=args.d)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     draws = [(rng.integers(0, TURN, size=args.d, dtype=np.uint64), rng.integers(1, args.n_max + 1))
              for _ in range(args.count)]  # a point's d words, then its N, point by point
@@ -418,7 +411,7 @@ def _add_common(sp, *, d=None, p=False, seed=False, cap=False, cache=False):
     """--out everywhere; --seed, --cap and --cache only where the command reads them."""
     sp.add_argument("--out", default="out", help="output directory")
     if cap:
-        sp.add_argument("--cap", type=int, default=cs.DEFAULT_CAP, help="max table entries")
+        sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max table entries")
     if cache:
         sp.add_argument("--cache", action="store_true", help="cache complete-sum tables under OUT/cache")
     if seed:

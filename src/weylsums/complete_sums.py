@@ -49,6 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DEFAULT_CAP,
     BinomialVanishingError,
     ChecksumMismatchError,
     InvalidFieldError,
@@ -56,12 +57,10 @@ from .errors import (
     LemmaCheckFailureError,
     NotAPermutationError,
     PreconditionError,
-    ResourceLimitError,
+    _check_size,
 )
 from .phasecore import RationalPoint, Workspace, _unit_root_table, _unit_terms, residue_array
 from .weyl_sums import BLOCK, _hand_on, _spare_workspace, weyl_sum
-
-DEFAULT_CAP = 10**7
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -93,19 +92,6 @@ def is_prime(n: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise InvalidFieldError(f"{p} is not prime")
-
-
-def _check_size(what: str, base: int, e: int = 1, cap: int = DEFAULT_CAP, factor: int = 1) -> None:
-    """Refuse a size of factor * base^e (base >= 0, e >= 0, factor >= 1) past cap, with what.format(size, cap).
-
-    Bit lengths decide first: e (bitlen(base) - 1) >= bitlen(cap) puts base^e
-    past cap, so the power is formed only when it has fewer than bitlen(cap)
-    + e bits.  The message writes the size as base^e (base alone for e = 1),
-    never in full, and a base past 2^64 by its bit length.
-    """
-    if e * (base.bit_length() - 1) >= cap.bit_length() or factor * base**e > cap:
-        size = base if base < 1 << 64 else f"(2^{base.bit_length() - 1} or more)"
-        raise ResourceLimitError(what.format(size if e == 1 else f"{size}^{e}", cap))
 
 
 def complete_sum(d: int, p: int, a) -> complex:

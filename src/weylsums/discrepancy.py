@@ -75,7 +75,7 @@ def _sequence_words(x, N: int, m) -> tuple[np.ndarray, int]:
     """(words, q): the exact phases words[..., n - 1] / q of n = 1..N as uint64, one row per point of a (B, d) array."""
     if not 1 <= N < N_LIMIT:
         raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got {N}")
-    words, q = _phase_words(x, m)
+    words, q = _phase_words(x, m, N)
     out = np.empty((len(x), N) if isinstance(x, np.ndarray) else N, dtype=np.uint64)
     work = Workspace()
     for lo, hi in _chunks(N):
@@ -224,11 +224,15 @@ def discrepancy_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None
     return [n for n, d_n, _ in units if d_n / TURN >= float(n) ** alpha]
 
 
-def scan_rows(x, n_max: int, m: Sequence[int] | None = None) -> list[tuple[int, float, float, float, float]]:
-    """(N, D_N, D*_N, |S|, |S|/D*) rows over the checkpoint grid, for CSV output; one pass of phase words."""
+def scan_rows(x, n_max: int, m: Sequence[int] | None = None) -> tuple[np.ndarray, ...]:
+    """The columns N, D_N, D*_N, |S| and |S|/D*_N (0 where D*_N = 0) over the checkpoint grid; one pass of phase words.
+
+    N is int64 and the rest float64: each D is its exact int over 2^64
+    rounded once, and each ratio is one IEEE division, as Python floats take it.
+    """
     words, q = _sequence_words(x, n_max, m)
     trace = _trace(lambda lo, hi, work: words[lo - 1 : hi - 1], q, checkpoint_grid(n_max))
-    return [
-        (n, d_n / TURN, d_star / TURN, mag, mag / (d_star / TURN) if d_star else 0.0)
-        for (n, d_n, d_star), mag in zip(_checkpoint_units(_grid_fracs(words, q), n_max), trace.magnitudes)
-    ]
+    _, d_n, d_star = zip(*_checkpoint_units(_grid_fracs(words, q), n_max))
+    d_n, d_star = (np.array([v / TURN for v in units]) for units in (d_n, d_star))
+    ratio = np.divide(trace.magnitudes, d_star, out=np.zeros_like(d_star), where=d_star > 0)
+    return trace.checkpoints, d_n, d_star, trace.magnitudes, ratio

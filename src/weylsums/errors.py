@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one refusal of oversized inputs.
 
 Every precondition failure raises a distinct class so callers (and the CLI
 exit-code mapping) can tell configuration mistakes, resource refusals and
-genuine inequality failures apart.
+genuine inequality failures apart.  Every size the package refuses before
+it builds anything goes through `_check_size` against a cap, DEFAULT_CAP
+unless the caller passes its own.
 """
+
+DEFAULT_CAP = 10**7
 
 
 class WeylSumsError(Exception):
@@ -72,3 +76,16 @@ class ChecksumMismatchError(WeylSumsError):
 
 class LemmaCheckFailureError(WeylSumsError):
     """A theorem-backed inequality failed: implementation bug."""
+
+
+def _check_size(what: str, base: int, e: int = 1, cap: int = DEFAULT_CAP, factor: int = 1) -> None:
+    """Refuse a size of factor * base^e (base >= 0, e >= 0, factor >= 1) past cap, with what.format(size, cap).
+
+    Bit lengths decide first: e (bitlen(base) - 1) >= bitlen(cap) puts base^e
+    past cap, so the power is formed only when it has fewer than bitlen(cap)
+    + e bits.  The message writes the size as base^e (base alone for e = 1),
+    never in full, and a base past 2^64 by its bit length.
+    """
+    if e * (base.bit_length() - 1) >= cap.bit_length() or factor * base**e > cap:
+        size = base if base < 1 << 64 else f"(2^{base.bit_length() - 1} or more)"
+        raise ResourceLimitError(what.format(size if e == 1 else f"{size}^{e}", cap))

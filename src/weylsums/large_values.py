@@ -27,25 +27,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .complete_sums import (
-    DEFAULT_CAP,
-    CompleteSumTable,
-    DiscreteBox,
-    _check_size,
-    _orbit,
-    _require_prime,
-    complete_sum,
-)
+from .complete_sums import CompleteSumTable, DiscreteBox, _orbit, _require_prime, complete_sum
 from .errors import (
+    DEFAULT_CAP,
     InvalidNumeratorError,
     LemmaCheckFailureError,
     PreconditionError,
     PrimeTooSmallError,
     UndefinedForDegreeError,
     WitnessNotFoundError,
+    _check_size,
 )
 from .phasecore import TURN, Phase, phase_from_rational
-from .weyl_sums import CHUNK, _accumulate, _phase_words, monomial_sum, weyl_sum
+from .weyl_sums import BLOCK, CHUNK, _accumulate, _phase_words, monomial_sum, weyl_sum
 
 MEMBERSHIP_SLACK = 1e-9  # relative slack absorbing float noise at the threshold
 MAX_TAU_DENOMINATOR = 100  # tau = u/v enters integer roots of degree v and 2 d^2 v; a run took 7-45 s at v = 10^4
@@ -467,11 +461,12 @@ def measure_estimate(d: int, alpha: float, i: int, samples: int, seed: int = 0) 
 
     Philox (counter-based) keyed by the seed, one draw stream in a fixed
     order, so the result is reproducible for a given seed under any split of
-    the work.  Samples are drawn and summed in blocks of floor(2^16 / i)
-    points (at least one), each summed as one batch by the Weyl-sum loop
+    the work: full-range uint64 draws do not depend on how they are split.
+    Samples are drawn and summed in blocks of floor(BLOCK / i) points (at
+    least one), each summed as one batch by the Weyl-sum loop
     (`weyl_sums._accumulate`), which checks the trivial bound and returns the
-    moduli counted here, so memory stays at about one 2^16-term chunk
-    whatever the sample count.
+    moduli counted here, so memory stays at about one BLOCK of terms, the
+    loop's own block, whatever the sample count.
     """
     if samples < 10**3:
         raise PreconditionError("need at least 10^3 samples")
@@ -479,7 +474,7 @@ def measure_estimate(d: int, alpha: float, i: int, samples: int, seed: int = 0) 
         raise PreconditionError("need 0 < alpha < 1/2")
     if i < 1:
         raise PreconditionError("i must be >= 1")
-    block = max(1, CHUNK // i)
+    block = max(1, BLOCK // i)
     if not 1 <= d < (1 << 60) // block:  # a block's uint64 words, as many as numpy addresses (2^63 bytes)
         raise PreconditionError(f"need 1 <= d < 2^60 / {block} for blocks of {block} points")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -490,7 +485,7 @@ def measure_estimate(d: int, alpha: float, i: int, samples: int, seed: int = 0) 
     hits = 0
     for start in range(0, samples, block):
         words = rng.integers(0, TURN, size=(min(block, samples - start), d), dtype=np.uint64)
-        hits += int(np.count_nonzero(_accumulate(*_phase_words(words, None), (i,))[2] >= cut))
+        hits += int(np.count_nonzero(_accumulate(*_phase_words(words, None, i), (i,))[2] >= cut))
     est = hits / samples
     half = 1.96 * sqrt(max(est * (1.0 - est), 0.0) / samples)
     return MeasureReport(

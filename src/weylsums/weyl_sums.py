@@ -55,11 +55,16 @@ Values: the loop returns float64 (re, im, |S|) arrays of (rows,
 checkpoints), the first block's rounded checkpoints and then the int
 carry's.  It checks the trivial bound |S| <= N on the whole array at once,
 where it holds each value's N: its checkpoint, or its row's length in a
-Koksma block.  A trace keeps those moduli (`SumTrace`), and its CSV rows are
-read from its arrays; `measure_estimate` counts its hits on them.  |S| is
-libm's hypot, which abs(complex) also calls, taken by the loop or `SumTrace`:
-np.abs of complex128 differs from it in the last bit for about a third of
-random values.
+Koksma block; `measure_estimate` counts its hits on those moduli.  A trace
+(`SumTrace`) holds the loop's arrays as they are, int64 checkpoints,
+complex128 values and float64 moduli, and the CSV writer reads its columns
+from them, with no Python object per row.  A scan takes .tolist() once
+where its values meet Python's math.log or **, so every float and every
+threshold decision is the one that Python floats give: np.power differs
+from ** in the last bit for some values.  |S| is libm's hypot, which
+abs(complex) also calls, taken by the loop or `SumTrace`: np.abs of
+complex128 differs from it in the last bit for about a third of random
+values.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import LemmaCheckFailureError, PreconditionError
+from .errors import LemmaCheckFailureError, PreconditionError, _check_size
 from .phasecore import (
     TURN,
     Phase,
@@ -121,16 +126,18 @@ def exponent_vector(m: Sequence[int]) -> tuple[int, ...]:
     return m
 
 
-def _phase_words(x, m: Sequence[int] | None):
-    """Normalize (x, m) once: (words, q) with words(lo, hi, work) the exact phases of n = lo..hi-1.
+def _phase_words(x, m: Sequence[int] | None, n_max: int):
+    """Normalize (x, m) once for N <= n_max: (words, q) with words(lo, hi, work) the exact phases of n = lo..hi-1.
 
     The phase of n is words(lo, hi, work)[..., n - lo] / q mod 1: uint64
     `frac_array` words with q = 2^64 for a `Phase` or a tuple of them,
     `residue_array` residues with q = x.q for a `RationalPoint`.  A (B, d)
     uint64 array is a batch of B `Phase` points, one row each, and gives
     (B, hi-lo) words.  The exponents default to 1..d and must match the point
-    dimension.  The words are a view of the `Workspace` work, valid until the
-    next call with it.
+    dimension.  The Horner kernel multiplies by n once per unit of each
+    exponent gap, m_d products over each block's terms, so a largest exponent
+    m_d with m_d min(n_max, BLOCK) past DEFAULT_CAP is refused.  The words are
+    a view of the `Workspace` work, valid until the next call with it.
     """
     if isinstance(x, Phase):
         x = (x,)
@@ -144,6 +151,9 @@ def _phase_words(x, m: Sequence[int] | None):
     exps = exponent_vector(m if m is not None else range(1, len(coeffs) + 1))
     if len(exps) != len(coeffs):
         raise PreconditionError("exponent vector length must match the point dimension")
+    terms = min(n_max, BLOCK)
+    _check_size(f"Horner products of a largest exponent {{}} over {terms} terms a block exceed the cap of {{}}",
+                exps[-1], factor=terms)
     if exact:
         q = x.q
         return (lambda lo, hi, work: residue_array(coeffs, q, exps, lo, hi, work)), q
@@ -329,7 +339,7 @@ def weyl_sum(x, N: int, m: Sequence[int] | None = None) -> complex:
     """S(x; N) with certified accumulation error below N ulp."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    re, im, _ = _accumulate(*_phase_words(x, m), (N,))
+    re, im, _ = _accumulate(*_phase_words(x, m, N), (N,))
     return complex(re[0, 0], im[0, 0])
 
 
@@ -342,7 +352,7 @@ def weyl_sum_batch(words: np.ndarray, N: int) -> np.ndarray:
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
-    re, im, _ = _accumulate(*_phase_words(words, None), (N,))
+    re, im, _ = _accumulate(*_phase_words(words, None, N), (N,))
     return _complex(re[:, 0], im[:, 0])
 
 
@@ -359,54 +369,45 @@ def monomial_sum(x, N: int, d: int) -> complex:
     return weyl_sum(x, N, m=(d,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumTrace:
-    """(N, S(x;N)) samples along strictly increasing checkpoints, with |S(x;N)| at each.
+    """S(x;N) at strictly increasing checkpoints N, and |S(x;N)| at each, as read-only arrays.
 
-    Built from its checkpoints and values, it checks them and takes the
-    moduli; `_trace` builds it from the arrays that `_accumulate` checked.
+    Its one constructor takes the checkpoints (int64) and values (complex128),
+    refuses checkpoints that do not strictly increase, a length mismatch and
+    any |S| > N, and takes the moduli (float64) by libm's hypot, as the loop
+    does.
     """
 
-    checkpoints: tuple[int, ...]
-    values: tuple[complex, ...]
-    magnitudes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    checkpoints: np.ndarray
+    values: np.ndarray
+    magnitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ns = np.array(self.checkpoints)
-        if (np.diff(ns) <= 0).any():
-            raise PreconditionError("checkpoints must be strictly increasing")
-        if len(self.values) != len(ns):
+        ns, values = np.array(self.checkpoints, dtype=np.int64), np.array(self.values, dtype=np.complex128)
+        if ns.ndim != 1 or values.shape != ns.shape:
             raise PreconditionError("need one value per checkpoint")
-        values = np.array(self.values, dtype=np.complex128)
+        if (ns[1:] <= ns[:-1]).any():
+            raise PreconditionError("checkpoints must be strictly increasing")
         mags = np.hypot(values.real, values.imag)
         if (mags > ns * _TRIVIAL_SLACK).any():
             raise PreconditionError("trace magnitude exceeds the trivial bound")
-        object.__setattr__(self, "magnitudes", tuple(mags.tolist()))
-
-    @classmethod
-    def _of_checked(cls, cps: tuple[int, ...], re: np.ndarray, im: np.ndarray, mags: np.ndarray) -> SumTrace:
-        """The trace at validated checkpoints of values that `_accumulate` bounded as mags: nothing is checked again."""
-        trace = object.__new__(cls)
-        object.__setattr__(trace, "checkpoints", cps)
-        object.__setattr__(trace, "values", tuple(_complex(re, im).tolist()))
-        object.__setattr__(trace, "magnitudes", tuple(mags.tolist()))
-        return trace
-
-    def rows(self) -> list[tuple[int, float, float, float]]:
-        values = np.array(self.values, dtype=np.complex128)
-        return list(zip(self.checkpoints, values.real.tolist(), values.imag.tolist(), self.magnitudes))
+        for name, array in (("checkpoints", ns), ("values", values), ("magnitudes", mags)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def weyl_sum_trace(x, checkpoints: Sequence[int], m: Sequence[int] | None = None) -> SumTrace:
     """One generation pass; each entry bit-identical to a fresh weyl_sum call."""
     cps = tuple(map(int, checkpoints))
-    if not cps or cps[0] < 1 or not all(map(lt, cps, cps[1:])):
-        raise PreconditionError("checkpoints must be strictly increasing and >= 1")
-    return _trace(*_phase_words(x, m), cps)
+    if not cps or cps[0] < 1 or not all(map(lt, cps, cps[1:])) or cps[-1] >= 1 << 63:
+        raise PreconditionError("checkpoints must be strictly increasing int64 values >= 1")
+    return _trace(*_phase_words(x, m, cps[-1]), cps)
 
 
 def _trace(words, q: int, cps: tuple[int, ...]) -> SumTrace:
-    return SumTrace._of_checked(cps, *(v[0] for v in _accumulate(words, q, cps)))
+    re, im, _ = _accumulate(words, q, cps)
+    return SumTrace(cps, _complex(re[0], im[0]))
 
 
 DENSE_LIMIT = 1000  # the checkpoint grid holds every N up to here
@@ -446,10 +447,8 @@ def mr_ratio_scan(x, n_max: int, m: Sequence[int] | None = None) -> MrScanReport
     if n_max < 16:
         raise PreconditionError("N_max must be >= 16")
     cps = dyadic_grid(n_max)
-    trace = weyl_sum_trace(x, cps, m)
-    ratios = tuple(
-        mag / (n**0.5 * log(n) ** 1.5) for n, mag in zip(cps, trace.magnitudes)
-    )
+    mags = weyl_sum_trace(x, cps, m).magnitudes.tolist()
+    ratios = tuple(mag / (n**0.5 * log(n) ** 1.5) for n, mag in zip(cps, mags))
     return MrScanReport(checkpoints=cps, ratios=ratios, max_ratio=max(ratios))
 
 
@@ -470,7 +469,7 @@ def sigma_estimate(trace: SumTrace) -> SigmaEstimate:
         raise PreconditionError("need at least 8 trace entries")
     tail = len(trace.checkpoints) // 2
     best = None
-    for n, mag in list(zip(trace.checkpoints, trace.magnitudes))[tail:]:
+    for n, mag in zip(trace.checkpoints[tail:].tolist(), trace.magnitudes[tail:].tolist()):
         if mag <= 0.0 or n < 2:
             continue
         v = log(mag) / log(n)
@@ -485,5 +484,5 @@ def exceptional_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None
     if not 0.0 < alpha < 1.0:
         raise PreconditionError("need 0 < alpha < 1")
     cps = checkpoint_grid(n_max)
-    trace = weyl_sum_trace(x, cps, m)
-    return [n for n, mag in zip(cps, trace.magnitudes) if mag >= float(n) ** alpha]
+    mags = weyl_sum_trace(x, cps, m).magnitudes.tolist()
+    return [n for n, mag in zip(cps, mags) if mag >= float(n) ** alpha]

@@ -728,6 +728,12 @@ _OVERSIZED = (
     (["monomial-check", "--d", "1000", "--p", "5"], 3),
     (["monomial-check", "--d", "1000000000000", "--p", "5"], 3),
     (["pattern-demo", "--d", "100000"], 3),
+    # 2^64 + 1 unit-step Horner products per term, refused before the first block
+    (["discrepancy", "--x", "1/2", "--d", "1", "--N-max", "1024", "--m", "18446744073709551617"], 3),
+    (["discrepancy-scan", "--x", "1/2", "--d", "1", "--alpha", "0.5", "--N-max", "1024",
+      "--m", "18446744073709551617"], 3),
+    # 2^64 + 1 drawn points of 2 words, refused before the first draw
+    (["koksma-check", "--count", "18446744073709551617"], 3),
 )
 
 _UNDER_ONE_GIB = """
@@ -789,36 +795,37 @@ def test_readme_mr_scan_in_a_fresh_process_faults_few_pages(tmp_path):
 
 
 def test_write_csv_bytes_equal_csv_writer(tmp_path):
-    header = ["N", "re", "im", "magnitude"]
-    rows = [(1, -0.0, 5e-324, 1e300), (-7, 0.1, -2.5, float(2**53 + 1)), (2**70, -1e-300, 1.0, 0.0), (0, 3.0, -0.0, 7)]
-    # each run of one type signature is formatted at once: the signature changes partway, back, to a
-    # shorter row and back again
-    mixed = [*rows, (5, 0.5, -0.25, 1.5), (6, 1e-7, 2.0, 3.5), (8, 9, 10), (11, 0.125, 0.0, 1e-320)]
-    for name, case in (("trace", rows), ("mixed", mixed), ("empty", [])):
-        expect = tmp_path / f"expect-{name}.csv"
-        with expect.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in case:
-                writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
-        cli._write_csv(tmp_path / "got.csv", header, case)
-        assert (tmp_path / "got.csv").read_bytes() == expect.read_bytes(), name
-    for bad in ([(1, "a,b")], [(1, None)]):
+    ints = [1, -7, 2**62 + 1, 0, 5, 6, -(2**63), 11]
+    floats = [-0.0, 5e-324, 1e300, 0.1, -2.5, float(2**53 + 1), -1e-300, 1e-320]
+    # the column signatures of the weyl-trace, discrepancy, moments and box-moments artifacts
+    for signature in ("ifff", "iffff", "iiifff", "iiiifff"):
+        for rows in (8, 1, 0):
+            columns = [np.roll(np.array(ints if t == "i" else floats), j)[:rows] for j, t in enumerate(signature)]
+            header = [f"c{j}" for j in range(len(signature))]
+            expect = tmp_path / "expect.csv"
+            with expect.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in zip(*(c.tolist() for c in columns)):
+                    writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+            cli._write_csv(tmp_path / "got.csv", header, columns)
+            assert (tmp_path / "got.csv").read_bytes() == expect.read_bytes(), (signature, rows)
+    good = np.array([1.5])
+    for bad in (None, np.array(["a,b"]), np.array([True]), np.array([0.5], dtype=np.float32), [1]):
         with pytest.raises(AssertionError):
-            cli._write_csv(tmp_path / "bad.csv", header, bad)
-    with pytest.raises(AssertionError):
-        cli._write_csv(tmp_path / "bad.csv", ["N", "a,b"], rows)
+            cli._write_csv(tmp_path / "bad.csv", ["N", "x"], [np.array([1]), bad])
+    for name in ("a,b", 'a"b', "a\nb"):
+        with pytest.raises(AssertionError):
+            cli._write_csv(tmp_path / "bad.csv", ["N", name], [np.array([1]), good])
 
 
 def test_write_csv_prints_numpy_numbers_as_python_numbers(tmp_path):
-    # a numpy integer is not an int: it is printed as one, and not refused or printed as a float
-    rows = [(np.int64(2**62 + 1), np.float64(0.1), np.uint64(2**64 - 1)), (2**62 + 1, 0.1, 2**64 - 1)]
-    cli._write_csv(tmp_path / "np.csv", ["a", "b", "c"], rows)
+    # an integer column of any width is printed as ints, uint64 past 2^63 too, and float64 as .17g
+    columns = [np.array([2**62 + 1]), np.array([0.1]), np.array([2**64 - 1], dtype=np.uint64),
+               np.array([3], dtype=np.int8)]
+    cli._write_csv(tmp_path / "np.csv", ["a", "b", "c", "d"], columns)
     lines = (tmp_path / "np.csv").read_bytes().split(b"\r\n")
-    assert lines[1] == lines[2] == b"4611686018427387905,0.10000000000000001,18446744073709551615"
-    for bad in ([(np.float32(0.5),)], [(True,)], [(np.bool_(True),)]):
-        with pytest.raises(AssertionError):
-            cli._write_csv(tmp_path / "bad.csv", ["a"], bad)
+    assert lines == [b"a,b,c,d", b"4611686018427387905,0.10000000000000001,18446744073709551615,3", b""]
 
 
 def test_discrepancy_commands_refuse_n_max_past_int64_split(tmp_path, capsys):

@@ -269,9 +269,10 @@ def test_pointset_from_floats_quantizes():
 
 
 def test_scan_rows_shape():
-    rows = dc.scan_rows((phase_from_rational(1, 2),), 8, m=(1,))
-    assert [r[0] for r in rows] == list(range(1, 9))
-    n, d_n, d_star, s_mag, ratio = rows[3]
+    columns = dc.scan_rows((phase_from_rational(1, 2),), 8, m=(1,))
+    assert [c.dtype for c in columns] == [np.int64] + [np.float64] * 4
+    assert columns[0].tolist() == list(range(1, 9))
+    n, d_n, d_star, s_mag, ratio = (c[3] for c in columns)
     assert n == 4 and d_n == 2.0 and d_star == 2.0
     assert s_mag < 1e-12
 
@@ -286,10 +287,11 @@ def test_scan_rows_shape():
 )
 def test_scans_match_fresh_evaluations_at_every_checkpoint(x, m, n_max):
     grid = ws.checkpoint_grid(n_max)
-    rows = dc.scan_rows(x, n_max, m=m)
-    assert [r[0] for r in rows] == list(grid)
+    columns = dc.scan_rows(x, n_max, m=m)
+    assert columns[0].tolist() == list(grid)
     fresh_hits = []
-    for n, d_n, d_star, s_mag, _ in rows:
+    for n, d_n, d_star, s_mag, ratio in zip(*(c.tolist() for c in columns)):
+        assert ratio == (s_mag / d_star if d_star else 0.0)
         s = poly_sequence(x, n, m)
         assert d_n == discrepancy_exact(s) == disc_oracle_units(s.fracs.tolist(), n) / TURN
         assert d_star == dc.star_discrepancy(s)

@@ -13,7 +13,7 @@ from weylsums import complete_sums as cs
 from weylsums import discrepancy as dc
 from weylsums import large_values as lv
 from weylsums import weyl_sums as ws
-from weylsums.errors import LemmaCheckFailureError, PreconditionError
+from weylsums.errors import DEFAULT_CAP, LemmaCheckFailureError, PreconditionError, ResourceLimitError
 from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
 from weylsums.large_values import radius_units
 
@@ -55,16 +55,21 @@ def test_weyl_sum_phase_vs_rational_paths_agree():
 
 def test_trace_examples():
     tr = ws.weyl_sum_trace(_zero(2), (1, 2, 4))
-    assert tr.values == (1 + 0j, 2 + 0j, 4 + 0j)
+    assert tr.checkpoints.dtype == np.int64 and tr.values.dtype == np.complex128 and tr.magnitudes.dtype == np.float64
+    assert tr.checkpoints.tolist() == [1, 2, 4] and tr.values.tolist() == [1 + 0j, 2 + 0j, 4 + 0j]
+    assert tr.magnitudes.tolist() == [1.0, 2.0, 4.0]
+    with pytest.raises(ValueError):
+        tr.values[0] = 0j  # the arrays are read-only
 
 
 def test_trace_invariants_enforced():
-    with pytest.raises(PreconditionError):
-        ws.SumTrace(checkpoints=(2, 1), values=(0j, 0j))  # not increasing
-    with pytest.raises(PreconditionError):
-        ws.SumTrace(checkpoints=(1, 2), values=(0j, 3 + 0j))  # |S| > N
-    with pytest.raises(PreconditionError):
-        ws.weyl_sum_trace(_zero(1), (4, 2))
+    # the one constructor refuses what it cannot hold: non-increasing checkpoints, a length mismatch, |S| > N
+    for checkpoints, values in (((2, 1), (0j, 0j)), ((1, 1), (0j, 0j)), ((1, 2), (0j,)), ((1, 2), (0j, 3 + 0j))):
+        with pytest.raises(PreconditionError):
+            ws.SumTrace(checkpoints, values)
+    for checkpoints in ((4, 2), (0, 1), (), (1, 2**63)):
+        with pytest.raises(PreconditionError):
+            ws.weyl_sum_trace(_zero(1), checkpoints)
 
 
 def test_trace_bit_identical_to_fresh_calls():
@@ -395,12 +400,14 @@ def test_traces_around_block_and_period_equal_fsum_and_the_int_route(x, monkeypa
     cps = tuple(sorted({1, 2, 999, 1000, 1024, B - 1, B, B + 1, P - 1, P, P + 1, 2 * P + 3, 3 * B}))
     tr = ws.weyl_sum_trace(x, cps)
     assert _bits(tr.values) == _bits(canonical_sums(x, cps))
-    words, q = ws._phase_words(x, None)
+    words, q = ws._phase_words(x, None, cps[-1])
     assert _bits(_row(_int_routed(monkeypatch, words, q, cps))) == _bits(tr.values)
-    # the trace from the checked arrays equals one built from its values, which checks them again
-    again = ws.SumTrace(checkpoints=tr.checkpoints, values=tr.values)
-    assert again == tr and again.magnitudes == tr.magnitudes and again.rows() == tr.rows()
-    assert tr.rows() == [(n, v.real, v.imag, abs(v)) for n, v in zip(cps, tr.values)]
+    # a trace rebuilt from its own arrays holds the same bytes; the moduli are abs(complex)'s
+    again = ws.SumTrace(tr.checkpoints, tr.values)
+    for name in ("checkpoints", "values", "magnitudes"):
+        assert getattr(again, name).tobytes() == getattr(tr, name).tobytes(), name
+    assert tr.checkpoints.tolist() == list(cps)
+    assert tr.magnitudes.tolist() == [abs(v) for v in tr.values.tolist()]
 
 
 @pytest.mark.parametrize("n", [1000, ws.BLOCK + 5])
@@ -511,8 +518,20 @@ def test_trace_trivial_bound_dyadic():
     x = tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=2, dtype=np.uint64))
     cps = ws.dyadic_grid(2**20)
     tr = ws.weyl_sum_trace(x, cps)
-    assert all(mag <= n * (1 + 1e-12) for n, mag in zip(cps, tr.magnitudes))
-    assert tr.checkpoints == cps
+    assert all(mag <= n * (1 + 1e-12) for n, mag in zip(cps, tr.magnitudes.tolist()))
+    assert tr.checkpoints.tolist() == list(cps)
+
+
+def test_largest_exponent_is_sized_by_its_horner_products_per_block():
+    # m_d unit-step products per term over min(N, BLOCK) terms a block, against DEFAULT_CAP, before any term
+    top = DEFAULT_CAP // ws.BLOCK
+    x = (Phase(0x9E3779B97F4A7C15),)
+    assert ws.weyl_sum(x, ws.BLOCK, m=(top,)) == ws.weyl_sum_trace(x, (1, ws.BLOCK), m=(top,)).values[-1]
+    for call in (lambda: ws.weyl_sum(x, 2 * ws.BLOCK, m=(top + 1,)),
+                 lambda: ws.weyl_sum_trace(RationalPoint((1, 1), 2), (1, 1024), m=(1, 2**64 + 1)),
+                 lambda: dc.discrepancy_scan(RationalPoint((1,), 2), 0.5, 1024, m=(DEFAULT_CAP // 1024 + 1,))):
+        with pytest.raises(ResourceLimitError):
+            call()
 
 
 def test_monomial_sum_consistency_bitwise():
