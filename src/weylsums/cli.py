@@ -390,6 +390,7 @@ def _run_koksma_check(args, out: Path) -> None:
         raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got N-max = {args.n_max}")
     _check_drawn(args.d)
     _check_size(f"{{}} drawn points of {args.d} words exceed the cap of {{}}", args.count, factor=args.d)
+    _check_size("phase words of an N-max of {} exceed the cap of {}", args.n_max)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     draws = [(rng.integers(0, TURN, size=args.d, dtype=np.uint64), rng.integers(1, args.n_max + 1))
              for _ in range(args.count)]  # a point's d words, then its N, point by point

@@ -34,14 +34,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LemmaCheckFailureError, PreconditionError
+from .errors import LemmaCheckFailureError, PreconditionError, _check_size
 from .phasecore import TURN, Workspace
 from .weyl_sums import CHUNK, DENSE_LIMIT, _accumulate, _chunks, _phase_words, _trace, checkpoint_grid
 
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
 N_LIMIT = 1 << 31  # the gaps N x - k fit two int64 words below this
 _LO = (1 << 32) - 1
-_BLOCK = 32  # dense checkpoints per pass: a (32, 1000) int64 temporary is 250 KiB
+_BLOCK = 32  # dense checkpoints per pass, a (32, 1000) int64 temporary of 250 KiB, and Koksma rows per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +75,10 @@ def _sequence_words(x, N: int, m) -> tuple[np.ndarray, int]:
     """(words, q): the exact phases words[..., n - 1] / q of n = 1..N as uint64, one row per point of a (B, d) array."""
     if not 1 <= N < N_LIMIT:
         raise PreconditionError(f"need 1 <= N < 2^31 for the exact int64 discrepancy, got {N}")
+    rows = len(x) if isinstance(x, np.ndarray) else 1
+    _check_size(f"{rows} x {{}} phase words exceed the cap of {{}}", N, factor=rows)
     words, q = _phase_words(x, m, N)
-    out = np.empty((len(x), N) if isinstance(x, np.ndarray) else N, dtype=np.uint64)
+    out = np.empty((rows, N) if isinstance(x, np.ndarray) else N, dtype=np.uint64)
     work = Workspace()
     for lo, hi in _chunks(N):
         out[..., lo - 1:hi - 1] = words(lo, hi, work)
@@ -153,9 +155,10 @@ def koksma_relation_check(x, N, m: Sequence[int] | None = None) -> list[KoksmaRe
     A row is one point with its N, or a row of a (B, d) uint64 array of Phase
     words (exponents 1..d) with its entry of N.  Rows stable-sorted by N run
     in blocks of up to _BLOCK rows and CHUNK words at the block's largest N,
-    one pass of phase words for both sides: S sums their terms, +0.0 past a
-    row's N, bit-identical to weyl_sum; D*_N sorts them padded with 2^64 - 1,
-    as star_discrepancy does.  Reports, and the first failure, go by row order.
+    one pass of phase words for both sides: S reads each row at its N among
+    the block's, bit-identical to weyl_sum; D*_N sorts them padded with
+    2^64 - 1, as star_discrepancy does.  Reports, and the first failure, go
+    by row order.
     """
     batch = isinstance(x, np.ndarray)
     ns = [int(n) for n in N] if batch else [int(N)]
@@ -177,10 +180,11 @@ def koksma_relation_check(x, N, m: Sequence[int] | None = None) -> list[KoksmaRe
 
 
 def _koksma_block(x, ns: list[int], m) -> list[KoksmaReport]:
-    lengths, n_max = np.array(ns), max(ns)
+    lengths, n_max, cps = np.array(ns), max(ns), sorted(set(ns))
     words, q = _sequence_words(x, n_max, m)
     words = words.reshape(len(ns), n_max)  # one point is one row
-    mags = _accumulate(lambda lo, hi, work: words[:, lo - 1 : hi - 1], q, (n_max,), lengths)[2][:, 0]
+    mags = _accumulate(lambda lo, hi, work: words[:, lo - 1 : hi - 1], q, cps)[2]
+    mags = mags[np.arange(len(ns)), np.searchsorted(cps, lengths)]  # each row at its own N
     fracs = _grid_fracs(words, q)  # words itself for q = 2^64, which the sums no longer need
     valid = np.arange(n_max) < lengths[:, None]
     fracs[~valid] = TURN - 1  # the pads sort past every row's own points

@@ -53,10 +53,9 @@ fresh evaluation bit for bit at every checkpoint.
 
 Values: the loop returns float64 (re, im, |S|) arrays of (rows,
 checkpoints), the first block's rounded checkpoints and then the int
-carry's.  It checks the trivial bound |S| <= N on the whole array at once,
-where it holds each value's N: its checkpoint, or its row's length in a
-Koksma block; `measure_estimate` counts its hits on those moduli.  A trace
-(`SumTrace`) holds the loop's arrays as they are, int64 checkpoints,
+carry's.  It checks the trivial bound |S| <= N of each value's checkpoint on
+the whole array at once; `measure_estimate` counts its hits on those moduli.
+A trace (`SumTrace`) holds the loop's arrays as they are, int64 checkpoints,
 complex128 values and float64 moduli, and the CSV writer reads its columns
 from them, with no Python object per row.  A scan takes .tolist() once
 where its values meet Python's math.log or **, so every float and every
@@ -228,9 +227,7 @@ def _rounded(limbs: np.ndarray) -> np.ndarray:
     return (limbs[1] / _LIMB_SCALE + limbs[0]) / _LIMB_SCALE
 
 
-def _accumulate(
-    words, q: int, cps: Sequence[int], lengths: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _accumulate(words, q: int, cps: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S at each of the strictly increasing checkpoints, per row, correctly rounded: (re, im, |S|), each (rows, checkpoints).
 
     words(lo, hi, work) gives the exact phases of n = lo..hi-1 over q,
@@ -240,10 +237,7 @@ def _accumulate(
     here, the one call of the term kernel for every sum, trace and batch.  The
     words, the terms and the reducer's arrays all come from one `Workspace`
     for the call, handed on (`_SPARE`) if a block has at most BLOCK words.  Only
-    n = 1..P, P = min(q, N_max), are generated.  Terms past row r's own
-    length lengths[r] (< N_max only with q >= N_max, so nothing folds) are set
-    to +0.0, which adds to no limb: the row sums exactly its first lengths[r]
-    terms.
+    n = 1..P, P = min(q, N_max), are generated.
 
     The checkpoints N <= min(P, BLOCK), cps[:head], are prefixes of the
     first block, each an end of its limb sums.  If that block's terms need at
@@ -261,11 +255,11 @@ def _accumulate(
     even, so it equals math.fsum over all N of its terms, whatever the route
     or the block size.
 
-    Every value is checked against the trivial bound |S| <= N of its N, the
-    checkpoint or the row's length, times _TRIVIAL_SLACK; |S| is libm's hypot,
-    as abs(complex) takes it.
+    Every value is checked against the trivial bound |S| <= N of its
+    checkpoint, times _TRIVIAL_SLACK; |S| is libm's hypot, as abs(complex)
+    takes it.
     """
-    ns = np.array(cps) if lengths is None else lengths[:, None]  # the N of each value
+    ns = np.array(cps)  # the N of each column
     period = min(q, cps[-1])
     folds = period < cps[-1]
     offsets = sorted({n % period for n in cps} - {0}) if folds else cps[:-1]
@@ -275,11 +269,8 @@ def _accumulate(
     pre: list[int] = []  # the rows' prefix ints at offset 0, then at each offset in order
     scale = oi = 0
     first = None  # the values at cps[:head], if the first block rounded them
-    last = None if lengths is None else np.tile(lengths, 2)[:, None]  # per cos row, then per sin row
     for lo, hi in _chunks(period, BLOCK):
         terms = unit_terms(words(lo, hi, work), q, work).reshape(-1, hi - lo)  # the cos rows, then the sin rows
-        if last is not None and last.min() < hi - 1:
-            terms[np.arange(lo, hi) > last] = 0.0
         oj = bisect_left(offsets, hi, oi)
         ends = [r - lo + 1 for r in offsets[oi:oj]]
         if not ends or ends[-1] < hi - lo:
@@ -329,9 +320,7 @@ def _accumulate(
     over = mags > ns * _TRIVIAL_SLACK
     if over.any():
         k = over.argmax()
-        raise LemmaCheckFailureError(
-            f"trivial bound violated: |S| = {mags.flat[k]} > N = {np.broadcast_to(ns, mags.shape).flat[k]}"
-        )
+        raise LemmaCheckFailureError(f"trivial bound violated: |S| = {mags.flat[k]} > N = {ns[k % len(ns)]}")
     return re, im, mags
 
 

@@ -734,6 +734,10 @@ _OVERSIZED = (
       "--m", "18446744073709551617"], 3),
     # 2^64 + 1 drawn points of 2 words, refused before the first draw
     (["koksma-check", "--count", "18446744073709551617"], 3),
+    # rows x N phase words past the cap, refused before they are allocated (once numpy's MemoryError)
+    (["discrepancy", "--x", "1/3", "--d", "1", "--N-max", "200000000"], 3),
+    (["discrepancy-scan", "--x", "1/3", "--d", "1", "--alpha", "0.5", "--N-max", "60000000"], 3),
+    (["koksma-check", "--count", "1", "--N-max", "2147483647"], 3),  # refused before the draw of its N
 )
 
 _UNDER_ONE_GIB = """
@@ -754,7 +758,8 @@ def test_oversized_inputs_are_refused_by_their_size(tmp_path):
                               env=env, capture_output=True, text=True, timeout=10)
         assert proc.returncode == code, (argv, proc.stderr[-2000:])
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["exit_code"] == code and manifest["error_class"], argv
+        assert manifest["exit_code"] == code, argv
+        assert manifest["error_class"] == {2: "PreconditionError", 3: "ResourceLimitError"}[code], argv
         assert len(manifest["message"]) < 300, (argv, manifest["message"][:300])
 
 

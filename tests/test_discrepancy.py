@@ -20,7 +20,7 @@ from helpers import (
 from weylsums import discrepancy as dc
 from weylsums import weyl_sums as ws
 from weylsums.errors import LemmaCheckFailureError, PreconditionError
-from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational
+from weylsums.phasecore import TURN, Phase, RationalPoint, phase_from_rational, unit_terms
 
 
 def _pset(fracs):
@@ -229,6 +229,25 @@ def test_koksma_rows_given_in_descending_n(d):
     assert [rep.N for rep in reports] == ns
     for row, n, rep in zip(points, ns, reports):
         assert dc.koksma_relation_check(tuple(Phase(int(w)) for w in row), n) == [rep]
+
+
+def test_koksma_row_with_deep_terms_past_its_n_equals_weyl_sum(monkeypatch):
+    # a block's rows are summed to its largest N and read at their own: row 0 sums one term of two
+    # limbs, but its second term e(1/4 + 2^-63), with a cosine near -6.8e-19, needs more, so the block's
+    # values take the int route instead of numpy's rounding, with the same bits
+    points = np.random.default_rng(7).integers(0, TURN, size=(6, 2), dtype=np.uint64)
+    points[0] = [2**61 - 1, 1]  # phases 1/8 at n = 1 and 1/4 + 2^-63 at n = 2
+    ns = [1, 300, 2, 17, 300, 64]
+    terms = unit_terms(ws._phase_words(points[:1], None, 2)[0](1, 3, None), TURN)[:, 0]
+    assert [len(ws._exact_prefix_sums(terms[:, :k], [k])) for k in (1, 2)] == [2, 4]
+    rounded, real = [], ws._rounded
+    monkeypatch.setattr(ws, "_rounded", lambda limbs: rounded.append(len(limbs)) or real(limbs))
+    reports = dc.koksma_relation_check(points, ns)
+    assert rounded == []
+    for row, n, rep in zip(points, ns, reports):
+        x = tuple(Phase(int(w)) for w in row)
+        assert dc.koksma_relation_check(x, n) == [rep]  # every field, bit for bit
+        assert rep.s_magnitude == abs(ws.weyl_sum(x, n))
 
 
 def test_koksma_failure_names_the_first_failing_row(monkeypatch):

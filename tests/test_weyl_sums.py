@@ -411,24 +411,26 @@ def test_traces_around_block_and_period_equal_fsum_and_the_int_route(x, monkeypa
 
 
 @pytest.mark.parametrize("n", [1000, ws.BLOCK + 5])
-def test_batch_rows_cut_at_their_lengths_equal_fsum_and_the_int_route(n, monkeypatch):
-    # koksma's blocks: each row sums its first lengths[r] terms, the zeros past them add to no limb
+def test_batch_rows_read_at_their_own_checkpoints_equal_fsum_and_the_int_route(n, monkeypatch):
+    # koksma's blocks: the rows are summed to every N of the block, and each row is read at its own
     rng = np.random.default_rng(59)
     re, im = rng.uniform(-1.0, 1.0, size=(2, 13, n))
     re[:, :8], im[:, :8] = _rounding_rows(), _rounding_rows()[::-1]
-    lengths = np.array([n, 1, 2, 3, 4, 5, 6, 7, 8, 9, n - 1, n // 2, 17])
+    lengths = [n, 1, 2, 3, 4, 5, 6, 7, 8, 9, n - 1, n // 2, 17]
+    cps = sorted(set(lengths))
+    at = np.searchsorted(cps, lengths)
     words, rounded = _plant(monkeypatch, re, im)
-    sums = ws._accumulate(words, TURN, (n,), lengths)
-    want = [[complex(math.fsum(a[:k]), math.fsum(b[:k]))] for a, b, k in zip(re, im, lengths)]
-    assert [_bits(_row(sums, r)) for r in range(13)] == [_bits(w) for w in want]
-    assert rounded == ([2] if n <= ws.BLOCK else [])
-    int_sums = _int_routed(monkeypatch, words, TURN, (n,), lengths)
-    assert [_bits(_row(int_sums, r)) for r in range(13)] == [_bits(w) for w in want]
+    want = [complex(math.fsum(a[:k]), math.fsum(b[:k])) for a, b, k in zip(re, im, lengths)]
+    sums = ws._accumulate(words, TURN, cps)
+    assert rounded == [2]  # the checkpoints of the first block, n among them only for n <= BLOCK
+    int_sums = _int_routed(monkeypatch, words, TURN, cps)
+    for got in (sums, int_sums):
+        assert _bits([_row(got, r)[c] for r, c in enumerate(at)]) == _bits(want)
 
 
 def test_accumulate_bounds_each_value_by_its_own_n(monkeypatch):
-    # |S| <= N for each value, N its checkpoint or its row's own length, and the moduli come back with
-    # the values: row 0's terms are all 1, row 1's are 2 and then 1, so |S(N)| = N + 1 on row 1
+    # |S| <= N for each value, N its checkpoint, and the moduli come back with the values: row 0's
+    # terms are all 1, row 1's are 2 and then 1, so |S(N)| = N + 1 on row 1
     re = np.ones((2, 16))
     re[1, 0] = 2.0
     slack = ws._TRIVIAL_SLACK
@@ -438,8 +440,6 @@ def test_accumulate_bounds_each_value_by_its_own_n(monkeypatch):
     assert mags.tolist() == [[1.0, 8.0, 16.0]] == [list(map(abs, _row((re0, im0, mags))))]
     with pytest.raises(LemmaCheckFailureError, match=r"\|S\| = 9\.0 > N = 8$"):
         ws._accumulate(words, TURN, (8, 16))
-    with pytest.raises(LemmaCheckFailureError, match=r"\|S\| = 5\.0 > N = 4$"):
-        ws._accumulate(words, TURN, (16,), np.array([16, 4]))
 
 
 def test_batch_blocks_switch_routes_with_the_same_bits(monkeypatch):
