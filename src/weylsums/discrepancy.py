@@ -15,11 +15,12 @@ one-sided-limit combinations lives in the test suite and must agree exactly.
 Each gap g = N x_k - k 2^64 is exact in two int64 words: with
 x = hi 2^32 + lo, g = A 2^32 + B for A = N hi - k 2^32 + (N lo >> 32) and
 B = N lo mod 2^32, so max g is the lexicographic max of (A, B).  Both words
-fit for N < 2^31; larger N is refused.  The dense checkpoints N = 1..1000
-(`DENSE_LIMIT`) share one stable argsort and run 32 at a time: a point's rank
-in prefix N is a cumulative count down the block.  Each dyadic checkpoint
-sorts its prefix.  The Koksma check runs its points in row blocks: one pass
-of phase words, one sum and one padded row sort per block serve both sides.
+fit for N < 2^31; larger N is refused.  Every D reads sorted rows, each
+row's own points first.  The dense checkpoints N = 1..1000 (`DENSE_LIMIT`)
+run 32 at a time, one row per N: the points 1..N, padded with 2^64 - 1, are
+sorted along the rows.  Each dyadic checkpoint sorts its prefix in place.
+Koksma rows run in blocks: one pass of phase words, one sum and one padded
+row sort per block serve both sides.
 
 Open-interval fine print, followed literally: a point at 0 can never lie in
 (a, b) with a >= 0, so zeros count toward N but are invisible to every
@@ -41,7 +42,7 @@ from .weyl_sums import CHUNK, DENSE_LIMIT, _accumulate, _chunks, _phase_words, _
 KOKSMA_CONSTANT = 2.0 * pi  # total variation of t -> e(t) on [0, 1]
 N_LIMIT = 1 << 31  # the gaps N x - k fit two int64 words below this
 _LO = (1 << 32) - 1
-_BLOCK = 32  # dense checkpoints per pass, a (32, 1000) int64 temporary of 250 KiB, and Koksma rows per block
+_BLOCK = 32  # dense checkpoints per pass, a (32, 1000) block of sorted rows of 250 KiB, and Koksma rows per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,38 +87,40 @@ def _sequence_words(x, N: int, m) -> tuple[np.ndarray, int]:
 
 
 def _grid_fracs(words: np.ndarray, q: int) -> np.ndarray:
-    """The phases words / q as 2^-64 grid numerators: the words themselves for q = 2^64, else rounded."""
+    """The phases words / q as 2^-64 grid numerators, written over the words; for q = 2^64 they are the words."""
     if q == TURN:
         return words
     # phase_from_rational's round(v 2^64 / q) = v Q + (2 v R + q) // (2 q) with 2^64 = Q q + R,
     # exact in uint64 for residues v < q < 2^31 (2 v R + q < 2^63), and wrapping mod 2^64
     Q, R = divmod(TURN, q)
-    return words * (Q & (TURN - 1)) + (2 * R * words + q) // (2 * q)
+    rounding = np.multiply(words, 2 * R)
+    np.floor_divide(np.add(rounding, q, out=rounding), 2 * q, out=rounding)
+    return np.add(np.multiply(words, Q & (TURN - 1), out=words), rounding, out=words)
 
 
-def _units(n, x, rank, valid) -> list[tuple[int, int]]:
-    """Exact (D_N, D*_N) * 2^64 of each row (N = n) from its valid points x (uint64) at their int64 ranks (rows, M).
+def _units(n, x, valid) -> list[tuple[int, int]]:
+    """Exact (D_N, D*_N) * 2^64 of each row (N = n) of sorted uint64 points x (rows, M), its valid points first.
 
-    With x_0 <= ... <= x_{N-1} and g_k = N x_k - k (units of 2^-64), points
-    s..t have excess 1 + g_s - g_t and the open (x_s, x_t) deficit
-    1 + g_t - g_s, exact at the ends of runs of ties, so D_N = 1 + max g - min g
-    and D*_N = max(max g, 1 - min g) (Niederreiter 1992, Thm 2.6).  Open
-    intervals see only the positive points, plus the endpoints b = 1 and a = 0
-    as two more terms; all N points, zeros ranked first, give the same value:
-    the zeros' gaps 0, -1, ..., 1 - zeros are those terms, and with no zeros
-    the terms never act, as g_0 >= 0 and g_{N-1} < 1.  max g is the
-    lexicographic max of the words (A, B) of g = A 2^32 + B, min g likewise.
-    Slices of CHUNK points in all keep the temporaries bounded; rank is scratch.
+    With x_0 <= ... <= x_{N-1} the row's first N entries, a point's rank k its
+    position, and g_k = N x_k - k (units of 2^-64), points s..t have excess
+    1 + g_s - g_t and the open (x_s, x_t) deficit 1 + g_t - g_s, exact at the
+    ends of runs of ties, so D_N = 1 + max g - min g and
+    D*_N = max(max g, 1 - min g) (Niederreiter 1992, Thm 2.6).  Open intervals
+    see only the positive points, plus the endpoints b = 1 and a = 0 as two
+    more terms; all N points, zeros ranked first, give the same value: the
+    zeros' gaps 0, -1, ..., 1 - zeros are those terms, and with no zeros the
+    terms never act, as g_0 >= 0 and g_{N-1} < 1.  max g is the lexicographic
+    max of the words (A, B) of g = A 2^32 + B, min g likewise.  Slices of
+    CHUNK points in all keep the temporaries bounded.
     """
-    valid, ext, i64 = np.broadcast_to(valid, rank.shape), ([], []), np.iinfo(np.int64)
-    step = max(1, CHUNK // len(rank))
-    for c in range(0, rank.shape[1], step):
-        xs, r, v = x[..., c : c + step], rank[:, c : c + step], valid[:, c : c + step]
+    valid, ext, i64 = np.broadcast_to(valid, x.shape), ([], []), np.iinfo(np.int64)
+    step = max(1, CHUNK // len(x))
+    for c in range(0, x.shape[1], step):
+        xs, v = x[:, c : c + step], valid[:, c : c + step]
         b = (xs & _LO).view(np.int64) * n
         a = (xs >> 32).view(np.int64) * n
-        r <<= 32
-        a -= r
-        a += np.right_shift(b, 32, out=r)
+        a -= np.arange(c, c + xs.shape[1]) << 32
+        a += b >> 32
         b &= _LO
         for out, pick, a_fill, b_fill in zip(ext, (np.maximum.reduce, np.minimum.reduce), (i64.min, i64.max), (0, _LO)):
             top = pick(a, axis=-1, keepdims=True, initial=a_fill, where=v)
@@ -129,7 +132,7 @@ def _units(n, x, rank, valid) -> list[tuple[int, int]]:
 
 def _sorted_units(fracs: np.ndarray) -> tuple[int, int]:
     """Exact (D_N, D*_N) * 2^64 of a sorted uint64 array of N points."""
-    return _units(len(fracs), fracs[None], np.arange(len(fracs))[None], True)[0]
+    return _units(len(fracs), fracs[None], True)[0]
 
 
 def star_discrepancy(S: PointSet1D) -> float:
@@ -189,7 +192,7 @@ def _koksma_block(x, ns: list[int], m) -> list[KoksmaReport]:
     valid = np.arange(n_max) < lengths[:, None]
     fracs[~valid] = TURN - 1  # the pads sort past every row's own points
     fracs.sort(axis=-1)
-    units = _units(lengths[:, None], fracs, np.tile(np.arange(n_max), (len(ns), 1)), valid)
+    units = _units(lengths[:, None], fracs, valid)
     reports = []
     for n, s_mag, (_, d_units) in zip(ns, mags.tolist(), units):
         d_star = d_units / TURN
@@ -199,23 +202,19 @@ def _koksma_block(x, ns: list[int], m) -> list[KoksmaReport]:
 
 
 def _checkpoint_units(fracs: np.ndarray, n_max: int):
-    """(N, D_N * 2^64, D*_N * 2^64) at each checkpoint N <= n_max of the uint64 sequence fracs."""
+    """(N, D_N * 2^64, D*_N * 2^64) at each checkpoint N <= n_max of the uint64 sequence fracs; sorts its prefixes in place."""
     dense = min(n_max, DENSE_LIMIT)  # the grid's N = 1..dense, then dyadic
-    x = fracs[:dense]
-    rank = np.argsort(np.argsort(x, kind="stable"))  # each point's place in the stable order
     for n0 in range(0, dense, _BLOCK):
         n1 = min(n0 + _BLOCK, dense)
         ns = np.arange(n0 + 1, n1 + 1)[:, None]
-        # rank in prefix N of each of the points 1..n1: the block's points up to N ranked below
-        # it, accumulated down the block, plus those of 1..n0
-        r = (rank[n0:n1, None] < rank[:n1]).astype(np.int64)
-        r[0] += np.searchsorted(np.sort(rank[:n0]), rank[:n1])
-        for t in range(1, n1 - n0):  # np.cumsum down a 32-row axis is ~5x slower
-            r[t] += r[t - 1]
-        for n, units in zip(range(n0 + 1, n1 + 1), _units(ns, x[:n1], r, np.arange(n1) < ns)):
+        valid = np.arange(n1) < ns
+        rows = np.where(valid, fracs[:n1], TURN - 1)  # row N: the points 1..N, the pads sorting past them
+        rows.sort(axis=-1)
+        for n, units in zip(range(n0 + 1, n1 + 1), _units(ns, rows, valid)):
             yield (n, *units)
     for n in checkpoint_grid(n_max)[dense:]:
-        yield (n, *_sorted_units(np.sort(fracs[:n])))
+        fracs[:n].sort()  # moves points only inside the prefix: every longer prefix keeps its points
+        yield (n, *_sorted_units(fracs[:n]))
 
 
 def discrepancy_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None) -> list[int]:

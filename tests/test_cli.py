@@ -525,7 +525,7 @@ def test_discrepancy_csv_weyl_sum_at_one_half_is_exact(tmp_path):
         assert [cli.ws.weyl_sum(x, n) for n in (1, 2, 1023, 1024)] == [-1, 0, -1, 0]
 
 
-# the README's three exact-discrepancy commands and the sha256 of their artifacts, which the int64
+# four of the README's exact-discrepancy commands and the sha256 of their artifacts, which the int64
 # discrepancy kernels must reproduce byte for byte; the S_magnitude, ratio and s_magnitude fields also
 # pin the unit terms (at x = 1/2 every term is exact, so S is 0 or -1: the test above)
 _README_DISCREPANCY = (
@@ -535,6 +535,9 @@ _README_DISCREPANCY = (
      "1da739fb81b8a1b17ef57a0436a08787b9cdbc296feab8e91400597515ba9e6f"),
     (["discrepancy-scan", "--d", "1", "--x", "1/2", "--alpha", "0.5", "--N-max", "10000"], "discrepancy_scan.json",
      "3f0485d13a2d93fd3a76946fc572487dcc0e3b976b97e5e936b84e7da972b8d7"),
+    # the largest N the cap admits: 10^7 phase words, each dyadic prefix up to 2^23 sorted in place
+    (["discrepancy", "--x", "1/3", "--d", "1", "--N-max", "10000000"], "discrepancy.csv",
+     "13e7fe7f18e4b372142160f5bba8b122c67fb760832e112b93c9293a97e6a14d"),
 )
 
 
@@ -848,7 +851,7 @@ def test_discrepancy_commands_refuse_n_max_past_int64_split(tmp_path, capsys):
 
 
 def test_koksma_check_memory_is_a_few_words_per_point(tmp_path):
-    # N-max past CHUNK gives one row per block: its words, ranks and pads, plus the CHUNK-sized
+    # N-max past CHUNK gives one row per block: its words and pads, plus the CHUNK-sized
     # temporaries of the sum and of the D* slices
     tracemalloc.start()
     try:

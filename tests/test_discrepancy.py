@@ -1,6 +1,7 @@
 """Exact discrepancy, the brute-force oracle pact, and the Koksma relation."""
 
 import random
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
@@ -370,9 +371,26 @@ def test_checkpoint_units_match_linear_oracle(case):
         fracs = _grid_sequence(int(case.removeprefix("grid-q")), 43)
     expected = list(_linear_rows(fracs.tolist(), _SCAN_N))
     for n_max in (1, 700, _SCAN_N):
-        got = list(dc._checkpoint_units(fracs, n_max))
+        work = fracs.copy()  # each call sorts the prefixes of its own input in place
+        got = list(dc._checkpoint_units(work, n_max))
         assert got == expected[: len(got)]
         assert [n for n, _, _ in got] == list(ws.checkpoint_grid(n_max))
+        assert np.sort(work).tolist() == np.sort(fracs).tolist()  # the same points, as a multiset
+
+
+@pytest.mark.parametrize("x", [(Phase(0x9E3779B97F4A7C15),), RationalPoint(a=(1,), q=3)], ids=["phase", "1/3"])
+@pytest.mark.parametrize("scan", ["scan_rows", "discrepancy_scan"])
+def test_scans_hold_under_20_bytes_a_point(x, scan):
+    # the phase words are the only N-long array: the sums read them before the grid numerators are
+    # written over them, every checkpoint sorts its prefix in place and D reads ranks as positions
+    n = 2**20
+    tracemalloc.start()
+    try:
+        dc.scan_rows(x, n) if scan == "scan_rows" else dc.discrepancy_scan(x, 0.5, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 1009, 9973, 2**30 + 3, 2**31 - 19])
