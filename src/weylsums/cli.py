@@ -83,8 +83,17 @@ def _uint64(text: str) -> int:
     return v
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _out_dir(text: str) -> str:
+    """An --out path that mkdir can make a directory of: no file, nor dangling link, at it or above it."""
+    path = Path(text)
+    there = next((p for p in (path, *path.parents) if p.exists() or p.is_symlink()), path)
+    if not there.is_dir():
+        raise argparse.ArgumentTypeError(f"{str(there)!r} is not a directory")
+    return text
+
+
+def _write_json(path: Path, payload) -> None:  # strict JSON: a NaN or an infinity raises ValueError
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
@@ -124,7 +133,7 @@ def _point_from_args(args):
     The dimension used and the seed (None for --x) go back into args, so the
     manifest records them.
     """
-    if not args.x:
+    if args.x is None:
         args.d = 2 if args.d is None else args.d
         args.seed = 0 if args.seed is None else args.seed
         return _random_point(np.random.Generator(np.random.Philox(key=args.seed)), args.d)
@@ -220,9 +229,8 @@ def _run_enumerate_lp(args, out: Path) -> None:
     lv.threshold(args.p, gamma)  # refuses gamma <= 0 before the table is built or cached
     table = _table(args)
     count = lv.count_Lp(table, gamma)
-    members = None
-    if count <= args.emit_limit:  # rows are listed only to be emitted
-        members = lv.enumerate_Lp(table, gamma, cap=args.cap).tolist()
+    # rows are listed only to be emitted
+    members = lv.enumerate_Lp(table, gamma, cap=args.cap).tolist() if count <= args.emit_limit else None
     _write_json(
         out / "enumerate_lp.json",
         {
@@ -277,10 +285,7 @@ def _run_mr_scan(args, out: Path) -> None:
     if args.count < 1:
         raise PreconditionError("count must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
-    maxima = []
-    for _ in range(args.count):
-        x = _random_point(rng, args.d)
-        maxima.append(ws.mr_ratio_scan(x, args.n_max).max_ratio)
+    maxima = [ws.mr_ratio_scan(_random_point(rng, args.d), args.n_max).max_ratio for _ in range(args.count)]
     maxima_sorted = sorted(maxima)
     _write_json(
         out / "mr_scan.json",
@@ -410,7 +415,7 @@ def _run_discrepancy_scan(args, out: Path) -> None:
 
 def _add_common(sp, *, d=None, p=False, seed=False, cap=False, cache=False):
     """--out everywhere; --seed, --cap and --cache only where the command reads them."""
-    sp.add_argument("--out", default="out", help="output directory")
+    sp.add_argument("--out", type=_out_dir, default="out", help="output directory")
     if cap:
         sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max table entries")
     if cache:

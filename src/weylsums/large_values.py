@@ -244,7 +244,8 @@ def minimal_witness_side(table: CompleteSumTable, gamma: float = 1.0) -> dict:
     are read for L = 1, 2, 4, ... up to p - 1, about one CHUNK of entries per
     `_member_blocks` block, and the first that holds a member gives the
     least max-coordinate of its members; no rows are listed.  Compare against
-    p^{1-kappa_d} log p (the lemma's unknown constant C).
+    p^{1-kappa_d} log p (the lemma's unknown constant C); for d < 3, where
+    kappa_d is not defined, the reference side and the ratio are None.
     """
     d, p = table.d, table.p
     found, side = None, 0
@@ -255,11 +256,11 @@ def minimal_witness_side(table: CompleteSumTable, gamma: float = 1.0) -> dict:
         found = min((int(rows.max(axis=1).min()) for rows in blocks if len(rows)), default=None)
     if found is None and count_Lp(table, gamma):
         found = p
-    reference = float(p) ** (1 - float(kappa(d))) * log(p) if d >= 3 else float("nan")
+    reference = float(p) ** (1 - float(kappa(d))) * log(p) if d >= 3 else None
     return {
         "minimal_side": found,
         "reference_side": reference,
-        "ratio": (found / reference) if found is not None else None,
+        "ratio": found / reference if None not in (found, reference) else None,
     }
 
 

@@ -34,22 +34,21 @@ partial sum stays below 2^53, so no value depends on the block size.  The
 terms repeat with the period q of the point, so only n = 1..P, P = min(q, N),
 are generated: a rational point a/q is summed over one period,
 S(N) = floor(N/q) I(q) + I(N mod q), and a `Phase` point has q = 2^64 > N,
-so nothing folds.  A checkpoint N <= min(P, BLOCK) is an unfolded prefix of
-the first block.  When that block's terms need at most two limbs (each term a
-multiple of 2^-74, as every term of magnitude at least 2^-22 is), the value
-at each such N is S1 2^-37 + S2 2^-74 for its limb sums S1, S2: one IEEE
-addition of two exact doubles, which numpy rounds correctly, half to even,
-with no Python object per row or checkpoint (`_rounded`).  That covers a
-whole sum of at most BLOCK terms, a batch of them, and the dense checkpoints
-N <= 1000 of a trace.  The checkpoints past the first block, a few dyadic N
-or the folded N > P of a rational point, and every checkpoint when the first
-block needs three limbs or more, take the int carry: the block loop carries
-the joined limb sums as one Python int per row, forms floor(N/P) I(P) +
-I(N mod P) on the exact ints, and rounds each value once by int true
-division.  Either way S(x; N) is the correctly rounded sum of all N terms --
-math.fsum(terms[:N]).  The reduction adds one rounding to the term errors, so
-the total stays below N ulp, inside the 4*N*ulp budget, and a trace equals a
-fresh evaluation bit for bit at every checkpoint.
+so nothing folds.  A checkpoint N <= min(P, BLOCK), as every N of a sum or
+batch of at most BLOCK terms and the dense N <= 1000 of a trace are, is a
+prefix of the first block and is read from its limb sums; their count only
+picks the rounding.  With at most two limbs (each term a multiple of 2^-74,
+as every term of magnitude at least 2^-22 is) the value is S1 2^-37 +
+S2 2^-74, one IEEE addition of two exact doubles, which numpy rounds
+correctly, half to even, with no Python object per row or checkpoint
+(`_rounded`); with more, int true division rounds the joined limb sums.  The
+rest, a few dyadic N past the first block or the folded N > P of a rational
+point, take the int carry: one exact Python int per row, from which
+floor(N/P) I(P) + I(N mod P) is rounded once by int true division.  Either
+way S(x; N) is the correctly rounded sum of all N terms, math.fsum(terms[:N]).
+The reduction adds one rounding to the term errors, so the total stays below
+N ulp, inside the 4*N*ulp budget, and a trace equals a fresh evaluation bit
+for bit at every checkpoint.
 
 Values: the loop returns float64 (re, im, |S|) arrays of (rows,
 checkpoints), the first block's rounded checkpoints and then the int
@@ -227,6 +226,12 @@ def _rounded(limbs: np.ndarray) -> np.ndarray:
     return (limbs[1] / _LIMB_SCALE + limbs[0]) / _LIMB_SCALE
 
 
+def _int_rounded(ints: list[int], scale: int, width: int) -> np.ndarray:
+    """Exact sums as ints over 2^(37 scale), flat over (checkpoint, row), each rounded once: (checkpoints, width)."""
+    den = 1 << _LIMB_BITS * scale
+    return np.array([t / den for t in ints]).reshape(-1, width)
+
+
 def _accumulate(words, q: int, cps: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S at each of the strictly increasing checkpoints, per row, correctly rounded: (re, im, |S|), each (rows, checkpoints).
 
@@ -239,21 +244,19 @@ def _accumulate(words, q: int, cps: Sequence[int]) -> tuple[np.ndarray, np.ndarr
     for the call, handed on (`_SPARE`) if a block has at most BLOCK words.  Only
     n = 1..P, P = min(q, N_max), are generated.
 
-    The checkpoints N <= min(P, BLOCK), cps[:head], are prefixes of the
-    first block, each an end of its limb sums.  If that block's terms need at
-    most two limbs, their values are those limb sums rounded in numpy
-    (`_rounded`), with no Python object per row or checkpoint, and the int
-    route below runs for the rest only: the same limb sums, at the offsets the
-    rest need in the first block and at its end, start its carry.  Otherwise
-    every checkpoint takes the int route.  It carries one exact int per row
-    over 2^(37 L), shifting it and the prefixes kept so far to the larger
-    scale when a block needs more limbs than the blocks before, and keeps the
-    exact prefix I(r) at each offset r = N mod P > 0, all in one flat list.
-    Each of its checkpoints is then floor(N/P) I(P) + I(N mod P), in one pass
-    over all (checkpoint, row) ints, rounded once by int true division in
-    another.  Either way each value is its exact sum rounded once, half to
-    even, so it equals math.fsum over all N of its terms, whatever the route
-    or the block size.
+    The checkpoints are planned once, before the loop.  Those N <= min(P,
+    BLOCK), cps[:head], are read from the first block's limb sums at its ends:
+    them, the residues r = N mod P > 0 of the rest that fall in the block
+    (folds only), and its last n.  They are rounded in numpy by `_rounded` if
+    its terms need at most two limbs, and by int true division otherwise.  The
+    int carry takes cps[head:] only.  It starts at zero ints and adds each
+    block's limb sums at its residues and its end, the first block's too, as
+    one exact int per row over 2^(37 L), shifting what it holds when a block
+    needs more limbs than those before, and keeps the prefix I(r) at each
+    residue in one flat list.  Each carried value is floor(N/P) I(P) + I(N mod
+    P), rounded once by int true division.  Either way each value is its exact
+    sum rounded once, half to even: math.fsum over all N of its terms,
+    whatever the route or the block size.
 
     Every value is checked against the trivial bound |S| <= N of its
     checkpoint, times _TRIVIAL_SLACK; |S| is libm's hypot, as abs(complex)
@@ -261,38 +264,40 @@ def _accumulate(words, q: int, cps: Sequence[int]) -> tuple[np.ndarray, np.ndarr
     """
     ns = np.array(cps)  # the N of each column
     period = min(q, cps[-1])
-    folds = period < cps[-1]
-    offsets = sorted({n % period for n in cps} - {0}) if folds else cps[:-1]
-    head = bisect_right(cps, min(period, BLOCK))  # cps[:head] are prefixes of the first block
+    end = min(period, BLOCK)  # the first block's last n
+    head = bisect_right(cps, end)  # cps[:head] are read from the first block, and the int carry takes the rest
+    offsets = sorted({n % period for n in cps[head:]} - {0})  # r = N mod P > 0 of the rest: the carry keeps I(r)
+    oj = bisect_left(offsets, end + 1)  # those in the first block
+    ends, take, inserted = [*cps[:head]], [], []  # the first block's: its checkpoints, offsets and last n
+    for r in offsets[:oj]:  # a fold put carried offsets among the checkpoints: each goes in at its place
+        i = bisect_left(ends, r)
+        take.append(i)  # later offsets go in past i, so i stays r's place
+        if ends[i : i + 1] != [r]:
+            ends.insert(i, r)
+            inserted.append(i)
+    at = np.delete(np.arange(len(ends)), inserted) if inserted else slice(head)  # the checkpoints' places
+    if ends[-1:] != [end]:
+        ends.append(end)
+    take = [*take, -1] if take else slice(-1, None)  # the carry's: the places of its offsets, then the last
     work = _spare_workspace()
-    acc: list[int] = []  # the exact int of each row's terms so far: the cos rows, then the sin rows
-    pre: list[int] = []  # the rows' prefix ints at offset 0, then at each offset in order
-    scale = oi = 0
-    first = None  # the values at cps[:head], if the first block rounded them
+    oi = 0
     for lo, hi in _chunks(period, BLOCK):
+        if lo > 1:  # a later block's ends: the carry's offsets in it, then its last n
+            oi, oj = oj, bisect_left(offsets, hi, oj)
+            ends = [r - lo + 1 for r in offsets[oi:oj]]
+            if ends[-1:] != [hi - lo]:
+                ends.append(hi - lo)
         terms = unit_terms(words(lo, hi, work), q, work).reshape(-1, hi - lo)  # the cos rows, then the sin rows
-        oj = bisect_left(offsets, hi, oi)
-        ends = [r - lo + 1 for r in offsets[oi:oj]]
-        if not ends or ends[-1] < hi - lo:
-            ends.append(hi - lo)
-        limbs = _exact_prefix_sums(terms, ends, work)
         width = len(terms)
-        if head and lo == 1 and len(limbs) <= 2:  # the first block's checkpoints, each an end of it
-            # cps[:head] are the first head ends unless a fold put other offsets among them
-            at = slice(head) if ends[head - 1] == cps[head - 1] else np.searchsorted(ends, cps[:head])
-            first = _rounded(limbs[:, at])
-            if head == len(cps):
-                values = first
-                break
-            cps = cps[head:]  # the int route's: past the first block, or folded
-            offsets = sorted({n % period for n in cps} - {0}) if folds else cps[:-1]
-            oj = bisect_left(offsets, hi)
-            limbs = limbs[:, [*np.searchsorted(ends, offsets[:oj]), -1]]  # their offsets here, then the block's end
+        limbs = _exact_prefix_sums(terms, ends, work)
+        if lo == 1:  # the first block: the values at cps[:head], and a carry of zero ints for the rest
+            if head:
+                first = limbs[:, at]
+                values = _rounded(first) if len(first) <= 2 else _int_rounded(_joined(first), len(first), width)
+                if head == len(cps):
+                    break
+            limbs, scale, acc, pre = limbs[:, take], len(limbs), [0] * width, [0] * width  # pre: at 0, then each offset
         sums, count = _joined(limbs), len(limbs)
-        if not acc:  # the first block sets the scale
-            acc, pre, scale = sums[-width:], [0] * width + sums[: (oj - oi) * width], count
-            oi = oj
-            continue
         if count > scale:
             bits = _LIMB_BITS * (count - scale)
             acc, pre = [a << bits for a in acc], [v << bits for v in pre]
@@ -300,20 +305,14 @@ def _accumulate(words, q: int, cps: Sequence[int]) -> tuple[np.ndarray, np.ndarr
         shift = _LIMB_BITS * (scale - count)
         if oj > oi:
             pre += [a + (v << shift) for a, v in zip(cycle(acc), sums[: (oj - oi) * width])]
-            oi = oj
         acc = [a + (v << shift) for a, v in zip(acc, sums[-width:])]
-    else:  # the int route, for the checkpoints that the first block did not round
-        if not folds:  # the prefix at each checkpoint but the last, in order, then the whole
-            totals = pre[width:] + acc
-        else:
-            at = dict(zip((0, *offsets), range(0, len(pre), width)))  # offset -> its place in pre
-            spans = [(n // period, at[n % period]) for n in cps]
-            totals = [b + k * a for k, j in spans for a, b in zip(acc, pre[j : j + width])]
-        den = 1 << _LIMB_BITS * scale
-        values = np.array([t / den for t in totals]).reshape(-1, width)
-        if first is not None:
-            values = np.concatenate((first, values))
-    _hand_on(work, width // 2 * min(period, BLOCK))  # a block's words over its rows
+    else:  # the carried checkpoints, each floor(N/P) I(P) + I(N mod P)
+        at = dict(zip((0, *offsets), range(0, len(pre), width)))  # offset -> its place in pre
+        spans = [(n // period, at[n % period]) for n in cps[head:]]
+        totals = [b + k * a for k, j in spans for a, b in zip(acc, pre[j : j + width])]
+        carried = _int_rounded(totals, scale, width)
+        values = np.concatenate((values, carried)) if head else carried
+    _hand_on(work, width // 2 * end)  # a block's words over its rows
     rows = width // 2
     re, im = values[:, :rows].T, values[:, rows:].T
     mags = np.hypot(re, im)
@@ -457,15 +456,9 @@ def sigma_estimate(trace: SumTrace) -> SigmaEstimate:
     if len(trace.checkpoints) < 8:
         raise PreconditionError("need at least 8 trace entries")
     tail = len(trace.checkpoints) // 2
-    best = None
-    for n, mag in zip(trace.checkpoints[tail:].tolist(), trace.magnitudes[tail:].tolist()):
-        if mag <= 0.0 or n < 2:
-            continue
-        v = log(mag) / log(n)
-        best = v if best is None or v > best else best
-    if best is None:
-        return SigmaEstimate(value=0.0, degenerate=True)
-    return SigmaEstimate(value=best, degenerate=False)
+    ns, mags = trace.checkpoints[tail:].tolist(), trace.magnitudes[tail:].tolist()
+    exponents = [log(mag) / log(n) for n, mag in zip(ns, mags) if mag > 0.0 and n >= 2]
+    return SigmaEstimate(value=max(exponents, default=0.0), degenerate=not exponents)
 
 
 def exceptional_scan(x, alpha: float, n_max: int, m: Sequence[int] | None = None) -> list[int]:

@@ -134,6 +134,32 @@ def test_exit_code_invalid_config(tmp_path, capsys):
                      "--out", str(tmp_path / "d")]) == 2
 
 
+def test_empty_x_is_refused_not_drawn(tmp_path, capsys):
+    # --x "" names no point: exit 2 as a malformed --x does, never a drawn point at seed 0
+    for cmd, extra in (("weyl-trace", []), ("sigma-scan", []), ("discrepancy", []),
+                       ("exceptional-scan", ["--alpha", "0.5"]), ("discrepancy-scan", ["--alpha", "0.5"])):
+        out = tmp_path / cmd
+        assert _run([cmd, "--x", "", "--N-max", "16", *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "invalid configuration: --x is not a comma list of rationals: ''\n"
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["x"] == "" and config["seed"] is None
+
+
+def test_out_that_is_or_lies_under_a_file_is_refused(tmp_path, capsys):
+    # mkdir can make a directory of none of these: the parser refuses each, exit 2 with no traceback,
+    # and nothing is written
+    file, dangling = tmp_path / "f", tmp_path / "dangling"
+    file.write_text("x")
+    dangling.symlink_to(tmp_path / "missing")
+    for out in (file, file / "sub", file / "sub" / "deeper", dangling, dangling / "sub"):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["gauss-check", "--p", "13", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "is not a directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [dangling, file] and file.read_text() == "x"
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.run(["gauss-check", "--p", "13", "--no-such-flag", "1"])
@@ -927,6 +953,24 @@ def test_sigma_and_scans_cli(tmp_path):
                  "--N-max", "32", "--out", str(out3)]) == 0
     rep = json.loads((out3 / "discrepancy_scan.json").read_text())
     assert rep["qualifying_N"] == list(range(1, 33))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_density_below_d3_writes_null_not_nan(d, tmp_path):
+    # kappa_d is undefined for d < 3: the reference side and the ratio are null, and no artifact holds a
+    # NaN or an infinity, which are not JSON
+    out = tmp_path / "bd"
+    assert _run(["box-density", "--d", str(d), "--p", "13", "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise AssertionError(f"{name} in box_density.json")
+
+    rep = json.loads((out / "box_density.json").read_text(), parse_constant=refuse)
+    assert rep["reference_side"] is None and rep["ratio"] is None
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "bad.json", {"v": value})
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_box_density_cli(tmp_path):

@@ -235,7 +235,7 @@ def test_koksma_rows_given_in_descending_n(d):
 def test_koksma_row_with_deep_terms_past_its_n_equals_weyl_sum(monkeypatch):
     # a block's rows are summed to its largest N and read at their own: row 0 sums one term of two
     # limbs, but its second term e(1/4 + 2^-63), with a cosine near -6.8e-19, needs more, so the block's
-    # values take the int route instead of numpy's rounding, with the same bits
+    # values are rounded by int division instead of in numpy, with the same bits
     points = np.random.default_rng(7).integers(0, TURN, size=(6, 2), dtype=np.uint64)
     points[0] = [2**61 - 1, 1]  # phases 1/8 at n = 1 and 1/4 + 2^-63 at n = 2
     ns = [1, 300, 2, 17, 300, 64]

@@ -144,8 +144,8 @@ def test_readers_agree_on_a_reloaded_table(d, p, tmp_path):
     for gamma in (1.0, 1.5):
         assert lv.count_Lp(loaded, gamma) == lv.count_Lp(fresh, gamma)
         assert np.array_equal(lv.enumerate_Lp(loaded, gamma), lv.enumerate_Lp(fresh, gamma))
-        # the d < 3 reference side is nan, which repr compares equal to itself
-        assert repr(lv.minimal_witness_side(loaded, gamma)) == repr(lv.minimal_witness_side(fresh, gamma))
+        # the d < 3 reference side and ratio are None
+        assert lv.minimal_witness_side(loaded, gamma) == lv.minimal_witness_side(fresh, gamma)
     for nu in range(1, d + 1):
         assert cs.mordell_moment(loaded, nu) == cs.mordell_moment(fresh, nu)
         assert cs.box_moment(loaded, nu, box) == cs.box_moment(fresh, nu, box)

@@ -306,7 +306,9 @@ def _fsum_rows(re, im, cps):
      (None, ws.BLOCK + 5, False)],
     ids=["L2", "L1", "L3", "L30", "two-blocks"],
 )
-def test_accumulate_rounds_in_numpy_only_one_unfolded_block_of_two_limbs(deep, n, numpy_route, monkeypatch):
+def test_accumulate_rounds_first_block_checkpoints_in_numpy_when_two_limbs_suffice(deep, n, numpy_route, monkeypatch):
+    # the limb count of the first block picks only how its checkpoints are rounded: in numpy for at most two
+    # limbs, by int division for more; the int carry forms and divides the values past that block only
     rng = np.random.default_rng(41)
     if deep == 2.0**-37:  # terms of one limb: multiples of 2^-37
         re, im = (rng.integers(-(2**37), 2**37, size=(6, n)) / 2.0**37 for _ in range(2))
@@ -316,6 +318,8 @@ def test_accumulate_rounds_in_numpy_only_one_unfolded_block_of_two_limbs(deep, n
         if deep is not None:
             im[3, 2] = -deep  # one term of one row sets the limb count of the block
     words, rounded = _plant(monkeypatch, re, im)
+    divided, real = [], ws._int_rounded  # the checkpoints of each int division, over 12 values each (6 rows)
+    monkeypatch.setattr(ws, "_int_rounded", lambda ints, *args: divided.append(len(ints) // 12) or real(ints, *args))
     cps = (1, 2, 3, 4, 7, 999, n)
     limbs = len(ws._exact_prefix_sums(np.concatenate([re, im]), [n]))
     assert limbs == {None: 2, 2.0**-37: 1, 2.0**-80: 3, 5e-324: 30}[deep]
@@ -323,11 +327,15 @@ def test_accumulate_rounds_in_numpy_only_one_unfolded_block_of_two_limbs(deep, n
     sums = ws._accumulate(words, TURN, cps)
     assert [_bits(_row(sums, r)) for r in range(6)] == [_bits(w) for w in want]
     assert rounded == ([limbs] if limbs <= 2 else [])  # the first block's checkpoints, whether it is the last or not
-    # a fold takes the int route past its period: the same terms with period n, summed to 3n; n is the
-    # first block's end, rounded in numpy if that block holds the period and needs at most two limbs
+    head = sum(c <= ws.BLOCK for c in cps)  # the checkpoints of the first block
+    assert divided == ([head] if limbs > 2 else []) + ([len(cps) - head] if head < len(cps) else [])
+    # a fold: the same terms with period n, summed to 3n.  n is the first block's end if that block holds
+    # the period, rounded there in numpy for at most two limbs; 3n, and n past the first block, take the carry
     rounded.clear()
+    divided.clear()
     folded = ws._accumulate(words, n, (n, 3 * n))
     assert rounded == ([limbs] if numpy_route else [])
+    assert divided == ([1] if limbs > 2 and n <= ws.BLOCK else []) + [1 if n <= ws.BLOCK else 2]
     want = _fsum_rows(np.tile(re, 3), np.tile(im, 3), (n, 3 * n))
     assert [_bits(_row(folded, r)) for r in range(6)] == [_bits(w) for w in want]
 
@@ -360,10 +368,12 @@ def _planted_rows(first_limbs, n):
 
 
 @pytest.mark.parametrize("first_limbs", [1, 2, 3])
-@pytest.mark.parametrize("period", [None, 700, ws.BLOCK - 1, ws.BLOCK + 3], ids=["unfolded", "P700", "P=B-1", "P=B+3"])
+@pytest.mark.parametrize("period", [None, 700, ws.BLOCK - 1, ws.BLOCK, ws.BLOCK + 3],
+                         ids=["unfolded", "P700", "P=B-1", "P=B", "P=B+3"])
 def test_first_block_checkpoints_rounded_in_numpy_equal_fsum_and_the_int_route(first_limbs, period, monkeypatch):
-    # the checkpoints N <= min(P, BLOCK) are prefixes of the first block, rounded in numpy from its limb sums when
-    # its terms need at most two limbs; the rest (past BLOCK, or folded past P) take the int carry
+    # the checkpoints N <= min(P, BLOCK) are prefixes of the first block, read from its limb sums: rounded in numpy
+    # when its terms need at most two limbs, by int division when they need more; the rest (past BLOCK, or folded
+    # past P) take the int carry.  At P = BLOCK the head's last checkpoint is both the block's end and the period
     B = ws.BLOCK
     n = B + 40 if period is None else period
     re, im = _planted_rows(first_limbs, n)
