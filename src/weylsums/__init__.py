@@ -9,10 +9,10 @@ Subpackage map:
 - ``cantor``: (a,b,c)-patterns, dimension estimators, certified constructions
 - ``discrepancy``: exact D_N / D*_N, Koksma relation, threshold scans
 - ``cli``: reproducible experiment runner
+
+Importing the package imports none of these: the API lives in the layer
+modules, which are imported by name (``from weylsums.weyl_sums import
+weyl_sum``), so a process compiles only the layers it uses.
 """
 
 __version__ = "0.1.0"
-
-from .phasecore import Phase, RationalPoint, phase_from_rational  # noqa: F401
-from .weyl_sums import monomial_sum, weyl_sum, weyl_sum_trace  # noqa: F401
-from .complete_sums import complete_sum, build_table  # noqa: F401

@@ -19,6 +19,11 @@ directory is known and writes nothing.
 `run` may be called any number of times in one process: the parser is built
 on first use and shared by every later call, and each call parses into a
 fresh namespace, so nothing one call sets reaches the next.
+
+Importing this module and building the parser load `errors` alone of the
+package's modules.  Each subcommand imports the layer it calls (and the
+layers that one imports) when it runs, so a process loads only the layers
+of the subcommands it runs.
 """
 
 from __future__ import annotations
@@ -38,11 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import cantor as ct
-from . import complete_sums as cs
-from . import discrepancy as dc
-from . import large_values as lv
-from . import weyl_sums as ws
 from .errors import (
     DEFAULT_CAP,
     ChecksumMismatchError,
@@ -53,7 +53,6 @@ from .errors import (
     WeylSumsError,
     _check_size,
 )
-from .phasecore import TURN, Phase, RationalPoint
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
@@ -122,6 +121,7 @@ def _check_drawn(d: int) -> None:
 
 
 def _random_point(rng, d: int) -> tuple[Phase, ...]:
+    from .phasecore import TURN, Phase
     _check_drawn(d)
     return tuple(Phase(int(f)) for f in rng.integers(0, TURN, size=d, dtype=np.uint64))
 
@@ -133,6 +133,7 @@ def _point_from_args(args):
     The dimension used and the seed (None for --x) go back into args, so the
     manifest records them.
     """
+    from .phasecore import RationalPoint
     if args.x is None:
         args.d = 2 if args.d is None else args.d
         args.seed = 0 if args.seed is None else args.seed
@@ -157,6 +158,7 @@ def _point_from_args(args):
 
 
 def _run_gauss_check(args, out: Path) -> None:
+    from . import complete_sums as cs
     primes = args.primes if args.primes else ((args.p,) if args.p else None)
     if not primes:
         raise PreconditionError("gauss-check needs --p or --primes")
@@ -165,6 +167,7 @@ def _run_gauss_check(args, out: Path) -> None:
 
 
 def _run_monomial_check(args, out: Path) -> None:
+    from . import complete_sums as cs
     value = cs.monomial_complete_sum(args.d, args.p, args.a, cap=args.cap)
     _write_json(
         out / "monomial_check.json",
@@ -180,16 +183,19 @@ def _run_monomial_check(args, out: Path) -> None:
 
 
 def _run_weil_check(args, out: Path) -> None:
+    from . import complete_sums as cs
     report = cs.weil_check(args.coeffs, args.p)
     _write_json(out / "weil_check.json", asdict(report))
 
 
 def _table(args):
+    from . import complete_sums as cs
     cache = Path(args.out) / "cache" if args.cache else None
     return cs.cached_table(args.d, args.p, cache_dir=cache, cap=args.cap)
 
 
 def _run_moments(args, out: Path) -> None:
+    from . import complete_sums as cs
     cs.moment_main_term(args.d, args.nu)  # refuses nu outside 1..d before the table is built
     table = _table(args)
     nus = range(1, args.nu + 1)
@@ -204,6 +210,7 @@ def _run_moments(args, out: Path) -> None:
 
 
 def _run_box_moments(args, out: Path) -> None:
+    from . import complete_sums as cs
     if args.count < 1:
         raise PreconditionError("count must be >= 1")
     if cs.moment_main_term(args.d, args.nu) == 0:  # refuses nu outside 1..d first; both before the table is built
@@ -225,6 +232,7 @@ def _run_box_moments(args, out: Path) -> None:
 
 
 def _run_enumerate_lp(args, out: Path) -> None:
+    from . import large_values as lv
     gamma = float(args.gamma)
     lv.threshold(args.p, gamma)  # refuses gamma <= 0 before the table is built or cached
     table = _table(args)
@@ -245,6 +253,8 @@ def _run_enumerate_lp(args, out: Path) -> None:
 
 
 def _run_orbit_count(args, out: Path) -> None:
+    from . import complete_sums as cs
+    from . import large_values as lv
     box = cs.DiscreteBox(starts=(0,) * len(args.a), side=args.side)
     rep = lv.orbit_in_box_count(args.a, args.p, box)
     _write_json(
@@ -254,12 +264,14 @@ def _run_orbit_count(args, out: Path) -> None:
 
 
 def _run_box_density(args, out: Path) -> None:
+    from . import large_values as lv
     lv.threshold(args.p, float(args.gamma))  # likewise
     sweep = lv.minimal_witness_side(_table(args), float(args.gamma))
     _write_json(out / "box_density.json", {"d": args.d, "p": args.p, **sweep})
 
 
 def _run_amplify(args, out: Path) -> None:
+    from . import large_values as lv
     plan = lv.amplification_plan(args.p, args.tau, args.d, gamma=args.gamma, seed=args.seed)
     reports = []
     for axis in range(plan.d):
@@ -270,11 +282,13 @@ def _run_amplify(args, out: Path) -> None:
 
 
 def _run_amplify_mono(args, out: Path) -> None:
+    from . import large_values as lv
     report = lv.monomial_amplified_check(args.a, args.p, args.d, args.tau)
     _write_json(out / "amplify_mono.json", report.to_json_dict())
 
 
 def _run_weyl_trace(args, out: Path) -> None:
+    from . import weyl_sums as ws
     x = _point_from_args(args)
     trace = ws.weyl_sum_trace(x, ws.checkpoint_grid(args.n_max), m=args.m)
     _write_csv(out / "weyl_trace.csv", ["N", "re", "im", "magnitude"],
@@ -282,6 +296,7 @@ def _run_weyl_trace(args, out: Path) -> None:
 
 
 def _run_mr_scan(args, out: Path) -> None:
+    from . import weyl_sums as ws
     if args.count < 1:
         raise PreconditionError("count must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
@@ -301,6 +316,7 @@ def _run_mr_scan(args, out: Path) -> None:
 
 
 def _run_sigma_scan(args, out: Path) -> None:
+    from . import weyl_sums as ws
     x = _point_from_args(args)
     trace = ws.weyl_sum_trace(x, ws.dyadic_grid(args.n_max, start_exp=1), m=args.m)
     est = ws.sigma_estimate(trace)
@@ -311,17 +327,20 @@ def _run_sigma_scan(args, out: Path) -> None:
 
 
 def _run_exceptional_scan(args, out: Path) -> None:
+    from . import weyl_sums as ws
     x = _point_from_args(args)
     hits = ws.exceptional_scan(x, args.alpha, args.n_max, m=args.m)
     _write_json(out / "exceptional_scan.json", {"alpha": args.alpha, "qualifying_N": hits})
 
 
 def _run_measure_estimate(args, out: Path) -> None:
+    from . import large_values as lv
     rep = lv.measure_estimate(args.d, args.alpha, args.i, args.samples, seed=args.seed)
     _write_json(out / "measure_estimate.json", asdict(rep))
 
 
 def _run_cantor_build(args, out: Path) -> None:
+    from . import cantor as ct
     result = ct.large_sum_cantor(
         args.d, args.tau, args.epsilon, args.primes, args.depth, gamma=args.gamma, cap=args.cap
     )
@@ -344,6 +363,7 @@ def _run_cantor_build(args, out: Path) -> None:
 
 
 def _run_cantor_dim(args, out: Path) -> None:
+    from . import cantor as ct
     if args.d < 1:  # d and depth are exponents of the box count below
         raise InvalidScheduleError("dimension must be >= 1")
     if args.cells < 1 or args.shrink < 1 or args.depth < 0:
@@ -376,6 +396,7 @@ def _run_cantor_dim(args, out: Path) -> None:
 
 
 def _run_pattern_demo(args, out: Path) -> None:
+    from . import cantor as ct
     if args.cells < 1:
         raise PreconditionError("cells must be >= 1")
     spec = ct.PatternSpec(a=Fraction(1), b=Fraction(1, args.cells), c=args.c, rule=args.rule, seed=args.seed)
@@ -383,12 +404,15 @@ def _run_pattern_demo(args, out: Path) -> None:
 
 
 def _run_discrepancy(args, out: Path) -> None:
+    from . import discrepancy as dc
     x = _point_from_args(args)
     _write_csv(out / "discrepancy.csv", ["N", "D_N", "D_star_N", "S_magnitude", "ratio"],
                dc.scan_rows(x, args.n_max, m=args.m))
 
 
 def _run_koksma_check(args, out: Path) -> None:
+    from . import discrepancy as dc
+    from .phasecore import TURN
     if args.count < 1:
         raise PreconditionError("need count >= 1")
     if not 1 <= args.n_max < dc.N_LIMIT:
@@ -404,6 +428,7 @@ def _run_koksma_check(args, out: Path) -> None:
 
 
 def _run_discrepancy_scan(args, out: Path) -> None:
+    from . import discrepancy as dc
     x = _point_from_args(args)
     hits = dc.discrepancy_scan(x, args.alpha, args.n_max, m=args.m)
     _write_json(out / "discrepancy_scan.json", {"alpha": args.alpha, "qualifying_N": hits})

@@ -37,7 +37,6 @@ blocks.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -625,7 +624,7 @@ def box_moment(table: CompleteSumTable, nu: int, box: DiscreteBox) -> BoxMomentR
 _MAGIC = b"WSLT"
 _VERSION = 3
 _HEADER = struct.Struct("<4sIIQ")
-_DIGEST = hashlib.sha256().digest_size
+_DIGEST = 32  # sha256's digest size in bytes; hashlib is imported by save and load alone
 
 
 def _write_atomic(path: Path, *parts) -> None:
@@ -645,6 +644,7 @@ def save_table(table: CompleteSumTable, path: str | Path) -> Path:
     A save cut short leaves the file at path as it was: the old table, if
     any, still loads.
     """
+    import hashlib
     path = Path(path)
     header = _HEADER.pack(_MAGIC, _VERSION, table.d, table.p)
     body = np.ascontiguousarray(table.slices, dtype="<f8")
@@ -661,6 +661,7 @@ def load_table(path: str | Path, cap: int = DEFAULT_CAP) -> CompleteSumTable:
     body, into the slices that are hashed.  A stale or oversized file is
     refused by its header, cap or length without reading the body.
     """
+    import hashlib
     path = Path(path)
     with path.open("rb") as fh:
         header = fh.read(_HEADER.size)

@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 
 import weylsums
+from weylsums import cantor as ct
 from weylsums import cli, errors, phasecore
 from weylsums import complete_sums as cs
+from weylsums import discrepancy as dc
+from weylsums import weyl_sums as ws
 
 
 def _run(args):
@@ -248,7 +251,7 @@ def _no_memory(monkeypatch, out):
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli.ws, "weyl_sum_trace", no_memory)
+    monkeypatch.setattr(ws, "weyl_sum_trace", no_memory)
 
 
 def _broken_terms(monkeypatch, out):
@@ -257,39 +260,39 @@ def _broken_terms(monkeypatch, out):
         terms[0], terms[1] = 2.0, 0.0
         return terms
 
-    monkeypatch.setattr(cli.ws, "unit_terms", twos)
+    monkeypatch.setattr(ws, "unit_terms", twos)
 
 
 def _no_table(monkeypatch, out):
     def refuse(*args, **kwargs):
         raise AssertionError("the table was built or cached before the refusal")
 
-    monkeypatch.setattr(cli.cs, "cached_table", refuse)
+    monkeypatch.setattr(cs, "cached_table", refuse)
 
 
 def _no_koksma_slack(monkeypatch, out):
-    monkeypatch.setattr(cli.dc, "KOKSMA_CONSTANT", 0.0)  # only |S| <= 1e-6 passes
+    monkeypatch.setattr(dc, "KOKSMA_CONSTANT", 0.0)  # only |S| <= 1e-6 passes
 
 
 def _no_cantor_build(monkeypatch, out):
     def refuse(*args, **kwargs):
         raise AssertionError("build_cantor ran before the scales were checked")
 
-    monkeypatch.setattr(cli.ct, "build_cantor", refuse)
+    monkeypatch.setattr(ct, "build_cantor", refuse)
 
 
 def _no_cantor_level(monkeypatch, out):
     def refuse(*args, **kwargs):
         raise AssertionError("a Cantor level was built before the box count was checked")
 
-    monkeypatch.setattr(cli.ct, "make_pattern", refuse)
+    monkeypatch.setattr(ct, "make_pattern", refuse)
 
 
 def _no_cantor_table(monkeypatch, out):
     def refuse(*args, **kwargs):
         raise AssertionError("a table was built before epsilon was checked")
 
-    monkeypatch.setattr(cli.ct, "build_table", refuse)
+    monkeypatch.setattr(ct, "build_table", refuse)
 
 
 @pytest.mark.parametrize(
@@ -407,7 +410,7 @@ def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli.ws, "weyl_sum_trace", no_memory)
+    monkeypatch.setattr(ws, "weyl_sum_trace", no_memory)
     assert _run(["weyl-trace", "--N-max", "20", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == "resource limit: out of memory\n"
 
@@ -479,7 +482,7 @@ def test_trivial_bound_failure_exits_4(tmp_path, monkeypatch):
         terms[0], terms[1] = 2.0, 0.0
         return terms
 
-    monkeypatch.setattr(cli.ws, "unit_terms", twos)
+    monkeypatch.setattr(ws, "unit_terms", twos)
     for argv in (
         ["weyl-trace", "--N-max", "20"],
         ["sigma-scan", "--N-max", "64"],
@@ -548,7 +551,7 @@ def test_discrepancy_csv_weyl_sum_at_one_half_is_exact(tmp_path):
     assert rows[-1]["N"] == "1024"
     assert all(float(r["S_magnitude"]) == int(r["N"]) % 2 for r in rows)
     for x in (phasecore.Phase(1 << 63), phasecore.RationalPoint((1,), 2)):
-        assert [cli.ws.weyl_sum(x, n) for n in (1, 2, 1023, 1024)] == [-1, 0, -1, 0]
+        assert [ws.weyl_sum(x, n) for n in (1, 2, 1023, 1024)] == [-1, 0, -1, 0]
 
 
 # four of the README's exact-discrepancy commands and the sha256 of their artifacts, which the int64
@@ -795,14 +798,40 @@ def test_oversized_inputs_are_refused_by_their_size(tmp_path):
 def test_cantor_build_takes_gamma_exactly(tmp_path, monkeypatch):
     # the parsed Fraction reaches the trial count unrounded, and a gamma below 2^-32 is not read as 0
     seen = []
-    count = cli.ct.plan_trial_count
-    monkeypatch.setattr(cli.ct, "plan_trial_count", lambda p, tau, d, gamma: seen.append(gamma) or count(p, tau, d, gamma))
+    count = ct.plan_trial_count
+    monkeypatch.setattr(ct, "plan_trial_count", lambda p, tau, d, gamma: seen.append(gamma) or count(p, tau, d, gamma))
     argv = ["cantor-build", "--d", "3", "--tau", "4", "--primes", "31", "--depth", "1"]
     for i, gamma in enumerate(["999999937/1000000000", "1/10000000000"]):
         assert _run([*argv, "--gamma", gamma, "--out", str(tmp_path / str(i))]) == 0
         summary = json.loads((tmp_path / str(i) / "cantor_summary.json").read_text())
         assert summary["certificates_pass"] and summary["box_count"] == 8
     assert seen == [Fraction(999999937, 10**9), Fraction(1, 10**10)]
+
+
+_MODULES_LOADED = """
+import json, sys
+loaded = lambda: sorted(k for k in sys.modules if k.partition(".")[0] == "weylsums")
+import weylsums
+print(json.dumps(loaded()))
+from weylsums import cli
+cli.build_parser()
+print(json.dumps(loaded()))
+print(json.dumps([cli.run(["weyl-trace", "--x", "1/5,2/5", "--N-max", "64", "--out", sys.argv[1]]), loaded()]))
+"""
+
+
+def test_a_fresh_process_loads_only_the_layers_its_subcommand_runs(tmp_path):
+    # the package and the parser import no library layer; a weyl-trace imports its own two, and no other
+    src = str(Path(weylsums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package, parser, (code, trace) = map(json.loads, proc.stdout.splitlines())
+    assert package == ["weylsums"]
+    assert parser == ["weylsums", "weylsums.cli", "weylsums.errors"]
+    assert code == 0 and "weylsums.weyl_sums" in trace
+    assert not {"weylsums.cantor", "weylsums.complete_sums", "weylsums.large_values", "weylsums.discrepancy"} & set(trace)
 
 
 _FAULTS_AROUND_RUN = """

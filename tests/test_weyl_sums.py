@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from math import log, sqrt
 
@@ -340,11 +341,23 @@ def test_accumulate_rounds_first_block_checkpoints_in_numpy_when_two_limbs_suffi
     assert [_bits(_row(folded, r)) for r in range(6)] == [_bits(w) for w in want]
 
 
-def _int_routed(monkeypatch, *args):
-    """`_accumulate(*args)` with no checkpoint rounded by its first block: every value through the int carry."""
+def _int_routed(monkeypatch, words, q, cps):
+    """`_accumulate(words, q, cps)` with no checkpoint rounded by its first block: every value through the int carry.
+
+    The loop plans head = bisect_right(cps, ...) once; the fake returns 0 for that call only, and the
+    helper fails if `weyl_sums` called `bisect_right` other than exactly once, on cps.
+    """
+    seen = []
+
+    def no_head(a, x):
+        seen.append(a)
+        return 0 if a is cps else bisect_right(a, x)
+
     with monkeypatch.context() as m:
-        m.setattr(ws, "bisect_right", lambda a, x: 0)
-        return ws._accumulate(*args)
+        m.setattr(ws, "bisect_right", no_head)
+        sums = ws._accumulate(words, q, cps)
+    assert len(seen) == 1 and seen[0] is cps, seen
+    return sums
 
 
 def _planted_rows(first_limbs, n):
